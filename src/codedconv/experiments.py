@@ -18,14 +18,11 @@ from . import __version__
 from .engine import EpisodeMetrics, run_episode
 from .scenarios import (
     DEFAULT_SCALE,
-    SCENARIO_SIZES,
     ScenarioConfig,
     benchmark_scenario,
 )
 
 STRATEGY_ORDER = ("uncoded", "traditional", "dynamic")
-
-EXPERIMENT_KINDS = ("sweep-b", "compare", "stress", "success-rate")
 
 
 class ConfigError(ValueError):
@@ -274,16 +271,6 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_number_list(text: str, converter):
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ConfigError("expected a comma-separated list of numbers")
-    try:
-        return [converter(item) for item in items]
-    except ValueError as exc:
-        raise ConfigError(f"bad list value in {text!r}: {exc}") from exc
-
-
 def load_config(path: str) -> dict:
     """Parse and validate an experiment config file into plain sections.
 
@@ -326,9 +313,15 @@ def load_config(path: str) -> dict:
 
 
 def scenario_from_config(config: dict) -> ScenarioConfig:
+    """Scenario described by a loaded config.
+
+    [experiment] ratio, like the sweep-b and compare --ratio flag, sets the
+    straggler ratio and takes precedence over [straggler] ratio.
+    """
     scn = dict(config.get("scenario", {}))
     strag = config.get("straggler", {})
     comm = config.get("comm", {})
+    exp = config.get("experiment", {})
 
     overrides = {}
     for key in ("mu_low", "mu_high", "compute_coeff", "init_box_m",
@@ -336,8 +329,8 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
                 "traditional_s"):
         if key in scn:
             overrides[key] = scn[key]
-    if "ratio" in strag:
-        overrides["straggler_ratio"] = strag["ratio"]
+    if "ratio" in exp or "ratio" in strag:
+        overrides["straggler_ratio"] = exp.get("ratio", strag.get("ratio"))
     if "mode" in strag:
         overrides["straggler_mode"] = strag["mode"]
     if "delay_factor" in strag:
@@ -366,67 +359,3 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
-
-
-def run_scenario_file(path: str) -> list[str]:
-    """Run the experiment described by a config file; returns output paths."""
-    config = load_config(path)
-    scenario = scenario_from_config(config)
-    exp = config.get("experiment", {})
-    kind = exp.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"unknown experiment kind {kind!r}; valid kinds: "
-            + ", ".join(EXPERIMENT_KINDS))
-    reps = exp.get("reps", 25)
-    seed = exp.get("seed", 1234)
-    out_dir = exp.get("out_dir", "results")
-    if reps < 1:
-        raise ConfigError("reps must be >= 1")
-
-    if kind == "sweep-b":
-        if "b_values" in exp:
-            b_values = _parse_number_list(exp["b_values"], int)
-        else:
-            b_values = default_sweep_grid(scenario.n2)
-        rows, argmin_b = sweep_b(scenario, b_values, reps, seed)
-        manifest = manifest_entries(scenario, kind, seed, reps=reps,
-                                    argmin_b=argmin_b,
-                                    b_values=" ".join(map(str, b_values)))
-        paths = emit(out_dir, "sweep_b", ("b", "mean_time_s", "std_time_s"),
-                     rows, manifest)
-    elif kind == "compare":
-        ratio = exp.get("ratio", scenario.straggler_ratio)
-        rows = compare_strategies(scenario, reps, seed, ratio=ratio,
-                                  mode=scenario.straggler_mode)
-        manifest = manifest_entries(scenario, kind, seed, reps=reps,
-                                    ratio=ratio, b=auto(scenario.dynamic_b),
-                                    s=auto(scenario.traditional_s))
-        paths = emit(out_dir, "compare",
-                     ("strategy", "mean_time_s", "std_time_s"), rows, manifest)
-    elif kind == "stress":
-        if "ratios" in exp:
-            ratios = _parse_number_list(exp["ratios"], float)
-        else:
-            ratios = [0.0, 0.25, 0.5, 0.75, 1.0]
-        rows = stress_test(scenario, ratios, reps, seed,
-                           mode=scenario.straggler_mode)
-        manifest = manifest_entries(scenario, kind, seed, reps=reps,
-                                    ratios=" ".join(format_value(r)
-                                                    for r in ratios),
-                                    b=auto(scenario.dynamic_b))
-        paths = emit(out_dir, "stress",
-                     ("ratio", "strategy", "mean_time_s", "std_time_s"),
-                     rows, manifest)
-    else:
-        runs = exp.get("runs", 2000)
-        if runs < 1:
-            raise ConfigError("runs must be >= 1")
-        mode = scenario.straggler_mode if scenario.straggler_mode != "delayed" else "fail"
-        rows, _ = success_rate(scenario, runs, seed, mode=mode)
-        manifest = manifest_entries(scenario, kind, seed, runs=runs,
-                                    b=auto(scenario.dynamic_b))
-        paths = emit(out_dir, "success_rate",
-                     ("strategy", "success_rate", "successes", "runs"),
-                     rows, manifest)
-    return list(paths)

@@ -1,13 +1,13 @@
-"""Mobility, compute-time, and radio-link models for the simulated fleet.
+"""Compute-time, radio-link and straggler-behaviour models for the fleet.
 
-Workers are heterogeneous point masses on a 2-D plane.  Compute time for a
-convolution job follows a shifted exponential whose shift and rate both
-scale with the job size; link rate follows a log-distance path-loss model
-fed into the Shannon capacity formula.
+Compute time for a convolution job follows a shifted exponential whose
+shift and rate both scale with the job size; link rate follows a
+log-distance path-loss model fed into the Shannon capacity formula.
+Mobility and the effect of each behaviour live in the event engine.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,8 @@ class CommParams:
     bandwidth_hz: float = 1e6
     noise_w: float = 1e-12
     payload_bytes: int = 8      # bytes per transmitted number
-    # Simplified received-power model: S(d) = rx_offset_dbm - 20 log10(d).
+    # Received-power model: S(d) = rx_offset_dbm - 20 log10(d).
     rx_offset_dbm: float = 6.0
-    # Optional full link budget; used when use_full_model is set.
-    use_full_model: bool = False
-    tx_power_dbm: float = 30.0
-    wavelength_m: float = 0.125
-    antenna_gain_dbi: float = 0.0
-    shadow_sigma_db: float = 0.0
 
     def __post_init__(self):
         if self.bandwidth_hz <= 0 or self.noise_w <= 0 or self.payload_bytes < 1:
@@ -72,11 +66,6 @@ class Behavior:
             raise ValueError("delay factor must be >= 1")
 
 
-def advance_position(pos, vel, dt: float) -> np.ndarray:
-    """Point-mass update: p' = p + v * dt."""
-    return np.asarray(pos, dtype=float) + np.asarray(vel, dtype=float) * dt
-
-
 def compute_load(n1: int, n2: int, coeff: float = 1.0) -> float:
     """Cost of convolving vectors of lengths n1 and n2 via FFT.
 
@@ -102,28 +91,15 @@ def sample_compute_time(rng: np.random.Generator, load: float,
     return profile.alpha * load + rng.exponential(load / profile.mu)
 
 
-def signal_power_dbm(distance_m: float, comm: CommParams,
-                     rng: np.random.Generator | None = None) -> float:
+def signal_power_dbm(distance_m: float, comm: CommParams) -> float:
     """Received signal power in dBm at the given link distance."""
     d = max(float(distance_m), MIN_DISTANCE_M)
-    if comm.use_full_model:
-        power = (comm.tx_power_dbm
-                 + 20.0 * math.log10(comm.wavelength_m)
-                 - 20.0 * math.log10(4.0 * math.pi)
-                 - 20.0 * math.log10(d)
-                 + comm.antenna_gain_dbi)
-        if comm.shadow_sigma_db > 0:
-            if rng is None:
-                raise ValueError("shadowing noise requires an rng")
-            power += comm.shadow_sigma_db * rng.standard_normal()
-        return power
     return comm.rx_offset_dbm - 20.0 * math.log10(d)
 
 
-def data_rate(distance_m: float, comm: CommParams,
-              rng: np.random.Generator | None = None) -> float:
+def data_rate(distance_m: float, comm: CommParams) -> float:
     """Shannon-capacity link rate in bits/s at the given distance."""
-    s_dbm = signal_power_dbm(distance_m, comm, rng)
+    s_dbm = signal_power_dbm(distance_m, comm)
     signal_w = 10.0 ** ((s_dbm - 30.0) / 10.0)
     return comm.bandwidth_hz * math.log2(1.0 + signal_w / comm.noise_w)
 
@@ -135,22 +111,3 @@ def comm_time(n_numbers: int, rate_bps: float, payload_bytes: int = 8) -> float:
     if rate_bps <= 0:
         raise ValueError("rate must be positive")
     return n_numbers * payload_bytes * 8.0 / rate_bps
-
-
-def apply_straggler(behavior: Behavior, nominal: float, now: float) -> float | None:
-    """Transform a nominal service duration under a straggler behaviour.
-
-    Returns the effective duration, or None when the result never reaches
-    the master (failed or departed before completion, or not yet joined).
-    """
-    if nominal < 0:
-        raise ValueError("nominal duration cannot be negative")
-    if behavior.kind == NORMAL:
-        return nominal
-    if behavior.kind == DELAYED:
-        return nominal * behavior.factor
-    if behavior.kind in (FAILED, LEAVES):
-        return nominal if now + nominal <= behavior.time else None
-    if behavior.kind == JOINS:
-        return nominal if now >= behavior.time else None
-    raise AssertionError(behavior.kind)

@@ -109,6 +109,23 @@ def test_ratio_out_of_range_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["compare", "--reps", "0"], "--reps"),
+    (["success-rate", "--runs", "0"], "--runs"),
+    (["stress", "--ratios", ","], "--ratios"),
+    (["sweep-b", "--b-values", ","], "--b-values"),
+    (["sweep-b", "--b-values", "8,x"], "--b-values"),
+])
+def test_bad_option_value_exits_2_and_writes_nothing(argv, option, tmp_path,
+                                                      capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(argv + ["--scale", "64", "--out", str(out_dir)],
+                           capsys)
+    assert code == 2
+    assert option in err
+    assert not out_dir.exists()
+
+
 def test_rerun_byte_identical_outputs(tmp_path, capsys):
     argv = ["compare", "--scenario", "1", "--scale", "64", "--reps", "2",
             "--seed", "42", "--ratio", "0.5"]

@@ -177,6 +177,48 @@ def test_joining_worker_rejects_early_pieces():
     assert [ev.kind for ev in events] == ["worker_joins"]
 
 
+def probe_times(**kwargs):
+    """Log times of one piece sent to an ordinary worker."""
+    eng = make_engine(p=1, **kwargs)
+    eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
+    for _ in eng.events():
+        pass
+    return {rec.kind: rec.time for rec in eng.log}
+
+
+@pytest.mark.parametrize("kind", [models.FAILED, models.LEAVES])
+def test_result_returned_by_departure_time_is_delivered(kind):
+    # Departure exactly when the result lands: the result still counts.
+    t_result = probe_times()["result_arrives"]
+    eng = make_engine(p=1, behaviors=[Behavior(kind, time=t_result)])
+    eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
+    events = [(ev.kind, ev.time) for ev in eng.events()]
+    assert sorted(events) == [("result_arrives", t_result),
+                              ("worker_leaves", t_result)]
+
+
+def test_leaving_worker_loses_piece_it_cannot_finish():
+    # The piece arrives, but the worker leaves before its compute is done.
+    times = probe_times()
+    leave = 0.5 * (times["piece_arrives"] + times["compute_done"])
+    eng = make_engine(p=1, behaviors=[Behavior(models.LEAVES, time=leave)])
+    eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
+    assert [ev.kind for ev in eng.events()] == ["worker_leaves"]
+    assert [rec.kind for rec in eng.log] == ["dispatch", "piece_arrives"]
+
+
+@pytest.mark.parametrize("send_time", [0.5, 0.75])
+def test_joining_worker_accepts_pieces_from_join_time(send_time):
+    eng = make_engine(p=1, behaviors=[Behavior(models.JOINS, time=0.5)])
+    eng.schedule_wakeup(send_time, 0)
+    kinds = []
+    for ev in eng.events():
+        kinds.append(ev.kind)
+        if ev.kind == "wakeup":
+            eng.send(0, row=0, n_in=10, n_out=19, load_pair=(10, 10))
+    assert kinds == ["worker_joins", "wakeup", "result_arrives"]
+
+
 # -- mobility ---------------------------------------------------------------------
 
 

@@ -13,7 +13,6 @@ from codedconv.experiments import (
     episode_seed,
     format_value,
     load_config,
-    run_scenario_file,
     scenario_from_config,
     stress_test,
     success_rate,
@@ -24,6 +23,7 @@ from codedconv.experiments import (
     write_csv,
     write_manifest,
 )
+from codedconv.cli import main
 from codedconv.scenarios import ScenarioConfig
 
 
@@ -259,12 +259,13 @@ def test_config_sizes_incomplete(tmp_path):
         scenario_from_config(cfg)
 
 
-def test_config_bad_kind(tmp_path):
+def test_config_bad_kind(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("[scenario]\nindex = 1\n\n[experiment]\nkind = race\n")
-    with pytest.raises(ConfigError) as err:
-        run_scenario_file(path)
-    assert "race" in str(err.value)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "race" in err
+    assert "sweep-b, compare, stress, success-rate" in err
 
 
 def test_config_straggler_section(tmp_path):
@@ -276,21 +277,23 @@ def test_config_straggler_section(tmp_path):
     assert scn.straggler_mode == "fail"
 
 
-def test_run_scenario_file_emits_files(tmp_path):
+def test_run_scenario_file_emits_files(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
+    out_dir = tmp_path / "res"
     path.write_text(
         "[scenario]\nn1 = 48\nn2 = 32\nworkers = 3\n\n"
         "[experiment]\nkind = compare\nreps = 2\nseed = 5\n"
-        f"out_dir = {tmp_path / 'res'}\n"
+        f"out_dir = {out_dir}\n"
     )
-    outputs = run_scenario_file(path)
-    names = sorted(os.path.basename(p) for p in outputs)
-    assert names == ["compare.csv", "compare.manifest.txt"]
-    for p in outputs:
-        assert os.path.exists(p)
-    manifest = open([p for p in outputs if p.endswith(".txt")][0]).read()
+    assert main(["run", str(path)]) == 0, capsys.readouterr().err
+    assert sorted(os.listdir(out_dir)) == ["compare.csv",
+                                           "compare.manifest.txt"]
+    manifest = (out_dir / "compare.manifest.txt").read_text().splitlines()
     assert "experiment=compare" in manifest
     assert "seed=5" in manifest
+    assert "mode=delayed" in manifest
+    # scale is recorded for preset scenarios only
+    assert not any(line.startswith("scale=") for line in manifest)
 
 
 def test_reruns_byte_identical(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the mobility, compute-time, and link-rate models."""
+"""Tests for the compute-time, link-rate and behaviour models."""
 
 import math
 
@@ -10,28 +10,12 @@ from codedconv.models import (
     Behavior,
     CommParams,
     WorkerProfile,
-    advance_position,
-    apply_straggler,
     comm_time,
     compute_load,
     data_rate,
     sample_compute_time,
     signal_power_dbm,
 )
-
-
-# ---------------------------------------------------------------------------
-# mobility
-
-
-def test_advance_position_example():
-    got = advance_position([100.0, -50.0], [3.0, -4.0], 1.0)
-    np.testing.assert_array_equal(got, [103.0, -54.0])
-
-
-def test_advance_position_zero_dt():
-    got = advance_position([1.0, 2.0], [9.0, 9.0], 0.0)
-    np.testing.assert_array_equal(got, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -121,23 +105,6 @@ def test_data_rate_near_field_clamped():
     assert data_rate(0.0, comm) == data_rate(0.5, comm) == data_rate(1.0, comm)
 
 
-def test_full_link_budget_model():
-    comm = CommParams(use_full_model=True, tx_power_dbm=30.0,
-                      wavelength_m=0.125, antenna_gain_dbi=2.0)
-    want = (30.0 + 20 * math.log10(0.125) - 20 * math.log10(4 * math.pi)
-            - 20 * math.log10(500.0) + 2.0)
-    assert signal_power_dbm(500.0, comm) == pytest.approx(want)
-
-
-def test_full_model_shadowing_needs_rng():
-    comm = CommParams(use_full_model=True, shadow_sigma_db=2.0)
-    with pytest.raises(ValueError):
-        signal_power_dbm(100.0, comm)
-    rng = np.random.default_rng(3)
-    values = {signal_power_dbm(100.0, comm, rng) for _ in range(5)}
-    assert len(values) > 1
-
-
 def test_comm_time_example():
     # 1000 numbers at 8 bytes over 1e7 bit/s: 64000 bits -> 6.4 ms
     assert comm_time(1000, 1e7, payload_bytes=8) == pytest.approx(6.4e-3)
@@ -156,34 +123,6 @@ def test_comm_time_rejects_bad_rate():
 
 # ---------------------------------------------------------------------------
 # straggler behaviours
-
-
-def test_apply_straggler_normal():
-    assert apply_straggler(Behavior("normal"), 0.2, 1.0) == 0.2
-
-
-def test_apply_straggler_delayed_example():
-    assert apply_straggler(Behavior("delayed", factor=15.0), 0.2, 0.0) == pytest.approx(3.0)
-
-
-def test_apply_straggler_failed():
-    b = Behavior("failed", time=5.0)
-    # Would finish at 6.1: lost.
-    assert apply_straggler(b, 1.1, 5.0) is None
-    # Finishes at 4.9: delivered.
-    assert apply_straggler(b, 0.9, 4.0) == 0.9
-
-
-def test_apply_straggler_leaves():
-    b = Behavior("leaves", time=2.0)
-    assert apply_straggler(b, 1.0, 1.5) is None
-    assert apply_straggler(b, 0.5, 1.5) == 0.5
-
-
-def test_apply_straggler_joins():
-    b = Behavior("joins", time=3.0)
-    assert apply_straggler(b, 0.5, 2.0) is None
-    assert apply_straggler(b, 0.5, 3.0) == 0.5
 
 
 def test_behavior_validation():
