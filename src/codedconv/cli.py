@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, reps=True):
         p.add_argument("--scenario", type=int, default=1, metavar="N",
                        help="benchmark scenario index 1-4 (default 1)")
         p.add_argument("--scale", type=float, default=DEFAULT_SCALE,
@@ -178,11 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "1 = full size)")
         p.add_argument("--seed", type=int, default=DEFAULTS["seed"],
                        help="base seed (default 1234)")
-        p.add_argument("--reps", type=int, default=DEFAULTS["reps"],
-                       help="repetitions per point (default 25)")
         p.add_argument("--out", dest="out_dir", default=DEFAULTS["out_dir"],
                        metavar="DIR",
                        help="output directory (default results/)")
+        if reps:
+            p.add_argument("--reps", type=int, default=DEFAULTS["reps"],
+                           help="repetitions per point (default 25)")
 
     p = sub.add_parser("sweep-b", help="mean time of the dynamic strategy "
                                        "over a grid of piece lengths")
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("success-rate", help="success fraction under uniform "
                                             "0..P worker failures")
-    add_common(p)
+    add_common(p, reps=False)
     p.add_argument("--runs", type=int, default=DEFAULTS["runs"],
                    help="episodes per strategy (default 2000)")
     p.add_argument("--mode", choices=("fail", "leave"), default="fail",

@@ -35,6 +35,8 @@ class DecodeFailure(Exception):
 RCOND_LIMIT = 1e-12
 # Relative mismatch allowed when re-encoding a held-out row after decode.
 DECODE_GUARD_REL = 1e-4
+# Largest m whose square make_encoding_matrix(m, m) system passes RCOND_LIMIT.
+MAX_SQUARE_PIECES = 32
 
 
 def as_vector(values) -> np.ndarray:
@@ -142,10 +144,10 @@ def encoding_points(count: int, budget: int | None = None) -> np.ndarray:
 
 @dataclass
 class EncodingMatrix:
-    """Vandermonde mixing matrix: entries[i, j] = points[i] ** j."""
+    """Vandermonde entries[i, j] = points[i] ** j; identity code: points=None."""
 
     entries: np.ndarray         # shape (rows, cols)
-    points: np.ndarray          # shape (rows,)
+    points: np.ndarray | None   # shape (rows,); None for the identity code
 
     @property
     def rows(self) -> int:
@@ -206,6 +208,22 @@ def mds_encode(pieces, matrix: EncodingMatrix, row_index: int) -> CodedPiece:
     return CodedPiece(row_index=int(row_index), values=matrix.entries[row_index] @ arr)
 
 
+def decode_factors(matrix: EncodingMatrix, rows) -> tuple:
+    """LU of matrix `rows`; DecodeFailure if singular or rcond < RCOND_LIMIT."""
+    sub = matrix.entries[list(rows)]
+    try:
+        lu, piv = lu_factor(sub)
+    except Exception as exc:  # LinAlgError on exactly singular input
+        raise DecodeFailure(f"singular decode system: {exc}") from exc
+    anorm = np.abs(sub).sum(axis=1).max()
+    rcond = _lapack.dgecon(lu, anorm, norm="1")[0]
+    if not np.isfinite(rcond) or rcond < RCOND_LIMIT:
+        raise DecodeFailure(
+            f"decode system too ill conditioned (rcond={rcond:.3e}); "
+            "reduce the piece count or use better-spread points")
+    return lu, piv
+
+
 def mds_decode(results, matrix: EncodingMatrix) -> np.ndarray:
     """Recover the original pieces from >= cols coded results.
 
@@ -230,22 +248,10 @@ def mds_decode(results, matrix: EncodingMatrix) -> np.ndarray:
     if len(lengths) != 1:
         raise ValueError("coded results must all have the same length")
 
-    used, held_out = results[:m], results[m:]
-    sub = matrix.entries[[r.row_index for r in used]]
-    rhs = np.stack([as_vector(r.values) for r in used])
-    try:
-        lu, piv = lu_factor(sub)
-    except Exception as exc:  # LinAlgError on exactly singular input
-        raise DecodeFailure(f"singular decode system: {exc}") from exc
-    anorm = np.abs(sub).sum(axis=1).max()
-    rcond = _lapack.dgecon(lu, anorm, norm="1")[0]
-    if not np.isfinite(rcond) or rcond < RCOND_LIMIT:
-        raise DecodeFailure(
-            f"decode system too ill conditioned (rcond={rcond:.3e}); "
-            "reduce the piece count or use better-spread points")
-    recovered = lu_solve((lu, piv), rhs)
+    rhs = np.stack([as_vector(r.values) for r in results[:m]])
+    recovered = lu_solve(decode_factors(matrix, rows[:m]), rhs)
 
-    for extra in held_out:
+    for extra in results[m:]:
         predicted = matrix.entries[extra.row_index] @ recovered
         scale = max(np.abs(extra.values).max(), 1.0)
         mismatch = np.abs(predicted - extra.values).max() / scale

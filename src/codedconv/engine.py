@@ -93,7 +93,6 @@ class EngineEvent:
     time: float
     worker: int
     row: int = -1
-    data: object = None
     t_sent: float = 0.0
     rtt: float = 0.0
     n_in: int = 0
@@ -196,8 +195,8 @@ class SimEngine:
         self._push(max(time, self._now), EngineEvent("wakeup", time, worker))
 
     def send(self, worker: int, row, n_in: int, n_out: int,
-             load_pair: tuple[int, int], data: object = None) -> None:
-        """Dispatch a piece to a worker at the current time.
+             load_pair: tuple[int, int]) -> None:
+        """Dispatch work item `row` to a worker at the current time.
 
         Transfer times for both directions are priced at the dispatch-time
         distance.  The piece is silently lost when the worker has failed,
@@ -238,7 +237,7 @@ class SimEngine:
             return
         self._log_event("result_arrives", t_recv, worker, row, n_out)
         self._push(t_recv, EngineEvent("result_arrives", t_recv, worker, row=row,
-                                       data=data, t_sent=now, rtt=t_in + t_out,
+                                       t_sent=now, rtt=t_in + t_out,
                                        n_in=n_in, n_out=n_out))
 
     def events(self, until: float = math.inf):

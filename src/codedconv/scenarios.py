@@ -13,6 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
+from .coding import MAX_SQUARE_PIECES
 from .models import CommParams
 
 SCENARIO_SIZES = {
@@ -83,9 +84,12 @@ class ScenarioConfig:
             problems.append("horizon_factor must be > 1")
         if self.dynamic_b is not None and not 1 <= self.dynamic_b <= self.n2:
             problems.append("dynamic_b must be in [1, n2]")
-        if (self.traditional_s is not None
-                and not 1 <= self.traditional_s <= min(self.n1, self.n2)):
-            problems.append("traditional_s must be in [1, min(n1, n2)]")
+        s = self.traditional_s
+        if s is not None and not (1 <= s <= min(self.n1, self.n2) and math.ceil(
+                max(self.n1, self.n2) / s) <= MAX_SQUARE_PIECES):
+            # More coded pieces than the square-system limit never decode.
+            problems.append("traditional_s must be in [1, min(n1, n2)] and cut "
+                            f"max(n1, n2) into <= {MAX_SQUARE_PIECES} pieces")
         if self.comm.bandwidth_hz <= 0 or self.comm.noise_w <= 0:
             problems.append("comm bandwidth and noise must be positive")
         if self.comm.payload_bytes < 1:

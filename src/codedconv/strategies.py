@@ -12,19 +12,25 @@ Three strategies share the same engine interface:
 
 Each strategy returns a StrategyOutcome; completion_time is the arrival
 time of the last needed result, or the horizon when the episode gave up.
+Strategies only schedule: the vector is assembled from the outcome's Plan
+when `result` is first read.
 """
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .coding import (
     CodedPiece,
     DecodeFailure,
+    EncodingMatrix,
+    Partition,
     as_vector,
     convolve_fft,
+    decode_factors,
     make_encoding_matrix,
     mds_decode,
     mds_encode,
@@ -42,6 +48,35 @@ _DEFAULT_PIECE_TARGET = 16
 
 
 @dataclass
+class Plan:
+    """Which results a successful episode decodes (see `assemble`).
+
+    Result (i, j) is row i of `matrix` applied to the pieces of `coded`,
+    convolved with piece j of `other`; `columns[j]` lists the rows i of
+    column j in arrival order.
+    """
+
+    coded: Partition
+    matrix: EncodingMatrix
+    other: Partition
+    columns: list[list[int]]
+
+    def assemble(self) -> np.ndarray:
+        """Encode, convolve, decode and overlap-add the full convolution."""
+        coded, other = self.coded, self.other
+        column_length = coded.original_length + other.piece_length - 1
+        parts = []
+        for piece, rows in zip(other.pieces, self.columns):
+            results = [CodedPiece(i, convolve_fft(
+                mds_encode(coded, self.matrix, i).values, piece)) for i in rows]
+            decoded = mds_decode(results, self.matrix)
+            parts.append(overlap_add(list(decoded), coded.piece_length,
+                                     column_length))
+        return overlap_add(parts, other.piece_length,
+                           coded.original_length + other.original_length - 1)
+
+
+@dataclass
 class StrategyOutcome:
     success: bool
     completion_time: float
@@ -49,29 +84,36 @@ class StrategyOutcome:
     redundancy_used: int
     per_worker_results: dict
     params: dict = field(default_factory=dict)
-    result: np.ndarray | None = None
+    plan: Plan | None = None
+
+    @cached_property
+    def result(self) -> np.ndarray | None:
+        """The convolution, assembled on first read; None when failed."""
+        return None if self.plan is None else self.plan.assemble()
 
 
 def _failed(horizon, dispatched, redundancy, per_worker, params) -> StrategyOutcome:
     # Unfinished episodes are charged the full horizon (inf when uncapped).
     return StrategyOutcome(False, horizon, dispatched, redundancy,
-                           dict(per_worker), params, None)
+                           dict(per_worker), params)
 
 
 # -- chunk-length selection for the traditional strategy ----------------------
 
 
-def chunk_score(s: int, n1: int, n2: int, p: int, profiles, coeff: float = 1.0) -> float:
+def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     """Expected wasted-work fraction for chunk length s (more negative is worse).
 
     Combines the worker-count slack of the (p*s/n2 - n1/s + 1) grid term
     with each worker's chance of finishing a chunk of work
     2*coeff*s*log2(2s) in unit time under its shifted-exponential profile.
+    `s` may be an array of lengths; the score is then one per length.
     """
-    if s < 1:
+    s = np.asarray(s, dtype=np.float64)
+    if np.any(s < 1):
         raise ValueError("chunk length must be >= 1")
     slack = p * s / n2 - n1 / s + 1.0
-    work = 2.0 * coeff * s * math.log2(2.0 * s)
+    work = 2.0 * coeff * s * np.log2(2.0 * s)
     total = 0.0
     for prof in profiles:
         total += slack * (prof.mu ** prof.alpha) / (p * work ** prof.alpha)
@@ -88,62 +130,70 @@ def select_s(n1: int, n2: int, p: int, profiles, coeff: float = 1.0) -> int:
         raise ValueError("need at least one worker")
     hi = min(n1, n2)
     lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
-    best_s, best_score = lo, -1.0
-    for s in range(lo, hi + 1):
-        score = abs(chunk_score(s, n1, n2, p, profiles, coeff))
-        if score > best_score:
-            best_s, best_score = s, score
-    return best_s
+    scores = np.abs(chunk_score(np.arange(lo, hi + 1), n1, n2, p, profiles, coeff))
+    return lo + int(np.argmax(scores))
 
 
-# -- uncoded -------------------------------------------------------------------
+# -- fixed codes: uncoded and traditional ---------------------------------------
+
+
+def _run_fixed_code(coded: Partition, other: Partition, matrix: EncodingMatrix,
+                    eng, horizon: float, params: dict) -> StrategyOutcome:
+    """Send pair k = (row i, column j), row-major, to roster[k % len(roster)].
+
+    Column j is done when `matrix.cols` of its rows are back and their
+    decode system passes decode_factors; the episode when all columns are.
+    """
+    s = coded.piece_length
+    m = matrix.cols
+    ncols = other.count
+    n_pairs = matrix.rows * ncols
+    per_worker = defaultdict(int)
+    roster = eng.initial_roster()
+    if not roster:
+        return _failed(horizon, 0, 0, per_worker, params)
+    for k in range(n_pairs):
+        eng.send(roster[k % len(roster)], row=k, n_in=2 * s, n_out=2 * s - 1,
+                 load_pair=(s, s))
+
+    columns: list[list[int]] = [[] for _ in range(ncols)]
+    for ev in eng.events(until=horizon):
+        if ev.kind != "result_arrives":
+            continue
+        per_worker[ev.worker] += 1
+        i, j = divmod(ev.row, ncols)
+        rows = columns[j]
+        if len(rows) == m:
+            continue
+        rows.append(i)
+        if len(rows) == m:
+            try:
+                decode_factors(matrix, rows)
+            except DecodeFailure:
+                # Numerically unusable system: count the episode as failed
+                # rather than aborting the whole experiment.
+                break
+            if all(len(col) == m for col in columns):
+                return StrategyOutcome(True, ev.time, n_pairs, 0,
+                                       dict(per_worker), params,
+                                       Plan(coded, matrix, other, columns))
+    return _failed(horizon, n_pairs, 0, per_worker, params)
 
 
 def run_uncoded(a, x, eng, horizon: float = math.inf) -> StrategyOutcome:
     """Chunk both operands and assign every chunk pair to one worker.
 
-    No redundancy: the episode succeeds only if every pair comes back.
+    This is the fixed code whose matrix is the identity: no redundancy, so
+    the episode succeeds only if every pair comes back.
     """
     a = as_vector(a)
     x = as_vector(x)
-    p = eng.n_workers
-    s = max(1, round(math.sqrt(len(a) * len(x) / p)))
+    s = max(1, round(math.sqrt(len(a) * len(x) / eng.n_workers)))
     ap = partition(a, s)
     xp = partition(x, s)
-    pairs = [(i, j) for i in range(ap.count) for j in range(xp.count)]
+    identity = EncodingMatrix(np.eye(ap.count), points=None)
     params = {"s": s, "rows": ap.count, "columns": xp.count}
-    per_worker = defaultdict(int)
-    roster = eng.initial_roster()
-    if not roster:
-        return _failed(horizon, 0, 0, per_worker, params)
-    for k, pair in enumerate(pairs):
-        eng.send(roster[k % len(roster)], row=k, n_in=2 * s, n_out=2 * s - 1,
-                 load_pair=(s, s), data=pair)
-
-    got = {}
-    completion = horizon
-    for ev in eng.events(until=horizon):
-        if ev.kind != "result_arrives":
-            continue
-        i, j = ev.data
-        got[(i, j)] = convolve_fft(ap.pieces[i], xp.pieces[j])
-        per_worker[ev.worker] += 1
-        if len(got) == len(pairs):
-            completion = ev.time
-            break
-    if len(got) < len(pairs):
-        return _failed(horizon, len(pairs), 0, per_worker, params)
-
-    columns = []
-    for j in range(xp.count):
-        parts = [got[(i, j)] for i in range(ap.count)]
-        columns.append(overlap_add(parts, s, len(a) + s - 1))
-    result = overlap_add(columns, s, len(a) + len(x) - 1)
-    return StrategyOutcome(True, completion, len(pairs), 0, dict(per_worker),
-                           params, result)
-
-
-# -- traditional coded ---------------------------------------------------------
+    return _run_fixed_code(ap, xp, identity, eng, horizon, params)
 
 
 def run_traditional_coded(a, x, eng, horizon: float = math.inf,
@@ -158,68 +208,19 @@ def run_traditional_coded(a, x, eng, horizon: float = math.inf,
     """
     a = as_vector(a)
     x = as_vector(x)
-    n1, n2 = len(a), len(x)
-    swapped = False
-    if len(x) > len(a):
+    swapped = len(x) > len(a)
+    if swapped:
         a, x = x, a
-        swapped = True
     p = eng.n_workers
     if s is None:
         s = select_s(len(a), len(x), p, eng.profiles, eng.compute_coeff)
     ap = partition(a, s)
     xp = partition(x, s)
-    m = ap.count
-    ncols = xp.count
-    rows = max(m, p // ncols)
-    matrix = make_encoding_matrix(rows, m)
-    params = {"s": s, "pieces": m, "rows": rows, "columns": ncols,
+    rows = max(ap.count, p // xp.count)
+    params = {"s": s, "pieces": ap.count, "rows": rows, "columns": xp.count,
               "swapped": swapped}
-    per_worker = defaultdict(int)
-    roster = eng.initial_roster()
-    if not roster:
-        return _failed(horizon, 0, 0, per_worker, params)
-
-    coded_rows: dict[int, np.ndarray] = {}
-
-    def coded_a(i: int) -> np.ndarray:
-        if i not in coded_rows:
-            coded_rows[i] = mds_encode(ap, matrix, i).values
-        return coded_rows[i]
-
-    pairs = [(i, j) for i in range(rows) for j in range(ncols)]
-    for k, (i, j) in enumerate(pairs):
-        eng.send(roster[k % len(roster)], row=i, n_in=2 * s, n_out=2 * s - 1,
-                 load_pair=(s, s), data=(i, j))
-
-    col_results: dict[int, list[CodedPiece]] = defaultdict(list)
-    done_cols: dict[int, np.ndarray] = {}
-    completion = horizon
-    for ev in eng.events(until=horizon):
-        if ev.kind != "result_arrives":
-            continue
-        i, j = ev.data
-        per_worker[ev.worker] += 1
-        if j in done_cols:
-            continue
-        value = convolve_fft(coded_a(i), xp.pieces[j])
-        col_results[j].append(CodedPiece(i, value))
-        if len(col_results[j]) == m:
-            try:
-                pieces = mds_decode(col_results[j], matrix)
-            except DecodeFailure:
-                # Numerically unusable system: count the episode as failed
-                # rather than aborting the whole experiment.
-                return _failed(horizon, len(pairs), 0, per_worker, params)
-            done_cols[j] = overlap_add(list(pieces), s, len(a) + s - 1)
-            if len(done_cols) == ncols:
-                completion = ev.time
-                break
-    if len(done_cols) < ncols:
-        return _failed(horizon, len(pairs), 0, per_worker, params)
-
-    result = overlap_add([done_cols[j] for j in range(ncols)], s, n1 + n2 - 1)
-    return StrategyOutcome(True, completion, len(pairs), 0, dict(per_worker),
-                           params, result)
+    return _run_fixed_code(ap, xp, make_encoding_matrix(rows, ap.count), eng,
+                           horizon, params)
 
 
 # -- dynamic coded --------------------------------------------------------------
@@ -272,9 +273,6 @@ class DispatchEstimator:
         st["service"] = t_recv - t_sent
         st["rtt"] = rtt
         st["t_recv"] = t_recv
-
-    def results_seen(self, worker: int) -> int:
-        return self._entry(worker)["count"]
 
     def interval(self, worker: int) -> float | None:
         """Estimated send-to-send spacing; None before the first result."""
@@ -336,11 +334,10 @@ def run_dynamic(a, x, eng, horizon: float = math.inf,
         row = pop_row()
         if row is None:
             return False
-        coded = mds_encode(xp, matrix, row)
         est.record_send(worker, eng.now)
         t_send_last[worker] = eng.now
         eng.send(worker, row=row, n_in=b, n_out=len(a) + b - 1,
-                 load_pair=(len(a), b), data=coded.values)
+                 load_pair=(len(a), b))
         dispatched += 1
         return True
 
@@ -361,10 +358,7 @@ def run_dynamic(a, x, eng, horizon: float = math.inf,
     for worker in sorted(live):
         dispatch(worker)
 
-    results: list[CodedPiece] = []
-    rows_got = set()
-    completion = horizon
-    success = False
+    rows: list[int] = []
     for ev in eng.events(until=horizon):
         if ev.kind == "worker_leaves":
             live.discard(ev.worker)
@@ -377,24 +371,18 @@ def run_dynamic(a, x, eng, horizon: float = math.inf,
             est.record_result(ev.worker, ev.t_sent, ev.time, ev.rtt,
                               ev.n_in, ev.n_out)
             per_worker[ev.worker] += 1
-            if ev.row not in rows_got:
-                rows_got.add(ev.row)
-                results.append(CodedPiece(ev.row, convolve_fft(a, ev.data)))
-                if len(results) == m:
-                    completion = ev.time
-                    success = True
-                    break
+            if ev.row not in rows:
+                rows.append(ev.row)
+                if len(rows) == m:
+                    try:
+                        decode_factors(matrix, rows)
+                    except DecodeFailure:
+                        break
+                    plan = Plan(xp, matrix, partition(a, len(a)), [rows])
+                    return StrategyOutcome(True, ev.time, dispatched, redundancy,
+                                           dict(per_worker), params, plan)
             pace(ev.worker)
-    if not success:
-        return _failed(horizon, dispatched, redundancy, per_worker, params)
-
-    try:
-        pieces = mds_decode(results, matrix)
-    except DecodeFailure:
-        return _failed(horizon, dispatched, redundancy, per_worker, params)
-    result = overlap_add(list(pieces), b, len(a) + len(x) - 1)
-    return StrategyOutcome(True, completion, dispatched, redundancy,
-                           dict(per_worker), params, result)
+    return _failed(horizon, dispatched, redundancy, per_worker, params)
 
 
 STRATEGIES = {

@@ -1,0 +1,38 @@
+"""The benchmark's tracer still finds every name it wraps in the package.
+
+bench/spans.py patches functions by name at their call sites, so renaming
+one of them would otherwise break only `bench/run.py --trace 1`.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from codedconv import coding, strategies
+from codedconv.engine import run_episode
+from codedconv.scenarios import benchmark_scenario
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_on_package():
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        scn = benchmark_scenario(1, 64)
+        run_episode(scn, "traditional", 3, keep_result=False)
+        timing_only = tracer.layer_metrics()[0]["coding.convolve_fft.calls"]
+        assert run_episode(scn, "traditional", 3).result is not None
+        assembled = tracer.layer_metrics()[0]["coding.convolve_fft.calls"]
+    finally:
+        tracer.uninstall()
+    assert strategies.convolve_fft is coding.convolve_fft
+    assert strategies.STRATEGIES["uncoded"] is strategies.run_uncoded
+    assert timing_only == 0
+    assert assembled > 0

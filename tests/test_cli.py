@@ -126,6 +126,26 @@ def test_bad_option_value_exits_2_and_writes_nothing(argv, option, tmp_path,
     assert not out_dir.exists()
 
 
+def test_success_rate_rejects_reps(capsys):
+    # argparse exits on an unknown option instead of returning from main.
+    with pytest.raises(SystemExit) as exc:
+        main(["success-rate", "--reps", "5"])
+    assert exc.value.code == 2
+    assert "--reps" in capsys.readouterr().err
+
+
+def test_traditional_s_with_too_many_pieces_exits_2(tmp_path, capsys):
+    # ceil(3750 / 2) pieces could never decode; the run is refused up front.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nindex = 4\nscale = 8\ntraditional_s = 2\n\n"
+                   "[experiment]\nkind = compare\nreps = 1\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, _, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert "traditional_s" in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_rerun_byte_identical_outputs(tmp_path, capsys):
     argv = ["compare", "--scenario", "1", "--scale", "64", "--reps", "2",
             "--seed", "42", "--ratio", "0.5"]

@@ -10,9 +10,11 @@ from codedconv.coding import (
     DecodeFailure,
     EncodingMatrix,
     InsufficientResults,
+    MAX_SQUARE_PIECES,
     as_vector,
     convolve_direct,
     convolve_fft,
+    decode_factors,
     encoding_points,
     make_encoding_matrix,
     mds_decode,
@@ -257,6 +259,15 @@ def test_decode_ill_conditioned_raises():
     coded = [CodedPiece(r, m.entries[r] @ pieces) for r in range(3)]
     with pytest.raises(DecodeFailure):
         mds_decode(coded, m)
+
+
+def test_decode_factors_square_system_holds_up_to_32_pieces():
+    # The verdict needs only the rows; 32 is the last square system that
+    # passes RCOND_LIMIT, which is what caps ScenarioConfig.traditional_s.
+    assert MAX_SQUARE_PIECES == 32
+    decode_factors(make_encoding_matrix(32, 32), range(32))
+    with pytest.raises(DecodeFailure):
+        decode_factors(make_encoding_matrix(33, 33), range(33))
 
 
 def test_encode_linearity_under_convolution():

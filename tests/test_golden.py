@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from codedconv import strategies
 from codedconv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,14 +55,29 @@ def test_every_golden_directory_has_a_case():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(GOLDEN_CASES)
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-def test_cli_output_matches_golden(case, tmp_path, capsys):
+def run_golden_case(case, out_dir, capsys) -> None:
     argv = GOLDEN_CASES[case] + ["--scale", "64", "--seed", "7",
-                                 "--out", str(tmp_path)]
+                                 "--out", str(out_dir)]
     if argv[0] != "success-rate":
         argv += ["--reps", "2"]
     assert main(argv) == 0, capsys.readouterr().err
-    assert read_tree(tmp_path) == read_tree(GOLDEN / case)
+    assert read_tree(out_dir) == read_tree(GOLDEN / case)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_cli_output_matches_golden(case, tmp_path, capsys):
+    run_golden_case(case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_tables_need_no_payload_work(case, tmp_path, capsys, monkeypatch):
+    # Tables use timing only, so no FFT, encode, decode or overlap-add runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("payload work in a timing-only run")
+
+    for name in ("convolve_fft", "mds_encode", "mds_decode", "overlap_add"):
+        monkeypatch.setattr(strategies, name, refuse)
+    run_golden_case(case, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_CASES))

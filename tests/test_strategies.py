@@ -214,6 +214,19 @@ def test_traditional_explicit_s_respected():
                                rtol=1e-7, atol=1e-10)
 
 
+def test_traditional_past_decode_limit_fails_without_data():
+    # 33 coded pieces: the square decode system fails its rcond check as
+    # the 33rd row arrives, before any payload is computed.
+    rng = np.random.default_rng(16)
+    a, x = random_task(rng, 66, 2)
+    out = run_traditional_coded(a, x, make_engine(p=4), s=2)
+    assert out.params["pieces"] == 33
+    assert out.pieces_dispatched == 33
+    assert not out.success
+    assert out.completion_time == math.inf
+    assert out.result is None
+
+
 # -- dynamic strategy ---------------------------------------------------------------
 
 
