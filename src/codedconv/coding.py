@@ -36,7 +36,7 @@ RCOND_LIMIT = 1e-12
 # Relative mismatch allowed when re-encoding a held-out row after decode.
 DECODE_GUARD_REL = 1e-4
 # Largest m whose square make_encoding_matrix(m, m) system passes RCOND_LIMIT.
-MAX_SQUARE_PIECES = 32
+MAX_SQUARE_PIECES = 31
 
 
 def as_vector(values) -> np.ndarray:
@@ -215,7 +215,8 @@ def decode_factors(matrix: EncodingMatrix, rows) -> tuple:
         lu, piv = lu_factor(sub)
     except Exception as exc:  # LinAlgError on exactly singular input
         raise DecodeFailure(f"singular decode system: {exc}") from exc
-    anorm = np.abs(sub).sum(axis=1).max()
+    # dgecon with norm="1" needs the 1-norm: the largest column sum.
+    anorm = np.abs(sub).sum(axis=0).max()
     rcond = _lapack.dgecon(lu, anorm, norm="1")[0]
     if not np.isfinite(rcond) or rcond < RCOND_LIMIT:
         raise DecodeFailure(

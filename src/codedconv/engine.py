@@ -6,10 +6,18 @@ identically.  Randomness comes from counter-based Philox streams keyed per
 others and of the event interleaving: changing one worker's behaviour never
 perturbs another worker's compute times or trajectory.
 
+Every stream is created on first read: a node's position stream at its
+first distance read, its velocity stream at its first mobility tick, and
+a worker's compute stream at the first piece it accepts.  Streams that an
+episode never reads (failed workers, mobility in episodes shorter than a
+second) are never built, and since each stream is keyed on its own, the
+draws do not depend on when or whether the others are made.
+
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); distance reads between ticks see the most
-recent tick position.  The mobility clock is integrated lazily, so an
-episode that finishes within a second never pays for tick events.
+recent tick position.  Each node integrates the clock lazily up to the
+latest tick any read has reached, so an episode that finishes within a
+second never pays for tick events.
 """
 
 import heapq
@@ -17,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from . import models
 from .models import (
@@ -48,19 +57,50 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def substream(seed: int, *tags: int) -> np.random.Generator:
-    """Independent Philox stream for (seed, *tags).
+class _PhiloxKey(ISpawnableSeedSequence):
+    """Seed sequence whose only state is a ready 128-bit Philox key.
 
-    The 128-bit Philox key is derived by chaining splitmix64 over the seed
-    and tags, so streams for different (node, purpose) pairs never collide
-    in practice and can be created in any order.
+    `Philox(key=...)` still seeds a throwaway SeedSequence from OS entropy;
+    `Philox(_PhiloxKey(key))` asks this object for its key instead and
+    ends in the same state (zero counter, this key) at about a third of
+    the cost.
     """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or (dtype is not np.uint64
+                            and np.dtype(dtype) != np.uint64):
+            raise ValueError("a Philox key is two uint64 words; got "
+                             f"{n_words} words of {np.dtype(dtype)}")
+        return self.key
+
+    def spawn(self, n_children):
+        raise TypeError("keyed substreams do not spawn; derive a new "
+                        "substream with more tags instead")
+
+
+def philox_key(seed: int, *tags: int) -> np.ndarray:
+    """128-bit Philox key for (seed, *tags): splitmix64 chained over both."""
     state = _splitmix64(seed & _MASK64)
     for tag in tags:
         state = _splitmix64(state ^ (int(tag) & _MASK64))
-    key = np.array([_splitmix64(state), _splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.array([_splitmix64(state), _splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)],
+                    dtype=np.uint64)
+
+
+def substream(seed: int, *tags: int) -> np.random.Generator:
+    """Independent Philox stream for (seed, *tags).
+
+    The stream is `Generator(Philox(key=philox_key(seed, *tags)))`, so
+    streams for different (node, purpose) pairs never collide in practice
+    and can be created in any order.
+    """
+    key = _PhiloxKey(philox_key(seed, *tags))
+    return np.random.Generator(np.random.Philox(key))
 
 
 @dataclass
@@ -120,23 +160,17 @@ class SimEngine:
         self.log: list[SimEvent] = []
         self._log_seq = 0
 
-        # Node 0..P-1 are workers, node P is the master.
+        # Node 0..P-1 are workers, node P is the master.  Positions,
+        # velocity streams and compute streams are made on first read.
         nodes = self.n_workers + 1
-        self._vel_streams = []
-        self._pos = np.zeros((nodes, 2))
-        self._vel = np.zeros((nodes, 2))
+        self._seed = seed
+        self._init_box = init_box_m
         self._speed_limit = speed_limit_mps
-        for node in range(nodes):
-            tag = node if node < self.n_workers else _MASTER_TAG
-            pos_stream = substream(seed, tag, _POSITION)
-            self._pos[node] = pos_stream.uniform(-init_box_m, init_box_m, 2)
-            vel_stream = substream(seed, tag, _VELOCITY)
-            self._vel[node] = vel_stream.uniform(-speed_limit_mps, speed_limit_mps, 2)
-            self._vel_streams.append(vel_stream)
+        self._pos: list = [None] * nodes
+        self._vel_streams: list = [None] * nodes
+        self._node_second = [0] * nodes
         self._mobility_second = 0
-
-        self._compute_streams = [substream(seed, w, _COMPUTE)
-                                 for w in range(self.n_workers)]
+        self._compute_streams: list = [None] * self.n_workers
 
         # Master-visible roster changes.
         for w, beh in enumerate(self.behaviors):
@@ -151,19 +185,34 @@ class SimEngine:
     def now(self) -> float:
         return self._now
 
-    def _advance_mobility(self, t: float) -> None:
-        target = int(math.floor(t))
-        while self._mobility_second < target:
-            self._pos += self._vel  # dt = 1 s
-            self._mobility_second += 1
-            for node, stream in enumerate(self._vel_streams):
-                self._vel[node] = stream.uniform(-self._speed_limit,
-                                                 self._speed_limit, 2)
+    def _position(self, node: int) -> np.ndarray:
+        """Position of `node` at the latest mobility tick any read reached.
+
+        The start position is drawn on the node's first read.  Each tick
+        adds the velocity drawn for that second (dt = 1 s); the velocity
+        stream is made at the node's first tick.
+        """
+        tag = node if node < self.n_workers else _MASTER_TAG
+        pos = self._pos[node]
+        if pos is None:
+            pos = substream(self._seed, tag, _POSITION).uniform(
+                -self._init_box, self._init_box, 2)
+            self._pos[node] = pos
+        ticks = self._mobility_second - self._node_second[node]
+        if ticks:
+            stream = self._vel_streams[node]
+            if stream is None:
+                stream = self._vel_streams[node] = substream(self._seed, tag,
+                                                             _VELOCITY)
+            for _ in range(ticks):
+                pos += stream.uniform(-self._speed_limit, self._speed_limit, 2)
+            self._node_second[node] = self._mobility_second
+        return pos
 
     def distance(self, worker: int, t: float) -> float:
         """Master-worker distance using the most recent mobility tick."""
-        self._advance_mobility(t)
-        delta = self._pos[worker] - self._pos[self.n_workers]
+        self._mobility_second = max(self._mobility_second, int(math.floor(t)))
+        delta = self._position(worker) - self._position(self.n_workers)
         return float(np.hypot(delta[0], delta[1]))
 
     # -- roster --------------------------------------------------------------
@@ -220,8 +269,11 @@ class SimEngine:
         # Pieces queue at the worker and compute one at a time.
         start = max(arrive, self._busy[worker])
         load = compute_load(load_pair[0], load_pair[1], self.compute_coeff)
-        t_comp = sample_compute_time(self._compute_streams[worker], load,
-                                     self.profiles[worker])
+        stream = self._compute_streams[worker]
+        if stream is None:
+            stream = self._compute_streams[worker] = substream(
+                self._seed, worker, _COMPUTE)
+        t_comp = sample_compute_time(stream, load, self.profiles[worker])
         t_out = comm_time(n_out, rate, self.comm.payload_bytes)
         if beh.kind == models.DELAYED:
             # Slowdown covers the work and the return transfer.
@@ -319,6 +371,10 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
     When the episode contains stragglers and no horizon is given, a
     straggler-free pilot episode with the same seed sets the give-up
     horizon at horizon_factor times the pilot completion time.
+
+    The strategy schedules from the operand lengths.  Only with
+    `keep_result` does a successful episode draw the operands and
+    assemble the convolution into `result`.
     """
     from . import strategies as _strategies
 
@@ -341,7 +397,6 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
         else:
             horizon = math.inf
 
-    a, x = episode_task(scenario, seed)
     eng = SimEngine(profiles, behaviors, scenario.comm, seed,
                     init_box_m=scenario.init_box_m,
                     speed_limit_mps=scenario.speed_limit_mps,
@@ -352,7 +407,10 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
         knobs["b"] = b if b is not None else scenario.dynamic_b
     elif strategy == "traditional":
         knobs["s"] = s if s is not None else scenario.traditional_s
-    outcome = runner(a, x, eng, horizon=horizon, **knobs)
+    outcome = runner(scenario.n1, scenario.n2, eng, horizon=horizon, **knobs)
+    result = None
+    if keep_result and outcome.plan is not None:
+        result = outcome.plan.assemble(*episode_task(scenario, seed))
 
     return EpisodeMetrics(
         scenario_name=scenario.name,
@@ -366,6 +424,6 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
         per_worker_results=outcome.per_worker_results,
         n_stragglers=n_stragglers,
         params=outcome.params,
-        result=outcome.result if keep_result else None,
+        result=result,
         event_log=eng.log if collect_log else None,
     )

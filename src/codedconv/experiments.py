@@ -50,6 +50,10 @@ def _mean_std(values) -> tuple[float, float]:
     if len(values) == 1:
         return float(values[0]), 0.0
     arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        # A failed episode without a horizon costs inf: the spread is
+        # undefined, and numpy would warn on inf - inf.
+        return float(arr.mean()), math.nan
     return float(arr.mean()), float(arr.std(ddof=1))
 
 

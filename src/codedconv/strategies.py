@@ -10,24 +10,24 @@ Three strategies share the same engine interface:
   worker by an online estimate of its turnaround, so redundancy adapts
   to observed behaviour instead of being fixed in advance.
 
-Each strategy returns a StrategyOutcome; completion_time is the arrival
+Strategies schedule from the operand lengths alone and never see the
+operands.  Each returns a StrategyOutcome; completion_time is the arrival
 time of the last needed result, or the horizon when the episode gave up.
-Strategies only schedule: the vector is assembled from the outcome's Plan
-when `result` is first read.
+A successful outcome carries a Plan, and `plan.assemble(a, x)` turns the
+operands into the convolution those results would decode to.
 """
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .coding import (
+    MAX_SQUARE_PIECES,
     CodedPiece,
     DecodeFailure,
     EncodingMatrix,
-    Partition,
     as_vector,
     convolve_fft,
     decode_factors,
@@ -51,19 +51,31 @@ _DEFAULT_PIECE_TARGET = 16
 class Plan:
     """Which results a successful episode decodes (see `assemble`).
 
-    Result (i, j) is row i of `matrix` applied to the pieces of `coded`,
-    convolved with piece j of `other`; `columns[j]` lists the rows i of
-    column j in arrival order.
+    The coded operand (x when `coded_is_x`, else a) is cut into pieces of
+    `coded_length` and the other one into pieces of `other_length`.
+    Result (i, j) is row i of `matrix` applied to the coded pieces,
+    convolved with piece j of the other operand; `columns[j]` lists the
+    rows i of column j in arrival order.  `lengths` is (len(a), len(x)).
     """
 
-    coded: Partition
+    lengths: tuple[int, int]
+    coded_is_x: bool
+    coded_length: int
+    other_length: int
     matrix: EncodingMatrix
-    other: Partition
     columns: list[list[int]]
 
-    def assemble(self) -> np.ndarray:
+    def assemble(self, a, x) -> np.ndarray:
         """Encode, convolve, decode and overlap-add the full convolution."""
-        coded, other = self.coded, self.other
+        a = as_vector(a)
+        x = as_vector(x)
+        if (len(a), len(x)) != self.lengths:
+            raise ValueError(f"operand lengths {(len(a), len(x))} differ from "
+                             f"the scheduled {self.lengths}")
+        if self.coded_is_x:
+            a, x = x, a
+        coded = partition(a, self.coded_length)
+        other = partition(x, self.other_length)
         column_length = coded.original_length + other.piece_length - 1
         parts = []
         for piece, rows in zip(other.pieces, self.columns):
@@ -86,16 +98,21 @@ class StrategyOutcome:
     params: dict = field(default_factory=dict)
     plan: Plan | None = None
 
-    @cached_property
-    def result(self) -> np.ndarray | None:
-        """The convolution, assembled on first read; None when failed."""
-        return None if self.plan is None else self.plan.assemble()
-
 
 def _failed(horizon, dispatched, redundancy, per_worker, params) -> StrategyOutcome:
     # Unfinished episodes are charged the full horizon (inf when uncapped).
     return StrategyOutcome(False, horizon, dispatched, redundancy,
                            dict(per_worker), params)
+
+
+def _pieces(n: int, length: int) -> int:
+    """Number of pieces of `length` that cover n values."""
+    return -(-n // length)
+
+
+def _check_lengths(n1: int, n2: int) -> None:
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"operand lengths must be >= 1, got {n1} and {n2}")
 
 
 # -- chunk-length selection for the traditional strategy ----------------------
@@ -120,16 +137,22 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     return -total
 
 
-def select_s(n1: int, n2: int, p: int, profiles, coeff: float = 1.0) -> int:
+def select_s(n1: int, n2: int, p: int, profiles,
+             coeff: float = 1.0) -> int | None:
     """Chunk length maximizing |chunk_score| over the feasible range.
 
     Feasible lengths run from ceil(sqrt(n1*n2/p)) (enough chunk pairs for
-    every worker) up to min(n1, n2); ties pick the smallest length.
+    every worker) up to min(n1, n2), and must cut max(n1, n2) into at most
+    MAX_SQUARE_PIECES pieces, past which no coded column decodes.  Ties
+    pick the smallest length; None when no length is feasible.
     """
     if p < 1:
         raise ValueError("need at least one worker")
     hi = min(n1, n2)
-    lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
+    lo = max(min(hi, math.ceil(math.sqrt(n1 * n2 / p))),
+             _pieces(max(n1, n2), MAX_SQUARE_PIECES))
+    if lo > hi:
+        return None
     scores = np.abs(chunk_score(np.arange(lo, hi + 1), n1, n2, p, profiles, coeff))
     return lo + int(np.argmax(scores))
 
@@ -137,16 +160,19 @@ def select_s(n1: int, n2: int, p: int, profiles, coeff: float = 1.0) -> int:
 # -- fixed codes: uncoded and traditional ---------------------------------------
 
 
-def _run_fixed_code(coded: Partition, other: Partition, matrix: EncodingMatrix,
-                    eng, horizon: float, params: dict) -> StrategyOutcome:
+def _run_fixed_code(plan: Plan, eng, horizon: float,
+                    params: dict) -> StrategyOutcome:
     """Send pair k = (row i, column j), row-major, to roster[k % len(roster)].
 
-    Column j is done when `matrix.cols` of its rows are back and their
-    decode system passes decode_factors; the episode when all columns are.
+    `plan.columns` starts empty.  Column j is done when `matrix.cols` of its
+    rows are back and their decode system passes decode_factors; the
+    episode when all columns are.
     """
-    s = coded.piece_length
+    s = plan.coded_length
+    matrix = plan.matrix
     m = matrix.cols
-    ncols = other.count
+    columns = plan.columns
+    ncols = len(columns)
     n_pairs = matrix.rows * ncols
     per_worker = defaultdict(int)
     roster = eng.initial_roster()
@@ -156,7 +182,6 @@ def _run_fixed_code(coded: Partition, other: Partition, matrix: EncodingMatrix,
         eng.send(roster[k % len(roster)], row=k, n_in=2 * s, n_out=2 * s - 1,
                  load_pair=(s, s))
 
-    columns: list[list[int]] = [[] for _ in range(ncols)]
     for ev in eng.events(until=horizon):
         if ev.kind != "result_arrives":
             continue
@@ -175,28 +200,29 @@ def _run_fixed_code(coded: Partition, other: Partition, matrix: EncodingMatrix,
                 break
             if all(len(col) == m for col in columns):
                 return StrategyOutcome(True, ev.time, n_pairs, 0,
-                                       dict(per_worker), params,
-                                       Plan(coded, matrix, other, columns))
+                                       dict(per_worker), params, plan)
     return _failed(horizon, n_pairs, 0, per_worker, params)
 
 
-def run_uncoded(a, x, eng, horizon: float = math.inf) -> StrategyOutcome:
+def run_uncoded(n1: int, n2: int, eng,
+                horizon: float = math.inf) -> StrategyOutcome:
     """Chunk both operands and assign every chunk pair to one worker.
 
     This is the fixed code whose matrix is the identity: no redundancy, so
     the episode succeeds only if every pair comes back.
     """
-    a = as_vector(a)
-    x = as_vector(x)
-    s = max(1, round(math.sqrt(len(a) * len(x) / eng.n_workers)))
-    ap = partition(a, s)
-    xp = partition(x, s)
-    identity = EncodingMatrix(np.eye(ap.count), points=None)
-    params = {"s": s, "rows": ap.count, "columns": xp.count}
-    return _run_fixed_code(ap, xp, identity, eng, horizon, params)
+    _check_lengths(n1, n2)
+    s = max(1, round(math.sqrt(n1 * n2 / eng.n_workers)))
+    rows, ncols = _pieces(n1, s), _pieces(n2, s)
+    identity = EncodingMatrix(np.eye(rows), points=None)
+    params = {"s": s, "rows": rows, "columns": ncols}
+    plan = Plan(lengths=(n1, n2), coded_is_x=False, coded_length=s,
+                other_length=s, matrix=identity,
+                columns=[[] for _ in range(ncols)])
+    return _run_fixed_code(plan, eng, horizon, params)
 
 
-def run_traditional_coded(a, x, eng, horizon: float = math.inf,
+def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
                           s: int | None = None) -> StrategyOutcome:
     """Erasure-code one operand's chunks with fixed up-front redundancy.
 
@@ -204,23 +230,27 @@ def run_traditional_coded(a, x, eng, horizon: float = math.inf,
     encoded; with the score-optimal chunk length that leaves a single
     chunk of the short operand and the whole worker budget goes into
     redundant rows of the long one.  Each column of chunk pairs decodes
-    independently as soon as enough of its rows are back.
+    independently as soon as enough of its rows are back.  When no chunk
+    length can decode (see select_s) the episode fails without a send.
     """
-    a = as_vector(a)
-    x = as_vector(x)
-    swapped = len(x) > len(a)
+    _check_lengths(n1, n2)
+    lengths = (n1, n2)
+    swapped = n2 > n1
     if swapped:
-        a, x = x, a
+        n1, n2 = n2, n1
     p = eng.n_workers
     if s is None:
-        s = select_s(len(a), len(x), p, eng.profiles, eng.compute_coeff)
-    ap = partition(a, s)
-    xp = partition(x, s)
-    rows = max(ap.count, p // xp.count)
-    params = {"s": s, "pieces": ap.count, "rows": rows, "columns": xp.count,
+        s = select_s(n1, n2, p, eng.profiles, eng.compute_coeff)
+        if s is None:
+            return _failed(horizon, 0, 0, {}, {"s": None, "swapped": swapped})
+    pieces, ncols = _pieces(n1, s), _pieces(n2, s)
+    rows = max(pieces, p // ncols)
+    params = {"s": s, "pieces": pieces, "rows": rows, "columns": ncols,
               "swapped": swapped}
-    return _run_fixed_code(ap, xp, make_encoding_matrix(rows, ap.count), eng,
-                           horizon, params)
+    plan = Plan(lengths=lengths, coded_is_x=swapped, coded_length=s,
+                other_length=s, matrix=make_encoding_matrix(rows, pieces),
+                columns=[[] for _ in range(ncols)])
+    return _run_fixed_code(plan, eng, horizon, params)
 
 
 # -- dynamic coded --------------------------------------------------------------
@@ -291,7 +321,7 @@ def default_piece_length(n2: int, p: int) -> int:
     return max(1, math.ceil(n2 / target))
 
 
-def run_dynamic(a, x, eng, horizon: float = math.inf,
+def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
                 b: int | None = None) -> StrategyOutcome:
     """Cut coded pieces on demand and pace each worker by its own estimate.
 
@@ -301,13 +331,11 @@ def run_dynamic(a, x, eng, horizon: float = math.inf,
     worker gets one piece up front, then another one per estimated
     turnaround interval, re-checked via wakeups.
     """
-    a = as_vector(a)
-    x = as_vector(x)
+    _check_lengths(n1, n2)
     p = eng.n_workers
     if b is None:
-        b = default_piece_length(len(x), p)
-    xp = partition(x, b)
-    m = xp.count
+        b = default_piece_length(n2, p)
+    m = _pieces(n2, b)
     budget = m + max(_MIN_EXTRA_ROWS, _EXTRA_ROWS_PER_WORKER * p)
     matrix = make_encoding_matrix(budget, m, budget=budget)
     params = {"b": b, "pieces": m, "budget": budget}
@@ -336,8 +364,8 @@ def run_dynamic(a, x, eng, horizon: float = math.inf,
             return False
         est.record_send(worker, eng.now)
         t_send_last[worker] = eng.now
-        eng.send(worker, row=row, n_in=b, n_out=len(a) + b - 1,
-                 load_pair=(len(a), b))
+        eng.send(worker, row=row, n_in=b, n_out=n1 + b - 1,
+                 load_pair=(n1, b))
         dispatched += 1
         return True
 
@@ -378,7 +406,9 @@ def run_dynamic(a, x, eng, horizon: float = math.inf,
                         decode_factors(matrix, rows)
                     except DecodeFailure:
                         break
-                    plan = Plan(xp, matrix, partition(a, len(a)), [rows])
+                    plan = Plan(lengths=(n1, n2), coded_is_x=True,
+                                coded_length=b, other_length=n1,
+                                matrix=matrix, columns=[rows])
                     return StrategyOutcome(True, ev.time, dispatched, redundancy,
                                            dict(per_worker), params, plan)
             pace(ev.worker)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import os
+import warnings
 
 import pytest
 
@@ -144,6 +145,22 @@ def test_traditional_s_with_too_many_pieces_exits_2(tmp_path, capsys):
     assert code == 2
     assert "traditional_s" in err
     assert not (tmp_path / "res").exists()
+
+
+def test_compare_without_decodable_chunk_length(tmp_path, capsys):
+    # No automatic chunk length cuts n1 = 2000 into <= 31 pieces, so every
+    # traditional episode fails at once: mean inf, std nan, no warning.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nn1 = 2000\nn2 = 2\nworkers = 4\n\n"
+                   "[experiment]\nkind = compare\nreps = 2\nseed = 7\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 0, err
+    assert "traditional,inf,nan" in out.splitlines()
+    table = (tmp_path / "res" / "compare.csv").read_text().splitlines()
+    assert "traditional,inf,nan" in table
 
 
 def test_rerun_byte_identical_outputs(tmp_path, capsys):

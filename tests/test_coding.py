@@ -11,6 +11,7 @@ from codedconv.coding import (
     EncodingMatrix,
     InsufficientResults,
     MAX_SQUARE_PIECES,
+    RCOND_LIMIT,
     as_vector,
     convolve_direct,
     convolve_fft,
@@ -261,13 +262,28 @@ def test_decode_ill_conditioned_raises():
         mds_decode(coded, m)
 
 
-def test_decode_factors_square_system_holds_up_to_32_pieces():
-    # The verdict needs only the rows; 32 is the last square system that
-    # passes RCOND_LIMIT, which is what caps ScenarioConfig.traditional_s.
-    assert MAX_SQUARE_PIECES == 32
-    decode_factors(make_encoding_matrix(32, 32), range(32))
+def test_decode_factors_square_system_holds_up_to_31_pieces():
+    # The verdict needs only the rows; 31 is the last square system that
+    # passes RCOND_LIMIT, which is what caps ScenarioConfig.traditional_s
+    # and the automatic chunk length.
+    assert MAX_SQUARE_PIECES == 31
+    decode_factors(make_encoding_matrix(31, 31), range(31))
     with pytest.raises(DecodeFailure):
-        decode_factors(make_encoding_matrix(33, 33), range(33))
+        decode_factors(make_encoding_matrix(32, 32), range(32))
+
+
+def test_decode_factors_verdict_follows_the_one_norm_condition():
+    # dgecon is asked for the 1-norm estimate, so the verdict must agree
+    # with the exact 1-norm condition number; with the infinity norm the
+    # 32-piece system (1-norm rcond 9.9e-13) would pass.
+    for m in range(24, 36):
+        matrix = make_encoding_matrix(m, m)
+        rcond = 1.0 / np.linalg.cond(matrix.entries, 1)
+        if rcond >= RCOND_LIMIT:
+            decode_factors(matrix, range(m))
+        else:
+            with pytest.raises(DecodeFailure, match="rcond"):
+                decode_factors(matrix, range(m))
 
 
 def test_encode_linearity_under_convolution():

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from codedconv import models
+from codedconv import engine, models
 from codedconv.engine import (
     SimEngine,
     episode_behaviors,
     episode_profiles,
     episode_task,
     export_event_log,
+    philox_key,
     run_episode,
     substream,
 )
@@ -48,6 +49,58 @@ def test_substream_seed_changes_everything():
     a = substream(1, 5, 2).uniform(size=4)
     b = substream(2, 5, 2).uniform(size=4)
     assert not np.allclose(a, b)
+
+
+def test_substream_draws_equal_philox_built_from_its_key():
+    # substream skips Philox's own seeding; the draws must still be those
+    # of the documented Generator(Philox(key=...)).
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        seed = int(rng.integers(0, 2**63))
+        tags = tuple(int(t) for t in rng.integers(0, 2**32, rng.integers(0, 4)))
+        fast = substream(seed, *tags)
+        slow = np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
+        for gen in (fast, slow):
+            state = gen.bit_generator.state["state"]
+            assert state["key"].tolist() == philox_key(seed, *tags).tolist()
+            assert state["counter"].tolist() == [0] * 4
+        np.testing.assert_array_equal(fast.uniform(-3.0, 2.0, 5),
+                                      slow.uniform(-3.0, 2.0, 5))
+        np.testing.assert_array_equal(fast.exponential(0.5, 3),
+                                      slow.exponential(0.5, 3))
+        np.testing.assert_array_equal(fast.integers(0, 9, 4), slow.integers(0, 9, 4))
+        np.testing.assert_array_equal(fast.choice(8, size=3, replace=False),
+                                      slow.choice(8, size=3, replace=False))
+
+
+@pytest.mark.parametrize("strategy", ["uncoded", "traditional", "dynamic"])
+def test_failed_workers_and_short_episodes_build_no_unread_streams(
+        strategy, monkeypatch):
+    scn = benchmark_scenario(1, 64, straggler_mode="fail", straggler_ratio=0.5)
+    seed = 5
+    failed = {w for w, beh in enumerate(episode_behaviors(scn, seed))
+              if beh.kind == models.FAILED}
+    assert len(failed) == 4
+    made = []  # tags of every stream built, seen through the module global
+    original = engine.substream
+
+    def recording(seed, *tags):
+        made.append(tags)
+        return original(seed, *tags)
+
+    monkeypatch.setattr(engine, "substream", recording)
+    m = run_episode(scn, strategy, seed, horizon=math.inf, collect_log=True,
+                    keep_result=False)
+    assert max(rec.time for rec in m.event_log) < 1.0
+    assert not [tags for tags in made if tags[-1] == engine._VELOCITY]
+    for w in failed:
+        assert (w, engine._POSITION) not in made
+        assert (w, engine._COMPUTE) not in made
+    # Live workers that returned results did build their streams.
+    for w in m.per_worker_results:
+        assert (w, engine._POSITION) in made and (w, engine._COMPUTE) in made
+    assert (engine._MASTER_TAG, engine._POSITION) in made
+    assert (engine._SCENARIO_TAG, engine._TASK) not in made
 
 
 # -- event ordering and wakeups --------------------------------------------------

@@ -47,10 +47,10 @@ def episodes(draw):
     eng = KeyedEngine(profiles, [beh for _, beh in fleet], CommParams(),
                       draw(st.integers(0, 2**32)), collect_log=True)
     runner = STRATEGIES[draw(st.sampled_from(sorted(STRATEGIES)))]
-    a = [1.0] * draw(st.integers(1, 300))
-    x = [1.0] * draw(st.integers(1, 300))
+    n1 = draw(st.integers(1, 300))
+    n2 = draw(st.integers(1, 300))
     horizon = draw(st.sampled_from([math.inf, 0.002, 0.05]))
-    runner(a, x, eng, horizon=horizon)
+    runner(n1, n2, eng, horizon=horizon)
     return eng
 
 

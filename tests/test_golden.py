@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from codedconv import strategies
+from codedconv import engine, strategies
 from codedconv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,6 +78,18 @@ def test_tables_need_no_payload_work(case, tmp_path, capsys, monkeypatch):
         raise AssertionError("payload work in a timing-only run")
 
     for name in ("convolve_fft", "mds_encode", "mds_decode", "overlap_add"):
+        monkeypatch.setattr(strategies, name, refuse)
+    run_golden_case(case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_tables_need_no_operands(case, tmp_path, capsys, monkeypatch):
+    # Strategies schedule from lengths: no operand is drawn, validated or cut.
+    def refuse(*args, **kwargs):
+        raise AssertionError("operand work in a timing-only run")
+
+    monkeypatch.setattr(engine, "episode_task", refuse)
+    for name in ("as_vector", "partition"):
         monkeypatch.setattr(strategies, name, refuse)
     run_golden_case(case, tmp_path, capsys)
 

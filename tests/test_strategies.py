@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from codedconv import models
-from codedconv.coding import convolve_direct
+from codedconv import models, strategies
+from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct
 from codedconv.engine import SimEngine, run_episode, episode_task
 from codedconv.models import Behavior, CommParams, WorkerProfile
 from codedconv.scenarios import benchmark_scenario
@@ -47,8 +47,10 @@ def test_select_s_matches_bruteforce():
         profiles = [WorkerProfile(mu=mu, alpha=1.0 / mu) for mu in mus]
         hi = min(n1, n2)
         lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
-        want, best = lo, -1.0
+        want, best = None, -1.0
         for s in range(lo, hi + 1):
+            if math.ceil(max(n1, n2) / s) > MAX_SQUARE_PIECES:
+                continue
             score = abs(chunk_score(s, n1, n2, p, profiles))
             if score > best:
                 want, best = s, score
@@ -61,6 +63,13 @@ def test_select_s_degenerate_argmax_is_min_length():
     profiles = [WorkerProfile(mu=4.5e6, alpha=1 / 4.5e6)] * 8
     assert select_s(512, 256, 8, profiles) == 256
     assert select_s(3750, 2500, 6, profiles) == 2500
+
+
+def test_select_s_only_cuts_into_decodable_piece_counts():
+    profiles = [WorkerProfile(mu=4.5e6, alpha=1 / 4.5e6)]
+    assert select_s(31 * 32, 32, 1, profiles) == 32        # 31 pieces
+    assert select_s(31 * 32 + 1, 32, 1, profiles) is None  # 32 would not decode
+    assert select_s(2000, 2, 4, profiles * 4) is None
 
 
 def test_select_s_needs_worker():
@@ -143,10 +152,11 @@ def test_uncoded_result_matches_direct():
         n1, n2 = int(rng.integers(20, 90)), int(rng.integers(20, 90))
         a, x = random_task(rng, n1, n2)
         eng = make_engine(p=3, seed=seed)
-        out = run_uncoded(a, x, eng)
+        out = run_uncoded(len(a), len(x), eng)
         assert out.success
         want = convolve_direct(a, x)
-        np.testing.assert_allclose(out.result, want, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(out.plan.assemble(a, x), want,
+                                   rtol=1e-9, atol=1e-12)
         assert out.redundancy_used == 0
 
 
@@ -155,10 +165,10 @@ def test_uncoded_single_failure_dooms_task():
     a, x = random_task(rng, 64, 64)
     behaviors = [Behavior(models.FAILED, time=0.0)] + [Behavior()] * 3
     eng = make_engine(p=4, behaviors=behaviors)
-    out = run_uncoded(a, x, eng, horizon=10.0)
+    out = run_uncoded(len(a), len(x), eng, horizon=10.0)
     assert not out.success
     assert out.completion_time == 10.0
-    assert out.result is None
+    assert out.plan is None
 
 
 # -- traditional coded strategy ----------------------------------------------------
@@ -170,20 +180,21 @@ def test_traditional_result_matches_direct():
         n1, n2 = int(rng.integers(30, 120)), int(rng.integers(30, 120))
         a, x = random_task(rng, n1, n2)
         eng = make_engine(p=4, seed=seed)
-        out = run_traditional_coded(a, x, eng)
+        out = run_traditional_coded(len(a), len(x), eng)
         assert out.success
         want = convolve_direct(a, x)
-        np.testing.assert_allclose(out.result, want, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(out.plan.assemble(a, x), want,
+                                   rtol=1e-7, atol=1e-10)
 
 
 def test_traditional_encodes_longer_operand():
     rng = np.random.default_rng(6)
     a, x = random_task(rng, 40, 90)
     eng = make_engine(p=4)
-    out = run_traditional_coded(a, x, eng)
+    out = run_traditional_coded(len(a), len(x), eng)
     assert out.success
     assert out.params["swapped"] is True
-    np.testing.assert_allclose(out.result, convolve_direct(a, x),
+    np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                rtol=1e-7, atol=1e-10)
 
 
@@ -196,10 +207,10 @@ def test_traditional_survives_up_to_bound_failures():
         behaviors = [Behavior(models.FAILED, time=0.0)] * failures \
             + [Behavior()] * (8 - failures)
         eng = make_engine(p=8, behaviors=behaviors, seed=failures)
-        out = run_traditional_coded(a, x, eng, horizon=50.0)
+        out = run_traditional_coded(len(a), len(x), eng, horizon=50.0)
         assert out.success == should_pass, failures
         if should_pass:
-            np.testing.assert_allclose(out.result, convolve_direct(a, x),
+            np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                        rtol=1e-7, atol=1e-10)
 
 
@@ -207,10 +218,10 @@ def test_traditional_explicit_s_respected():
     rng = np.random.default_rng(9)
     a, x = random_task(rng, 60, 60)
     eng = make_engine(p=4)
-    out = run_traditional_coded(a, x, eng, s=30)
+    out = run_traditional_coded(len(a), len(x), eng, s=30)
     assert out.params["s"] == 30
     assert out.params["pieces"] == 2
-    np.testing.assert_allclose(out.result, convolve_direct(a, x),
+    np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                rtol=1e-7, atol=1e-10)
 
 
@@ -219,12 +230,27 @@ def test_traditional_past_decode_limit_fails_without_data():
     # the 33rd row arrives, before any payload is computed.
     rng = np.random.default_rng(16)
     a, x = random_task(rng, 66, 2)
-    out = run_traditional_coded(a, x, make_engine(p=4), s=2)
+    out = run_traditional_coded(len(a), len(x), make_engine(p=4), s=2)
     assert out.params["pieces"] == 33
     assert out.pieces_dispatched == 33
     assert not out.success
     assert out.completion_time == math.inf
-    assert out.result is None
+    assert out.plan is None
+
+
+def test_traditional_without_decodable_length_fails_at_once(monkeypatch):
+    # No chunk length cuts 2000 values into <= 31 pieces of at most 2.
+    def refuse(*args, **kwargs):
+        raise AssertionError("no encoding matrix is needed")
+
+    monkeypatch.setattr(strategies, "make_encoding_matrix", refuse)
+    eng = make_engine(p=4, collect_log=True)
+    out = run_traditional_coded(2000, 2, eng)
+    assert not out.success
+    assert out.completion_time == math.inf
+    assert out.pieces_dispatched == 0
+    assert out.plan is None
+    assert eng.log == []
 
 
 # -- dynamic strategy ---------------------------------------------------------------
@@ -236,9 +262,9 @@ def test_dynamic_result_matches_direct():
         n1, n2 = int(rng.integers(30, 120)), int(rng.integers(30, 120))
         a, x = random_task(rng, n1, n2)
         eng = make_engine(p=3, seed=seed)
-        out = run_dynamic(a, x, eng)
+        out = run_dynamic(len(a), len(x), eng)
         assert out.success
-        np.testing.assert_allclose(out.result, convolve_direct(a, x),
+        np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                    rtol=1e-7, atol=1e-10)
 
 
@@ -248,12 +274,12 @@ def test_dynamic_single_worker_whole_vector_minimal_redundancy():
     rng = np.random.default_rng(11)
     a, x = random_task(rng, 32, 16)
     eng = make_engine(p=1)
-    out = run_dynamic(a, x, eng, b=16)
+    out = run_dynamic(len(a), len(x), eng, b=16)
     assert out.success
     assert out.params["pieces"] == 1
     assert out.redundancy_used == 1
     assert out.pieces_dispatched == 1
-    np.testing.assert_allclose(out.result, convolve_direct(a, x),
+    np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                rtol=1e-7, atol=1e-10)
 
 
@@ -261,7 +287,7 @@ def test_dynamic_more_workers_than_pieces_grows_redundancy():
     rng = np.random.default_rng(12)
     a, x = random_task(rng, 32, 8)
     eng = make_engine(p=6)
-    out = run_dynamic(a, x, eng, b=8)  # m=1, 6 workers
+    out = run_dynamic(len(a), len(x), eng, b=8)  # m=1, 6 workers
     assert out.success
     assert out.pieces_dispatched >= 6  # every initial worker got a piece
     assert out.redundancy_used >= 5
@@ -272,9 +298,9 @@ def test_dynamic_survives_all_but_one_failure():
     a, x = random_task(rng, 60, 40)
     behaviors = [Behavior(models.FAILED, time=0.0)] * 3 + [Behavior()]
     eng = make_engine(p=4, behaviors=behaviors)
-    out = run_dynamic(a, x, eng, b=10, horizon=50.0)
+    out = run_dynamic(len(a), len(x), eng, b=10, horizon=50.0)
     assert out.success
-    np.testing.assert_allclose(out.result, convolve_direct(a, x),
+    np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                rtol=1e-7, atol=1e-10)
     assert out.per_worker_results.get(3, 0) >= 4  # the survivor did the work
 
@@ -286,10 +312,10 @@ def test_dynamic_joining_worker_contributes():
     behaviors = [Behavior(models.DELAYED, factor=200.0),
                  Behavior(models.JOINS, time=0.001)]
     eng = make_engine(p=2, behaviors=behaviors)
-    out = run_dynamic(a, x, eng, b=12, horizon=1000.0)
+    out = run_dynamic(len(a), len(x), eng, b=12, horizon=1000.0)
     assert out.success
     assert out.per_worker_results.get(1, 0) >= 1
-    np.testing.assert_allclose(out.result, convolve_direct(a, x),
+    np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                rtol=1e-7, atol=1e-10)
 
 
@@ -298,9 +324,9 @@ def test_dynamic_leaving_worker_mid_task():
     a, x = random_task(rng, 64, 48)
     behaviors = [Behavior(models.LEAVES, time=0.004), Behavior()]
     eng = make_engine(p=2, behaviors=behaviors)
-    out = run_dynamic(a, x, eng, b=12, horizon=100.0)
+    out = run_dynamic(len(a), len(x), eng, b=12, horizon=100.0)
     assert out.success
-    np.testing.assert_allclose(out.result, convolve_direct(a, x),
+    np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                rtol=1e-7, atol=1e-10)
 
 
