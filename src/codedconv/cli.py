@@ -27,6 +27,7 @@ from .experiments import (
     success_rate,
     sweep_b,
 )
+from .models import FAILURE_MODES, STRAGGLER_MODES
 from .scenarios import DEFAULT_SCALE, ScenarioConfig, benchmark_scenario
 
 # Defaults shared by the subcommand flags and the [experiment] keys.
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--ratio", type=float, default=0.5,
                    help="straggler ratio (default 0.5)")
-    p.add_argument("--mode", choices=("delayed", "fail", "leave"),
+    p.add_argument("--mode", choices=STRAGGLER_MODES,
                    default="delayed", help="straggler behaviour")
 
     p = sub.add_parser("stress", help="strategy comparison over a grid of "
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--ratios", metavar="LIST", default=DEFAULTS["ratios"],
                    help="comma-separated ratios (default 0,0.25,0.5,0.75,1)")
-    p.add_argument("--mode", choices=("delayed", "fail", "leave"),
+    p.add_argument("--mode", choices=STRAGGLER_MODES,
                    default="delayed", help="straggler behaviour")
 
     p = sub.add_parser("success-rate", help="success fraction under uniform "
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, reps=False)
     p.add_argument("--runs", type=int, default=DEFAULTS["runs"],
                    help="episodes per strategy (default 2000)")
-    p.add_argument("--mode", choices=("fail", "leave"), default="fail",
+    p.add_argument("--mode", choices=FAILURE_MODES, default="fail",
                    help="failure behaviour")
 
     p = sub.add_parser("run", help="run the experiment described by a "

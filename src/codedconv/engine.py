@@ -18,6 +18,12 @@ redrawn each whole second); distance reads between ticks see the most
 recent tick position.  Each node integrates the clock lazily up to the
 latest tick any read has reached, so an episode that finishes within a
 second never pays for tick events.
+
+Each worker's `Behavior` is read in three places: its slowdown multiplies
+the compute and return-transfer time of every piece, the master can reach
+it from its join time, and no piece is delivered past its departure time.
+Late joins and departures are also announced to the master as roster
+events.
 """
 
 import heapq
@@ -27,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
-from . import models
 from .models import (
+    FAILURE_MODES,
+    STRAGGLER_MODES,
     Behavior,
     CommParams,
     WorkerProfile,
@@ -172,12 +179,13 @@ class SimEngine:
         self._mobility_second = 0
         self._compute_streams: list = [None] * self.n_workers
 
-        # Master-visible roster changes.
+        # Master-visible roster changes; a worker that departs before it
+        # joins is never announced as joining.
         for w, beh in enumerate(self.behaviors):
-            if beh.kind == models.JOINS:
-                self._push(beh.time, EngineEvent("worker_joins", beh.time, w))
-            elif beh.kind in (models.FAILED, models.LEAVES):
-                self._push(beh.time, EngineEvent("worker_leaves", beh.time, w))
+            if 0.0 < beh.joins < beh.departs:
+                self._push(beh.joins, EngineEvent("worker_joins", beh.joins, w))
+            if beh.departs < math.inf:
+                self._push(beh.departs, EngineEvent("worker_leaves", beh.departs, w))
 
     # -- time and mobility ---------------------------------------------------
 
@@ -219,13 +227,10 @@ class SimEngine:
 
     def initial_roster(self) -> list[int]:
         """Workers the master can address at t=0 (late joiners excluded)."""
-        return [w for w, b in enumerate(self.behaviors) if b.kind != models.JOINS]
+        return [w for w, b in enumerate(self.behaviors) if not b.joins]
 
     def departure_time(self, worker: int) -> float:
-        beh = self.behaviors[worker]
-        if beh.kind in (models.FAILED, models.LEAVES):
-            return beh.time
-        return math.inf
+        return self.behaviors[worker].departs
 
     # -- scheduling ----------------------------------------------------------
 
@@ -248,17 +253,15 @@ class SimEngine:
         """Dispatch work item `row` to a worker at the current time.
 
         Transfer times for both directions are priced at the dispatch-time
-        distance.  The piece is silently lost when the worker has failed,
-        departed, or not yet joined; the master has no failure detection
-        beyond roster-change events.
+        distance.  The piece is silently lost when the worker has departed
+        or not yet joined, or departs before the result is back; the master
+        has no failure detection beyond roster-change events.
         """
         now = self._now
         beh = self.behaviors[worker]
         self._log_event("dispatch", now, worker, row, n_in)
-        if beh.kind == models.JOINS and now < beh.time:
-            return
-        dead_t = self.departure_time(worker)
-        if now >= dead_t:
+        dead_t = beh.departs
+        if now < beh.joins or now >= dead_t:
             return
         rate = data_rate(self.distance(worker, now), self.comm)
         t_in = comm_time(n_in, rate, self.comm.payload_bytes)
@@ -273,12 +276,9 @@ class SimEngine:
         if stream is None:
             stream = self._compute_streams[worker] = substream(
                 self._seed, worker, _COMPUTE)
-        t_comp = sample_compute_time(stream, load, self.profiles[worker])
-        t_out = comm_time(n_out, rate, self.comm.payload_bytes)
-        if beh.kind == models.DELAYED:
-            # Slowdown covers the work and the return transfer.
-            t_comp *= beh.factor
-            t_out *= beh.factor
+        # Slowdown covers the work and the return transfer.
+        t_comp = sample_compute_time(stream, load, self.profiles[worker]) * beh.slowdown
+        t_out = comm_time(n_out, rate, self.comm.payload_bytes) * beh.slowdown
         done = start + t_comp
         self._busy[worker] = done
         if done > dead_t:
@@ -331,27 +331,26 @@ def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
 def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     """Draw the straggler assignment for one episode.
 
-    The straggler draw has its own stream, so changing the ratio or mode
-    never changes the workers' compute or mobility draws.
+    Stragglers of the failure modes depart at t=0; "delayed" stragglers
+    are slowed by the scenario's delay factor for the whole episode.  The
+    straggler draw has its own stream, so changing the ratio or mode never
+    changes the workers' compute or mobility draws.
     """
+    mode = scenario.straggler_mode
+    if mode not in STRAGGLER_MODES:
+        raise ValueError(f"unknown straggler mode {mode!r}")
     p = scenario.n_workers
     stream = substream(seed, _SCENARIO_TAG, _STRAGGLER)
     if scenario.failure_count_uniform:
         count = int(stream.integers(0, p + 1))
     else:
         count = int(round(scenario.straggler_ratio * p))
-    behaviors = [Behavior() for _ in range(p)]
+    behaviors = [Behavior()] * p
     if count:
-        chosen = stream.choice(p, size=count, replace=False)
-        for w in chosen:
-            if scenario.straggler_mode == "delayed":
-                behaviors[w] = Behavior(models.DELAYED, factor=scenario.delay_factor)
-            elif scenario.straggler_mode == "fail":
-                behaviors[w] = Behavior(models.FAILED, time=0.0)
-            elif scenario.straggler_mode == "leave":
-                behaviors[w] = Behavior(models.LEAVES, time=0.0)
-            else:
-                raise ValueError(f"unknown straggler mode {scenario.straggler_mode!r}")
+        straggler = (Behavior(departs=0.0) if mode in FAILURE_MODES
+                     else Behavior(slowdown=scenario.delay_factor))
+        for w in stream.choice(p, size=count, replace=False):
+            behaviors[w] = straggler
     return behaviors
 
 
@@ -370,7 +369,8 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
 
     When the episode contains stragglers and no horizon is given, a
     straggler-free pilot episode with the same seed sets the give-up
-    horizon at horizon_factor times the pilot completion time.
+    horizon at horizon_factor times the pilot completion time.  A pilot
+    that cannot finish sets none: the horizon stays infinite.
 
     The strategy schedules from the operand lengths.  Only with
     `keep_result` does a successful episode draw the operands and
@@ -384,18 +384,17 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
                          f"choose from {sorted(_strategies.STRATEGIES)}")
     profiles = episode_profiles(scenario, seed)
     behaviors = _behaviors if _behaviors is not None else episode_behaviors(scenario, seed)
-    n_stragglers = sum(1 for beh in behaviors if beh.kind != models.NORMAL)
+    normal = Behavior()
+    n_stragglers = sum(beh != normal for beh in behaviors)
 
     if horizon is None:
+        horizon = math.inf
         if n_stragglers:
             pilot = run_episode(scenario, strategy, seed, b=b, s=s,
                                 horizon=math.inf, keep_result=False,
-                                _behaviors=[Behavior() for _ in behaviors])
-            if not pilot.success:
-                raise RuntimeError("straggler-free pilot episode did not complete")
-            horizon = scenario.horizon_factor * pilot.completion_time
-        else:
-            horizon = math.inf
+                                _behaviors=[normal] * len(behaviors))
+            if pilot.success:
+                horizon = scenario.horizon_factor * pilot.completion_time
 
     eng = SimEngine(profiles, behaviors, scenario.comm, seed,
                     init_box_m=scenario.init_box_m,

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .engine import EpisodeMetrics, run_episode
+from .models import FAILURE_MODES, CommParams
 from .scenarios import (
     DEFAULT_SCALE,
     ScenarioConfig,
@@ -130,8 +131,9 @@ def success_rate(scenario: ScenarioConfig, runs: int, base_seed: int,
     Returns (rows, details) where details[strategy] is a list of
     (failure_count, success) pairs, one per run.
     """
-    if mode not in ("fail", "leave"):
-        raise ConfigError("success-rate mode must be 'fail' or 'leave'")
+    if mode not in FAILURE_MODES:
+        raise ConfigError("success-rate mode must be "
+                          + " or ".join(map(repr, FAILURE_MODES)))
     scn = scenario.replace(failure_count_uniform=True, straggler_mode=mode,
                            straggler_ratio=0.0)
     rows = []
@@ -342,7 +344,6 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
     if "failure_count_uniform" in strag:
         overrides["failure_count_uniform"] = strag["failure_count_uniform"]
     if comm:
-        from .models import CommParams
         overrides["comm"] = CommParams(**comm)
 
     try:

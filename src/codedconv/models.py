@@ -3,7 +3,8 @@
 Compute time for a convolution job follows a shifted exponential whose
 shift and rate both scale with the job size; link rate follows a
 log-distance path-loss model fed into the Shannon capacity formula.
-Mobility and the effect of each behaviour live in the event engine.
+A worker's straggler behaviour is a slowdown, a join time and a departure
+time; mobility and the effect of each behaviour live in the event engine.
 """
 
 import math
@@ -43,27 +44,29 @@ class CommParams:
             raise ValueError("bandwidth, noise power and payload size must be positive")
 
 
-# Straggler behaviour kinds, applied per worker per episode.
-NORMAL = "normal"
-DELAYED = "delayed"             # work and return transfers slowed by `factor`
-FAILED = "failed"               # returns nothing from `time` onward
-LEAVES = "leaves"               # departs (out of range) at `time`
-JOINS = "joins"                 # invisible before `time`, then a normal worker
+# Straggler modes a scenario can ask for, in the order the CLI lists them.
+# Both failure modes take the worker away at t=0; only their names differ.
+FAILURE_MODES = ("fail", "leave")
+STRAGGLER_MODES = ("delayed",) + FAILURE_MODES
 
 
-@dataclass
+@dataclass(frozen=True)
 class Behavior:
-    """Straggler behaviour assignment for one worker in one episode."""
+    """What one worker does in one episode; the defaults are a normal worker.
 
-    kind: str = NORMAL
-    factor: float = 15.0        # slowdown for DELAYED
-    time: float = 0.0           # effect time for FAILED / LEAVES / JOINS
+    A worker is a straggler when its behaviour differs from `Behavior()`.
+    """
+
+    slowdown: float = 1.0       # multiplies compute and return-transfer times
+    joins: float = 0.0          # the master can reach it from this time on
+    departs: float = math.inf   # no result arrives after this time
 
     def __post_init__(self):
-        if self.kind not in (NORMAL, DELAYED, FAILED, LEAVES, JOINS):
-            raise ValueError(f"unknown behaviour kind {self.kind!r}")
-        if self.kind == DELAYED and self.factor < 1.0:
-            raise ValueError("delay factor must be >= 1")
+        if not self.slowdown >= 1.0:
+            raise ValueError(f"slowdown must be >= 1, got {self.slowdown}")
+        if not (self.joins >= 0.0 and self.departs >= 0.0):
+            raise ValueError("join and departure times must be >= 0, got "
+                             f"{self.joins} and {self.departs}")
 
 
 def compute_load(n1: int, n2: int, coeff: float = 1.0) -> float:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .coding import MAX_SQUARE_PIECES
-from .models import CommParams
+from .models import STRAGGLER_MODES, CommParams
 
 SCENARIO_SIZES = {
     1: (4096, 2048, 8),
@@ -33,8 +33,6 @@ TUNED_DYNAMIC_B = {
     (3, 8): 1250,
     (4, 8): 1875,
 }
-
-_MODES = ("delayed", "fail", "leave")
 
 
 @dataclass
@@ -72,8 +70,8 @@ class ScenarioConfig:
             problems.append("need 0 < mu_low <= mu_high")
         if not 0.0 <= self.straggler_ratio <= 1.0:
             problems.append("straggler_ratio must be in [0, 1]")
-        if self.straggler_mode not in _MODES:
-            problems.append(f"straggler_mode must be one of {_MODES}")
+        if self.straggler_mode not in STRAGGLER_MODES:
+            problems.append(f"straggler_mode must be one of {STRAGGLER_MODES}")
         if self.delay_factor < 1.0:
             problems.append("delay_factor must be >= 1")
         if self.compute_coeff <= 0:
@@ -122,7 +120,3 @@ def benchmark_scenario(index: int, scale: float = DEFAULT_SCALE,
     }
     fields.update(overrides)
     return ScenarioConfig(**fields)
-
-
-def all_benchmark_scenarios(scale: float = DEFAULT_SCALE) -> list[ScenarioConfig]:
-    return [benchmark_scenario(i, scale) for i in sorted(SCENARIO_SIZES)]

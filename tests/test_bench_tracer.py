@@ -30,9 +30,16 @@ def test_tracer_installs_and_uninstalls_on_package():
         timing_only = tracer.layer_metrics()[0]["coding.convolve_fft.calls"]
         assert run_episode(scn, "traditional", 3).result is not None
         assembled = tracer.layer_metrics()[0]["coding.convolve_fft.calls"]
+        # The tracer counts a pilot per episode with stragglers, none without.
+        run_episode(scn.replace(straggler_ratio=0.5), "dynamic", 3,
+                    keep_result=False)
+        pilots = tracer.layer_metrics()[0]["engine.pilot.calls"]
+        run_episode(scn, "dynamic", 3, keep_result=False)
+        pilots_after_plain = tracer.layer_metrics()[0]["engine.pilot.calls"]
     finally:
         tracer.uninstall()
     assert strategies.convolve_fft is coding.convolve_fft
     assert strategies.STRATEGIES["uncoded"] is strategies.run_uncoded
     assert timing_only == 0
     assert assembled > 0
+    assert pilots == pilots_after_plain == 1

@@ -163,6 +163,23 @@ def test_compare_without_decodable_chunk_length(tmp_path, capsys):
     assert "traditional,inf,nan" in table
 
 
+def test_compare_with_stragglers_and_no_finishing_pilot(tmp_path, capsys):
+    # The straggler-free pilot of traditional cannot finish either, so its
+    # episodes run without a horizon and are counted as failed.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nn1 = 2000\nn2 = 2\nworkers = 4\n\n"
+                   "[straggler]\nratio = 0.5\n\n"
+                   "[experiment]\nkind = compare\nreps = 2\nseed = 7\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 0, err
+    assert "traditional,inf,nan" in out.splitlines()
+    table = (tmp_path / "res" / "compare.csv").read_text().splitlines()
+    assert "traditional,inf,nan" in table
+
+
 def test_rerun_byte_identical_outputs(tmp_path, capsys):
     argv = ["compare", "--scenario", "1", "--scale", "64", "--reps", "2",
             "--seed", "42", "--ratio", "0.5"]

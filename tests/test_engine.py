@@ -79,7 +79,7 @@ def test_failed_workers_and_short_episodes_build_no_unread_streams(
     scn = benchmark_scenario(1, 64, straggler_mode="fail", straggler_ratio=0.5)
     seed = 5
     failed = {w for w, beh in enumerate(episode_behaviors(scn, seed))
-              if beh.kind == models.FAILED}
+              if beh.departs == 0.0}
     assert len(failed) == 4
     made = []  # tags of every stream built, seen through the module global
     original = engine.substream
@@ -178,7 +178,7 @@ def test_worker_queues_pieces_fifo():
 def test_delayed_worker_scales_compute_and_return():
     profiles = [WorkerProfile(mu=4e6, alpha=2.5e-7)]
     normal = SimEngine(profiles, [Behavior()], CommParams(), 7, collect_log=True)
-    slowed = SimEngine(profiles, [Behavior(models.DELAYED, factor=15.0)],
+    slowed = SimEngine(profiles, [Behavior(slowdown=15.0)],
                        CommParams(), 7, collect_log=True)
     for eng in (normal, slowed):
         eng.send(0, row=0, n_in=50, n_out=99, load_pair=(50, 50))
@@ -197,7 +197,7 @@ def test_delayed_worker_scales_compute_and_return():
 
 
 def test_failed_worker_loses_pieces_silently():
-    eng = make_engine(p=2, behaviors=[Behavior(models.FAILED, time=0.0),
+    eng = make_engine(p=2, behaviors=[Behavior(departs=0.0),
                                       Behavior()])
     eng.send(0, row=0, n_in=10, n_out=19, load_pair=(10, 10))
     eng.send(1, row=1, n_in=10, n_out=19, load_pair=(10, 10))
@@ -216,14 +216,14 @@ def test_failed_worker_loses_pieces_silently():
 
 def test_mid_flight_death_drops_result():
     # worker dies while computing: piece arrives, compute never completes
-    eng = make_engine(p=1, behaviors=[Behavior(models.FAILED, time=1e-4)])
+    eng = make_engine(p=1, behaviors=[Behavior(departs=1e-4)])
     eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
     events = list(eng.events())
     assert [ev.kind for ev in events] == ["worker_leaves"]
 
 
 def test_joining_worker_rejects_early_pieces():
-    eng = make_engine(p=1, behaviors=[Behavior(models.JOINS, time=0.5)])
+    eng = make_engine(p=1, behaviors=[Behavior(joins=0.5)])
     assert eng.initial_roster() == []
     eng.send(0, row=0, n_in=10, n_out=19, load_pair=(10, 10))
     events = list(eng.events())
@@ -239,11 +239,10 @@ def probe_times(**kwargs):
     return {rec.kind: rec.time for rec in eng.log}
 
 
-@pytest.mark.parametrize("kind", [models.FAILED, models.LEAVES])
-def test_result_returned_by_departure_time_is_delivered(kind):
+def test_result_returned_by_departure_time_is_delivered():
     # Departure exactly when the result lands: the result still counts.
     t_result = probe_times()["result_arrives"]
-    eng = make_engine(p=1, behaviors=[Behavior(kind, time=t_result)])
+    eng = make_engine(p=1, behaviors=[Behavior(departs=t_result)])
     eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
     events = [(ev.kind, ev.time) for ev in eng.events()]
     assert sorted(events) == [("result_arrives", t_result),
@@ -254,15 +253,28 @@ def test_leaving_worker_loses_piece_it_cannot_finish():
     # The piece arrives, but the worker leaves before its compute is done.
     times = probe_times()
     leave = 0.5 * (times["piece_arrives"] + times["compute_done"])
-    eng = make_engine(p=1, behaviors=[Behavior(models.LEAVES, time=leave)])
+    eng = make_engine(p=1, behaviors=[Behavior(departs=leave)])
     eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
     assert [ev.kind for ev in eng.events()] == ["worker_leaves"]
     assert [rec.kind for rec in eng.log] == ["dispatch", "piece_arrives"]
 
 
+def test_worker_departing_before_it_joins_is_never_announced():
+    eng = make_engine(p=1, behaviors=[Behavior(joins=0.5, departs=0.25)])
+    assert eng.initial_roster() == []
+    eng.schedule_wakeup(0.75, 0)
+    kinds = []
+    for ev in eng.events():
+        kinds.append(ev.kind)
+        if ev.kind == "wakeup":
+            eng.send(0, row=0, n_in=10, n_out=19, load_pair=(10, 10))
+    assert kinds == ["worker_leaves", "wakeup"]
+    assert [rec.kind for rec in eng.log] == ["dispatch"]
+
+
 @pytest.mark.parametrize("send_time", [0.5, 0.75])
 def test_joining_worker_accepts_pieces_from_join_time(send_time):
-    eng = make_engine(p=1, behaviors=[Behavior(models.JOINS, time=0.5)])
+    eng = make_engine(p=1, behaviors=[Behavior(joins=0.5)])
     eng.schedule_wakeup(send_time, 0)
     kinds = []
     for ev in eng.events():
@@ -352,16 +364,26 @@ def test_episode_profiles_in_range_and_paired():
 def test_episode_behaviors_modes_and_count():
     scn = benchmark_scenario(1).replace(straggler_ratio=0.5)
     beh = episode_behaviors(scn, 5)
-    delayed = [b for b in beh if b.kind == models.DELAYED]
+    delayed = [b for b in beh if b != Behavior()]
     assert len(delayed) == 4  # round(0.5 * 8)
-    assert all(b.factor == 15.0 for b in delayed)
+    assert all(b == Behavior(slowdown=15.0) for b in delayed)
 
     scn_f = benchmark_scenario(1).replace(straggler_mode="fail",
                                           failure_count_uniform=True)
     counts = {sum(1 for b in episode_behaviors(scn_f, seed)
-                  if b.kind == models.FAILED) for seed in range(200)}
+                  if b == Behavior(departs=0.0)) for seed in range(200)}
     assert counts <= set(range(0, 9))
     assert 0 in counts and 8 in counts  # uniform draw spans the full range
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_fail_and_leave_draw_the_same_behaviors(uniform):
+    scn = benchmark_scenario(1, 64, straggler_ratio=0.5,
+                             failure_count_uniform=uniform)
+    for seed in range(20):
+        fail = episode_behaviors(scn.replace(straggler_mode="fail"), seed)
+        leave = episode_behaviors(scn.replace(straggler_mode="leave"), seed)
+        assert fail == leave
 
 
 def test_episode_task_lengths_and_range():
@@ -399,6 +421,21 @@ def test_pilot_sets_finite_horizon():
     base = run_episode(scn.replace(straggler_ratio=0.0), "dynamic", 88,
                        keep_result=False)
     assert m.horizon == pytest.approx(scn.horizon_factor * base.completion_time)
+
+
+def test_delay_factor_one_makes_no_stragglers(monkeypatch):
+    # A slowdown of 1 is a normal worker: no pilot runs, no horizon is set.
+    scn = benchmark_scenario(1, 64, straggler_ratio=0.5, delay_factor=1.0)
+    original = engine.run_episode
+    pilots = []
+
+    def recording(*args, **kwargs):
+        pilots.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_episode", recording)
+    m = original(scn, "dynamic", 3, keep_result=False)
+    assert (m.n_stragglers, m.horizon, pilots) == (0, math.inf, [])
 
 
 def test_zero_straggler_episode_has_no_horizon():

@@ -6,7 +6,6 @@ from collections import defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedconv import models
 from codedconv.engine import SimEngine
 from codedconv.models import Behavior, CommParams, WorkerProfile
 from codedconv.strategies import STRATEGIES
@@ -30,12 +29,13 @@ class KeyedEngine(SimEngine):
             yield ev
 
 
-behaviors = st.one_of(
-    st.just(Behavior()),
-    st.builds(Behavior, st.just(models.DELAYED),
-              factor=st.floats(1.0, 50.0)),
-    *(st.builds(Behavior, st.just(kind), time=st.floats(0.0, 0.005))
-      for kind in (models.FAILED, models.LEAVES, models.JOINS)),
+# Each field is drawn on its own, so a worker may be slowed, join late and
+# depart (even before it joins) in the same episode.
+behaviors = st.builds(
+    Behavior,
+    slowdown=st.one_of(st.just(1.0), st.floats(1.0, 50.0)),
+    joins=st.one_of(st.just(0.0), st.floats(0.0, 0.005)),
+    departs=st.one_of(st.just(math.inf), st.floats(0.0, 0.005)),
 )
 
 

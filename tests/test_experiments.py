@@ -24,7 +24,7 @@ from codedconv.experiments import (
     write_manifest,
 )
 from codedconv.cli import main
-from codedconv.scenarios import ScenarioConfig
+from codedconv.scenarios import ScenarioConfig, benchmark_scenario
 
 
 def small_scenario(**overrides):
@@ -102,6 +102,12 @@ def test_compare_paired_episodes_share_stragglers():
     for triple in per_rep:
         counts = {n for n, _ in triple}
         assert len(counts) == 1
+
+
+def test_delay_factor_one_compares_like_no_stragglers():
+    scn = benchmark_scenario(1, 64, delay_factor=1.0)
+    assert compare_strategies(scn, reps=3, base_seed=9, ratio=0.5) \
+        == compare_strategies(scn, reps=3, base_seed=9, ratio=0.0)
 
 
 def test_stress_rows_cover_ratio_grid():

@@ -127,6 +127,6 @@ def test_comm_time_rejects_bad_rate():
 
 def test_behavior_validation():
     with pytest.raises(ValueError):
-        Behavior("warp")
+        Behavior(joins=-1.0)
     with pytest.raises(ValueError):
-        Behavior("delayed", factor=0.5)
+        Behavior(slowdown=0.5)

@@ -7,7 +7,6 @@ from codedconv.scenarios import (
     SCENARIO_SIZES,
     TUNED_DYNAMIC_B,
     ScenarioConfig,
-    all_benchmark_scenarios,
     benchmark_scenario,
     scaled_size,
 )
@@ -52,11 +51,6 @@ def test_benchmark_scenario_overrides():
 def test_unknown_index_rejected():
     with pytest.raises(ValueError):
         benchmark_scenario(5)
-
-
-def test_all_benchmark_scenarios_order():
-    names = [s.name for s in all_benchmark_scenarios()]
-    assert names == ["scenario1", "scenario2", "scenario3", "scenario4"]
 
 
 def test_validation_collects_all_problems():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from codedconv import models, strategies
+from codedconv import strategies
 from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct
 from codedconv.engine import SimEngine, run_episode, episode_task
 from codedconv.models import Behavior, CommParams, WorkerProfile
@@ -163,7 +163,7 @@ def test_uncoded_result_matches_direct():
 def test_uncoded_single_failure_dooms_task():
     rng = np.random.default_rng(4)
     a, x = random_task(rng, 64, 64)
-    behaviors = [Behavior(models.FAILED, time=0.0)] + [Behavior()] * 3
+    behaviors = [Behavior(departs=0.0)] + [Behavior()] * 3
     eng = make_engine(p=4, behaviors=behaviors)
     out = run_uncoded(len(a), len(x), eng, horizon=10.0)
     assert not out.success
@@ -204,7 +204,7 @@ def test_traditional_survives_up_to_bound_failures():
     rng = np.random.default_rng(8)
     a, x = random_task(rng, 8, 4)
     for failures, should_pass in [(0, True), (6, True), (7, False)]:
-        behaviors = [Behavior(models.FAILED, time=0.0)] * failures \
+        behaviors = [Behavior(departs=0.0)] * failures \
             + [Behavior()] * (8 - failures)
         eng = make_engine(p=8, behaviors=behaviors, seed=failures)
         out = run_traditional_coded(len(a), len(x), eng, horizon=50.0)
@@ -296,7 +296,7 @@ def test_dynamic_more_workers_than_pieces_grows_redundancy():
 def test_dynamic_survives_all_but_one_failure():
     rng = np.random.default_rng(13)
     a, x = random_task(rng, 60, 40)
-    behaviors = [Behavior(models.FAILED, time=0.0)] * 3 + [Behavior()]
+    behaviors = [Behavior(departs=0.0)] * 3 + [Behavior()]
     eng = make_engine(p=4, behaviors=behaviors)
     out = run_dynamic(len(a), len(x), eng, b=10, horizon=50.0)
     assert out.success
@@ -309,8 +309,8 @@ def test_dynamic_joining_worker_contributes():
     rng = np.random.default_rng(14)
     a, x = random_task(rng, 64, 48)
     # lone initial worker is badly delayed; the joiner should pick up pieces
-    behaviors = [Behavior(models.DELAYED, factor=200.0),
-                 Behavior(models.JOINS, time=0.001)]
+    behaviors = [Behavior(slowdown=200.0),
+                 Behavior(joins=0.001)]
     eng = make_engine(p=2, behaviors=behaviors)
     out = run_dynamic(len(a), len(x), eng, b=12, horizon=1000.0)
     assert out.success
@@ -322,7 +322,7 @@ def test_dynamic_joining_worker_contributes():
 def test_dynamic_leaving_worker_mid_task():
     rng = np.random.default_rng(15)
     a, x = random_task(rng, 64, 48)
-    behaviors = [Behavior(models.LEAVES, time=0.004), Behavior()]
+    behaviors = [Behavior(departs=0.004), Behavior()]
     eng = make_engine(p=2, behaviors=behaviors)
     out = run_dynamic(len(a), len(x), eng, b=12, horizon=100.0)
     assert out.success
