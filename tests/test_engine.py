@@ -1,5 +1,6 @@
 """Event engine tests: stream independence, ordering, timing, episode runs."""
 
+import dataclasses
 import io
 import math
 
@@ -239,10 +240,17 @@ def probe_times(**kwargs):
     return {rec.kind: rec.time for rec in eng.log}
 
 
-def test_result_returned_by_departure_time_is_delivered():
+@pytest.mark.parametrize("mode", ["fail", "leave"], ids=["failed", "leaves"])
+def test_result_returned_by_departure_time_is_delivered(mode):
     # Departure exactly when the result lands: the result still counts.
+    # The departing worker is the straggler the episode sampler draws for
+    # `mode`, moved from t=0 to the result's arrival time.
     t_result = probe_times()["result_arrives"]
-    eng = make_engine(p=1, behaviors=[Behavior(departs=t_result)])
+    scn = benchmark_scenario(1).replace(straggler_mode=mode, straggler_ratio=1.0)
+    straggler = episode_behaviors(scn, 0)[0]
+    assert straggler == Behavior(departs=0.0)
+    beh = dataclasses.replace(straggler, departs=t_result)
+    eng = make_engine(p=1, behaviors=[beh])
     eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
     events = [(ev.kind, ev.time) for ev in eng.events()]
     assert sorted(events) == [("result_arrives", t_result),
