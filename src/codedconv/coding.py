@@ -18,9 +18,6 @@ scenario defaults keep piece counts at or below 16.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _sfft
-from scipy.linalg import lapack as _lapack
-from scipy.linalg import lu_factor, lu_solve
 
 
 class InsufficientResults(Exception):
@@ -68,14 +65,28 @@ def convolve_direct(a, x) -> np.ndarray:
     return out
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 2^i * 3^j * 5^k >= n, a length the real FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # Smallest power of two that lifts p35 to at least n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def convolve_fft(a, x) -> np.ndarray:
     """Linear convolution via real FFT; same contract as convolve_direct."""
     a = as_vector(a)
     x = as_vector(x)
     n = len(a) + len(x) - 1
-    nfft = _sfft.next_fast_len(n, real=True)
-    spec = _sfft.rfft(a, nfft) * _sfft.rfft(x, nfft)
-    return _sfft.irfft(spec, nfft)[:n]
+    nfft = _fast_length(n)
+    spec = np.fft.rfft(a, nfft) * np.fft.rfft(x, nfft)
+    return np.fft.irfft(spec, nfft)[:n]
 
 
 @dataclass
@@ -124,22 +135,20 @@ def _radical_inverse(i: int) -> float:
     return r
 
 
-def encoding_points(count: int, budget: int | None = None) -> np.ndarray:
-    """Chebyshev nodes for a `budget`-point grid, in bit-reversed order.
+def encoding_points(count: int) -> np.ndarray:
+    """Chebyshev nodes for a `count`-point grid, in bit-reversed order.
 
-    Returns the first `count` points.  The reordering matters: consuming
-    the natural Chebyshev order from a large budget yields clustered
-    (numerically near-coincident) prefixes, while the bit-reversed order
-    keeps every prefix spread over (-1, 1).
+    The reordering matters: a prefix of the natural Chebyshev order is
+    clustered (numerically near-coincident points), while the bit-reversed
+    order keeps every prefix spread over (-1, 1).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    budget = max(count, budget or count)
-    idx = np.arange(1, budget + 1)
-    nodes = np.cos(np.pi * (2 * idx - 1) / (2 * budget))
-    keys = np.array([_radical_inverse(i) for i in range(budget)])
+    idx = np.arange(1, count + 1)
+    nodes = np.cos(np.pi * (2 * idx - 1) / (2 * count))
+    keys = np.array([_radical_inverse(i) for i in range(count)])
     order = np.argsort(keys, kind="stable")
-    return nodes[order][:count]
+    return nodes[order]
 
 
 @dataclass
@@ -158,13 +167,12 @@ class EncodingMatrix:
         return self.entries.shape[1]
 
 
-def make_encoding_matrix(rows: int, cols: int, points=None,
-                         budget: int | None = None) -> EncodingMatrix:
+def make_encoding_matrix(rows: int, cols: int, points=None) -> EncodingMatrix:
     """Build a rows x cols Vandermonde matrix over distinct real points.
 
     Distinct points make every cols x cols row-submatrix invertible, so any
     `cols` coded results determine the original pieces.  By default the
-    points come from encoding_points(rows, budget); callers may supply
+    points come from encoding_points(rows); callers may supply
     explicit points instead.
     """
     if cols < 1:
@@ -172,7 +180,7 @@ def make_encoding_matrix(rows: int, cols: int, points=None,
     if rows < 1:
         raise ValueError("rows must be >= 1")
     if points is None:
-        pts = encoding_points(rows, budget)
+        pts = encoding_points(rows)
     else:
         pts = np.asarray(points, dtype=np.float64)
         if pts.shape != (rows,):
@@ -208,21 +216,21 @@ def mds_encode(pieces, matrix: EncodingMatrix, row_index: int) -> CodedPiece:
     return CodedPiece(row_index=int(row_index), values=matrix.entries[row_index] @ arr)
 
 
-def decode_factors(matrix: EncodingMatrix, rows) -> tuple:
-    """LU of matrix `rows`; DecodeFailure if singular or rcond < RCOND_LIMIT."""
+def decode_factors(matrix: EncodingMatrix, rows) -> np.ndarray:
+    """Inverse of matrix `rows`; DecodeFailure if singular or rcond < RCOND_LIMIT."""
     sub = matrix.entries[list(rows)]
     try:
-        lu, piv = lu_factor(sub)
-    except Exception as exc:  # LinAlgError on exactly singular input
+        inv = np.linalg.inv(sub)
+    except np.linalg.LinAlgError as exc:
         raise DecodeFailure(f"singular decode system: {exc}") from exc
-    # dgecon with norm="1" needs the 1-norm: the largest column sum.
-    anorm = np.abs(sub).sum(axis=0).max()
-    rcond = _lapack.dgecon(lu, anorm, norm="1")[0]
+    # Exact 1-norm reciprocal condition 1 / (|sub|_1 |inv|_1), where the
+    # 1-norm of a matrix is its largest absolute column sum.
+    rcond = 1.0 / (np.abs(sub).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
     if not np.isfinite(rcond) or rcond < RCOND_LIMIT:
         raise DecodeFailure(
             f"decode system too ill conditioned (rcond={rcond:.3e}); "
             "reduce the piece count or use better-spread points")
-    return lu, piv
+    return inv
 
 
 def mds_decode(results, matrix: EncodingMatrix) -> np.ndarray:
@@ -250,7 +258,7 @@ def mds_decode(results, matrix: EncodingMatrix) -> np.ndarray:
         raise ValueError("coded results must all have the same length")
 
     rhs = np.stack([as_vector(r.values) for r in results[:m]])
-    recovered = lu_solve(decode_factors(matrix, rows[:m]), rhs)
+    recovered = decode_factors(matrix, rows[:m]) @ rhs
 
     for extra in results[m:]:
         predicted = matrix.entries[extra.row_index] @ recovered

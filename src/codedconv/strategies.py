@@ -337,7 +337,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
         b = default_piece_length(n2, p)
     m = _pieces(n2, b)
     budget = m + max(_MIN_EXTRA_ROWS, _EXTRA_ROWS_PER_WORKER * p)
-    matrix = make_encoding_matrix(budget, m, budget=budget)
+    matrix = make_encoding_matrix(budget, m)
     params = {"b": b, "pieces": m, "budget": budget}
     per_worker = defaultdict(int)
 

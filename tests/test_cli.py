@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,26 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_runtime_needs_no_scipy():
+    # A fresh interpreter runs the CLI module and one kept-result episode
+    # (FFT, encode and decode) without ever loading scipy.
+    code = (
+        "import sys\n"
+        "import codedconv.cli\n"
+        "from codedconv.engine import run_episode\n"
+        "from codedconv.scenarios import benchmark_scenario\n"
+        "out = run_episode(benchmark_scenario(1, 64), 'traditional', 0,"
+        " keep_result=True)\n"
+        "assert out.result is not None\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_subcommand_is_usage_error(capsys):

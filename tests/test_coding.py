@@ -12,6 +12,7 @@ from codedconv.coding import (
     InsufficientResults,
     MAX_SQUARE_PIECES,
     RCOND_LIMIT,
+    _fast_length,
     as_vector,
     convolve_direct,
     convolve_fft,
@@ -68,13 +69,29 @@ def test_convolve_direct_matches_poly_oracle():
 
 def test_convolve_fft_matches_direct():
     rng = np.random.default_rng(102)
-    for n1, n2 in [(1, 1), (5, 3), (64, 64), (257, 129), (1024, 513), (4096, 31)]:
+    # 5000 + 5008 - 1 = 10007 is prime, so the FFT length must be padded.
+    for n1, n2 in [(1, 1), (5, 3), (64, 64), (257, 129), (1024, 513), (4096, 31),
+                   (5000, 5008)]:
         a = rng.uniform(-1, 1, n1)
         x = rng.uniform(-1, 1, n2)
         want = convolve_direct(a, x)
         got = convolve_fft(a, x)
         assert got.shape == want.shape == (n1 + n2 - 1,)
         assert_close(got, want, rtol=1e-9)
+
+
+def test_fast_length_is_next_five_smooth_number():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 4097):
+        want = n
+        while not smooth(want):
+            want += 1
+        assert _fast_length(n) == want, n
 
 
 def test_convolve_commutes():
@@ -170,8 +187,8 @@ def test_matrix_any_square_submatrix_invertible():
 
 
 def test_encoding_points_prefix_is_spread():
-    # Any prefix of the reordered budget covers both halves of (-1, 1).
-    pts = encoding_points(8, budget=256)
+    # Any prefix of the reordered points covers both halves of (-1, 1).
+    pts = encoding_points(256)[:8]
     assert pts.min() < -0.3 and pts.max() > 0.3
 
 
@@ -250,15 +267,20 @@ def test_decode_duplicate_rows_rejected():
         mds_decode([c, c], m)
 
 
-def test_decode_ill_conditioned_raises():
+@pytest.mark.parametrize("points, match", [
     # Nearly coincident points make the system numerically singular.
+    ([0.5, 0.5 + 1e-15, -0.5], None),
+    # Exactly coincident points make it singular outright.
+    ([0.5, 0.5, -0.5], "singular"),
+], ids=["nearly_coincident", "coincident"])
+def test_decode_ill_conditioned_raises(points, match):
     m = EncodingMatrix(
-        entries=np.vander([0.5, 0.5 + 1e-15, -0.5], 3, increasing=True),
-        points=np.array([0.5, 0.5 + 1e-15, -0.5]),
+        entries=np.vander(points, 3, increasing=True),
+        points=np.array(points),
     )
     pieces = np.ones((3, 2))
     coded = [CodedPiece(r, m.entries[r] @ pieces) for r in range(3)]
-    with pytest.raises(DecodeFailure):
+    with pytest.raises(DecodeFailure, match=match):
         mds_decode(coded, m)
 
 
@@ -273,9 +295,10 @@ def test_decode_factors_square_system_holds_up_to_31_pieces():
 
 
 def test_decode_factors_verdict_follows_the_one_norm_condition():
-    # dgecon is asked for the 1-norm estimate, so the verdict must agree
-    # with the exact 1-norm condition number; with the infinity norm the
-    # 32-piece system (1-norm rcond 9.9e-13) would pass.
+    # The verdict reads the exact 1-norm condition number (largest column
+    # sums of the system and its inverse), so it must agree with
+    # 1 / cond(sub, 1); with the infinity norm the 32-piece system
+    # (1-norm rcond 9.9e-13) would pass.
     for m in range(24, 36):
         matrix = make_encoding_matrix(m, m)
         rcond = 1.0 / np.linalg.cond(matrix.entries, 1)
