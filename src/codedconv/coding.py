@@ -124,31 +124,23 @@ def partition(values, piece_length: int) -> Partition:
     )
 
 
-def _radical_inverse(i: int) -> float:
-    """Base-2 radical inverse of a non-negative integer (van der Corput)."""
-    f, r = 0.5, 0.0
-    while i:
-        if i & 1:
-            r += f
-        i >>= 1
-        f *= 0.5
-    return r
-
-
 def encoding_points(count: int) -> np.ndarray:
     """Chebyshev nodes for a `count`-point grid, in bit-reversed order.
 
     The reordering matters: a prefix of the natural Chebyshev order is
     clustered (numerically near-coincident points), while the bit-reversed
-    order keeps every prefix spread over (-1, 1).
+    order keeps every prefix spread over (-1, 1).  Indices follow the
+    bit-reversal permutation of the next power of two, skipping those past
+    the grid.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     idx = np.arange(1, count + 1)
     nodes = np.cos(np.pi * (2 * idx - 1) / (2 * count))
-    keys = np.array([_radical_inverse(i) for i in range(count)])
-    order = np.argsort(keys, kind="stable")
-    return nodes[order]
+    order = [0]
+    while len(order) < count:
+        order = [2 * i for i in order] + [2 * i + 1 for i in order]
+    return nodes[[i for i in order if i < count]]
 
 
 @dataclass

@@ -229,9 +229,6 @@ class SimEngine:
         """Workers the master can address at t=0 (late joiners excluded)."""
         return [w for w, b in enumerate(self.behaviors) if not b.joins]
 
-    def departure_time(self, worker: int) -> float:
-        return self.behaviors[worker].departs
-
     # -- scheduling ----------------------------------------------------------
 
     def _push(self, time: float, ev: EngineEvent) -> None:
@@ -362,7 +359,7 @@ def episode_task(scenario, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return a, x
 
 
-def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
+def run_episode(scenario, strategy: str, seed: int, *, b=None,
                 horizon: float | None = None, collect_log: bool = False,
                 keep_result: bool = True, _behaviors=None) -> EpisodeMetrics:
     """Run one episode of `strategy` against `scenario` with `seed`.
@@ -390,7 +387,7 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
     if horizon is None:
         horizon = math.inf
         if n_stragglers:
-            pilot = run_episode(scenario, strategy, seed, b=b, s=s,
+            pilot = run_episode(scenario, strategy, seed, b=b,
                                 horizon=math.inf, keep_result=False,
                                 _behaviors=[normal] * len(behaviors))
             if pilot.success:
@@ -405,7 +402,7 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None, s=None,
     if strategy == "dynamic":
         knobs["b"] = b if b is not None else scenario.dynamic_b
     elif strategy == "traditional":
-        knobs["s"] = s if s is not None else scenario.traditional_s
+        knobs["s"] = scenario.traditional_s
     outcome = runner(scenario.n1, scenario.n2, eng, horizon=horizon, **knobs)
     result = None
     if keep_result and outcome.plan is not None:

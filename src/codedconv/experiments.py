@@ -37,12 +37,12 @@ def episode_seed(base_seed: int, scenario_name: str, rep: int) -> int:
 
 
 def run_reps(scenario: ScenarioConfig, strategy: str, reps: int,
-             base_seed: int, *, b=None, s=None,
+             base_seed: int, *, b=None,
              horizon=None) -> list[EpisodeMetrics]:
     return [
         run_episode(scenario, strategy,
                     episode_seed(base_seed, scenario.name, rep),
-                    b=b, s=s, horizon=horizon, keep_result=False)
+                    b=b, horizon=horizon, keep_result=False)
         for rep in range(reps)
     ]
 
@@ -139,12 +139,8 @@ def success_rate(scenario: ScenarioConfig, runs: int, base_seed: int,
     rows = []
     details: dict[str, list[tuple[int, bool]]] = {}
     for strategy in STRATEGY_ORDER:
-        detail = []
-        for rep in range(runs):
-            m = run_episode(scn, strategy,
-                            episode_seed(base_seed, scn.name, rep),
-                            horizon=math.inf, keep_result=False)
-            detail.append((m.n_stragglers, m.success))
+        detail = [(m.n_stragglers, m.success) for m in
+                  run_reps(scn, strategy, runs, base_seed, horizon=math.inf)]
         details[strategy] = detail
         successes = sum(ok for _, ok in detail)
         rows.append({"strategy": strategy,
@@ -286,7 +282,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file: {path}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 

@@ -6,9 +6,12 @@ Three strategies share the same engine interface:
   exactly one worker, so every worker must answer.
 * traditional: one operand is erasure-coded up front with a fixed number
   of redundant rows, so the fastest subset of workers suffices.
-* dynamic: coded pieces are cut on demand from a stack and paced per
-  worker by an online estimate of its turnaround, so redundancy adapts
-  to observed behaviour instead of being fixed in advance.
+* dynamic: coded pieces are cut on demand and paced per worker by an
+  online estimate of its turnaround, so redundancy adapts to observed
+  behaviour instead of being fixed in advance.  With m pieces and a
+  budget of encoding rows, rows go out in the order m, m-1, ..., 1, then
+  m+1, ..., budget-1, then 0: a stack of rows 0..m, topped up with a
+  fresh row whenever it is about to empty.
 
 Strategies schedule from the operand lengths alone and never see the
 operands.  Each returns a StrategyOutcome; completion_time is the arrival
@@ -160,20 +163,33 @@ def select_s(n1: int, n2: int, p: int, profiles,
 # -- fixed codes: uncoded and traditional ---------------------------------------
 
 
+def _record(plan: Plan, i: int, j: int) -> bool:
+    """Record row i for column j; True once every column is full.
+
+    A column is full at `matrix.cols` rows, and the row that fills it runs
+    decode_factors on them (DecodeFailure propagates).  Later rows of a
+    full column are ignored.
+    """
+    m = plan.matrix.cols
+    rows = plan.columns[j]
+    if len(rows) == m:
+        return False
+    rows.append(i)
+    if len(rows) < m:
+        return False
+    decode_factors(plan.matrix, rows)
+    return all(len(col) == m for col in plan.columns)
+
+
 def _run_fixed_code(plan: Plan, eng, horizon: float,
                     params: dict) -> StrategyOutcome:
     """Send pair k = (row i, column j), row-major, to roster[k % len(roster)].
 
-    `plan.columns` starts empty.  Column j is done when `matrix.cols` of its
-    rows are back and their decode system passes decode_factors; the
-    episode when all columns are.
+    `plan.columns` starts empty and fills in arrival order (see `_record`).
     """
     s = plan.coded_length
-    matrix = plan.matrix
-    m = matrix.cols
-    columns = plan.columns
-    ncols = len(columns)
-    n_pairs = matrix.rows * ncols
+    ncols = len(plan.columns)
+    n_pairs = plan.matrix.rows * ncols
     per_worker = defaultdict(int)
     roster = eng.initial_roster()
     if not roster:
@@ -186,21 +202,15 @@ def _run_fixed_code(plan: Plan, eng, horizon: float,
         if ev.kind != "result_arrives":
             continue
         per_worker[ev.worker] += 1
-        i, j = divmod(ev.row, ncols)
-        rows = columns[j]
-        if len(rows) == m:
-            continue
-        rows.append(i)
-        if len(rows) == m:
-            try:
-                decode_factors(matrix, rows)
-            except DecodeFailure:
-                # Numerically unusable system: count the episode as failed
-                # rather than aborting the whole experiment.
-                break
-            if all(len(col) == m for col in columns):
-                return StrategyOutcome(True, ev.time, n_pairs, 0,
-                                       dict(per_worker), params, plan)
+        try:
+            done = _record(plan, *divmod(ev.row, ncols))
+        except DecodeFailure:
+            # Numerically unusable system: count the episode as failed
+            # rather than aborting the whole experiment.
+            break
+        if done:
+            return StrategyOutcome(True, ev.time, n_pairs, 0,
+                                   dict(per_worker), params, plan)
     return _failed(horizon, n_pairs, 0, per_worker, params)
 
 
@@ -266,9 +276,10 @@ class DispatchEstimator:
     outstanding piece (with work queued it cannot go idle before the new
     piece lands); the increment is the gap between finishing the previous
     piece and the new piece reaching it, which in master-side terms is
-    rtt - (t_recv_prev - t_send_new), clamped at zero.  Each increment is
-    booked when that piece's own result returns, so the accumulator never
-    runs ahead of t_finish.  The expected per-piece time is then
+    rtt - (t_recv_prev - t_send_new), never negative because the send
+    follows the previous result.  Each increment is booked when that
+    piece's own result returns, so the accumulator never runs ahead of
+    t_finish.  The expected per-piece time is then
     (t_finish_last - idle_total) / results, and the dispatch interval is
     the smaller of that and the last whole-service time, falling back to
     the service time when the expectation is not yet meaningful.
@@ -279,23 +290,22 @@ class DispatchEstimator:
 
     def _entry(self, worker: int) -> dict:
         return self._stats.setdefault(worker, {
-            "count": 0, "in_flight": 0, "t_recv": None, "t_finish": 0.0,
-            "idle": 0.0, "pending_idle": [], "rtt": 0.0, "service": 0.0,
+            "count": 0, "t_recv": 0.0, "t_finish": 0.0, "idle": 0.0,
+            "pending_idle": [], "rtt": 0.0, "service": 0.0,
         })
 
     def record_send(self, worker: int, t_send: float) -> None:
+        # `pending_idle` holds one entry per piece in flight.
         st = self._entry(worker)
         increment = 0.0
-        if st["in_flight"] == 0 and st["t_recv"] is not None:
-            increment = max(0.0, st["rtt"] - (st["t_recv"] - t_send))
+        if st["count"] and not st["pending_idle"]:
+            increment = st["rtt"] - (st["t_recv"] - t_send)
         st["pending_idle"].append(increment)
-        st["in_flight"] += 1
 
     def record_result(self, worker: int, t_sent: float, t_recv: float,
                       rtt: float, n_in: int, n_out: int) -> None:
         st = self._entry(worker)
         st["count"] += 1
-        st["in_flight"] = max(0, st["in_flight"] - 1)
         if st["pending_idle"]:
             st["idle"] += st["pending_idle"].pop(0)
         share = n_out / (n_in + n_out)
@@ -325,11 +335,10 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
                 b: int | None = None) -> StrategyOutcome:
     """Cut coded pieces on demand and pace each worker by its own estimate.
 
-    A stack of encoding-matrix row indices holds the not-yet-dispatched
-    pieces; whenever it is about to empty a fresh redundant row is pushed,
-    so redundancy grows only as fast as results fail to arrive.  Every
-    worker gets one piece up front, then another one per estimated
-    turnaround interval, re-checked via wakeups.
+    Rows go out in the stack order of the module docstring, so redundancy
+    grows only as fast as results fail to arrive.  Every worker gets one
+    piece up front, then another one per estimated turnaround interval,
+    re-checked via wakeups.
     """
     _check_lengths(n1, n2)
     p = eng.n_workers
@@ -337,34 +346,25 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
         b = default_piece_length(n2, p)
     m = _pieces(n2, b)
     budget = m + max(_MIN_EXTRA_ROWS, _EXTRA_ROWS_PER_WORKER * p)
-    matrix = make_encoding_matrix(budget, m)
+    plan = Plan(lengths=(n1, n2), coded_is_x=True, coded_length=b,
+                other_length=n1, matrix=make_encoding_matrix(budget, m),
+                columns=[[]])
     params = {"b": b, "pieces": m, "budget": budget}
     per_worker = defaultdict(int)
 
-    stack = list(range(m + 1))
-    next_row = m + 1
-    redundancy = 1
+    order = [*range(m, 0, -1), *range(m + 1, budget), 0]
     dispatched = 0
     est = DispatchEstimator()
     t_send_last: dict[int, float] = {}
     live = set(eng.initial_roster())
 
-    def pop_row() -> int | None:
-        nonlocal next_row, redundancy
-        if len(stack) <= 1 and next_row < budget:
-            stack.append(next_row)
-            next_row += 1
-            redundancy += 1
-        return stack.pop() if stack else None
-
     def dispatch(worker: int) -> bool:
         nonlocal dispatched
-        row = pop_row()
-        if row is None:
+        if dispatched == budget:
             return False
         est.record_send(worker, eng.now)
         t_send_last[worker] = eng.now
-        eng.send(worker, row=row, n_in=b, n_out=n1 + b - 1,
+        eng.send(worker, row=order[dispatched], n_in=b, n_out=n1 + b - 1,
                  load_pair=(n1, b))
         dispatched += 1
         return True
@@ -386,7 +386,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     for worker in sorted(live):
         dispatch(worker)
 
-    rows: list[int] = []
+    done = False
     for ev in eng.events(until=horizon):
         if ev.kind == "worker_leaves":
             live.discard(ev.worker)
@@ -399,19 +399,19 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
             est.record_result(ev.worker, ev.t_sent, ev.time, ev.rtt,
                               ev.n_in, ev.n_out)
             per_worker[ev.worker] += 1
-            if ev.row not in rows:
-                rows.append(ev.row)
-                if len(rows) == m:
-                    try:
-                        decode_factors(matrix, rows)
-                    except DecodeFailure:
-                        break
-                    plan = Plan(lengths=(n1, n2), coded_is_x=True,
-                                coded_length=b, other_length=n1,
-                                matrix=matrix, columns=[rows])
-                    return StrategyOutcome(True, ev.time, dispatched, redundancy,
-                                           dict(per_worker), params, plan)
+            try:
+                done = _record(plan, ev.row, 0)
+            except DecodeFailure:
+                break
+            if done:
+                break
             pace(ev.worker)
+    # The stack's spare row 0 plus one per fresh row sent: every dispatch
+    # past the m-th sends one until rows m+1..budget-1 are out.
+    redundancy = 1 + min(max(dispatched - m, 0), budget - 1 - m)
+    if done:
+        return StrategyOutcome(True, ev.time, dispatched, redundancy,
+                               dict(per_worker), params, plan)
     return _failed(horizon, dispatched, redundancy, per_worker, params)
 
 

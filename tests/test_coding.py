@@ -186,6 +186,28 @@ def test_matrix_any_square_submatrix_invertible():
         assert abs(det) > 1e-12
 
 
+def _radical_inverse(i: int) -> float:
+    """Base-2 radical inverse of a non-negative integer (van der Corput)."""
+    f, r = 0.5, 0.0
+    while i:
+        if i & 1:
+            r += f
+        i >>= 1
+        f *= 0.5
+    return r
+
+
+def test_encoding_points_match_radical_inverse_order():
+    # Reference: sort the Chebyshev nodes by the radical inverse of their
+    # index.  The key of index i does not depend on the count.
+    keys = np.array([_radical_inverse(i) for i in range(2048)])
+    for count in range(1, 2049):
+        idx = np.arange(1, count + 1)
+        nodes = np.cos(np.pi * (2 * idx - 1) / (2 * count))
+        want = nodes[np.argsort(keys[:count], kind="stable")]
+        np.testing.assert_array_equal(encoding_points(count), want)
+
+
 def test_encoding_points_prefix_is_spread():
     # Any prefix of the reordered points covers both halves of (-1, 1).
     pts = encoding_points(256)[:8]

@@ -94,7 +94,7 @@ def test_each_worker_computes_fifo(eng):
 def test_no_result_after_departure(eng):
     times, sent = piece_times(eng)
     for worker, rows in sent.items():
-        departs = eng.departure_time(worker)
+        departs = eng.behaviors[worker].departs
         for row in rows:
             assert times[worker, row].get("result_arrives", 0.0) <= departs
 

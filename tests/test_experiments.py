@@ -249,6 +249,14 @@ def test_config_missing_file():
         load_config("/no/such/file.cfg")
 
 
+def test_config_unreadable_path_named(tmp_path, capsys):
+    # configparser skips paths it cannot open; a directory must not read
+    # as an empty config.
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config file: {tmp_path}" in err
+
+
 def test_config_index_and_sizes_conflict(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("[scenario]\nindex = 1\nn1 = 100\n")

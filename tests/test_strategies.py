@@ -293,6 +293,39 @@ def test_dynamic_more_workers_than_pieces_grows_redundancy():
     assert out.redundancy_used >= 5
 
 
+def stack_dispatch(m, budget, count):
+    """Rows and redundancy of `count` pops from the dynamic strategy's stack.
+
+    The stack starts as rows 0..m; a fresh row is pushed, and redundancy
+    counted, whenever a pop would leave it empty.
+    """
+    stack, fresh, redundancy, rows = list(range(m + 1)), m + 1, 1, []
+    for _ in range(count):
+        if len(stack) <= 1 and fresh < budget:
+            stack.append(fresh)
+            fresh += 1
+            redundancy += 1
+        rows.append(stack.pop())
+    return rows, redundancy
+
+
+@pytest.mark.parametrize("behaviors, n2, b", [
+    ([Behavior()] * 6, 8, 8),                                   # m = 1
+    ([Behavior(departs=0.0), Behavior(slowdown=50.0), Behavior()], 48, 12),
+])
+def test_dynamic_dispatch_order_matches_stack(behaviors, n2, b):
+    eng = make_engine(p=len(behaviors), behaviors=behaviors, collect_log=True)
+    out = run_dynamic(32, n2, eng, b=b)
+    m = out.params["pieces"]
+    sent = [rec.row for rec in sorted(eng.log, key=lambda rec: rec.seq)
+            if rec.kind == "dispatch"]
+    assert out.success
+    assert len(sent) == out.pieces_dispatched > m + 1
+    rows, redundancy = stack_dispatch(m, out.params["budget"], len(sent))
+    assert sent == rows
+    assert out.redundancy_used == redundancy
+
+
 def test_dynamic_survives_all_but_one_failure():
     rng = np.random.default_rng(13)
     a, x = random_task(rng, 60, 40)
