@@ -7,34 +7,3 @@ grows redundancy on demand while pacing dispatches per worker.
 """
 
 __version__ = "0.1.0"
-
-from .coding import (
-    CodedPiece,
-    DecodeFailure,
-    EncodingMatrix,
-    InsufficientResults,
-    Partition,
-    convolve_direct,
-    convolve_fft,
-    make_encoding_matrix,
-    mds_decode,
-    mds_encode,
-    overlap_add,
-    partition,
-)
-
-__all__ = [
-    "CodedPiece",
-    "DecodeFailure",
-    "EncodingMatrix",
-    "InsufficientResults",
-    "Partition",
-    "convolve_direct",
-    "convolve_fft",
-    "make_encoding_matrix",
-    "mds_decode",
-    "mds_encode",
-    "overlap_add",
-    "partition",
-    "__version__",
-]

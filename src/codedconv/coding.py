@@ -96,7 +96,6 @@ class Partition:
     pieces: np.ndarray          # shape (count, piece_length)
     piece_length: int
     original_length: int
-    pad_count: int
 
     @property
     def count(self) -> int:
@@ -120,7 +119,6 @@ def partition(values, piece_length: int) -> Partition:
         pieces=padded.reshape(count, piece_length),
         piece_length=piece_length,
         original_length=len(vec),
-        pad_count=pad,
     )
 
 
@@ -143,52 +141,18 @@ def encoding_points(count: int) -> np.ndarray:
     return nodes[[i for i in order if i < count]]
 
 
-@dataclass
-class EncodingMatrix:
-    """Vandermonde entries[i, j] = points[i] ** j; identity code: points=None."""
-
-    entries: np.ndarray         # shape (rows, cols)
-    points: np.ndarray | None   # shape (rows,); None for the identity code
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-
-def make_encoding_matrix(rows: int, cols: int, points=None) -> EncodingMatrix:
-    """Build a rows x cols Vandermonde matrix over distinct real points.
+def make_encoding_matrix(rows: int, cols: int) -> np.ndarray:
+    """Build a rows x cols Vandermonde matrix over encoding_points(rows).
 
     Distinct points make every cols x cols row-submatrix invertible, so any
-    `cols` coded results determine the original pieces.  By default the
-    points come from encoding_points(rows); callers may supply
-    explicit points instead.
+    `cols` coded results determine the original pieces.  Any other 2-D
+    array, such as the identity, serves as a code too.
     """
     if cols < 1:
         raise ValueError("cols must be >= 1")
     if rows < 1:
         raise ValueError("rows must be >= 1")
-    if points is None:
-        pts = encoding_points(rows)
-    else:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.shape != (rows,):
-            raise ValueError(f"expected {rows} points, got shape {pts.shape}")
-        if len(np.unique(pts)) != rows:
-            raise ValueError("evaluation points must be distinct")
-    entries = np.vander(pts, cols, increasing=True)
-    return EncodingMatrix(entries=entries, points=pts)
-
-
-@dataclass
-class CodedPiece:
-    """One encoded combination of pieces, tagged with its matrix row."""
-
-    row_index: int
-    values: np.ndarray
+    return np.vander(encoding_points(rows), cols, increasing=True)
 
 
 def _pieces_array(pieces) -> np.ndarray:
@@ -198,19 +162,20 @@ def _pieces_array(pieces) -> np.ndarray:
     return arr
 
 
-def mds_encode(pieces, matrix: EncodingMatrix, row_index: int) -> CodedPiece:
-    """Combine pieces with one matrix row: sum_j entries[row, j] * piece[j]."""
+def mds_encode(pieces, matrix: np.ndarray, row: int) -> np.ndarray:
+    """Combine pieces with one matrix row: sum_j matrix[row, j] * piece[j]."""
     arr = _pieces_array(pieces)
-    if arr.shape[0] != matrix.cols:
-        raise ValueError(f"matrix has {matrix.cols} cols but {arr.shape[0]} pieces given")
-    if not 0 <= row_index < matrix.rows:
-        raise ValueError(f"row_index {row_index} out of range for {matrix.rows} rows")
-    return CodedPiece(row_index=int(row_index), values=matrix.entries[row_index] @ arr)
+    rows, cols = matrix.shape
+    if arr.shape[0] != cols:
+        raise ValueError(f"matrix has {cols} cols but {arr.shape[0]} pieces given")
+    if not 0 <= row < rows:
+        raise ValueError(f"row {row} out of range for {rows} rows")
+    return matrix[row] @ arr
 
 
-def decode_factors(matrix: EncodingMatrix, rows) -> np.ndarray:
+def decode_factors(matrix: np.ndarray, rows) -> np.ndarray:
     """Inverse of matrix `rows`; DecodeFailure if singular or rcond < RCOND_LIMIT."""
-    sub = matrix.entries[list(rows)]
+    sub = matrix[list(rows)]
     try:
         inv = np.linalg.inv(sub)
     except np.linalg.LinAlgError as exc:
@@ -225,8 +190,8 @@ def decode_factors(matrix: EncodingMatrix, rows) -> np.ndarray:
     return inv
 
 
-def mds_decode(results, matrix: EncodingMatrix) -> np.ndarray:
-    """Recover the original pieces from >= cols coded results.
+def mds_decode(results, matrix: np.ndarray) -> np.ndarray:
+    """Recover the original pieces from >= cols (row, vector) results.
 
     The first `cols` results (in the order given) drive the linear solve;
     any extra results are held out and re-encoded from the recovered pieces
@@ -236,29 +201,29 @@ def mds_decode(results, matrix: EncodingMatrix) -> np.ndarray:
     check at DECODE_GUARD_REL.
     """
     results = list(results)
-    m = matrix.cols
+    n_rows, m = matrix.shape
     if len(results) < m:
         raise InsufficientResults(f"need {m} results, got {len(results)}")
-    rows = [int(r.row_index) for r in results]
+    rows = [int(row) for row, _ in results]
     if len(set(rows)) != len(rows):
         raise ValueError("coded results must carry distinct row indices")
     for r in rows:
-        if not 0 <= r < matrix.rows:
-            raise ValueError(f"row index {r} out of range for {matrix.rows} rows")
-    lengths = {len(r.values) for r in results}
+        if not 0 <= r < n_rows:
+            raise ValueError(f"row index {r} out of range for {n_rows} rows")
+    lengths = {len(values) for _, values in results}
     if len(lengths) != 1:
         raise ValueError("coded results must all have the same length")
 
-    rhs = np.stack([as_vector(r.values) for r in results[:m]])
+    rhs = np.stack([as_vector(values) for _, values in results[:m]])
     recovered = decode_factors(matrix, rows[:m]) @ rhs
 
-    for extra in results[m:]:
-        predicted = matrix.entries[extra.row_index] @ recovered
-        scale = max(np.abs(extra.values).max(), 1.0)
-        mismatch = np.abs(predicted - extra.values).max() / scale
+    for row, values in results[m:]:
+        predicted = matrix[row] @ recovered
+        scale = max(np.abs(values).max(), 1.0)
+        mismatch = np.abs(predicted - values).max() / scale
         if mismatch > DECODE_GUARD_REL:
             raise DecodeFailure(
-                f"held-out row {extra.row_index} mismatch {mismatch:.3e} "
+                f"held-out row {row} mismatch {mismatch:.3e} "
                 f"exceeds {DECODE_GUARD_REL:.0e}")
     return recovered
 

@@ -28,14 +28,13 @@ events.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .models import (
     FAILURE_MODES,
-    STRAGGLER_MODES,
     Behavior,
     CommParams,
     WorkerProfile,
@@ -44,6 +43,7 @@ from .models import (
     data_rate,
     sample_compute_time,
 )
+from .strategies import STRATEGIES, StrategyOutcome
 
 _MASK64 = (1 << 64) - 1
 
@@ -142,8 +142,6 @@ class EngineEvent:
     row: int = -1
     t_sent: float = 0.0
     rtt: float = 0.0
-    n_in: int = 0
-    n_out: int = 0
 
 
 class SimEngine:
@@ -245,16 +243,19 @@ class SimEngine:
         """Ask for a wakeup event at `time` tagged with `worker`."""
         self._push(max(time, self._now), EngineEvent("wakeup", time, worker))
 
-    def send(self, worker: int, row, n_in: int, n_out: int,
+    def send(self, worker: int, row, n_in: int,
              load_pair: tuple[int, int]) -> None:
         """Dispatch work item `row` to a worker at the current time.
 
+        The worker receives `n_in` values and convolves operands of the
+        `load_pair` lengths, so its result has sum(load_pair) - 1 values.
         Transfer times for both directions are priced at the dispatch-time
         distance.  The piece is silently lost when the worker has departed
         or not yet joined, or departs before the result is back; the master
         has no failure detection beyond roster-change events.
         """
         now = self._now
+        n_out = load_pair[0] + load_pair[1] - 1
         beh = self.behaviors[worker]
         self._log_event("dispatch", now, worker, row, n_in)
         dead_t = beh.departs
@@ -286,8 +287,7 @@ class SimEngine:
             return
         self._log_event("result_arrives", t_recv, worker, row, n_out)
         self._push(t_recv, EngineEvent("result_arrives", t_recv, worker, row=row,
-                                       t_sent=now, rtt=t_in + t_out,
-                                       n_in=n_in, n_out=n_out))
+                                       t_sent=now, rtt=t_in + t_out))
 
     def events(self, until: float = math.inf):
         """Pop events in (time, seq) order, stopping past `until`."""
@@ -299,21 +299,15 @@ class SimEngine:
             yield ev
 
 
-@dataclass
-class EpisodeMetrics:
-    """Summary of one strategy episode."""
+@dataclass(kw_only=True)
+class EpisodeMetrics(StrategyOutcome):
+    """The strategy's outcome for one episode, plus the episode's own fields."""
 
     scenario_name: str
     strategy: str
     seed: int
-    success: bool
-    completion_time: float
     horizon: float
-    pieces_dispatched: int
-    redundancy_used: int
-    per_worker_results: dict
     n_stragglers: int
-    params: dict = field(default_factory=dict)
     result: np.ndarray | None = None
     event_log: list | None = None
 
@@ -322,7 +316,7 @@ def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     """Draw per-worker compute profiles for one episode."""
     stream = substream(seed, _SCENARIO_TAG, _MU)
     mus = stream.uniform(scenario.mu_low, scenario.mu_high, scenario.n_workers)
-    return [WorkerProfile(mu=float(mu), alpha=1.0 / float(mu)) for mu in mus]
+    return [WorkerProfile(mu=float(mu)) for mu in mus]
 
 
 def episode_behaviors(scenario, seed: int) -> list[Behavior]:
@@ -333,9 +327,6 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     straggler draw has its own stream, so changing the ratio or mode never
     changes the workers' compute or mobility draws.
     """
-    mode = scenario.straggler_mode
-    if mode not in STRAGGLER_MODES:
-        raise ValueError(f"unknown straggler mode {mode!r}")
     p = scenario.n_workers
     stream = substream(seed, _SCENARIO_TAG, _STRAGGLER)
     if scenario.failure_count_uniform:
@@ -344,7 +335,8 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
         count = int(round(scenario.straggler_ratio * p))
     behaviors = [Behavior()] * p
     if count:
-        straggler = (Behavior(departs=0.0) if mode in FAILURE_MODES
+        straggler = (Behavior(departs=0.0)
+                     if scenario.straggler_mode in FAILURE_MODES
                      else Behavior(slowdown=scenario.delay_factor))
         for w in stream.choice(p, size=count, replace=False):
             behaviors[w] = straggler
@@ -373,12 +365,10 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     `keep_result` does a successful episode draw the operands and
     assemble the convolution into `result`.
     """
-    from . import strategies as _strategies
-
-    runner = _strategies.STRATEGIES.get(strategy)
+    runner = STRATEGIES.get(strategy)
     if runner is None:
         raise ValueError(f"unknown strategy {strategy!r}; "
-                         f"choose from {sorted(_strategies.STRATEGIES)}")
+                         f"choose from {sorted(STRATEGIES)}")
     profiles = episode_profiles(scenario, seed)
     behaviors = _behaviors if _behaviors is not None else episode_behaviors(scenario, seed)
     normal = Behavior()
@@ -409,17 +399,12 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
         result = outcome.plan.assemble(*episode_task(scenario, seed))
 
     return EpisodeMetrics(
+        **vars(outcome),
         scenario_name=scenario.name,
         strategy=strategy,
         seed=seed,
-        success=outcome.success,
-        completion_time=outcome.completion_time,
         horizon=horizon,
-        pieces_dispatched=outcome.pieces_dispatched,
-        redundancy_used=outcome.redundancy_used,
-        per_worker_results=outcome.per_worker_results,
         n_stragglers=n_stragglers,
-        params=outcome.params,
         result=result,
         event_log=eng.log if collect_log else None,
     )

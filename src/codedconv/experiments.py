@@ -286,6 +286,8 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"cannot read config file: {path}")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
     config: dict[str, dict] = {}
     for section in parser.sections():

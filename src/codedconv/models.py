@@ -8,7 +8,7 @@ time; mobility and the effect of each behaviour live in the event engine.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,14 +22,15 @@ class WorkerProfile:
     """Per-worker compute parameters for the shifted-exponential model."""
 
     mu: float                   # exponential rate scale (straggling)
-    alpha: float                # deterministic seconds per unit load
+    alpha: float = field(init=False)    # seconds per unit load, 1 / mu
 
     def __post_init__(self):
-        if self.mu <= 0 or self.alpha < 0:
-            raise ValueError(f"invalid profile mu={self.mu} alpha={self.alpha}")
+        if not self.mu > 0:
+            raise ValueError(f"invalid profile mu={self.mu}")
+        self.alpha = 1.0 / self.mu
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommParams:
     """Radio link parameters shared by all master-worker links."""
 

@@ -35,7 +35,7 @@ TUNED_DYNAMIC_B = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One simulated fleet configuration plus task size."""
 
@@ -88,10 +88,6 @@ class ScenarioConfig:
             # More coded pieces than the square-system limit never decode.
             problems.append("traditional_s must be in [1, min(n1, n2)] and cut "
                             f"max(n1, n2) into <= {MAX_SQUARE_PIECES} pieces")
-        if self.comm.bandwidth_hz <= 0 or self.comm.noise_w <= 0:
-            problems.append("comm bandwidth and noise must be positive")
-        if self.comm.payload_bytes < 1:
-            problems.append("comm payload_bytes must be >= 1")
         if problems:
             raise ValueError("invalid scenario config: " + "; ".join(problems))
 

@@ -28,9 +28,7 @@ import numpy as np
 
 from .coding import (
     MAX_SQUARE_PIECES,
-    CodedPiece,
     DecodeFailure,
-    EncodingMatrix,
     as_vector,
     convolve_fft,
     decode_factors,
@@ -56,16 +54,17 @@ class Plan:
 
     The coded operand (x when `coded_is_x`, else a) is cut into pieces of
     `coded_length` and the other one into pieces of `other_length`.
-    Result (i, j) is row i of `matrix` applied to the coded pieces,
-    convolved with piece j of the other operand; `columns[j]` lists the
-    rows i of column j in arrival order.  `lengths` is (len(a), len(x)).
+    Result (i, j) is row i of the 2-D array `matrix` applied to the coded
+    pieces, convolved with piece j of the other operand; `columns[j]`
+    lists the rows i of column j in arrival order.  `lengths` is
+    (len(a), len(x)).
     """
 
     lengths: tuple[int, int]
     coded_is_x: bool
     coded_length: int
     other_length: int
-    matrix: EncodingMatrix
+    matrix: np.ndarray
     columns: list[list[int]]
 
     def assemble(self, a, x) -> np.ndarray:
@@ -82,8 +81,8 @@ class Plan:
         column_length = coded.original_length + other.piece_length - 1
         parts = []
         for piece, rows in zip(other.pieces, self.columns):
-            results = [CodedPiece(i, convolve_fft(
-                mds_encode(coded, self.matrix, i).values, piece)) for i in rows]
+            results = [(i, convolve_fft(mds_encode(coded, self.matrix, i), piece))
+                       for i in rows]
             decoded = mds_decode(results, self.matrix)
             parts.append(overlap_add(list(decoded), coded.piece_length,
                                      column_length))
@@ -166,11 +165,11 @@ def select_s(n1: int, n2: int, p: int, profiles,
 def _record(plan: Plan, i: int, j: int) -> bool:
     """Record row i for column j; True once every column is full.
 
-    A column is full at `matrix.cols` rows, and the row that fills it runs
-    decode_factors on them (DecodeFailure propagates).  Later rows of a
-    full column are ignored.
+    A column is full at as many rows as the matrix has columns, and the
+    row that fills it runs decode_factors on them (DecodeFailure
+    propagates).  Later rows of a full column are ignored.
     """
-    m = plan.matrix.cols
+    m = plan.matrix.shape[1]
     rows = plan.columns[j]
     if len(rows) == m:
         return False
@@ -189,14 +188,13 @@ def _run_fixed_code(plan: Plan, eng, horizon: float,
     """
     s = plan.coded_length
     ncols = len(plan.columns)
-    n_pairs = plan.matrix.rows * ncols
+    n_pairs = plan.matrix.shape[0] * ncols
     per_worker = defaultdict(int)
     roster = eng.initial_roster()
     if not roster:
         return _failed(horizon, 0, 0, per_worker, params)
     for k in range(n_pairs):
-        eng.send(roster[k % len(roster)], row=k, n_in=2 * s, n_out=2 * s - 1,
-                 load_pair=(s, s))
+        eng.send(roster[k % len(roster)], row=k, n_in=2 * s, load_pair=(s, s))
 
     for ev in eng.events(until=horizon):
         if ev.kind != "result_arrives":
@@ -224,10 +222,9 @@ def run_uncoded(n1: int, n2: int, eng,
     _check_lengths(n1, n2)
     s = max(1, round(math.sqrt(n1 * n2 / eng.n_workers)))
     rows, ncols = _pieces(n1, s), _pieces(n2, s)
-    identity = EncodingMatrix(np.eye(rows), points=None)
     params = {"s": s, "rows": rows, "columns": ncols}
     plan = Plan(lengths=(n1, n2), coded_is_x=False, coded_length=s,
-                other_length=s, matrix=identity,
+                other_length=s, matrix=np.eye(rows),
                 columns=[[] for _ in range(ncols)])
     return _run_fixed_code(plan, eng, horizon, params)
 
@@ -253,6 +250,8 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
         s = select_s(n1, n2, p, eng.profiles, eng.compute_coeff)
         if s is None:
             return _failed(horizon, 0, 0, {}, {"s": None, "swapped": swapped})
+    elif s < 1:
+        raise ValueError(f"chunk length s must be >= 1, got {s}")
     pieces, ncols = _pieces(n1, s), _pieces(n2, s)
     rows = max(pieces, p // ncols)
     params = {"s": s, "pieces": pieces, "rows": rows, "columns": ncols,
@@ -344,6 +343,8 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     p = eng.n_workers
     if b is None:
         b = default_piece_length(n2, p)
+    elif b < 1:
+        raise ValueError(f"piece length b must be >= 1, got {b}")
     m = _pieces(n2, b)
     budget = m + max(_MIN_EXTRA_ROWS, _EXTRA_ROWS_PER_WORKER * p)
     plan = Plan(lengths=(n1, n2), coded_is_x=True, coded_length=b,
@@ -364,8 +365,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
             return False
         est.record_send(worker, eng.now)
         t_send_last[worker] = eng.now
-        eng.send(worker, row=order[dispatched], n_in=b, n_out=n1 + b - 1,
-                 load_pair=(n1, b))
+        eng.send(worker, row=order[dispatched], n_in=b, load_pair=(n1, b))
         dispatched += 1
         return True
 
@@ -376,7 +376,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
         interval = est.interval(worker)
         if interval is None:
             return
-        due = t_send_last.get(worker, -math.inf) + interval
+        due = t_send_last[worker] + interval
         if eng.now >= due:
             if dispatch(worker):
                 eng.schedule_wakeup(eng.now + interval, worker)
@@ -397,7 +397,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
             pace(ev.worker)
         elif ev.kind == "result_arrives":
             est.record_result(ev.worker, ev.t_sent, ev.time, ev.rtt,
-                              ev.n_in, ev.n_out)
+                              b, n1 + b - 1)
             per_worker[ev.worker] += 1
             try:
                 done = _record(plan, ev.row, 0)

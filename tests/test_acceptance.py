@@ -78,7 +78,7 @@ def test_criterion_2_any_m_of_n_decodes():
         for m in range(1, r + 1):
             mat = make_encoding_matrix(r, m)
             pieces = rng.uniform(-1, 1, (m, 12))
-            coded = [mds_encode(pieces, mat, i) for i in range(r)]
+            coded = [(i, mds_encode(pieces, mat, i)) for i in range(r)]
             scale = np.abs(pieces).max()
             for subset in itertools.combinations(range(r), m):
                 got = mds_decode([coded[i] for i in subset], mat)
@@ -86,7 +86,7 @@ def test_criterion_2_any_m_of_n_decodes():
                 checked += 1
     mat = make_encoding_matrix(24, 16)
     pieces = rng.uniform(-1, 1, (16, 12))
-    coded = [mds_encode(pieces, mat, i) for i in range(24)]
+    coded = [(i, mds_encode(pieces, mat, i)) for i in range(24)]
     scale = np.abs(pieces).max()
     for _ in range(200):
         subset = rng.choice(24, size=16, replace=False)
@@ -113,9 +113,9 @@ def test_criterion_3_encoding_commutes_with_convolution():
         mat = make_encoding_matrix(rows, m)
         row = int(rng.integers(0, rows))
         coded = mds_encode(pieces, mat, row)
-        lhs = convolve_fft(a, coded.values)
+        lhs = convolve_fft(a, coded)
         partial_convs = np.stack([convolve_fft(a, piece) for piece in pieces])
-        rhs = mds_encode(partial_convs, mat, row).values
+        rhs = mds_encode(partial_convs, mat, row)
         worst = max(worst, rel_error(lhs, rhs))
     ok = worst <= 1e-9
     report(3, ok, f"worst rel {worst:.3e} over 50 instances")
@@ -218,7 +218,7 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path, capsys):
 def test_criterion_9_compute_time_sampler_statistics():
     rng = np.random.default_rng(31337)
     mu = 4.5e6
-    profile = WorkerProfile(mu=mu, alpha=1.0 / mu)
+    profile = WorkerProfile(mu=mu)
     load = compute_load(512, 256)
     samples = np.array([sample_compute_time(rng, load, profile)
                         for _ in range(100_000)])

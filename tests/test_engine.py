@@ -20,11 +20,12 @@ from codedconv.engine import (
 )
 from codedconv.models import Behavior, CommParams, WorkerProfile, comm_time, data_rate
 from codedconv.scenarios import benchmark_scenario
+from codedconv.strategies import StrategyOutcome
 
 
 def make_engine(p=2, seed=11, behaviors=None, profiles=None, collect_log=True,
                 **kwargs):
-    profiles = profiles or [WorkerProfile(mu=4e6, alpha=2.5e-7)] * p
+    profiles = profiles or [WorkerProfile(mu=4e6)] * p
     behaviors = behaviors or [Behavior() for _ in range(p)]
     return SimEngine(profiles, behaviors, CommParams(), seed,
                      collect_log=collect_log, **kwargs)
@@ -144,7 +145,7 @@ def test_single_piece_timing_matches_models():
     d0 = probe.distance(0, 0.0)
     rate = data_rate(d0, probe.comm)
     n_in, n_out = 100, 299
-    eng.send(0, row=0, n_in=n_in, n_out=n_out, load_pair=(200, 100))
+    eng.send(0, row=0, n_in=n_in, load_pair=(200, 100))
     results = [ev for ev in eng.events() if ev.kind == "result_arrives"]
     assert len(results) == 1
     log = {rec.kind: rec.time for rec in eng.log}
@@ -162,7 +163,7 @@ def test_single_piece_timing_matches_models():
 def test_worker_queues_pieces_fifo():
     eng = make_engine(p=1, seed=3)
     for row in range(3):
-        eng.send(0, row=row, n_in=10, n_out=19, load_pair=(10, 10))
+        eng.send(0, row=row, n_in=10, load_pair=(10, 10))
     for _ in eng.events():
         pass
     done = [rec for rec in eng.log if rec.kind == "compute_done"]
@@ -177,12 +178,12 @@ def test_worker_queues_pieces_fifo():
 
 
 def test_delayed_worker_scales_compute_and_return():
-    profiles = [WorkerProfile(mu=4e6, alpha=2.5e-7)]
+    profiles = [WorkerProfile(mu=4e6)]
     normal = SimEngine(profiles, [Behavior()], CommParams(), 7, collect_log=True)
     slowed = SimEngine(profiles, [Behavior(slowdown=15.0)],
                        CommParams(), 7, collect_log=True)
     for eng in (normal, slowed):
-        eng.send(0, row=0, n_in=50, n_out=99, load_pair=(50, 50))
+        eng.send(0, row=0, n_in=50, load_pair=(50, 50))
         for _ in eng.events():
             pass
     def spans(eng):
@@ -200,8 +201,8 @@ def test_delayed_worker_scales_compute_and_return():
 def test_failed_worker_loses_pieces_silently():
     eng = make_engine(p=2, behaviors=[Behavior(departs=0.0),
                                       Behavior()])
-    eng.send(0, row=0, n_in=10, n_out=19, load_pair=(10, 10))
-    eng.send(1, row=1, n_in=10, n_out=19, load_pair=(10, 10))
+    eng.send(0, row=0, n_in=10, load_pair=(10, 10))
+    eng.send(1, row=1, n_in=10, load_pair=(10, 10))
     events = list(eng.events())
     kinds = [(ev.kind, ev.worker) for ev in events]
     assert ("worker_leaves", 0) in kinds
@@ -218,7 +219,7 @@ def test_failed_worker_loses_pieces_silently():
 def test_mid_flight_death_drops_result():
     # worker dies while computing: piece arrives, compute never completes
     eng = make_engine(p=1, behaviors=[Behavior(departs=1e-4)])
-    eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
+    eng.send(0, row=0, n_in=1000, load_pair=(5000, 5000))
     events = list(eng.events())
     assert [ev.kind for ev in events] == ["worker_leaves"]
 
@@ -226,7 +227,7 @@ def test_mid_flight_death_drops_result():
 def test_joining_worker_rejects_early_pieces():
     eng = make_engine(p=1, behaviors=[Behavior(joins=0.5)])
     assert eng.initial_roster() == []
-    eng.send(0, row=0, n_in=10, n_out=19, load_pair=(10, 10))
+    eng.send(0, row=0, n_in=10, load_pair=(10, 10))
     events = list(eng.events())
     assert [ev.kind for ev in events] == ["worker_joins"]
 
@@ -234,7 +235,7 @@ def test_joining_worker_rejects_early_pieces():
 def probe_times(**kwargs):
     """Log times of one piece sent to an ordinary worker."""
     eng = make_engine(p=1, **kwargs)
-    eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
+    eng.send(0, row=0, n_in=1000, load_pair=(5000, 5000))
     for _ in eng.events():
         pass
     return {rec.kind: rec.time for rec in eng.log}
@@ -251,7 +252,7 @@ def test_result_returned_by_departure_time_is_delivered(mode):
     assert straggler == Behavior(departs=0.0)
     beh = dataclasses.replace(straggler, departs=t_result)
     eng = make_engine(p=1, behaviors=[beh])
-    eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
+    eng.send(0, row=0, n_in=1000, load_pair=(5000, 5000))
     events = [(ev.kind, ev.time) for ev in eng.events()]
     assert sorted(events) == [("result_arrives", t_result),
                               ("worker_leaves", t_result)]
@@ -262,7 +263,7 @@ def test_leaving_worker_loses_piece_it_cannot_finish():
     times = probe_times()
     leave = 0.5 * (times["piece_arrives"] + times["compute_done"])
     eng = make_engine(p=1, behaviors=[Behavior(departs=leave)])
-    eng.send(0, row=0, n_in=1000, n_out=1999, load_pair=(5000, 5000))
+    eng.send(0, row=0, n_in=1000, load_pair=(5000, 5000))
     assert [ev.kind for ev in eng.events()] == ["worker_leaves"]
     assert [rec.kind for rec in eng.log] == ["dispatch", "piece_arrives"]
 
@@ -275,7 +276,7 @@ def test_worker_departing_before_it_joins_is_never_announced():
     for ev in eng.events():
         kinds.append(ev.kind)
         if ev.kind == "wakeup":
-            eng.send(0, row=0, n_in=10, n_out=19, load_pair=(10, 10))
+            eng.send(0, row=0, n_in=10, load_pair=(10, 10))
     assert kinds == ["worker_leaves", "wakeup"]
     assert [rec.kind for rec in eng.log] == ["dispatch"]
 
@@ -288,7 +289,7 @@ def test_joining_worker_accepts_pieces_from_join_time(send_time):
     for ev in eng.events():
         kinds.append(ev.kind)
         if ev.kind == "wakeup":
-            eng.send(0, row=0, n_in=10, n_out=19, load_pair=(10, 10))
+            eng.send(0, row=0, n_in=10, load_pair=(10, 10))
     assert kinds == ["worker_joins", "wakeup", "result_arrives"]
 
 
@@ -328,8 +329,8 @@ def test_positions_start_inside_box():
 
 def test_export_event_log_round_trip():
     eng = make_engine(p=2, seed=9)
-    eng.send(0, row=3, n_in=10, n_out=19, load_pair=(10, 10))
-    eng.send(1, row=4, n_in=10, n_out=19, load_pair=(10, 10))
+    eng.send(0, row=3, n_in=10, load_pair=(10, 10))
+    eng.send(1, row=4, n_in=10, load_pair=(10, 10))
     for _ in eng.events():
         pass
     buf = io.StringIO()
@@ -460,3 +461,17 @@ def test_all_workers_fail_episode_fails_at_horizon():
     assert not m.success
     assert m.completion_time == m.horizon
     assert math.isfinite(m.horizon)
+
+
+def test_episode_metrics_carry_the_strategy_outcome():
+    scn = benchmark_scenario(1, 64)
+    seed = 4
+    for strategy in ("uncoded", "traditional", "dynamic"):
+        m = run_episode(scn, strategy, seed)
+        assert isinstance(m, StrategyOutcome)
+        np.testing.assert_array_equal(
+            m.plan.assemble(*episode_task(scn, seed)), m.result)
+    failed = run_episode(scn.replace(straggler_mode="fail",
+                                     straggler_ratio=1.0), "dynamic", seed)
+    assert not failed.success
+    assert failed.plan is None and failed.result is None

@@ -43,7 +43,7 @@ behaviors = st.builds(
 def episodes(draw):
     fleet = draw(st.lists(st.tuples(st.floats(3e6, 6e6), behaviors),
                           min_size=1, max_size=6))
-    profiles = [WorkerProfile(mu=mu, alpha=1.0 / mu) for mu, _ in fleet]
+    profiles = [WorkerProfile(mu=mu) for mu, _ in fleet]
     eng = KeyedEngine(profiles, [beh for _, beh in fleet], CommParams(),
                       draw(st.integers(0, 2**32)), collect_log=True)
     runner = STRATEGIES[draw(st.sampled_from(sorted(STRATEGIES)))]

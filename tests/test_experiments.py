@@ -257,6 +257,13 @@ def test_config_unreadable_path_named(tmp_path, capsys):
     assert f"cannot read config file: {tmp_path}" in err
 
 
+def test_config_not_utf8_path_named(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"[scenario]\nindex = 1\n# \xff\n")
+    assert main(["run", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_config_index_and_sizes_conflict(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("[scenario]\nindex = 1\nn1 = 100\n")

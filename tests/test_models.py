@@ -41,7 +41,7 @@ def test_compute_load_rejects_bad_sizes():
 def test_sample_compute_time_mean_and_shift():
     # mean = alpha*c + c/mu; no sample below the deterministic shift.
     rng = np.random.default_rng(42)
-    profile = WorkerProfile(mu=4e6, alpha=2.5e-7)
+    profile = WorkerProfile(mu=4e6)
     load = 1e6
     samples = np.array([sample_compute_time(rng, load, profile) for _ in range(100_000)])
     expected_mean = profile.alpha * load + load / profile.mu
@@ -53,7 +53,7 @@ def test_sample_compute_time_mean_and_shift():
 def test_sample_compute_time_distribution_shape():
     # Shifted samples follow Exp(rate = mu/load): KS test at 1% significance.
     rng = np.random.default_rng(7)
-    profile = WorkerProfile(mu=3e6, alpha=1 / 3e6)
+    profile = WorkerProfile(mu=3e6)
     load = 5e5
     samples = np.array([sample_compute_time(rng, load, profile) for _ in range(20_000)])
     shifted = samples - profile.alpha * load
@@ -64,14 +64,14 @@ def test_sample_compute_time_distribution_shape():
 def test_sample_compute_time_rejects_bad_load():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_compute_time(rng, 0.0, WorkerProfile(mu=1e6, alpha=0.0))
+        sample_compute_time(rng, 0.0, WorkerProfile(mu=1e6))
 
 
 def test_worker_profile_validation():
     with pytest.raises(ValueError):
-        WorkerProfile(mu=0.0, alpha=0.0)
+        WorkerProfile(mu=0.0)
     with pytest.raises(ValueError):
-        WorkerProfile(mu=1e6, alpha=-1.0)
+        WorkerProfile(mu=math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scenario construction and validation."""
 
+import dataclasses
+
 import pytest
 
 from codedconv.scenarios import (
@@ -75,3 +77,12 @@ def test_replace_revalidates():
     other = scn.replace(straggler_ratio=0.25)
     assert other.straggler_ratio == 0.25
     assert scn.straggler_ratio == 0.0  # original untouched
+
+
+def test_scenario_is_frozen_and_hashable():
+    scn = benchmark_scenario(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.n1 = 10
+    same = benchmark_scenario(1)
+    assert same == scn and hash(same) == hash(scn)
+    assert scn.replace(straggler_ratio=0.5) != scn

@@ -24,7 +24,7 @@ from codedconv.strategies import (
 def make_engine(p, seed=1, behaviors=None, mus=None, collect_log=False):
     if mus is None:
         mus = [4e6] * p
-    profiles = [WorkerProfile(mu=mu, alpha=1.0 / mu) for mu in mus]
+    profiles = [WorkerProfile(mu=mu) for mu in mus]
     behaviors = behaviors or [Behavior() for _ in range(p)]
     return SimEngine(profiles, behaviors, CommParams(), seed,
                      collect_log=collect_log)
@@ -44,7 +44,7 @@ def test_select_s_matches_bruteforce():
         n2 = int(rng.integers(16, 200))
         p = int(rng.integers(1, 9))
         mus = rng.uniform(3e6, 6e6, p)
-        profiles = [WorkerProfile(mu=mu, alpha=1.0 / mu) for mu in mus]
+        profiles = [WorkerProfile(mu=mu) for mu in mus]
         hi = min(n1, n2)
         lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
         want, best = None, -1.0
@@ -60,13 +60,13 @@ def test_select_s_matches_bruteforce():
 def test_select_s_degenerate_argmax_is_min_length():
     # with mu in the standard range the power factors are ~1 and the score
     # grows with s, so the chosen chunk length is min(n1, n2)
-    profiles = [WorkerProfile(mu=4.5e6, alpha=1 / 4.5e6)] * 8
+    profiles = [WorkerProfile(mu=4.5e6)] * 8
     assert select_s(512, 256, 8, profiles) == 256
     assert select_s(3750, 2500, 6, profiles) == 2500
 
 
 def test_select_s_only_cuts_into_decodable_piece_counts():
-    profiles = [WorkerProfile(mu=4.5e6, alpha=1 / 4.5e6)]
+    profiles = [WorkerProfile(mu=4.5e6)]
     assert select_s(31 * 32, 32, 1, profiles) == 32        # 31 pieces
     assert select_s(31 * 32 + 1, 32, 1, profiles) is None  # 32 would not decode
     assert select_s(2000, 2, 4, profiles * 4) is None
@@ -361,6 +361,14 @@ def test_dynamic_leaving_worker_mid_task():
     assert out.success
     np.testing.assert_allclose(out.plan.assemble(a, x), convolve_direct(a, x),
                                rtol=1e-7, atol=1e-10)
+
+
+@pytest.mark.parametrize("knob, value", [("b", 0), ("b", -3), ("s", 0),
+                                         ("s", -2)])
+def test_runner_rejects_knob_below_one(knob, value):
+    runner = run_dynamic if knob == "b" else run_traditional_coded
+    with pytest.raises(ValueError, match=f" {knob} must be >= 1"):
+        runner(64, 48, make_engine(p=4), **{knob: value})
 
 
 def test_default_piece_length_rule():
