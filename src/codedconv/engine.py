@@ -6,12 +6,20 @@ identically.  Randomness comes from counter-based Philox streams keyed per
 others and of the event interleaving: changing one worker's behaviour never
 perturbs another worker's compute times or trajectory.
 
-Every stream is created on first read: a node's position stream at its
-first distance read, its velocity stream at its first mobility tick, and
-a worker's compute stream at the first piece it accepts.  Streams that an
-episode never reads (failed workers, mobility in episodes shorter than a
-second) are never built, and since each stream is keyed on its own, the
-draws do not depend on when or whether the others are made.
+An engine reads its randomness through a `Draws`, which holds everything
+one episode seed reads.  Each per-node stream is a tape: its values in
+draw order, drawn ahead a few at a time on first read and kept, so every
+episode of a seed (every strategy, sweep point and straggler ratio of a
+rep) reads the same values without rebuilding the stream.  A node's
+position is drawn at its first distance read, its velocity tape starts at
+its first mobility tick, and a worker's compute tape at the first piece it
+accepts.  Streams that no episode reads (failed workers, mobility in
+episodes shorter than a second) are never built, and since each stream is
+keyed on its own, the draws do not depend on when or whether the others
+are made.  The `Draws` also holds the seed's profiles and behaviours and
+one straggler-free pilot completion time per (scenario, strategy, b).  An
+engine or episode given no `Draws` makes a private one, so sharing one
+changes no value.
 
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); distance reads between ticks see the most
@@ -25,7 +33,6 @@ it from its join time, and no piece is delivered past its departure time.
 Late joins and departures are also announced to the master as roster
 events.
 """
-
 import heapq
 import math
 from dataclasses import dataclass
@@ -110,6 +117,112 @@ def substream(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+# Values a tape draws at a time.  Chunked draws equal sequential ones on
+# Philox; a small chunk keeps episodes that read one or two values cheap.
+_CHUNK = 8
+
+
+class Tape:
+    """One keyed stream's values in draw order, extended on demand.
+
+    `values` grows by one chunk per `grow()`; a reader keeps its own
+    position and calls `grow()` when it reaches the end.
+    """
+
+    __slots__ = ("values", "_draw_chunk")
+
+    def __init__(self, draw_chunk):
+        self.values: list = []
+        self._draw_chunk = draw_chunk
+
+    def grow(self) -> None:
+        self.values.extend(self._draw_chunk())
+
+
+class Draws:
+    """Everything the episodes of one seed read, each drawn once.
+
+    Holds the per-node tapes (start positions, velocity pairs and compute
+    draws, the last as standard exponentials that `sample_compute_time`
+    scales) and the profiles and behaviours per scenario.  `pilot_times`
+    is the memo `run_episode` keeps of straggler-free pilot completion
+    times (`inf` for a pilot that cannot finish), keyed by
+    (scenario.straggler_free, strategy, b).  Episodes of different seeds
+    must not share one.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._starts: dict = {}
+        self._velocities: dict = {}
+        self._compute: dict = {}
+        self._profiles: dict = {}
+        self._behaviors: dict = {}
+        self._straggler = None
+        self.pilot_times: dict = {}
+
+    def start_position(self, tag: int, box: float) -> np.ndarray:
+        """Node `tag`'s start position in the +-box square; do not write to it."""
+        key = (tag, box)
+        pos = self._starts.get(key)
+        if pos is None:
+            pos = self._starts[key] = substream(self.seed, tag, _POSITION).uniform(
+                -box, box, 2)
+        return pos
+
+    def velocities(self, tag: int, speed_limit: float) -> Tape:
+        """Node `tag`'s per-second velocity pairs, one row per second."""
+        key = (tag, speed_limit)
+        tape = self._velocities.get(key)
+        if tape is None:
+            stream = substream(self.seed, tag, _VELOCITY)
+            tape = self._velocities[key] = Tape(lambda: list(
+                stream.uniform(-speed_limit, speed_limit, (_CHUNK, 2))))
+        return tape
+
+    def compute_draws(self, worker: int) -> Tape:
+        """Standard-exponential draws for `worker`'s pieces, in accept order."""
+        tape = self._compute.get(worker)
+        if tape is None:
+            stream = substream(self.seed, worker, _COMPUTE)
+            tape = self._compute[worker] = Tape(
+                lambda: stream.standard_exponential(_CHUNK).tolist())
+        return tape
+
+    def profiles(self, scenario) -> list[WorkerProfile]:
+        """The episode profiles; the straggler fields do not change them."""
+        fleet = scenario.straggler_free
+        profiles = self._profiles.get(fleet)
+        if profiles is None:
+            profiles = self._profiles[fleet] = episode_profiles(scenario,
+                                                                self.seed)
+        return profiles
+
+    def behaviors(self, scenario) -> tuple[list[Behavior], int]:
+        """The episode behaviours for `scenario` and its straggler count."""
+        entry = self._behaviors.get(scenario)
+        if entry is None:
+            behaviors = episode_behaviors(scenario, self.seed,
+                                          self._straggler_stream)
+            entry = self._behaviors[scenario] = (behaviors,
+                                                 _count_stragglers(behaviors))
+        return entry
+
+    def _straggler_stream(self) -> np.random.Generator:
+        """The seed's straggler stream at its start.
+
+        Each straggler ratio draws from the start of the same stream, so it
+        is built once and rewound to its saved start state after that.
+        """
+        if self._straggler is None:
+            stream = substream(self.seed, _SCENARIO_TAG, _STRAGGLER)
+            self._straggler = (stream, stream.bit_generator.state)
+        else:
+            stream, start = self._straggler
+            stream.bit_generator.state = start
+        return self._straggler[0]
+
+
 @dataclass
 class SimEvent:
     """One event-log record; export order is (time, seq)."""
@@ -149,9 +262,15 @@ class SimEngine:
 
     def __init__(self, profiles, behaviors, comm: CommParams, seed: int, *,
                  init_box_m: float = 1500.0, speed_limit_mps: float = 10.0,
-                 compute_coeff: float = 1.0, collect_log: bool = False):
+                 compute_coeff: float = 1.0, collect_log: bool = False,
+                 draws: Draws | None = None):
         if len(profiles) != len(behaviors) or not profiles:
             raise ValueError("need matching, non-empty profiles and behaviors")
+        if draws is None:
+            draws = Draws(seed)
+        elif draws.seed != seed:
+            raise ValueError(f"draws of seed {draws.seed} for an episode "
+                             f"of seed {seed}")
         self.profiles = list(profiles)
         self.behaviors = list(behaviors)
         self.comm = comm
@@ -165,17 +284,18 @@ class SimEngine:
         self.log: list[SimEvent] = []
         self._log_seq = 0
 
-        # Node 0..P-1 are workers, node P is the master.  Positions,
-        # velocity streams and compute streams are made on first read.
+        # Node 0..P-1 are workers, node P is the master.  Each tape is
+        # looked up in `draws` on its first read in this episode.
         nodes = self.n_workers + 1
-        self._seed = seed
+        self._draws = draws
         self._init_box = init_box_m
         self._speed_limit = speed_limit_mps
         self._pos: list = [None] * nodes
-        self._vel_streams: list = [None] * nodes
+        self._vel_tapes: list = [None] * nodes
         self._node_second = [0] * nodes
         self._mobility_second = 0
-        self._compute_streams: list = [None] * self.n_workers
+        self._compute_tapes: list = [None] * self.n_workers
+        self._compute_read = [0] * self.n_workers
 
         # Master-visible roster changes; a worker that departs before it
         # joins is never announced as joining.
@@ -194,25 +314,26 @@ class SimEngine:
     def _position(self, node: int) -> np.ndarray:
         """Position of `node` at the latest mobility tick any read reached.
 
-        The start position is drawn on the node's first read.  Each tick
-        adds the velocity drawn for that second (dt = 1 s); the velocity
-        stream is made at the node's first tick.
+        The start position is looked up on the node's first read.  Each
+        tick adds the velocity of that second (dt = 1 s); the velocity tape
+        is looked up at the node's first tick.
         """
         tag = node if node < self.n_workers else _MASTER_TAG
         pos = self._pos[node]
         if pos is None:
-            pos = substream(self._seed, tag, _POSITION).uniform(
-                -self._init_box, self._init_box, 2)
+            pos = self._pos[node] = self._draws.start_position(tag, self._init_box)
+        second, reached = self._node_second[node], self._mobility_second
+        if reached > second:
+            tape = self._vel_tapes[node]
+            if tape is None:
+                tape = self._vel_tapes[node] = self._draws.velocities(
+                    tag, self._speed_limit)
+            while len(tape.values) < reached:
+                tape.grow()
+            for velocity in tape.values[second:reached]:
+                pos = pos + velocity
             self._pos[node] = pos
-        ticks = self._mobility_second - self._node_second[node]
-        if ticks:
-            stream = self._vel_streams[node]
-            if stream is None:
-                stream = self._vel_streams[node] = substream(self._seed, tag,
-                                                             _VELOCITY)
-            for _ in range(ticks):
-                pos += stream.uniform(-self._speed_limit, self._speed_limit, 2)
-            self._node_second[node] = self._mobility_second
+            self._node_second[node] = reached
         return pos
 
     def distance(self, worker: int, t: float) -> float:
@@ -270,12 +391,16 @@ class SimEngine:
         # Pieces queue at the worker and compute one at a time.
         start = max(arrive, self._busy[worker])
         load = compute_load(load_pair[0], load_pair[1], self.compute_coeff)
-        stream = self._compute_streams[worker]
-        if stream is None:
-            stream = self._compute_streams[worker] = substream(
-                self._seed, worker, _COMPUTE)
+        tape = self._compute_tapes[worker]
+        if tape is None:
+            tape = self._compute_tapes[worker] = self._draws.compute_draws(worker)
+        k = self._compute_read[worker]
+        self._compute_read[worker] = k + 1
+        if k == len(tape.values):
+            tape.grow()
         # Slowdown covers the work and the return transfer.
-        t_comp = sample_compute_time(stream, load, self.profiles[worker]) * beh.slowdown
+        t_comp = (sample_compute_time(tape.values[k], load, self.profiles[worker])
+                  * beh.slowdown)
         t_out = comm_time(n_out, rate, self.comm.payload_bytes) * beh.slowdown
         done = start + t_comp
         self._busy[worker] = done
@@ -319,20 +444,26 @@ def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     return [WorkerProfile(mu=float(mu)) for mu in mus]
 
 
-def episode_behaviors(scenario, seed: int) -> list[Behavior]:
+def episode_behaviors(scenario, seed: int, open_stream=None) -> list[Behavior]:
     """Draw the straggler assignment for one episode.
 
     Stragglers of the failure modes depart at t=0; "delayed" stragglers
     are slowed by the scenario's delay factor for the whole episode.  The
     straggler draw has its own stream, so changing the ratio or mode never
-    changes the workers' compute or mobility draws.
+    changes the workers' compute or mobility draws.  `open_stream()`
+    returns that stream at its start, and is only called when there is a
+    count or a choice to draw; by default it builds a new stream.
     """
     p = scenario.n_workers
-    stream = substream(seed, _SCENARIO_TAG, _STRAGGLER)
+    if open_stream is None:
+        def open_stream():
+            return substream(seed, _SCENARIO_TAG, _STRAGGLER)
     if scenario.failure_count_uniform:
+        stream = open_stream()
         count = int(stream.integers(0, p + 1))
     else:
         count = int(round(scenario.straggler_ratio * p))
+        stream = open_stream() if count else None
     behaviors = [Behavior()] * p
     if count:
         straggler = (Behavior(departs=0.0)
@@ -341,6 +472,12 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
         for w in stream.choice(p, size=count, replace=False):
             behaviors[w] = straggler
     return behaviors
+
+
+def _count_stragglers(behaviors) -> int:
+    """Workers whose behaviour differs from a normal worker's."""
+    normal = Behavior()
+    return sum(beh != normal for beh in behaviors)
 
 
 def episode_task(scenario, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -353,13 +490,18 @@ def episode_task(scenario, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def run_episode(scenario, strategy: str, seed: int, *, b=None,
                 horizon: float | None = None, collect_log: bool = False,
-                keep_result: bool = True, _behaviors=None) -> EpisodeMetrics:
+                keep_result: bool = True, draws: Draws | None = None,
+                _behaviors=None) -> EpisodeMetrics:
     """Run one episode of `strategy` against `scenario` with `seed`.
 
     When the episode contains stragglers and no horizon is given, a
     straggler-free pilot episode with the same seed sets the give-up
     horizon at horizon_factor times the pilot completion time.  A pilot
     that cannot finish sets none: the horizon stays infinite.
+
+    `draws` is the seed's `Draws`; episodes that share one read each
+    stream once and run each pilot once per (scenario without its
+    straggler fields, strategy, b).  By default the episode makes its own.
 
     The strategy schedules from the operand lengths.  Only with
     `keep_result` does a successful episode draw the operands and
@@ -369,25 +511,33 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     if runner is None:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          f"choose from {sorted(STRATEGIES)}")
-    profiles = episode_profiles(scenario, seed)
-    behaviors = _behaviors if _behaviors is not None else episode_behaviors(scenario, seed)
-    normal = Behavior()
-    n_stragglers = sum(beh != normal for beh in behaviors)
+    if draws is None:
+        draws = Draws(seed)
+    profiles = draws.profiles(scenario)
+    if _behaviors is None:
+        behaviors, n_stragglers = draws.behaviors(scenario)
+    else:
+        behaviors, n_stragglers = _behaviors, _count_stragglers(_behaviors)
 
     if horizon is None:
         horizon = math.inf
         if n_stragglers:
-            pilot = run_episode(scenario, strategy, seed, b=b,
-                                horizon=math.inf, keep_result=False,
-                                _behaviors=[normal] * len(behaviors))
-            if pilot.success:
-                horizon = scenario.horizon_factor * pilot.completion_time
+            key = (scenario.straggler_free, strategy, b)
+            pilot_time = draws.pilot_times.get(key)
+            if pilot_time is None:
+                pilot = run_episode(scenario, strategy, seed, b=b,
+                                    horizon=math.inf, keep_result=False,
+                                    draws=draws,
+                                    _behaviors=[Behavior()] * len(behaviors))
+                pilot_time = draws.pilot_times[key] = (
+                    pilot.completion_time if pilot.success else math.inf)
+            horizon = scenario.horizon_factor * pilot_time
 
     eng = SimEngine(profiles, behaviors, scenario.comm, seed,
                     init_box_m=scenario.init_box_m,
                     speed_limit_mps=scenario.speed_limit_mps,
                     compute_coeff=scenario.compute_coeff,
-                    collect_log=collect_log)
+                    collect_log=collect_log, draws=draws)
     knobs = {}
     if strategy == "dynamic":
         knobs["b"] = b if b is not None else scenario.dynamic_b

@@ -2,12 +2,16 @@
 
 Every experiment derives one seed per (scenario, repetition) and reuses
 it for all strategies and sweep points, so rows within a table share
-worker parameter draws and straggler selections.  Output is CSV with a
-key=value manifest sidecar; nothing in either file depends on the clock,
-so identical configurations reproduce byte-identical files.
+worker parameter draws and straggler selections.  Repetitions are the
+outer loop: every episode of a rep reads one `engine.Draws`, so the seed's
+streams are drawn and its pilots run once, and the `Draws` is dropped
+before the next rep.  Output is CSV with a key=value manifest sidecar;
+nothing in either file depends on the clock, so identical configurations
+reproduce byte-identical files.
 """
 
 import configparser
+import itertools
 import math
 import os
 import zlib
@@ -15,7 +19,7 @@ import zlib
 import numpy as np
 
 from . import __version__
-from .engine import EpisodeMetrics, run_episode
+from .engine import Draws, run_episode
 from .models import FAILURE_MODES, CommParams
 from .scenarios import (
     DEFAULT_SCALE,
@@ -36,15 +40,28 @@ def episode_seed(base_seed: int, scenario_name: str, rep: int) -> int:
     return (base_seed * 1_000_003 + tag * 97 + rep) & ((1 << 63) - 1)
 
 
-def run_reps(scenario: ScenarioConfig, strategy: str, reps: int,
-             base_seed: int, *, b=None,
-             horizon=None) -> list[EpisodeMetrics]:
-    return [
-        run_episode(scenario, strategy,
-                    episode_seed(base_seed, scenario.name, rep),
-                    b=b, horizon=horizon, keep_result=False)
-        for rep in range(reps)
-    ]
+def run_paired(name: str, episodes, reps: int, base_seed: int,
+               value) -> list[list]:
+    """`value` of every episode at every rep, one list per episode in rep order.
+
+    `episodes` lists (scenario, strategy, run_episode keywords), and the
+    scenario `name` derives the seeds.  All episodes of a rep share its
+    seed and one `Draws`, which is dropped before the next rep, so memory
+    does not grow with `reps`.
+    """
+    values: list[list] = [[] for _ in episodes]
+    for rep in range(reps):
+        seed = episode_seed(base_seed, name, rep)
+        draws = Draws(seed)
+        for out, (scenario, strategy, kwargs) in zip(values, episodes):
+            out.append(value(run_episode(scenario, strategy, seed,
+                                         keep_result=False, draws=draws,
+                                         **kwargs)))
+    return values
+
+
+def _completion_time(metrics) -> float:
+    return metrics.completion_time
 
 
 def _mean_std(values) -> tuple[float, float]:
@@ -73,10 +90,12 @@ def sweep_b(scenario: ScenarioConfig, b_values, reps: int, base_seed: int):
     for b in b_values:
         if not 1 <= b <= scenario.n2:
             raise ConfigError(f"b={b} out of range [1, {scenario.n2}]")
+    times = run_paired(scenario.name,
+                       [(scenario, "dynamic", {"b": b}) for b in b_values],
+                       reps, base_seed, _completion_time)
     rows = []
-    for b in b_values:
-        metrics = run_reps(scenario, "dynamic", reps, base_seed, b=b)
-        mean, std = _mean_std([m.completion_time for m in metrics])
+    for b, values in zip(b_values, times):
+        mean, std = _mean_std(values)
         rows.append({"b": b, "mean_time_s": mean, "std_time_s": std})
     argmin_b = min(rows, key=lambda r: r["mean_time_s"])["b"]
     return rows, argmin_b
@@ -93,10 +112,12 @@ def compare_strategies(scenario: ScenarioConfig, reps: int, base_seed: int,
                        ratio: float = 0.5, mode: str = "delayed"):
     """Paired-seed mean/std completion time for all three strategies."""
     scn = scenario.replace(straggler_ratio=ratio, straggler_mode=mode)
+    times = run_paired(scn.name,
+                       [(scn, strategy, {}) for strategy in STRATEGY_ORDER],
+                       reps, base_seed, _completion_time)
     rows = []
-    for strategy in STRATEGY_ORDER:
-        metrics = run_reps(scn, strategy, reps, base_seed)
-        mean, std = _mean_std([m.completion_time for m in metrics])
+    for strategy, values in zip(STRATEGY_ORDER, times):
+        mean, std = _mean_std(values)
         rows.append({"strategy": strategy, "mean_time_s": mean,
                      "std_time_s": std})
     return rows
@@ -109,14 +130,18 @@ def stress_test(scenario: ScenarioConfig, ratios, reps: int, base_seed: int,
     for r in ratios:
         if not 0.0 <= r <= 1.0:
             raise ConfigError(f"straggler ratio {r} out of range [0, 1]")
+    scenarios = [scenario.replace(straggler_ratio=ratio, straggler_mode=mode)
+                 for ratio in ratios]
+    times = run_paired(scenario.name,
+                       [(scn, strategy, {}) for scn in scenarios
+                        for strategy in STRATEGY_ORDER],
+                       reps, base_seed, _completion_time)
     rows = []
-    for ratio in ratios:
-        scn = scenario.replace(straggler_ratio=ratio, straggler_mode=mode)
-        for strategy in STRATEGY_ORDER:
-            metrics = run_reps(scn, strategy, reps, base_seed)
-            mean, std = _mean_std([m.completion_time for m in metrics])
-            rows.append({"ratio": ratio, "strategy": strategy,
-                         "mean_time_s": mean, "std_time_s": std})
+    for (ratio, strategy), values in zip(
+            itertools.product(ratios, STRATEGY_ORDER), times):
+        mean, std = _mean_std(values)
+        rows.append({"ratio": ratio, "strategy": strategy,
+                     "mean_time_s": mean, "std_time_s": std})
     return rows
 
 
@@ -136,11 +161,13 @@ def success_rate(scenario: ScenarioConfig, runs: int, base_seed: int,
                           + " or ".join(map(repr, FAILURE_MODES)))
     scn = scenario.replace(failure_count_uniform=True, straggler_mode=mode,
                            straggler_ratio=0.0)
+    outcomes = run_paired(
+        scn.name,
+        [(scn, strategy, {"horizon": math.inf}) for strategy in STRATEGY_ORDER],
+        runs, base_seed, lambda m: (m.n_stragglers, m.success))
     rows = []
     details: dict[str, list[tuple[int, bool]]] = {}
-    for strategy in STRATEGY_ORDER:
-        detail = [(m.n_stragglers, m.success) for m in
-                  run_reps(scn, strategy, runs, base_seed, horizon=math.inf)]
+    for strategy, detail in zip(STRATEGY_ORDER, outcomes):
         details[strategy] = detail
         successes = sum(ok for _, ok in detail)
         rows.append({"strategy": strategy,

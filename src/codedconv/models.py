@@ -10,8 +10,6 @@ time; mobility and the effect of each behaviour live in the event engine.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 # Distances below one metre are clamped; the far-field path-loss model has
 # no meaning there and would produce unbounded rates.
 MIN_DISTANCE_M = 1.0
@@ -83,16 +81,19 @@ def compute_load(n1: int, n2: int, coeff: float = 1.0) -> float:
     return coeff * n * math.log2(n)
 
 
-def sample_compute_time(rng: np.random.Generator, load: float,
+def sample_compute_time(std_exp: float, load: float,
                         profile: WorkerProfile) -> float:
-    """Draw a shifted-exponential compute time for a job of size `load`.
+    """Shifted-exponential compute time for a job of size `load`.
 
-    T = alpha * load + Exp(rate = mu / load); the mean is
-    alpha * load + load / mu and no sample falls below the shift.
+    T = alpha * load + Exp(rate = mu / load), with the exponential part
+    given as `load / mu` times the standard-exponential draw `std_exp`
+    (on Philox that is bit for bit `rng.exponential(load / mu)`).  The
+    mean is alpha * load + load / mu and no sample falls below the shift.
+    Arrays of draws give arrays of times.
     """
     if load <= 0:
         raise ValueError("load must be positive")
-    return profile.alpha * load + rng.exponential(load / profile.mu)
+    return profile.alpha * load + (load / profile.mu) * std_exp
 
 
 def signal_power_dbm(distance_m: float, comm: CommParams) -> float:

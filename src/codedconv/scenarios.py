@@ -10,6 +10,7 @@ piece-count rule.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -93,6 +94,23 @@ class ScenarioConfig:
 
     def replace(self, **changes) -> "ScenarioConfig":
         return dataclasses.replace(self, **changes)
+
+    @functools.cached_property
+    def straggler_free(self) -> "ScenarioConfig":
+        """This scenario with its straggler fields at their defaults.
+
+        Built once per object: the engine keys straggler-free pilot
+        episodes on it, and every episode of a scenario looks it up.
+        """
+        return self.replace(**_STRAGGLER_DEFAULTS)
+
+
+# The fields that choose which workers straggle and how; nothing else in a
+# scenario depends on them.
+_STRAGGLER_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(ScenarioConfig)
+    if f.name in ("straggler_ratio", "straggler_mode", "delay_factor",
+                  "failure_count_uniform")}
 
 
 def scaled_size(full: int, scale: float) -> int:

@@ -75,6 +75,26 @@ def test_substream_draws_equal_philox_built_from_its_key():
                                       slow.choice(8, size=3, replace=False))
 
 
+@pytest.mark.parametrize("seed,tags", [(0, ()), (1234, (3, engine._COMPUTE)),
+                                       (2**63 - 1, (engine._MASTER_TAG, 2))])
+def test_philox_draw_identities_the_tapes_rely_on(seed, tags):
+    # Compute tapes hold standard exponentials that the model scales, and
+    # every tape draws ahead in chunks; both must equal what sequential
+    # draws from the stream would give, bit for bit.
+    scaled, plain = substream(seed, *tags), substream(seed, *tags)
+    for scale in (1e-7, 0.37, 3.0, 2.5e4):
+        for _ in range(20):
+            assert scaled.exponential(scale) == scale * plain.standard_exponential()
+    sequential, chunked = substream(seed, *tags), substream(seed, *tags)
+    want = [sequential.standard_exponential() for _ in range(20)]
+    got = np.concatenate([chunked.standard_exponential(8) for _ in range(3)])
+    assert got[:20].tolist() == want
+    sequential, chunked = substream(seed, *tags), substream(seed, *tags)
+    want = np.array([sequential.uniform(-10.0, 10.0, 2) for _ in range(20)])
+    got = np.concatenate([chunked.uniform(-10.0, 10.0, (8, 2)) for _ in range(3)])
+    assert got[:20].tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("strategy", ["uncoded", "traditional", "dynamic"])
 def test_failed_workers_and_short_episodes_build_no_unread_streams(
         strategy, monkeypatch):
@@ -421,6 +441,14 @@ def test_run_episode_unknown_strategy():
     scn = benchmark_scenario(1)
     with pytest.raises(ValueError, match="unknown strategy"):
         run_episode(scn, "psychic", 1)
+
+
+def test_draws_of_another_seed_are_refused():
+    with pytest.raises(ValueError, match="draws of seed 2"):
+        make_engine(seed=1, draws=engine.Draws(2))
+    with pytest.raises(ValueError, match="draws of seed 2"):
+        run_episode(benchmark_scenario(1, 64), "dynamic", 1,
+                    draws=engine.Draws(2))
 
 
 def test_pilot_sets_finite_horizon():

@@ -1,13 +1,16 @@
 """Engine invariants as properties over random fleets and strategies."""
 
+import itertools
 import math
 from collections import defaultdict
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedconv.engine import SimEngine
-from codedconv.models import Behavior, CommParams, WorkerProfile
+from codedconv.engine import Draws, SimEngine, run_episode
+from codedconv.models import STRAGGLER_MODES, Behavior, CommParams, WorkerProfile
+from codedconv.scenarios import ScenarioConfig
 from codedconv.strategies import STRATEGIES
 
 
@@ -103,3 +106,52 @@ def test_no_result_after_departure(eng):
 @given(episodes())
 def test_events_pop_in_time_then_seq_order(eng):
     assert eng.popped == sorted(eng.popped)
+
+
+# -- one Draws shared by the episodes of a seed ----------------------------------
+
+
+@st.composite
+def shared_seed_runs(draw):
+    """A scenario, a seed and a shuffled grid of (strategy, ratio, b)."""
+    n2 = draw(st.integers(1, 120))
+    # Slow fleets make episodes span mobility ticks.
+    mu_low = draw(st.sampled_from([500.0, 3e6]))
+    scenario = ScenarioConfig(
+        name="shared", n1=draw(st.integers(1, 120)), n2=n2,
+        n_workers=draw(st.integers(1, 5)), mu_low=mu_low,
+        mu_high=2 * mu_low,
+        straggler_mode=draw(st.sampled_from(STRAGGLER_MODES)),
+        delay_factor=draw(st.sampled_from([1.0, 15.0])),
+        failure_count_uniform=draw(st.booleans()))
+    ratios = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                           min_size=1, max_size=3, unique=True))
+    bs = [None, draw(st.integers(1, n2))]
+    grid = list(itertools.product(sorted(STRATEGIES), ratios, bs))
+    return scenario, draw(st.integers(0, 2**63 - 1)), draw(st.permutations(grid))
+
+
+def assert_same_episode(shared, private):
+    got, want = dict(vars(shared)), dict(vars(private))
+    plans = got.pop("plan"), want.pop("plan")
+    assert got == want
+    assert (plans[0] is None) == (plans[1] is None)
+    if plans[0] is not None:
+        got, want = dict(vars(plans[0])), dict(vars(plans[1]))
+        np.testing.assert_array_equal(got.pop("matrix"), want.pop("matrix"))
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_seed_runs())
+def test_shared_draws_change_no_episode(run):
+    # Whatever order a seed's episodes run in on one Draws, each gives what
+    # it gives on a private one: tapes, profiles, behaviours and pilots.
+    scenario, seed, grid = run
+    draws = Draws(seed)
+    for strategy, ratio, b in grid:
+        scn = scenario.replace(straggler_ratio=ratio)
+        kwargs = dict(b=b, collect_log=True, keep_result=False)
+        assert_same_episode(
+            run_episode(scn, strategy, seed, draws=draws, **kwargs),
+            run_episode(scn, strategy, seed, **kwargs))

@@ -1,9 +1,12 @@
 """Experiment drivers, analytics, CSV/manifest output, config files."""
 
 import os
+import weakref
+from collections import Counter
 
 import pytest
 
+from codedconv import engine, experiments
 from codedconv.experiments import (
     ConfigError,
     auto,
@@ -145,6 +148,67 @@ def test_success_rate_matches_survivor_rule():
 def test_success_rate_rejects_bad_mode():
     with pytest.raises(ConfigError):
         success_rate(small_scenario(), runs=1, base_seed=1, mode="delayed")
+
+
+# -- draws shared within a rep ----------------------------------------------------
+
+
+def test_stress_runs_one_pilot_per_rep_and_strategy(monkeypatch):
+    # Pilots recurse through the module global; the straggler-free pilot is
+    # the same for every nonzero ratio of a rep.
+    pilots = []
+    original = engine.run_episode
+
+    def recording(scenario, strategy, seed, **kwargs):
+        if kwargs.get("_behaviors") is not None:
+            pilots.append((strategy, seed))
+        return original(scenario, strategy, seed, **kwargs)
+
+    monkeypatch.setattr(engine, "run_episode", recording)
+    reps = 3
+    stress_test(small_scenario(), [0.0, 0.3, 0.7, 1.0], reps, base_seed=5)
+    assert len(pilots) == 3 * reps
+    assert len(set(pilots)) == len(pilots)
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda scn: sweep_b(scn.replace(straggler_ratio=0.5), [8, 32], 3, 7),
+    lambda scn: compare_strategies(scn, 3, 7, ratio=0.5),
+    lambda scn: stress_test(scn, [0.0, 0.3, 0.7, 1.0], 3, 7),
+    lambda scn: stress_test(scn, [0.5, 1.0], 3, 7, mode="leave"),
+    lambda scn: success_rate(scn, 12, 7),
+], ids=["sweep_b", "compare", "stress", "stress_leave", "success_rate"])
+def test_experiments_build_each_stream_once(experiment, monkeypatch):
+    built = Counter()
+    original = engine.substream
+
+    def recording(seed, *tags):
+        built[(seed, *tags)] += 1
+        return original(seed, *tags)
+
+    monkeypatch.setattr(engine, "substream", recording)
+    # Slow workers make episodes span mobility ticks, so velocity tapes
+    # are built too.
+    experiment(small_scenario(mu_low=100.0, mu_high=200.0))
+    assert any(tags[-1] == engine._VELOCITY for tags in built)
+    assert built and max(built.values()) == 1
+
+
+def test_success_rate_keeps_one_draws_alive(monkeypatch):
+    refs, alive = [], []
+    original = experiments.run_episode
+
+    def recording(*args, draws, **kwargs):
+        if not refs or refs[-1]() is not draws:
+            refs.append(weakref.ref(draws))
+        alive.append(sum(ref() is not None for ref in refs))
+        return original(*args, draws=draws, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_episode", recording)
+    runs = 20
+    success_rate(small_scenario(n_workers=4), runs, base_seed=3)
+    assert len(refs) == runs
+    assert len(alive) == 3 * runs and max(alive) == 1
 
 
 # -- analytics ----------------------------------------------------------------------
