@@ -18,8 +18,8 @@ episodes shorter than a second) are never built, and since each stream is
 keyed on its own, the draws do not depend on when or whether the others
 are made.  The `Draws` also holds the seed's profiles and behaviours and
 one straggler-free pilot completion time per (scenario, strategy, b).  An
-engine or episode given no `Draws` makes a private one, so sharing one
-changes no value.
+episode given no `Draws` makes a private one, so sharing one changes no
+value.
 
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); distance reads between ticks see the most
@@ -158,7 +158,6 @@ class Draws:
         self._compute: dict = {}
         self._profiles: dict = {}
         self._behaviors: dict = {}
-        self._straggler = None
         self.pilot_times: dict = {}
 
     def start_position(self, tag: int, box: float) -> np.ndarray:
@@ -198,29 +197,13 @@ class Draws:
                                                                 self.seed)
         return profiles
 
-    def behaviors(self, scenario) -> tuple[list[Behavior], int]:
-        """The episode behaviours for `scenario` and its straggler count."""
-        entry = self._behaviors.get(scenario)
-        if entry is None:
-            behaviors = episode_behaviors(scenario, self.seed,
-                                          self._straggler_stream)
-            entry = self._behaviors[scenario] = (behaviors,
-                                                 _count_stragglers(behaviors))
-        return entry
-
-    def _straggler_stream(self) -> np.random.Generator:
-        """The seed's straggler stream at its start.
-
-        Each straggler ratio draws from the start of the same stream, so it
-        is built once and rewound to its saved start state after that.
-        """
-        if self._straggler is None:
-            stream = substream(self.seed, _SCENARIO_TAG, _STRAGGLER)
-            self._straggler = (stream, stream.bit_generator.state)
-        else:
-            stream, start = self._straggler
-            stream.bit_generator.state = start
-        return self._straggler[0]
+    def behaviors(self, scenario) -> list[Behavior]:
+        """The episode behaviours for `scenario`."""
+        behaviors = self._behaviors.get(scenario)
+        if behaviors is None:
+            behaviors = self._behaviors[scenario] = episode_behaviors(scenario,
+                                                                      self.seed)
+        return behaviors
 
 
 @dataclass
@@ -260,17 +243,11 @@ class EngineEvent:
 class SimEngine:
     """Event queue plus fleet state for a single episode."""
 
-    def __init__(self, profiles, behaviors, comm: CommParams, seed: int, *,
+    def __init__(self, profiles, behaviors, comm: CommParams, draws: Draws, *,
                  init_box_m: float = 1500.0, speed_limit_mps: float = 10.0,
-                 compute_coeff: float = 1.0, collect_log: bool = False,
-                 draws: Draws | None = None):
+                 compute_coeff: float = 1.0, collect_log: bool = False):
         if len(profiles) != len(behaviors) or not profiles:
             raise ValueError("need matching, non-empty profiles and behaviors")
-        if draws is None:
-            draws = Draws(seed)
-        elif draws.seed != seed:
-            raise ValueError(f"draws of seed {draws.seed} for an episode "
-                             f"of seed {seed}")
         self.profiles = list(profiles)
         self.behaviors = list(behaviors)
         self.comm = comm
@@ -444,26 +421,20 @@ def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     return [WorkerProfile(mu=float(mu)) for mu in mus]
 
 
-def episode_behaviors(scenario, seed: int, open_stream=None) -> list[Behavior]:
+def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     """Draw the straggler assignment for one episode.
 
     Stragglers of the failure modes depart at t=0; "delayed" stragglers
     are slowed by the scenario's delay factor for the whole episode.  The
     straggler draw has its own stream, so changing the ratio or mode never
-    changes the workers' compute or mobility draws.  `open_stream()`
-    returns that stream at its start, and is only called when there is a
-    count or a choice to draw; by default it builds a new stream.
+    changes the workers' compute or mobility draws.
     """
     p = scenario.n_workers
-    if open_stream is None:
-        def open_stream():
-            return substream(seed, _SCENARIO_TAG, _STRAGGLER)
+    stream = substream(seed, _SCENARIO_TAG, _STRAGGLER)
     if scenario.failure_count_uniform:
-        stream = open_stream()
         count = int(stream.integers(0, p + 1))
     else:
         count = int(round(scenario.straggler_ratio * p))
-        stream = open_stream() if count else None
     behaviors = [Behavior()] * p
     if count:
         straggler = (Behavior(departs=0.0)
@@ -472,12 +443,6 @@ def episode_behaviors(scenario, seed: int, open_stream=None) -> list[Behavior]:
         for w in stream.choice(p, size=count, replace=False):
             behaviors[w] = straggler
     return behaviors
-
-
-def _count_stragglers(behaviors) -> int:
-    """Workers whose behaviour differs from a normal worker's."""
-    normal = Behavior()
-    return sum(beh != normal for beh in behaviors)
 
 
 def episode_task(scenario, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -499,7 +464,7 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     horizon at horizon_factor times the pilot completion time.  A pilot
     that cannot finish sets none: the horizon stays infinite.
 
-    `draws` is the seed's `Draws`; episodes that share one read each
+    `draws` is a `Draws` of `seed`; episodes that share one read each
     stream once and run each pilot once per (scenario without its
     straggler fields, strategy, b).  By default the episode makes its own.
 
@@ -514,10 +479,9 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     if draws is None:
         draws = Draws(seed)
     profiles = draws.profiles(scenario)
-    if _behaviors is None:
-        behaviors, n_stragglers = draws.behaviors(scenario)
-    else:
-        behaviors, n_stragglers = _behaviors, _count_stragglers(_behaviors)
+    behaviors = _behaviors if _behaviors is not None else draws.behaviors(scenario)
+    normal = Behavior()
+    n_stragglers = sum(beh != normal for beh in behaviors)
 
     if horizon is None:
         horizon = math.inf
@@ -528,16 +492,16 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
                 pilot = run_episode(scenario, strategy, seed, b=b,
                                     horizon=math.inf, keep_result=False,
                                     draws=draws,
-                                    _behaviors=[Behavior()] * len(behaviors))
+                                    _behaviors=[normal] * len(behaviors))
                 pilot_time = draws.pilot_times[key] = (
                     pilot.completion_time if pilot.success else math.inf)
             horizon = scenario.horizon_factor * pilot_time
 
-    eng = SimEngine(profiles, behaviors, scenario.comm, seed,
+    eng = SimEngine(profiles, behaviors, scenario.comm, draws,
                     init_box_m=scenario.init_box_m,
                     speed_limit_mps=scenario.speed_limit_mps,
                     compute_coeff=scenario.compute_coeff,
-                    collect_log=collect_log, draws=draws)
+                    collect_log=collect_log)
     knobs = {}
     if strategy == "dynamic":
         knobs["b"] = b if b is not None else scenario.dynamic_b

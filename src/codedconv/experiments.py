@@ -40,15 +40,16 @@ def episode_seed(base_seed: int, scenario_name: str, rep: int) -> int:
     return (base_seed * 1_000_003 + tag * 97 + rep) & ((1 << 63) - 1)
 
 
-def run_paired(name: str, episodes, reps: int, base_seed: int,
-               value) -> list[list]:
+def run_paired(episodes, reps: int, base_seed: int, value) -> list[list]:
     """`value` of every episode at every rep, one list per episode in rep order.
 
-    `episodes` lists (scenario, strategy, run_episode keywords), and the
-    scenario `name` derives the seeds.  All episodes of a rep share its
+    `episodes` lists (scenario, strategy, run_episode keywords); the
+    scenarios differ at most in their straggler fields, so they share a
+    name, and that name derives the seeds.  All episodes of a rep share its
     seed and one `Draws`, which is dropped before the next rep, so memory
     does not grow with `reps`.
     """
+    name = episodes[0][0].name
     values: list[list] = [[] for _ in episodes]
     for rep in range(reps):
         seed = episode_seed(base_seed, name, rep)
@@ -90,8 +91,7 @@ def sweep_b(scenario: ScenarioConfig, b_values, reps: int, base_seed: int):
     for b in b_values:
         if not 1 <= b <= scenario.n2:
             raise ConfigError(f"b={b} out of range [1, {scenario.n2}]")
-    times = run_paired(scenario.name,
-                       [(scenario, "dynamic", {"b": b}) for b in b_values],
+    times = run_paired([(scenario, "dynamic", {"b": b}) for b in b_values],
                        reps, base_seed, _completion_time)
     rows = []
     for b, values in zip(b_values, times):
@@ -112,8 +112,7 @@ def compare_strategies(scenario: ScenarioConfig, reps: int, base_seed: int,
                        ratio: float = 0.5, mode: str = "delayed"):
     """Paired-seed mean/std completion time for all three strategies."""
     scn = scenario.replace(straggler_ratio=ratio, straggler_mode=mode)
-    times = run_paired(scn.name,
-                       [(scn, strategy, {}) for strategy in STRATEGY_ORDER],
+    times = run_paired([(scn, strategy, {}) for strategy in STRATEGY_ORDER],
                        reps, base_seed, _completion_time)
     rows = []
     for strategy, values in zip(STRATEGY_ORDER, times):
@@ -127,13 +126,14 @@ def stress_test(scenario: ScenarioConfig, ratios, reps: int, base_seed: int,
                 mode: str = "delayed"):
     """Paired-seed sweep of straggler ratio for all three strategies."""
     ratios = list(ratios)
+    if not ratios:
+        raise ConfigError("ratios must not be empty")
     for r in ratios:
         if not 0.0 <= r <= 1.0:
             raise ConfigError(f"straggler ratio {r} out of range [0, 1]")
     scenarios = [scenario.replace(straggler_ratio=ratio, straggler_mode=mode)
                  for ratio in ratios]
-    times = run_paired(scenario.name,
-                       [(scn, strategy, {}) for scn in scenarios
+    times = run_paired([(scn, strategy, {}) for scn in scenarios
                         for strategy in STRATEGY_ORDER],
                        reps, base_seed, _completion_time)
     rows = []
@@ -162,7 +162,6 @@ def success_rate(scenario: ScenarioConfig, runs: int, base_seed: int,
     scn = scenario.replace(failure_count_uniform=True, straggler_mode=mode,
                            straggler_ratio=0.0)
     outcomes = run_paired(
-        scn.name,
         [(scn, strategy, {"horizon": math.inf}) for strategy in STRATEGY_ORDER],
         runs, base_seed, lambda m: (m.n_stragglers, m.success))
     rows = []

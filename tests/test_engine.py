@@ -9,6 +9,7 @@ import pytest
 
 from codedconv import engine, models
 from codedconv.engine import (
+    Draws,
     SimEngine,
     episode_behaviors,
     episode_profiles,
@@ -27,7 +28,7 @@ def make_engine(p=2, seed=11, behaviors=None, profiles=None, collect_log=True,
                 **kwargs):
     profiles = profiles or [WorkerProfile(mu=4e6)] * p
     behaviors = behaviors or [Behavior() for _ in range(p)]
-    return SimEngine(profiles, behaviors, CommParams(), seed,
+    return SimEngine(profiles, behaviors, CommParams(), Draws(seed),
                      collect_log=collect_log, **kwargs)
 
 
@@ -199,9 +200,10 @@ def test_worker_queues_pieces_fifo():
 
 def test_delayed_worker_scales_compute_and_return():
     profiles = [WorkerProfile(mu=4e6)]
-    normal = SimEngine(profiles, [Behavior()], CommParams(), 7, collect_log=True)
+    normal = SimEngine(profiles, [Behavior()], CommParams(), Draws(7),
+                       collect_log=True)
     slowed = SimEngine(profiles, [Behavior(slowdown=15.0)],
-                       CommParams(), 7, collect_log=True)
+                       CommParams(), Draws(7), collect_log=True)
     for eng in (normal, slowed):
         eng.send(0, row=0, n_in=50, load_pair=(50, 50))
         for _ in eng.events():
@@ -441,14 +443,6 @@ def test_run_episode_unknown_strategy():
     scn = benchmark_scenario(1)
     with pytest.raises(ValueError, match="unknown strategy"):
         run_episode(scn, "psychic", 1)
-
-
-def test_draws_of_another_seed_are_refused():
-    with pytest.raises(ValueError, match="draws of seed 2"):
-        make_engine(seed=1, draws=engine.Draws(2))
-    with pytest.raises(ValueError, match="draws of seed 2"):
-        run_episode(benchmark_scenario(1, 64), "dynamic", 1,
-                    draws=engine.Draws(2))
 
 
 def test_pilot_sets_finite_horizon():

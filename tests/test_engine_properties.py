@@ -48,7 +48,7 @@ def episodes(draw):
                           min_size=1, max_size=6))
     profiles = [WorkerProfile(mu=mu) for mu, _ in fleet]
     eng = KeyedEngine(profiles, [beh for _, beh in fleet], CommParams(),
-                      draw(st.integers(0, 2**32)), collect_log=True)
+                      Draws(draw(st.integers(0, 2**32))), collect_log=True)
     runner = STRATEGIES[draw(st.sampled_from(sorted(STRATEGIES)))]
     n1 = draw(st.integers(1, 300))
     n2 = draw(st.integers(1, 300))

@@ -19,6 +19,7 @@ import math
 from pathlib import Path
 
 from codedconv.engine import (
+    Draws,
     SimEngine,
     episode_behaviors,
     episode_profiles,
@@ -73,7 +74,7 @@ def distance_lines() -> list[str]:
     lines = ["seed,worker,t,distance"]
     for seed in DISTANCE_SEEDS:
         eng = SimEngine(episode_profiles(scn, seed),
-                        episode_behaviors(scn, seed), scn.comm, seed,
+                        episode_behaviors(scn, seed), scn.comm, Draws(seed),
                         init_box_m=scn.init_box_m,
                         speed_limit_mps=scn.speed_limit_mps)
         for t in DISTANCE_TIMES:

@@ -113,6 +113,11 @@ def test_delay_factor_one_compares_like_no_stragglers():
         == compare_strategies(scn, reps=3, base_seed=9, ratio=0.0)
 
 
+def test_stress_rejects_empty_ratios():
+    with pytest.raises(ConfigError, match="ratios must not be empty"):
+        stress_test(small_scenario(), [], reps=1, base_seed=4)
+
+
 def test_stress_rows_cover_ratio_grid():
     scn = small_scenario()
     ratios = [0.0, 0.5]
@@ -171,14 +176,15 @@ def test_stress_runs_one_pilot_per_rep_and_strategy(monkeypatch):
     assert len(set(pilots)) == len(pilots)
 
 
-@pytest.mark.parametrize("experiment", [
-    lambda scn: sweep_b(scn.replace(straggler_ratio=0.5), [8, 32], 3, 7),
-    lambda scn: compare_strategies(scn, 3, 7, ratio=0.5),
-    lambda scn: stress_test(scn, [0.0, 0.3, 0.7, 1.0], 3, 7),
-    lambda scn: stress_test(scn, [0.5, 1.0], 3, 7, mode="leave"),
-    lambda scn: success_rate(scn, 12, 7),
+@pytest.mark.parametrize("experiment, straggler_configs", [
+    (lambda scn: sweep_b(scn.replace(straggler_ratio=0.5), [8, 32], 3, 7), 1),
+    (lambda scn: compare_strategies(scn, 3, 7, ratio=0.5), 1),
+    (lambda scn: stress_test(scn, [0.0, 0.3, 0.7, 1.0], 3, 7), 4),
+    (lambda scn: stress_test(scn, [0.5, 1.0], 3, 7, mode="leave"), 2),
+    (lambda scn: success_rate(scn, 12, 7), 1),
 ], ids=["sweep_b", "compare", "stress", "stress_leave", "success_rate"])
-def test_experiments_build_each_stream_once(experiment, monkeypatch):
+def test_experiments_build_each_stream_once(experiment, straggler_configs,
+                                            monkeypatch):
     built = Counter()
     original = engine.substream
 
@@ -191,7 +197,13 @@ def test_experiments_build_each_stream_once(experiment, monkeypatch):
     # are built too.
     experiment(small_scenario(mu_low=100.0, mu_high=200.0))
     assert any(tags[-1] == engine._VELOCITY for tags in built)
-    assert built and max(built.values()) == 1
+    # Each straggler configuration draws its behaviours from the start of
+    # the seed's straggler stream; every other stream is built once.
+    for tags, count in built.items():
+        if tags[-1] == engine._STRAGGLER:
+            assert count == straggler_configs
+        else:
+            assert count == 1
 
 
 def test_success_rate_keeps_one_draws_alive(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from codedconv import strategies
 from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct
-from codedconv.engine import SimEngine, run_episode, episode_task
+from codedconv.engine import Draws, SimEngine, run_episode, episode_task
 from codedconv.models import Behavior, CommParams, WorkerProfile
 from codedconv.scenarios import benchmark_scenario
 from codedconv.strategies import (
@@ -26,7 +26,7 @@ def make_engine(p, seed=1, behaviors=None, mus=None, collect_log=False):
         mus = [4e6] * p
     profiles = [WorkerProfile(mu=mu) for mu in mus]
     behaviors = behaviors or [Behavior() for _ in range(p)]
-    return SimEngine(profiles, behaviors, CommParams(), seed,
+    return SimEngine(profiles, behaviors, CommParams(), Draws(seed),
                      collect_log=collect_log)
 
 
