@@ -88,9 +88,11 @@ def _make_spec(kind: str, scenario: ScenarioConfig, options: dict, *,
         text = options.get(key, DEFAULTS.get(key))
         if text is not None:
             values = parse_list(text, convert, name(key))
+    out_dir = options.get("out_dir", DEFAULTS["out_dir"])
+    if not out_dir:
+        raise ConfigError(f"{name('out_dir')} must name a directory")
     return ExperimentSpec(kind, scenario, options.get("seed", DEFAULTS["seed"]),
-                          count, values, mode, scale,
-                          options.get("out_dir", DEFAULTS["out_dir"]))
+                          count, values, mode, scale, out_dir)
 
 
 def _spec_from_args(args) -> ExperimentSpec:
@@ -101,7 +103,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     return _make_spec(args.command, scenario, options,
                       mode=getattr(args, "mode", scenario.straggler_mode),
                       scale=args.scale,
-                      name=lambda key: "--" + key.replace("_", "-"))
+                      name=lambda key: "--out" if key == "out_dir"
+                      else "--" + key.replace("_", "-"))
 
 
 def _spec_from_config(path: str) -> ExperimentSpec:

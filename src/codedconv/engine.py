@@ -7,25 +7,27 @@ others and of the event interleaving: changing one worker's behaviour never
 perturbs another worker's compute times or trajectory.
 
 An engine reads its randomness through a `Draws`, which holds everything
-one episode seed reads.  Each per-node stream is a tape: its values in
+one episode seed reads.  Per-node draws are kept on tapes: values in
 draw order, drawn ahead a few at a time on first read and kept, so every
 episode of a seed (every strategy, sweep point and straggler ratio of a
-rep) reads the same values without rebuilding the stream.  A node's
-position is drawn at its first distance read, its velocity tape starts at
-its first mobility tick, and a worker's compute tape at the first piece it
-accepts.  Streams that no episode reads (failed workers, mobility in
-episodes shorter than a second) are never built, and since each stream is
-keyed on its own, the draws do not depend on when or whether the others
-are made.  The `Draws` also holds the seed's profiles and behaviours and
-one straggler-free pilot completion time per (scenario, strategy, b).  An
-episode given no `Draws` makes a private one, so sharing one changes no
-value.
+rep) reads the same values without rebuilding a stream.  A node's
+position tape holds its position at each whole second: the start position
+is drawn at the node's first distance read and the velocity stream at its
+first read past second 0.  A worker's compute tape starts at the first
+piece it accepts.  Streams that no episode reads (failed workers, mobility
+in episodes shorter than a second) are never built, and since each stream
+is keyed on its own, the draws do not depend on when or whether the
+others are made.  The `Draws` also holds the seed's profiles, behaviours
+and operands and one straggler-free pilot completion time per (scenario,
+strategy, b).  An episode given no `Draws` makes a private one, so sharing
+one changes no value; one of another seed is refused.
 
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); distance reads between ticks see the most
-recent tick position.  Each node integrates the clock lazily up to the
-latest tick any read has reached, so an episode that finishes within a
-second never pays for tick events.
+recent tick position.  The engine keeps only the latest tick any read has
+reached, and a position tape is integrated a chunk at a time as far as
+reads reach, so an episode that finishes within a second never pays for
+tick events.
 
 Each worker's `Behavior` is read in three places: its slowdown multiplies
 the compute and return-transfer time of every piece, the master can reach
@@ -122,88 +124,99 @@ def substream(seed: int, *tags: int) -> np.random.Generator:
 _CHUNK = 8
 
 
-class Tape:
-    """One keyed stream's values in draw order, extended on demand.
+class Tape(dict):
+    """One keyed stream's values by draw index, kept once drawn.
 
-    `values` grows by one chunk per `grow()`; a reader keeps its own
-    position and calls `grow()` when it reaches the end.
+    Reading `tape[k]` past the end takes chunks from `chunks`, an iterator
+    of lists, until the tape holds k + 1 values.  The chunks are made on
+    demand, so a stream nothing reads past is never built.  It is a dict
+    so that reading a value already drawn runs no Python code.
     """
 
-    __slots__ = ("values", "_draw_chunk")
+    __slots__ = ("_chunks",)
 
-    def __init__(self, draw_chunk):
-        self.values: list = []
-        self._draw_chunk = draw_chunk
+    def __init__(self, chunks):
+        self._chunks = chunks
 
-    def grow(self) -> None:
-        self.values.extend(self._draw_chunk())
+    def __missing__(self, k: int):
+        while len(self) <= k:
+            self.update(enumerate(next(self._chunks), len(self)))
+        return self[k]
+
+
+class Memo(dict):
+    """Values by key, each made by `make(key)` at its first lookup."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value
+
+
+def _path(seed: int, tag: int, box: float, speed_limit: float) -> Tape:
+    """Node `tag`'s position tape, one position per whole second.
+
+    Index 0 is the start position in the +-box square; index k adds the
+    velocity of second k (dt = 1 s).  The velocity stream is built at the
+    first read past the start and drawn _CHUNK seconds at a time.
+    """
+    pos = substream(seed, tag, _POSITION).uniform(-box, box, 2)
+    tape = Tape(_moves(seed, tag, pos, speed_limit))
+    tape[0] = pos
+    return tape
+
+
+def _moves(seed: int, tag: int, pos: np.ndarray, speed_limit: float):
+    """Chunks of the positions that follow `pos`, one per second."""
+    stream = substream(seed, tag, _VELOCITY)
+    while True:
+        chunk = []
+        for velocity in stream.uniform(-speed_limit, speed_limit, (_CHUNK, 2)):
+            pos = pos + velocity
+            chunk.append(pos)
+        yield chunk
+
+
+def _exponentials(seed: int, worker: int):
+    """Chunks of standard-exponential draws for `worker`'s pieces."""
+    stream = substream(seed, worker, _COMPUTE)
+    while True:
+        yield stream.standard_exponential(_CHUNK).tolist()
 
 
 class Draws:
     """Everything the episodes of one seed read, each drawn once.
 
-    Holds the per-node tapes (start positions, velocity pairs and compute
-    draws, the last as standard exponentials that `sample_compute_time`
-    scales) and the profiles and behaviours per scenario.  `pilot_times`
-    is the memo `run_episode` keeps of straggler-free pilot completion
-    times (`inf` for a pilot that cannot finish), keyed by
+    Each field but `pilot_times` is a `Memo`, so a value is drawn at its
+    first lookup:
+    - `paths[box, speed_limit][tag]`: the position tape of node `tag` (a
+      worker index, or _MASTER_TAG); do not write to a position;
+    - `compute[worker]`: the worker's compute tape, standard exponentials
+      that `sample_compute_time` scales, in accept order;
+    - `profiles[scenario.straggler_free]`, `behaviors[scenario]` and
+      `operands[scenario.straggler_free]`: the episode draws of
+      `episode_profiles`, `episode_behaviors` and `episode_task`.
+    `pilot_times` is the memo `run_episode` keeps of straggler-free pilot
+    completion times (`inf` for a pilot that cannot finish), keyed by
     (scenario.straggler_free, strategy, b).  Episodes of different seeds
-    must not share one.
+    must not share one, and `run_episode` refuses one of another seed.
     """
 
     def __init__(self, seed: int):
+        # The closures hold `seed`, not `self`: a cycle through them would
+        # keep a dropped Draws alive until the cycle collector runs.
         self.seed = seed
-        self._starts: dict = {}
-        self._velocities: dict = {}
-        self._compute: dict = {}
-        self._profiles: dict = {}
-        self._behaviors: dict = {}
+        self.paths = Memo(lambda fleet: Memo(
+            lambda tag: _path(seed, tag, *fleet)))
+        self.compute = Memo(lambda worker: Tape(_exponentials(seed, worker)))
+        self.profiles = Memo(lambda scn: episode_profiles(scn, seed))
+        self.behaviors = Memo(lambda scn: episode_behaviors(scn, seed))
+        self.operands = Memo(lambda scn: episode_task(scn, seed))
         self.pilot_times: dict = {}
-
-    def start_position(self, tag: int, box: float) -> np.ndarray:
-        """Node `tag`'s start position in the +-box square; do not write to it."""
-        key = (tag, box)
-        pos = self._starts.get(key)
-        if pos is None:
-            pos = self._starts[key] = substream(self.seed, tag, _POSITION).uniform(
-                -box, box, 2)
-        return pos
-
-    def velocities(self, tag: int, speed_limit: float) -> Tape:
-        """Node `tag`'s per-second velocity pairs, one row per second."""
-        key = (tag, speed_limit)
-        tape = self._velocities.get(key)
-        if tape is None:
-            stream = substream(self.seed, tag, _VELOCITY)
-            tape = self._velocities[key] = Tape(lambda: list(
-                stream.uniform(-speed_limit, speed_limit, (_CHUNK, 2))))
-        return tape
-
-    def compute_draws(self, worker: int) -> Tape:
-        """Standard-exponential draws for `worker`'s pieces, in accept order."""
-        tape = self._compute.get(worker)
-        if tape is None:
-            stream = substream(self.seed, worker, _COMPUTE)
-            tape = self._compute[worker] = Tape(
-                lambda: stream.standard_exponential(_CHUNK).tolist())
-        return tape
-
-    def profiles(self, scenario) -> list[WorkerProfile]:
-        """The episode profiles; the straggler fields do not change them."""
-        fleet = scenario.straggler_free
-        profiles = self._profiles.get(fleet)
-        if profiles is None:
-            profiles = self._profiles[fleet] = episode_profiles(scenario,
-                                                                self.seed)
-        return profiles
-
-    def behaviors(self, scenario) -> list[Behavior]:
-        """The episode behaviours for `scenario`."""
-        behaviors = self._behaviors.get(scenario)
-        if behaviors is None:
-            behaviors = self._behaviors[scenario] = episode_behaviors(scenario,
-                                                                      self.seed)
-        return behaviors
 
 
 @dataclass
@@ -261,17 +274,10 @@ class SimEngine:
         self.log: list[SimEvent] = []
         self._log_seq = 0
 
-        # Node 0..P-1 are workers, node P is the master.  Each tape is
-        # looked up in `draws` on its first read in this episode.
-        nodes = self.n_workers + 1
-        self._draws = draws
-        self._init_box = init_box_m
-        self._speed_limit = speed_limit_mps
-        self._pos: list = [None] * nodes
-        self._vel_tapes: list = [None] * nodes
-        self._node_second = [0] * nodes
+        # Position tapes by node tag (a worker index, or _MASTER_TAG).
+        self._paths = draws.paths[init_box_m, speed_limit_mps]
         self._mobility_second = 0
-        self._compute_tapes: list = [None] * self.n_workers
+        self._compute = draws.compute
         self._compute_read = [0] * self.n_workers
 
         # Master-visible roster changes; a worker that departs before it
@@ -288,35 +294,14 @@ class SimEngine:
     def now(self) -> float:
         return self._now
 
-    def _position(self, node: int) -> np.ndarray:
-        """Position of `node` at the latest mobility tick any read reached.
-
-        The start position is looked up on the node's first read.  Each
-        tick adds the velocity of that second (dt = 1 s); the velocity tape
-        is looked up at the node's first tick.
-        """
-        tag = node if node < self.n_workers else _MASTER_TAG
-        pos = self._pos[node]
-        if pos is None:
-            pos = self._pos[node] = self._draws.start_position(tag, self._init_box)
-        second, reached = self._node_second[node], self._mobility_second
-        if reached > second:
-            tape = self._vel_tapes[node]
-            if tape is None:
-                tape = self._vel_tapes[node] = self._draws.velocities(
-                    tag, self._speed_limit)
-            while len(tape.values) < reached:
-                tape.grow()
-            for velocity in tape.values[second:reached]:
-                pos = pos + velocity
-            self._pos[node] = pos
-            self._node_second[node] = reached
-        return pos
+    def _position(self, tag: int) -> np.ndarray:
+        """Node `tag`'s position at the latest mobility tick reached."""
+        return self._paths[tag][self._mobility_second]
 
     def distance(self, worker: int, t: float) -> float:
         """Master-worker distance using the most recent mobility tick."""
         self._mobility_second = max(self._mobility_second, int(math.floor(t)))
-        delta = self._position(worker) - self._position(self.n_workers)
+        delta = self._position(worker) - self._position(_MASTER_TAG)
         return float(np.hypot(delta[0], delta[1]))
 
     # -- roster --------------------------------------------------------------
@@ -368,16 +353,11 @@ class SimEngine:
         # Pieces queue at the worker and compute one at a time.
         start = max(arrive, self._busy[worker])
         load = compute_load(load_pair[0], load_pair[1], self.compute_coeff)
-        tape = self._compute_tapes[worker]
-        if tape is None:
-            tape = self._compute_tapes[worker] = self._draws.compute_draws(worker)
         k = self._compute_read[worker]
         self._compute_read[worker] = k + 1
-        if k == len(tape.values):
-            tape.grow()
         # Slowdown covers the work and the return transfer.
-        t_comp = (sample_compute_time(tape.values[k], load, self.profiles[worker])
-                  * beh.slowdown)
+        t_comp = (sample_compute_time(self._compute[worker][k], load,
+                                      self.profiles[worker]) * beh.slowdown)
         t_out = comm_time(n_out, rate, self.comm.payload_bytes) * beh.slowdown
         done = start + t_comp
         self._busy[worker] = done
@@ -464,13 +444,14 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     horizon at horizon_factor times the pilot completion time.  A pilot
     that cannot finish sets none: the horizon stays infinite.
 
-    `draws` is a `Draws` of `seed`; episodes that share one read each
-    stream once and run each pilot once per (scenario without its
-    straggler fields, strategy, b).  By default the episode makes its own.
+    `draws` is a `Draws` of `seed` (one of another seed is a ValueError);
+    episodes that share one read each stream once and run each pilot once
+    per (scenario without its straggler fields, strategy, b).  By default
+    the episode makes its own.
 
     The strategy schedules from the operand lengths.  Only with
-    `keep_result` does a successful episode draw the operands and
-    assemble the convolution into `result`.
+    `keep_result` does a successful episode read the operands from `draws`
+    and assemble the convolution into `result`.
     """
     runner = STRATEGIES.get(strategy)
     if runner is None:
@@ -478,8 +459,12 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
                          f"choose from {sorted(STRATEGIES)}")
     if draws is None:
         draws = Draws(seed)
-    profiles = draws.profiles(scenario)
-    behaviors = _behaviors if _behaviors is not None else draws.behaviors(scenario)
+    elif draws.seed != seed:
+        raise ValueError(f"the Draws are of seed {draws.seed}, "
+                         f"not of the episode seed {seed}")
+    profiles = draws.profiles[scenario.straggler_free]
+    behaviors = (_behaviors if _behaviors is not None
+                 else draws.behaviors[scenario])
     normal = Behavior()
     n_stragglers = sum(beh != normal for beh in behaviors)
 
@@ -510,7 +495,8 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     outcome = runner(scenario.n1, scenario.n2, eng, horizon=horizon, **knobs)
     result = None
     if keep_result and outcome.plan is not None:
-        result = outcome.plan.assemble(*episode_task(scenario, seed))
+        result = outcome.plan.assemble(
+            *draws.operands[scenario.straggler_free])
 
     return EpisodeMetrics(
         **vars(outcome),

@@ -39,8 +39,12 @@ class CommParams:
     rx_offset_dbm: float = 6.0
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0 or self.noise_w <= 0 or self.payload_bytes < 1:
-            raise ValueError("bandwidth, noise power and payload size must be positive")
+        if not (0 < self.bandwidth_hz < math.inf
+                and 0 < self.noise_w < math.inf
+                and math.isfinite(self.rx_offset_dbm)
+                and self.payload_bytes >= 1):
+            raise ValueError("need finite rx_offset_dbm, finite positive "
+                             "bandwidth_hz and noise_w, payload_bytes >= 1")
 
 
 # Straggler modes a scenario can ask for, in the order the CLI lists them.

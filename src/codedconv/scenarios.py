@@ -67,19 +67,23 @@ class ScenarioConfig:
             problems.append("n1 and n2 must be >= 1")
         if self.n_workers < 1:
             problems.append("n_workers must be >= 1")
-        if not (0 < self.mu_low <= self.mu_high):
-            problems.append("need 0 < mu_low <= mu_high")
+        # Written so that NaN fails every test; inf is a legal delay or
+        # horizon factor (the latter never gives up) and nothing else.
+        if not 0 < self.mu_low <= self.mu_high < math.inf:
+            problems.append("need 0 < mu_low <= mu_high < inf")
         if not 0.0 <= self.straggler_ratio <= 1.0:
             problems.append("straggler_ratio must be in [0, 1]")
         if self.straggler_mode not in STRAGGLER_MODES:
             problems.append(f"straggler_mode must be one of {STRAGGLER_MODES}")
-        if self.delay_factor < 1.0:
+        if not self.delay_factor >= 1.0:
             problems.append("delay_factor must be >= 1")
-        if self.compute_coeff <= 0:
-            problems.append("compute_coeff must be positive")
-        if self.init_box_m <= 0 or self.speed_limit_mps < 0:
-            problems.append("init_box_m must be positive, speed_limit_mps >= 0")
-        if self.horizon_factor <= 1.0:
+        if not 0 < self.compute_coeff < math.inf:
+            problems.append("compute_coeff must be positive and finite")
+        if not (0 < self.init_box_m < math.inf
+                and 0 <= self.speed_limit_mps < math.inf):
+            problems.append("init_box_m must be positive, speed_limit_mps "
+                            ">= 0, both finite")
+        if not self.horizon_factor > 1.0:
             problems.append("horizon_factor must be > 1")
         if self.dynamic_b is not None and not 1 <= self.dynamic_b <= self.n2:
             problems.append("dynamic_b must be in [1, n2]")

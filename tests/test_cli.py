@@ -150,6 +150,16 @@ def test_bad_option_value_exits_2_and_writes_nothing(argv, option, tmp_path,
     assert not out_dir.exists()
 
 
+def test_empty_out_dir_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["compare", "--scale", "64", "--reps", "1",
+                              "--out", ""], capsys)
+    assert code == 2
+    assert "--out " in err and not out
+    assert os.listdir(tmp_path) == []
+
+
 def test_success_rate_rejects_reps(capsys):
     # argparse exits on an unknown option instead of returning from main.
     with pytest.raises(SystemExit) as exc:

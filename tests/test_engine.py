@@ -445,6 +445,32 @@ def test_run_episode_unknown_strategy():
         run_episode(scn, "psychic", 1)
 
 
+def test_run_episode_refuses_draws_of_another_seed():
+    with pytest.raises(ValueError, match="seed 12, .* seed 11"):
+        run_episode(benchmark_scenario(1, 64), "dynamic", 11, draws=Draws(12))
+
+
+def test_kept_results_on_one_draws_draw_the_operands_once(monkeypatch):
+    built = []
+    original = engine.substream
+
+    def recording(seed, *tags):
+        built.append(tags)
+        return original(seed, *tags)
+
+    monkeypatch.setattr(engine, "substream", recording)
+    scn = benchmark_scenario(1, 64)
+    seed = 4
+    draws = Draws(seed)
+    # The operands do not depend on the straggler fields.
+    for ratio in (0.0, 0.25):
+        for strategy in ("uncoded", "traditional", "dynamic"):
+            m = run_episode(scn.replace(straggler_ratio=ratio), strategy, seed,
+                            draws=draws)
+            assert m.result is not None
+    assert built.count((engine._SCENARIO_TAG, engine._TASK)) == 1
+
+
 def test_pilot_sets_finite_horizon():
     scn = benchmark_scenario(1).replace(straggler_ratio=0.5)
     m = run_episode(scn, "dynamic", 88, keep_result=False)

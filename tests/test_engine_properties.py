@@ -113,7 +113,11 @@ def test_events_pop_in_time_then_seq_order(eng):
 
 @st.composite
 def shared_seed_runs(draw):
-    """A scenario, a seed and a shuffled grid of (strategy, ratio, b)."""
+    """A scenario, a seed and a shuffled grid of (strategy, ratio, b, fleet).
+
+    A fleet is an (init_box_m, speed_limit_mps) pair; both key the
+    position tapes.
+    """
     n2 = draw(st.integers(1, 120))
     # Slow fleets make episodes span mobility ticks.
     mu_low = draw(st.sampled_from([500.0, 3e6]))
@@ -127,7 +131,10 @@ def shared_seed_runs(draw):
     ratios = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                            min_size=1, max_size=3, unique=True))
     bs = [None, draw(st.integers(1, n2))]
-    grid = list(itertools.product(sorted(STRATEGIES), ratios, bs))
+    fleets = draw(st.lists(st.tuples(st.sampled_from([1500.0, 30.0]),
+                                     st.sampled_from([10.0, 0.0, 40.0])),
+                           min_size=1, max_size=2, unique=True))
+    grid = list(itertools.product(sorted(STRATEGIES), ratios, bs, fleets))
     return scenario, draw(st.integers(0, 2**63 - 1)), draw(st.permutations(grid))
 
 
@@ -149,8 +156,9 @@ def test_shared_draws_change_no_episode(run):
     # it gives on a private one: tapes, profiles, behaviours and pilots.
     scenario, seed, grid = run
     draws = Draws(seed)
-    for strategy, ratio, b in grid:
-        scn = scenario.replace(straggler_ratio=ratio)
+    for strategy, ratio, b, (box, speed_limit) in grid:
+        scn = scenario.replace(straggler_ratio=ratio, init_box_m=box,
+                               speed_limit_mps=speed_limit)
         kwargs = dict(b=b, collect_log=True, keep_result=False)
         assert_same_episode(
             run_episode(scn, strategy, seed, draws=draws, **kwargs),

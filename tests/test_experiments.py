@@ -365,6 +365,40 @@ def test_config_bad_kind(tmp_path, capsys):
     assert "sweep-b, compare, stress, success-rate" in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("scenario", "compute_coeff", "nan"),
+    ("scenario", "compute_coeff", "inf"),
+    ("comm", "bandwidth_hz", "nan"),
+    ("comm", "noise_w", "nan"),
+    ("comm", "rx_offset_dbm", "nan"),
+    ("scenario", "init_box_m", "nan"),
+    ("scenario", "init_box_m", "inf"),
+    ("scenario", "mu_high", "inf"),
+    ("scenario", "horizon_factor", "nan"),
+    ("scenario", "speed_limit_mps", "nan"),
+    ("straggler", "delay_factor", "nan"),
+    ("experiment", "out_dir", ""),
+])
+def test_config_bad_value_exits_2_before_running(section, key, value,
+                                                 tmp_path, capsys,
+                                                 monkeypatch):
+    ran = []
+    monkeypatch.setattr(experiments, "run_episode",
+                        lambda *args, **kwargs: ran.append(args))
+    config = {"scenario": {"index": "1"},
+              "experiment": {"kind": "compare", "reps": "2",
+                             "out_dir": str(tmp_path / "res")}}
+    config.setdefault(section, {})[key] = value
+    path = tmp_path / "exp.cfg"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for name, entries in config.items()))
+    assert main(["run", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not ran
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
 def test_config_straggler_section(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("[scenario]\nindex = 2\n\n"
