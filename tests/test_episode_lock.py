@@ -4,10 +4,13 @@ The tables in tests/golden/ keep only means and standard deviations, so a
 change that moves single episodes but keeps the means would pass them.
 `episodes.csv` holds one row per (preset, mode, strategy, seed) episode at
 `--scale 64`; `distances.csv` holds direct `SimEngine.distance` reads
-across whole-second mobility ticks, which no preset episode reaches.
+across whole-second mobility ticks, which no `--scale 64` episode reaches.
+`ticks.csv` holds the episodes that do: every episode of a small grid at
+scales 8 and 1 that runs past one second, plus episodes whose workers
+depart mid-task or join late, which no CLI experiment can ask for.
 
 The files are never regenerated quietly.  After a change that is meant to
-alter them, rewrite both with
+alter them, rewrite all three with
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 import test_episode_lock as t; t.write_lock()"
@@ -25,7 +28,9 @@ from codedconv.engine import (
     episode_profiles,
     run_episode,
 )
+from codedconv.models import Behavior
 from codedconv.scenarios import benchmark_scenario
+from codedconv.strategies import STRATEGIES as RUNNERS
 
 GOLDEN = Path(__file__).parent / "golden"
 SCALE = 64
@@ -47,11 +52,37 @@ DISTANCE_PRESET = 1
 DISTANCE_SEEDS = (0, 1, 2)
 DISTANCE_WORKERS = (0, 3, 7)
 DISTANCE_TIMES = (0.0, 0.5, 1.0, 2.5, 7.0, 30.0)
+# (scale, presets, seeds) of the tick grid, run in every MODES entry but
+# the uniform ones; a row is kept when the episode runs past one second.
+TICK_GRIDS = ((8, (3, 4), range(3)), (1, (1, 2, 3, 4), range(2)))
+TICK_MODES = {**{mode: MODES[mode] for mode in ("delayed", "fail", "leave")},
+              "delayed-all": ({"straggler_mode": "delayed",
+                               "straggler_ratio": 1.0}, None)}
+# Hand-built fleets on preset 3 at full size, every worker slowed 15x so
+# that dynamic episodes keep dispatching for several seconds: worker ->
+# (joins, departs).  "depart-at-result" is filled in by `tick_lines`.
+TICK_PRESET = 3
+TICK_SEEDS = (0, 1)
+SLOW = 15.0
+ROSTERS = {
+    "depart-mid": {0: (0.0, 2.5), 1: (0.0, 4.0)},
+    "join-late": {6: (1.5, math.inf), 7: (3.0, math.inf)},
+    "join-then-depart": {5: (1.2, 5.0), 4: (0.0, 1.7)},
+}
+RESULT_WORKER = 2
+ROW_HEADER = ("success,completion_time,pieces_dispatched,redundancy_used,"
+              "per_worker_results")
+
+
+def outcome_fields(m, n_workers: int) -> str:
+    counts = " ".join(str(m.per_worker_results.get(w, 0))
+                      for w in range(n_workers))
+    return (f"{m.success},{m.completion_time!r},{m.pieces_dispatched},"
+            f"{m.redundancy_used},{counts}")
 
 
 def episode_lines() -> list[str]:
-    lines = ["preset,mode,strategy,seed,success,completion_time,"
-             "pieces_dispatched,redundancy_used,per_worker_results"]
+    lines = ["preset,mode,strategy,seed," + ROW_HEADER]
     for preset in (1, 2, 3, 4):
         for mode, (overrides, horizon) in MODES.items():
             scn = benchmark_scenario(preset, SCALE, **overrides)
@@ -59,12 +90,58 @@ def episode_lines() -> list[str]:
                 for seed in SEEDS:
                     m = run_episode(scn, strategy, seed, horizon=horizon,
                                     keep_result=False)
-                    counts = " ".join(str(m.per_worker_results.get(w, 0))
-                                      for w in range(scn.n_workers))
-                    lines.append(
-                        f"{preset},{mode},{strategy},{seed},{m.success},"
-                        f"{m.completion_time!r},{m.pieces_dispatched},"
-                        f"{m.redundancy_used},{counts}")
+                    lines.append(f"{preset},{mode},{strategy},{seed},"
+                                 + outcome_fields(m, scn.n_workers))
+    return lines
+
+
+def run_roster(scn, strategy: str, seed: int, roster: dict,
+               collect_log: bool = False):
+    """`strategy` on `scn` with every worker slowed, `roster` overriding
+    the (joins, departs) of some; no horizon."""
+    behaviors = [Behavior(SLOW, *roster.get(w, (0.0, math.inf)))
+                 for w in range(scn.n_workers)]
+    draws = Draws(seed)
+    eng = SimEngine(draws.profiles[scn], behaviors, scn.comm, draws,
+                    init_box_m=scn.init_box_m,
+                    speed_limit_mps=scn.speed_limit_mps,
+                    compute_coeff=scn.compute_coeff, collect_log=collect_log)
+    return RUNNERS[strategy](scn.n1, scn.n2, eng), eng
+
+
+def result_departure(scn, seed: int) -> dict:
+    # RESULT_WORKER departs at the instant its first dynamic result past
+    # one second arrives: the result (queued later) and the departure tie
+    # in time, and the departure must pop first.
+    _, eng = run_roster(scn, "dynamic", seed, {}, collect_log=True)
+    t = min(rec.time for rec in eng.log if rec.kind == "result_arrives"
+            and rec.worker == RESULT_WORKER and rec.time > 1.0)
+    return {RESULT_WORKER: (0.0, t)}
+
+
+def tick_lines() -> list[str]:
+    lines = ["case,scale,preset,strategy,seed," + ROW_HEADER]
+    for scale, presets, seeds in TICK_GRIDS:
+        for preset in presets:
+            for mode, (overrides, horizon) in TICK_MODES.items():
+                scn = benchmark_scenario(preset, scale, **overrides)
+                for seed in seeds:
+                    draws = Draws(seed)
+                    for strategy in STRATEGIES:
+                        m = run_episode(scn, strategy, seed, horizon=horizon,
+                                        keep_result=False, draws=draws)
+                        if m.completion_time > 1.0:
+                            lines.append(f"{mode},{scale},{preset},{strategy},"
+                                         f"{seed}," + outcome_fields(
+                                             m, scn.n_workers))
+    scn = benchmark_scenario(TICK_PRESET, 1)
+    for seed in TICK_SEEDS:
+        rosters = {**ROSTERS, "depart-at-result": result_departure(scn, seed)}
+        for case, roster in rosters.items():
+            for strategy in STRATEGIES:
+                m, _ = run_roster(scn, strategy, seed, roster)
+                lines.append(f"{case},1,{TICK_PRESET},{strategy},{seed},"
+                             + outcome_fields(m, scn.n_workers))
     return lines
 
 
@@ -90,6 +167,7 @@ def as_bytes(lines: list[str]) -> bytes:
 def write_lock() -> None:
     (GOLDEN / "episodes.csv").write_bytes(as_bytes(episode_lines()))
     (GOLDEN / "distances.csv").write_bytes(as_bytes(distance_lines()))
+    (GOLDEN / "ticks.csv").write_bytes(as_bytes(tick_lines()))
 
 
 def test_single_episodes_match_lock():
@@ -98,3 +176,7 @@ def test_single_episodes_match_lock():
 
 def test_distances_across_mobility_ticks_match_lock():
     assert as_bytes(distance_lines()) == (GOLDEN / "distances.csv").read_bytes()
+
+
+def test_episodes_past_one_second_match_lock():
+    assert as_bytes(tick_lines()) == (GOLDEN / "ticks.csv").read_bytes()
