@@ -13,8 +13,15 @@ when rows are consumed in dispatch order.  Real-field decoding still loses
 precision as the piece count grows; with float64 it is reliable up to
 roughly 16 pieces and degrades sharply past ~24, which is why the shipped
 scenario defaults keep piece counts at or below 16.
+
+Codes are shared read-only constants: `make_encoding_matrix` builds each
+(rows, cols) code once and hands every caller the same array, which
+refuses writes.  Since a code is fixed by its shape, so is the decode
+verdict for an ordered set of its rows, and `check_decodable` keeps the
+most recent verdicts, failures included.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,10 @@ RCOND_LIMIT = 1e-12
 DECODE_GUARD_REL = 1e-4
 # Largest m whose square make_encoding_matrix(m, m) system passes RCOND_LIMIT.
 MAX_SQUARE_PIECES = 31
+# How many codes and decode verdicts are kept.  The bounds keep a long run's
+# memory flat: an unbounded verdict memo grows with every new arrival order.
+CODES_KEPT = 64
+VERDICTS_KEPT = 1024
 
 
 def as_vector(values) -> np.ndarray:
@@ -141,18 +152,22 @@ def encoding_points(count: int) -> np.ndarray:
     return nodes[[i for i in order if i < count]]
 
 
+@functools.lru_cache(maxsize=CODES_KEPT)
 def make_encoding_matrix(rows: int, cols: int) -> np.ndarray:
-    """Build a rows x cols Vandermonde matrix over encoding_points(rows).
+    """The rows x cols Vandermonde matrix over encoding_points(rows).
 
     Distinct points make every cols x cols row-submatrix invertible, so any
     `cols` coded results determine the original pieces.  Any other 2-D
-    array, such as the identity, serves as a code too.
+    array, such as the identity, serves as a code too.  The matrix is
+    built once per shape and shared, so it is read-only.
     """
     if cols < 1:
         raise ValueError("cols must be >= 1")
     if rows < 1:
         raise ValueError("rows must be >= 1")
-    return np.vander(encoding_points(rows), cols, increasing=True)
+    matrix = np.vander(encoding_points(rows), cols, increasing=True)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _pieces_array(pieces) -> np.ndarray:
@@ -188,6 +203,27 @@ def decode_factors(matrix: np.ndarray, rows) -> np.ndarray:
             f"decode system too ill conditioned (rcond={rcond:.3e}); "
             "reduce the piece count or use better-spread points")
     return inv
+
+
+def check_decodable(rows: int, cols: int, order) -> None:
+    """Raise what decode_factors(make_encoding_matrix(rows, cols), order) raises.
+
+    The verdict depends only on the code's shape and the ordered rows, so
+    the last VERDICTS_KEPT verdicts are kept by that key, and a kept
+    failure is raised again on every hit.
+    """
+    failure = _decode_failure(rows, cols, tuple(order))
+    if failure is not None:
+        raise DecodeFailure(failure)
+
+
+@functools.lru_cache(maxsize=VERDICTS_KEPT)
+def _decode_failure(rows: int, cols: int, order: tuple) -> str | None:
+    try:
+        decode_factors(make_encoding_matrix(rows, cols), order)
+    except DecodeFailure as exc:
+        return str(exc)
+    return None
 
 
 def mds_decode(results, matrix: np.ndarray) -> np.ndarray:

@@ -181,6 +181,12 @@ def _moves(seed: int, tag: int, pos: np.ndarray, speed_limit: float):
         yield chunk
 
 
+def _distance(paths: Memo, worker: int, second: int) -> float:
+    """Master-worker distance at whole second `second` of `paths`."""
+    delta = paths[worker][second] - paths[_MASTER_TAG][second]
+    return float(np.hypot(delta[0], delta[1]))
+
+
 def _exponentials(seed: int, worker: int):
     """Chunks of standard-exponential draws for `worker`'s pieces."""
     stream = substream(seed, worker, _COMPUTE)
@@ -195,6 +201,10 @@ class Draws:
     first lookup:
     - `paths[box, speed_limit][tag]`: the position tape of node `tag` (a
       worker index, or _MASTER_TAG); do not write to a position;
+    - `rates[comm, box, speed_limit][worker, second]`: the master-worker
+      link rate over `comm` at whole second `second` of those paths, made
+      by `data_rate` from the distance `SimEngine.distance` reads, so
+      every episode of the seed prices a (worker, second) link once;
     - `compute[worker]`: the worker's compute tape, standard exponentials
       that `sample_compute_time` scales, in accept order;
     - `profiles[scenario.straggler_free]`, `behaviors[scenario]` and
@@ -210,13 +220,19 @@ class Draws:
         # The closures hold `seed`, not `self`: a cycle through them would
         # keep a dropped Draws alive until the cycle collector runs.
         self.seed = seed
-        self.paths = Memo(lambda fleet: Memo(
+        paths = self.paths = Memo(lambda fleet: Memo(
             lambda tag: _path(seed, tag, *fleet)))
+        self.rates = Memo(lambda link: _rates(paths[link[1:]], link[0]))
         self.compute = Memo(lambda worker: Tape(_exponentials(seed, worker)))
         self.profiles = Memo(lambda scn: episode_profiles(scn, seed))
         self.behaviors = Memo(lambda scn: episode_behaviors(scn, seed))
         self.operands = Memo(lambda scn: episode_task(scn, seed))
         self.pilot_times: dict = {}
+
+
+def _rates(paths: Memo, comm: CommParams) -> Memo:
+    """Link rates over `comm` by (worker, second) of `paths`."""
+    return Memo(lambda key: data_rate(_distance(paths, *key), comm))
 
 
 @dataclass
@@ -274,8 +290,10 @@ class SimEngine:
         self.log: list[SimEvent] = []
         self._log_seq = 0
 
-        # Position tapes by node tag (a worker index, or _MASTER_TAG).
+        # Position tapes by node tag (a worker index, or _MASTER_TAG), and
+        # link rates by (worker, second).
         self._paths = draws.paths[init_box_m, speed_limit_mps]
+        self._rates = draws.rates[comm, init_box_m, speed_limit_mps]
         self._mobility_second = 0
         self._compute = draws.compute
         self._compute_read = [0] * self.n_workers
@@ -294,15 +312,14 @@ class SimEngine:
     def now(self) -> float:
         return self._now
 
-    def _position(self, tag: int) -> np.ndarray:
-        """Node `tag`'s position at the latest mobility tick reached."""
-        return self._paths[tag][self._mobility_second]
+    def _tick(self, t: float) -> int:
+        """Advance the mobility clock to time `t`; the latest tick reached."""
+        self._mobility_second = max(self._mobility_second, int(math.floor(t)))
+        return self._mobility_second
 
     def distance(self, worker: int, t: float) -> float:
         """Master-worker distance using the most recent mobility tick."""
-        self._mobility_second = max(self._mobility_second, int(math.floor(t)))
-        delta = self._position(worker) - self._position(_MASTER_TAG)
-        return float(np.hypot(delta[0], delta[1]))
+        return _distance(self._paths, worker, self._tick(t))
 
     # -- roster --------------------------------------------------------------
 
@@ -344,7 +361,7 @@ class SimEngine:
         dead_t = beh.departs
         if now < beh.joins or now >= dead_t:
             return
-        rate = data_rate(self.distance(worker, now), self.comm)
+        rate = self._rates[worker, self._tick(now)]
         t_in = comm_time(n_in, rate, self.comm.payload_bytes)
         arrive = now + t_in
         if arrive > dead_t:

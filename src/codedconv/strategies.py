@@ -30,8 +30,8 @@ from .coding import (
     MAX_SQUARE_PIECES,
     DecodeFailure,
     as_vector,
+    check_decodable,
     convolve_fft,
-    decode_factors,
     make_encoding_matrix,
     mds_decode,
     mds_encode,
@@ -57,7 +57,8 @@ class Plan:
     Result (i, j) is row i of the 2-D array `matrix` applied to the coded
     pieces, convolved with piece j of the other operand; `columns[j]`
     lists the rows i of column j in arrival order.  `lengths` is
-    (len(a), len(x)).
+    (len(a), len(x)).  `matrix` is `make_encoding_matrix(*matrix.shape)`
+    when `vandermonde`, else the identity.
     """
 
     lengths: tuple[int, int]
@@ -65,6 +66,7 @@ class Plan:
     coded_length: int
     other_length: int
     matrix: np.ndarray
+    vandermonde: bool
     columns: list[list[int]]
 
     def assemble(self, a, x) -> np.ndarray:
@@ -133,10 +135,12 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
         raise ValueError("chunk length must be >= 1")
     slack = p * s / n2 - n1 / s + 1.0
     work = 2.0 * coeff * s * np.log2(2.0 * s)
-    total = 0.0
-    for prof in profiles:
-        total += slack * (prof.mu ** prof.alpha) / (p * work ** prof.alpha)
-    return -total
+    # One row per profile; summing over axis 0 adds the rows in profile
+    # order, as a loop over the profiles would.
+    alpha = np.array([prof.alpha for prof in profiles]).reshape(-1, 1)
+    scale = np.array([prof.mu ** prof.alpha for prof in profiles]).reshape(-1, 1)
+    terms = slack * scale / (p * work ** alpha)
+    return -terms.sum(axis=0).reshape(s.shape)
 
 
 def select_s(n1: int, n2: int, p: int, profiles,
@@ -165,18 +169,21 @@ def select_s(n1: int, n2: int, p: int, profiles,
 def _record(plan: Plan, i: int, j: int) -> bool:
     """Record row i for column j; True once every column is full.
 
-    A column is full at as many rows as the matrix has columns, and the
-    row that fills it runs decode_factors on them (DecodeFailure
-    propagates).  Later rows of a full column are ignored.
+    A column is full at as many rows as the matrix has columns.  For a
+    Vandermonde code the row that fills it checks that those rows decode
+    (`check_decodable`; DecodeFailure propagates).  The identity needs no
+    check: any m distinct rows of it form a permutation matrix, whose
+    rcond is exactly 1.  Later rows of a full column are ignored.
     """
-    m = plan.matrix.shape[1]
+    rows_total, m = plan.matrix.shape
     rows = plan.columns[j]
     if len(rows) == m:
         return False
     rows.append(i)
     if len(rows) < m:
         return False
-    decode_factors(plan.matrix, rows)
+    if plan.vandermonde:
+        check_decodable(rows_total, m, rows)
     return all(len(col) == m for col in plan.columns)
 
 
@@ -224,7 +231,7 @@ def run_uncoded(n1: int, n2: int, eng,
     rows, ncols = _pieces(n1, s), _pieces(n2, s)
     params = {"s": s, "rows": rows, "columns": ncols}
     plan = Plan(lengths=(n1, n2), coded_is_x=False, coded_length=s,
-                other_length=s, matrix=np.eye(rows),
+                other_length=s, matrix=np.eye(rows), vandermonde=False,
                 columns=[[] for _ in range(ncols)])
     return _run_fixed_code(plan, eng, horizon, params)
 
@@ -258,7 +265,7 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
               "swapped": swapped}
     plan = Plan(lengths=lengths, coded_is_x=swapped, coded_length=s,
                 other_length=s, matrix=make_encoding_matrix(rows, pieces),
-                columns=[[] for _ in range(ncols)])
+                vandermonde=True, columns=[[] for _ in range(ncols)])
     return _run_fixed_code(plan, eng, horizon, params)
 
 
@@ -349,7 +356,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     budget = m + max(_MIN_EXTRA_ROWS, _EXTRA_ROWS_PER_WORKER * p)
     plan = Plan(lengths=(n1, n2), coded_is_x=True, coded_length=b,
                 other_length=n1, matrix=make_encoding_matrix(budget, m),
-                columns=[[]])
+                vandermonde=True, columns=[[]])
     params = {"b": b, "pieces": m, "budget": budget}
     per_worker = defaultdict(int)
 

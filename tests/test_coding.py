@@ -5,13 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
+from codedconv import coding
 from codedconv.coding import (
     DecodeFailure,
     InsufficientResults,
     MAX_SQUARE_PIECES,
     RCOND_LIMIT,
+    VERDICTS_KEPT,
     _fast_length,
     as_vector,
+    check_decodable,
     convolve_direct,
     convolve_fft,
     decode_factors,
@@ -166,6 +169,15 @@ def test_matrix_entries_are_point_powers():
             assert m[i, j] == pytest.approx(points[i] ** j, rel=1e-15)
 
 
+def test_codes_are_shared_read_only_constants():
+    m = make_encoding_matrix(6, 4)
+    assert make_encoding_matrix(6, 4) is m
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 2.0
+    np.testing.assert_array_equal(
+        m, np.vander(encoding_points(6), 4, increasing=True))
+
+
 def test_matrix_points_distinct_and_bounded():
     # Column 1 of the Vandermonde matrix holds the evaluation points.
     points = make_encoding_matrix(40, 8)[:, 1]
@@ -298,6 +310,34 @@ def test_decode_factors_square_system_holds_up_to_31_pieces():
     decode_factors(make_encoding_matrix(31, 31), range(31))
     with pytest.raises(DecodeFailure):
         decode_factors(make_encoding_matrix(32, 32), range(32))
+
+
+def test_decode_verdict_memo_raises_every_failure_again(monkeypatch):
+    # The 32-piece square system fails; its memoized verdict must fail on
+    # every hit, not only on the call that computed it.
+    calls = []
+
+    def counted(matrix, rows):
+        calls.append(tuple(rows))
+        return decode_factors(matrix, rows)
+
+    monkeypatch.setattr(coding, "decode_factors", counted)
+    coding._decode_failure.cache_clear()
+    for _ in range(3):
+        with pytest.raises(DecodeFailure, match="rcond"):
+            check_decodable(32, 32, range(32))
+        check_decodable(31, 31, range(31))
+    assert calls == [tuple(range(32)), tuple(range(31))]
+    # The verdict is per ordered row list.
+    check_decodable(31, 31, reversed(range(31)))
+    assert len(calls) == 3
+
+
+def test_decode_verdict_memo_is_bounded():
+    coding._decode_failure.cache_clear()
+    for first in range(VERDICTS_KEPT + 10):
+        check_decodable(VERDICTS_KEPT + 10, 1, [first])
+    assert coding._decode_failure.cache_info().currsize == VERDICTS_KEPT
 
 
 def test_decode_factors_verdict_follows_the_one_norm_condition():

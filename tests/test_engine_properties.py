@@ -113,10 +113,11 @@ def test_events_pop_in_time_then_seq_order(eng):
 
 @st.composite
 def shared_seed_runs(draw):
-    """A scenario, a seed and a shuffled grid of (strategy, ratio, b, fleet).
+    """A scenario, a seed and a shuffled grid of episode settings.
 
-    A fleet is an (init_box_m, speed_limit_mps) pair; both key the
-    position tapes.
+    A setting is (strategy, ratio, b, fleet, bandwidth_hz).  A fleet is an
+    (init_box_m, speed_limit_mps) pair; both key the position tapes, and
+    the link rates are keyed by the fleet and the `CommParams`.
     """
     n2 = draw(st.integers(1, 120))
     # Slow fleets make episodes span mobility ticks.
@@ -134,7 +135,10 @@ def shared_seed_runs(draw):
     fleets = draw(st.lists(st.tuples(st.sampled_from([1500.0, 30.0]),
                                      st.sampled_from([10.0, 0.0, 40.0])),
                            min_size=1, max_size=2, unique=True))
-    grid = list(itertools.product(sorted(STRATEGIES), ratios, bs, fleets))
+    bandwidths = draw(st.lists(st.sampled_from([1e6, 2e5]),
+                               min_size=1, max_size=2, unique=True))
+    grid = list(itertools.product(sorted(STRATEGIES), ratios, bs, fleets,
+                                  bandwidths))
     return scenario, draw(st.integers(0, 2**63 - 1)), draw(st.permutations(grid))
 
 
@@ -156,9 +160,10 @@ def test_shared_draws_change_no_episode(run):
     # it gives on a private one: tapes, profiles, behaviours and pilots.
     scenario, seed, grid = run
     draws = Draws(seed)
-    for strategy, ratio, b, (box, speed_limit) in grid:
+    for strategy, ratio, b, (box, speed_limit), bandwidth in grid:
         scn = scenario.replace(straggler_ratio=ratio, init_box_m=box,
-                               speed_limit_mps=speed_limit)
+                               speed_limit_mps=speed_limit,
+                               comm=CommParams(bandwidth_hz=bandwidth))
         kwargs = dict(b=b, collect_log=True, keep_result=False)
         assert_same_episode(
             run_episode(scn, strategy, seed, draws=draws, **kwargs),

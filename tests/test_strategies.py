@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from codedconv import strategies
+from codedconv import coding, strategies
 from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct
 from codedconv.engine import Draws, SimEngine, run_episode, episode_task
 from codedconv.models import Behavior, CommParams, WorkerProfile
@@ -38,12 +38,14 @@ def random_task(rng, n1, n2):
 
 
 def test_select_s_matches_bruteforce():
+    # Every other geometry draws mu down to 0.5, where the profile factor
+    # of the score is no longer ~1 and an interior length can win.
     rng = np.random.default_rng(7)
-    for _ in range(20):
+    for i in range(40):
         n1 = int(rng.integers(16, 200))
         n2 = int(rng.integers(16, 200))
         p = int(rng.integers(1, 9))
-        mus = rng.uniform(3e6, 6e6, p)
+        mus = rng.uniform(*((0.5, 3.0) if i % 2 else (3e6, 6e6)), p)
         profiles = [WorkerProfile(mu=mu) for mu in mus]
         hi = min(n1, n2)
         lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
@@ -55,6 +57,42 @@ def test_select_s_matches_bruteforce():
             if score > best:
                 want, best = s, score
         assert select_s(n1, n2, p, profiles) == want
+
+
+def loop_chunk_score(s, n1, n2, p, profiles, coeff=1.0):
+    """Reference: chunk_score adding one profile at a time, in order."""
+    s = np.asarray(s, dtype=np.float64)
+    slack = p * s / n2 - n1 / s + 1.0
+    work = 2.0 * coeff * s * np.log2(2.0 * s)
+    total = 0.0
+    for prof in profiles:
+        total += slack * (prof.mu ** prof.alpha) / (p * work ** prof.alpha)
+    return -total
+
+
+def test_chunk_score_adds_profiles_in_order():
+    # The one array operation over (profiles x lengths) must give the
+    # loop's sums bit for bit: same terms, added in profile order.
+    rng = np.random.default_rng(12)
+    for i in range(60):
+        n1 = int(rng.integers(1, 3000))
+        n2 = int(rng.integers(1, 3000))
+        p = int(rng.integers(1, 25))
+        mus = rng.uniform(*((0.5, 3.0) if i % 2 else (3e6, 6e6)), p)
+        profiles = [WorkerProfile(mu=mu) for mu in mus]
+        coeff = float(rng.uniform(0.5, 2.0))
+        s = np.arange(1, min(n1, n2) + 1)
+        np.testing.assert_array_equal(
+            chunk_score(s, n1, n2, p, profiles, coeff),
+            loop_chunk_score(s, n1, n2, p, profiles, coeff))
+    # numpy raises an array to a scalar power of 0.5 or 2 by sqrt or
+    # square, and to an array of powers by pow: one rounding apart.
+    for mu in (0.5, 2.0):
+        profiles = [WorkerProfile(mu=mu)] * 3
+        s = np.arange(1, 400)
+        np.testing.assert_allclose(chunk_score(s, 500, 400, 3, profiles),
+                                   loop_chunk_score(s, 500, 400, 3, profiles),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_select_s_degenerate_argmax_is_min_length():
@@ -236,6 +274,26 @@ def test_traditional_past_decode_limit_fails_without_data():
     assert not out.success
     assert out.completion_time == math.inf
     assert out.plan is None
+
+
+def test_uncoded_checks_no_decode(monkeypatch):
+    # Any m distinct rows of the identity decode, so uncoded runs no
+    # verdict; traditional on the same fleet runs one per column.
+    calls = []
+    decode_factors = coding.decode_factors
+
+    def counted(matrix, rows):
+        calls.append(matrix.shape)
+        return decode_factors(matrix, rows)
+
+    monkeypatch.setattr(coding, "decode_factors", counted)
+    monkeypatch.setattr(strategies, "decode_factors", counted, raising=False)
+    coding._decode_failure.cache_clear()
+    scn = benchmark_scenario(1, 8)
+    assert run_episode(scn, "uncoded", 3, keep_result=False).success
+    assert calls == []
+    assert run_episode(scn, "traditional", 3, keep_result=False).success
+    assert calls
 
 
 def test_traditional_without_decodable_length_fails_at_once(monkeypatch):
