@@ -18,9 +18,12 @@ piece it accepts.  Streams that no episode reads (failed workers, mobility
 in episodes shorter than a second) are never built, and since each stream
 is keyed on its own, the draws do not depend on when or whether the
 others are made.  The `Draws` also holds the seed's profiles, behaviours
-and operands and one straggler-free pilot completion time per (scenario,
-strategy, b).  An episode given no `Draws` makes a private one, so sharing
-one changes no value; one of another seed is refused.
+and operands, one straggler-free pilot completion time per (scenario,
+strategy, b), and the link rates: the rate of a (worker, second) link for
+given link parameters and fleet, priced at its first read, so every
+strategy and straggler ratio of a rep prices each link once.  An episode
+given no `Draws` makes a private one, so sharing one changes no value;
+one of another seed is refused.
 
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); distance reads between ticks see the most

@@ -39,13 +39,19 @@ def random_task(rng, n1, n2):
 
 def test_select_s_matches_bruteforce():
     # Every other geometry draws mu down to 0.5, where the profile factor
-    # of the score is no longer ~1 and an interior length can win.
+    # of the score is no longer ~1.  The last geometry is one where a
+    # length strictly inside the feasible range (406..563) wins, so
+    # scoring only the two ends would be wrong.
     rng = np.random.default_rng(7)
+    geometries = []
     for i in range(40):
         n1 = int(rng.integers(16, 200))
         n2 = int(rng.integers(16, 200))
         p = int(rng.integers(1, 9))
         mus = rng.uniform(*((0.5, 3.0) if i % 2 else (3e6, 6e6)), p)
+        geometries.append((n1, n2, p, mus))
+    geometries.append((563, 585, 2, [0.586, 0.572]))
+    for n1, n2, p, mus in geometries:
         profiles = [WorkerProfile(mu=mu) for mu in mus]
         hi = min(n1, n2)
         lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
@@ -57,6 +63,7 @@ def test_select_s_matches_bruteforce():
             if score > best:
                 want, best = s, score
         assert select_s(n1, n2, p, profiles) == want
+    assert 406 < want < 563
 
 
 def loop_chunk_score(s, n1, n2, p, profiles, coeff=1.0):
