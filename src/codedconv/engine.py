@@ -190,6 +190,11 @@ def _distance(paths: Memo, worker: int, second: int) -> float:
     return float(np.hypot(delta[0], delta[1]))
 
 
+def _rates(paths: Memo, comm: CommParams) -> Memo:
+    """Link rates over `comm` by (worker, second) of `paths`."""
+    return Memo(lambda key: data_rate(_distance(paths, *key), comm))
+
+
 def _exponentials(seed: int, worker: int):
     """Chunks of standard-exponential draws for `worker`'s pieces."""
     stream = substream(seed, worker, _COMPUTE)
@@ -231,11 +236,6 @@ class Draws:
         self.behaviors = Memo(lambda scn: episode_behaviors(scn, seed))
         self.operands = Memo(lambda scn: episode_task(scn, seed))
         self.pilot_times: dict = {}
-
-
-def _rates(paths: Memo, comm: CommParams) -> Memo:
-    """Link rates over `comm` by (worker, second) of `paths`."""
-    return Memo(lambda key: data_rate(_distance(paths, *key), comm))
 
 
 @dataclass

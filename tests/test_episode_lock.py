@@ -52,8 +52,8 @@ DISTANCE_PRESET = 1
 DISTANCE_SEEDS = (0, 1, 2)
 DISTANCE_WORKERS = (0, 3, 7)
 DISTANCE_TIMES = (0.0, 0.5, 1.0, 2.5, 7.0, 30.0)
-# (scale, presets, seeds) of the tick grid, run in every MODES entry but
-# the uniform ones; a row is kept when the episode runs past one second.
+# (scale, presets, seeds) of the tick grid, run in every TICK_MODES entry;
+# a row is kept when the episode runs past one second.
 TICK_GRIDS = ((8, (3, 4), range(3)), (1, (1, 2, 3, 4), range(2)))
 TICK_MODES = {**{mode: MODES[mode] for mode in ("delayed", "fail", "leave")},
               "delayed-all": ({"straggler_mode": "delayed",

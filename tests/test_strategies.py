@@ -293,6 +293,7 @@ def test_uncoded_checks_no_decode(monkeypatch):
         calls.append(matrix.shape)
         return decode_factors(matrix, rows)
 
+    # Count calls by both names a strategy could reach it through.
     monkeypatch.setattr(coding, "decode_factors", counted)
     monkeypatch.setattr(strategies, "decode_factors", counted, raising=False)
     coding._decode_failure.cache_clear()
