@@ -54,20 +54,28 @@ class Plan:
 
     The coded operand (x when `coded_is_x`, else a) is cut into pieces of
     `coded_length` and the other one into pieces of `other_length`.
-    Result (i, j) is row i of the 2-D array `matrix` applied to the coded
+    Result (i, j) is row i of the code's `matrix` applied to the coded
     pieces, convolved with piece j of the other operand; `columns[j]`
     lists the rows i of column j in arrival order.  `lengths` is
-    (len(a), len(x)).  `matrix` is `make_encoding_matrix(*matrix.shape)`
-    when `vandermonde`, else the identity.
+    (len(a), len(x)).  `code` is the (rows, cols) shape of the Vandermonde
+    code, or None for the identity over the coded pieces; `matrix` is
+    built from it.
     """
 
     lengths: tuple[int, int]
     coded_is_x: bool
     coded_length: int
     other_length: int
-    matrix: np.ndarray
-    vandermonde: bool
+    code: tuple[int, int] | None
     columns: list[list[int]]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.code is None:
+            coded = self.lengths[self.coded_is_x]
+            self.matrix = np.eye(_pieces(coded, self.coded_length))
+        else:
+            self.matrix = make_encoding_matrix(*self.code)
 
     def assemble(self, a, x) -> np.ndarray:
         """Encode, convolve, decode and overlap-add the full convolution."""
@@ -135,12 +143,10 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
         raise ValueError("chunk length must be >= 1")
     slack = p * s / n2 - n1 / s + 1.0
     work = 2.0 * coeff * s * np.log2(2.0 * s)
-    # One row per profile; summing over axis 0 adds the rows in profile
-    # order, as a loop over the profiles would.
-    alpha = np.array([prof.alpha for prof in profiles]).reshape(-1, 1)
-    scale = np.array([prof.mu ** prof.alpha for prof in profiles]).reshape(-1, 1)
-    terms = slack * scale / (p * work ** alpha)
-    return -terms.sum(axis=0).reshape(s.shape)
+    total = 0.0
+    for prof in profiles:
+        total += slack * (prof.mu ** prof.alpha) / (p * work ** prof.alpha)
+    return -total
 
 
 def select_s(n1: int, n2: int, p: int, profiles,
@@ -175,15 +181,15 @@ def _record(plan: Plan, i: int, j: int) -> bool:
     check: any m distinct rows of it form a permutation matrix, whose
     rcond is exactly 1.  Later rows of a full column are ignored.
     """
-    rows_total, m = plan.matrix.shape
+    m = plan.matrix.shape[1]
     rows = plan.columns[j]
     if len(rows) == m:
         return False
     rows.append(i)
     if len(rows) < m:
         return False
-    if plan.vandermonde:
-        check_decodable(rows_total, m, rows)
+    if plan.code is not None:
+        check_decodable(*plan.code, rows)
     return all(len(col) == m for col in plan.columns)
 
 
@@ -231,8 +237,7 @@ def run_uncoded(n1: int, n2: int, eng,
     rows, ncols = _pieces(n1, s), _pieces(n2, s)
     params = {"s": s, "rows": rows, "columns": ncols}
     plan = Plan(lengths=(n1, n2), coded_is_x=False, coded_length=s,
-                other_length=s, matrix=np.eye(rows), vandermonde=False,
-                columns=[[] for _ in range(ncols)])
+                other_length=s, code=None, columns=[[] for _ in range(ncols)])
     return _run_fixed_code(plan, eng, horizon, params)
 
 
@@ -264,8 +269,8 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     params = {"s": s, "pieces": pieces, "rows": rows, "columns": ncols,
               "swapped": swapped}
     plan = Plan(lengths=lengths, coded_is_x=swapped, coded_length=s,
-                other_length=s, matrix=make_encoding_matrix(rows, pieces),
-                vandermonde=True, columns=[[] for _ in range(ncols)])
+                other_length=s, code=(rows, pieces),
+                columns=[[] for _ in range(ncols)])
     return _run_fixed_code(plan, eng, horizon, params)
 
 
@@ -355,8 +360,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     m = _pieces(n2, b)
     budget = m + max(_MIN_EXTRA_ROWS, _EXTRA_ROWS_PER_WORKER * p)
     plan = Plan(lengths=(n1, n2), coded_is_x=True, coded_length=b,
-                other_length=n1, matrix=make_encoding_matrix(budget, m),
-                vandermonde=True, columns=[[]])
+                other_length=n1, code=(budget, m), columns=[[]])
     params = {"b": b, "pieces": m, "budget": budget}
     per_worker = defaultdict(int)
 

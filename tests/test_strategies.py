@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from codedconv import coding, strategies
-from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct
+from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct, make_encoding_matrix
 from codedconv.engine import Draws, SimEngine, run_episode, episode_task
 from codedconv.models import Behavior, CommParams, WorkerProfile
 from codedconv.scenarios import benchmark_scenario
 from codedconv.strategies import (
     DispatchEstimator,
+    Plan,
     chunk_score,
     default_piece_length,
     run_dynamic,
@@ -64,42 +65,6 @@ def test_select_s_matches_bruteforce():
                 want, best = s, score
         assert select_s(n1, n2, p, profiles) == want
     assert 406 < want < 563
-
-
-def loop_chunk_score(s, n1, n2, p, profiles, coeff=1.0):
-    """Reference: chunk_score adding one profile at a time, in order."""
-    s = np.asarray(s, dtype=np.float64)
-    slack = p * s / n2 - n1 / s + 1.0
-    work = 2.0 * coeff * s * np.log2(2.0 * s)
-    total = 0.0
-    for prof in profiles:
-        total += slack * (prof.mu ** prof.alpha) / (p * work ** prof.alpha)
-    return -total
-
-
-def test_chunk_score_adds_profiles_in_order():
-    # The one array operation over (profiles x lengths) must give the
-    # loop's sums bit for bit: same terms, added in profile order.
-    rng = np.random.default_rng(12)
-    for i in range(60):
-        n1 = int(rng.integers(1, 3000))
-        n2 = int(rng.integers(1, 3000))
-        p = int(rng.integers(1, 25))
-        mus = rng.uniform(*((0.5, 3.0) if i % 2 else (3e6, 6e6)), p)
-        profiles = [WorkerProfile(mu=mu) for mu in mus]
-        coeff = float(rng.uniform(0.5, 2.0))
-        s = np.arange(1, min(n1, n2) + 1)
-        np.testing.assert_array_equal(
-            chunk_score(s, n1, n2, p, profiles, coeff),
-            loop_chunk_score(s, n1, n2, p, profiles, coeff))
-    # numpy raises an array to a scalar power of 0.5 or 2 by sqrt or
-    # square, and to an array of powers by pow: one rounding apart.
-    for mu in (0.5, 2.0):
-        profiles = [WorkerProfile(mu=mu)] * 3
-        s = np.arange(1, 400)
-        np.testing.assert_allclose(chunk_score(s, 500, 400, 3, profiles),
-                                   loop_chunk_score(s, 500, 400, 3, profiles),
-                                   rtol=4 * np.finfo(float).eps, atol=0)
 
 
 def test_select_s_degenerate_argmax_is_min_length():
@@ -281,6 +246,16 @@ def test_traditional_past_decode_limit_fails_without_data():
     assert not out.success
     assert out.completion_time == math.inf
     assert out.plan is None
+
+
+def test_plan_matrix_follows_its_code():
+    # A square Vandermonde code and the identity share a shape; the plan's
+    # code alone decides which one its matrix is.
+    kwargs = dict(lengths=(40, 12), coded_is_x=False, coded_length=10,
+                  other_length=12, columns=[[]])
+    np.testing.assert_array_equal(Plan(code=None, **kwargs).matrix, np.eye(4))
+    assert Plan(code=(4, 4), **kwargs).matrix is make_encoding_matrix(4, 4)
+    assert Plan(code=(9, 4), **kwargs).matrix is make_encoding_matrix(9, 4)
 
 
 def test_uncoded_checks_no_decode(monkeypatch):
