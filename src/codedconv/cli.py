@@ -16,7 +16,6 @@ from . import __version__
 from .experiments import (
     ConfigError,
     auto,
-    compare_strategies,
     default_sweep_grid,
     emit,
     format_value,
@@ -137,8 +136,9 @@ def run_experiment(spec: ExperimentSpec) -> None:
         extra = {"reps": spec.count, "argmin_b": argmin_b,
                  "b_values": " ".join(map(str, b_values))}
     elif spec.kind == "compare":
-        rows = compare_strategies(scn, spec.count, spec.seed,
-                                  ratio=scn.straggler_ratio, mode=spec.mode)
+        # Stress at one ratio; the table drops the ratio column (_KINDS).
+        rows = stress_test(scn, [scn.straggler_ratio], spec.count, spec.seed,
+                           mode=spec.mode)
         extra = {"reps": spec.count, "ratio": scn.straggler_ratio,
                  "mode": spec.mode, "b": auto(scn.dynamic_b),
                  "s": auto(scn.traditional_s)}

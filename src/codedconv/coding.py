@@ -108,14 +108,6 @@ class Partition:
     piece_length: int
     original_length: int
 
-    @property
-    def count(self) -> int:
-        return self.pieces.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Concatenate the pieces and trim the padding."""
-        return self.pieces.reshape(-1)[:self.original_length]
-
 
 def partition(values, piece_length: int) -> Partition:
     """Split `values` into ceil(n / piece_length) zero-padded pieces."""

@@ -289,6 +289,7 @@ class SimEngine:
         self._heap: list = []
         self._seq = 0
         self._busy = [0.0] * self.n_workers
+        self.dispatched = 0         # send() calls, delivered or lost
         self._collect_log = collect_log
         self.log: list[SimEvent] = []
         self._log_seq = 0
@@ -360,6 +361,7 @@ class SimEngine:
         now = self._now
         n_out = load_pair[0] + load_pair[1] - 1
         beh = self.behaviors[worker]
+        self.dispatched += 1
         self._log_event("dispatch", now, worker, row, n_in)
         dead_t = beh.departs
         if now < beh.joins or now >= dead_t:

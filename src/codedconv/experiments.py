@@ -108,20 +108,6 @@ def default_sweep_grid(n2: int) -> list[int]:
     return sorted(set(grid))
 
 
-def compare_strategies(scenario: ScenarioConfig, reps: int, base_seed: int,
-                       ratio: float = 0.5, mode: str = "delayed"):
-    """Paired-seed mean/std completion time for all three strategies."""
-    scn = scenario.replace(straggler_ratio=ratio, straggler_mode=mode)
-    times = run_paired([(scn, strategy, {}) for strategy in STRATEGY_ORDER],
-                       reps, base_seed, _completion_time)
-    rows = []
-    for strategy, values in zip(STRATEGY_ORDER, times):
-        mean, std = _mean_std(values)
-        rows.append({"strategy": strategy, "mean_time_s": mean,
-                     "std_time_s": std})
-    return rows
-
-
 def stress_test(scenario: ScenarioConfig, ratios, reps: int, base_seed: int,
                 mode: str = "delayed"):
     """Paired-seed sweep of straggler ratio for all three strategies."""
@@ -173,29 +159,6 @@ def success_rate(scenario: ScenarioConfig, runs: int, base_seed: int,
                      "success_rate": successes / runs,
                      "successes": successes, "runs": runs})
     return rows, details
-
-
-# -- analytic success probabilities (uniform failure count 0..P) ---------------
-
-
-def uncoded_success_probability(p: int) -> float:
-    """Succeeds only with zero failures."""
-    return 1.0 / (p + 1)
-
-
-def traditional_tolerated_failures(n1: int, n2: int, s: int, p: int) -> int:
-    """Largest failure count the fixed-redundancy code survives."""
-    return min(p, max(-1, math.floor(p - n1 * n2 / s ** 2)))
-
-
-def traditional_success_probability(n1: int, n2: int, s: int, p: int) -> float:
-    tolerated = traditional_tolerated_failures(n1, n2, s, p)
-    return (tolerated + 1) / (p + 1)
-
-
-def dynamic_success_probability(p: int) -> float:
-    """Succeeds whenever at least one worker survives."""
-    return p / (p + 1)
 
 
 # -- output emission ------------------------------------------------------------

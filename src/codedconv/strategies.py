@@ -13,6 +13,11 @@ Three strategies share the same engine interface:
   m+1, ..., budget-1, then 0: a stack of rows 0..m, topped up with a
   fresh row whenever it is about to empty.
 
+All three run one episode loop, `_run`, and differ only in how they
+dispatch.  The fixed codes send every pair at t=0, round-robin over the
+initial roster, and react to nothing; dynamic sends one piece per live
+worker, then reacts to results, wakeups, joins and departures.
+
 Strategies schedule from the operand lengths alone and never see the
 operands.  Each returns a StrategyOutcome; completion_time is the arrival
 time of the last needed result, or the horizon when the episode gave up.
@@ -111,12 +116,6 @@ class StrategyOutcome:
     plan: Plan | None = None
 
 
-def _failed(horizon, dispatched, redundancy, per_worker, params) -> StrategyOutcome:
-    # Unfinished episodes are charged the full horizon (inf when uncapped).
-    return StrategyOutcome(False, horizon, dispatched, redundancy,
-                           dict(per_worker), params)
-
-
 def _pieces(n: int, length: int) -> int:
     """Number of pieces of `length` that cover n values."""
     return -(-n // length)
@@ -169,7 +168,7 @@ def select_s(n1: int, n2: int, p: int, profiles,
     return lo + int(np.argmax(scores))
 
 
-# -- fixed codes: uncoded and traditional ---------------------------------------
+# -- the episode loop ----------------------------------------------------------
 
 
 def _record(plan: Plan, i: int, j: int) -> bool:
@@ -193,36 +192,51 @@ def _record(plan: Plan, i: int, j: int) -> bool:
     return all(len(col) == m for col in plan.columns)
 
 
+def _run(plan: Plan, eng, horizon: float, params: dict,
+         react=None) -> StrategyOutcome:
+    """Count and record results until every column of `plan` is full.
+
+    Result row k is pair divmod(k, ncols) = (row i, column j).  The episode
+    fails at the horizon, when the queue drains, or when a full column does
+    not decode.  `react(ev)`, if given, sees every event that did not end it.
+    """
+    ncols = len(plan.columns)
+    per_worker = defaultdict(int)
+    for ev in eng.events(until=horizon):
+        if ev.kind == "result_arrives":
+            per_worker[ev.worker] += 1
+            try:
+                if _record(plan, *divmod(ev.row, ncols)):
+                    return StrategyOutcome(True, ev.time, eng.dispatched, 0,
+                                           dict(per_worker), params, plan)
+            except DecodeFailure:
+                # Numerically unusable system: count the episode as failed
+                # rather than aborting the whole experiment.
+                break
+        if react is not None:
+            react(ev)
+    # Unfinished episodes are charged the full horizon (inf when uncapped).
+    return StrategyOutcome(False, horizon, eng.dispatched, 0,
+                           dict(per_worker), params)
+
+
+# -- fixed codes: uncoded and traditional ---------------------------------------
+
+
 def _run_fixed_code(plan: Plan, eng, horizon: float,
                     params: dict) -> StrategyOutcome:
     """Send pair k = (row i, column j), row-major, to roster[k % len(roster)].
 
-    `plan.columns` starts empty and fills in arrival order (see `_record`).
+    Everything goes out at t=0 and nothing reacts to what comes back; with
+    no worker on the roster nothing goes out and the episode fails.
     """
-    s = plan.coded_length
-    ncols = len(plan.columns)
-    n_pairs = plan.matrix.shape[0] * ncols
-    per_worker = defaultdict(int)
     roster = eng.initial_roster()
-    if not roster:
-        return _failed(horizon, 0, 0, per_worker, params)
-    for k in range(n_pairs):
-        eng.send(roster[k % len(roster)], row=k, n_in=2 * s, load_pair=(s, s))
-
-    for ev in eng.events(until=horizon):
-        if ev.kind != "result_arrives":
-            continue
-        per_worker[ev.worker] += 1
-        try:
-            done = _record(plan, *divmod(ev.row, ncols))
-        except DecodeFailure:
-            # Numerically unusable system: count the episode as failed
-            # rather than aborting the whole experiment.
-            break
-        if done:
-            return StrategyOutcome(True, ev.time, n_pairs, 0,
-                                   dict(per_worker), params, plan)
-    return _failed(horizon, n_pairs, 0, per_worker, params)
+    s = plan.coded_length
+    if roster:
+        for k in range(plan.matrix.shape[0] * len(plan.columns)):
+            eng.send(roster[k % len(roster)], row=k, n_in=2 * s,
+                     load_pair=(s, s))
+    return _run(plan, eng, horizon, params)
 
 
 def run_uncoded(n1: int, n2: int, eng,
@@ -261,7 +275,8 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     if s is None:
         s = select_s(n1, n2, p, eng.profiles, eng.compute_coeff)
         if s is None:
-            return _failed(horizon, 0, 0, {}, {"s": None, "swapped": swapped})
+            return StrategyOutcome(False, horizon, 0, 0, {},
+                                   {"s": None, "swapped": swapped})
     elif s < 1:
         raise ValueError(f"chunk length s must be >= 1, got {s}")
     pieces, ncols = _pieces(n1, s), _pieces(n2, s)
@@ -362,29 +377,33 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     plan = Plan(lengths=(n1, n2), coded_is_x=True, coded_length=b,
                 other_length=n1, code=(budget, m), columns=[[]])
     params = {"b": b, "pieces": m, "budget": budget}
-    per_worker = defaultdict(int)
-
     order = [*range(m, 0, -1), *range(m + 1, budget), 0]
-    dispatched = 0
     est = DispatchEstimator()
     t_send_last: dict[int, float] = {}
     live = set(eng.initial_roster())
 
     def dispatch(worker: int) -> bool:
-        nonlocal dispatched
-        if dispatched == budget:
+        if eng.dispatched == budget:
             return False
         est.record_send(worker, eng.now)
         t_send_last[worker] = eng.now
-        eng.send(worker, row=order[dispatched], n_in=b, load_pair=(n1, b))
-        dispatched += 1
+        eng.send(worker, row=order[eng.dispatched], n_in=b, load_pair=(n1, b))
         return True
 
-    def pace(worker: int) -> None:
-        """Send now if the worker's next piece is due, else book a wakeup."""
-        if worker not in live:
+    def react(ev) -> None:
+        worker = ev.worker
+        if ev.kind == "result_arrives":
+            est.record_result(worker, ev.t_sent, ev.time, ev.rtt, b, n1 + b - 1)
+        elif ev.kind == "worker_leaves":
+            live.discard(worker)
             return
-        interval = est.interval(worker)
+        elif ev.kind == "worker_joins":
+            live.add(worker)
+            dispatch(worker)
+            return
+        # After a result or a wakeup: send now if the worker's next piece
+        # is due, else book a wakeup for when it is.
+        interval = est.interval(worker) if worker in live else None
         if interval is None:
             return
         due = t_send_last[worker] + interval
@@ -396,34 +415,11 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
 
     for worker in sorted(live):
         dispatch(worker)
-
-    done = False
-    for ev in eng.events(until=horizon):
-        if ev.kind == "worker_leaves":
-            live.discard(ev.worker)
-        elif ev.kind == "worker_joins":
-            live.add(ev.worker)
-            dispatch(ev.worker)
-        elif ev.kind == "wakeup":
-            pace(ev.worker)
-        elif ev.kind == "result_arrives":
-            est.record_result(ev.worker, ev.t_sent, ev.time, ev.rtt,
-                              b, n1 + b - 1)
-            per_worker[ev.worker] += 1
-            try:
-                done = _record(plan, ev.row, 0)
-            except DecodeFailure:
-                break
-            if done:
-                break
-            pace(ev.worker)
+    outcome = _run(plan, eng, horizon, params, react)
     # The stack's spare row 0 plus one per fresh row sent: every dispatch
     # past the m-th sends one until rows m+1..budget-1 are out.
-    redundancy = 1 + min(max(dispatched - m, 0), budget - 1 - m)
-    if done:
-        return StrategyOutcome(True, ev.time, dispatched, redundancy,
-                               dict(per_worker), params, plan)
-    return _failed(horizon, dispatched, redundancy, per_worker, params)
+    outcome.redundancy_used = 1 + min(max(eng.dispatched - m, 0), budget - 1 - m)
+    return outcome
 
 
 STRATEGIES = {

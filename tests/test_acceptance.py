@@ -21,16 +21,10 @@ from codedconv.coding import (
     mds_encode,
 )
 from codedconv.engine import episode_task, run_episode
-from codedconv.experiments import (
-    compare_strategies,
-    stress_test,
-    success_rate,
-    sweep_b,
-    traditional_success_probability,
-    uncoded_success_probability,
-)
+from codedconv.experiments import stress_test, success_rate, sweep_b
 from codedconv.models import WorkerProfile, compute_load, sample_compute_time
 from codedconv.scenarios import ScenarioConfig, benchmark_scenario
+from analytics import traditional_success_probability, uncoded_success_probability
 
 SEED = 1234
 
@@ -143,8 +137,8 @@ def test_criterion_5_strategy_ordering_under_delayed_stragglers():
     ok = True
     for idx in (1, 2, 3, 4):
         scn = benchmark_scenario(idx)
-        rows = compare_strategies(scn, reps=25, base_seed=SEED,
-                                  ratio=0.5, mode="delayed")
+        rows = stress_test(scn, [0.5], reps=25, base_seed=SEED,
+                           mode="delayed")
         m = {r["strategy"]: r["mean_time_s"] for r in rows}
         this_ok = (m["dynamic"] < m["traditional"] < m["uncoded"]
                    and m["dynamic"] <= 0.5 * m["uncoded"])

@@ -10,9 +10,7 @@ from codedconv import engine, experiments
 from codedconv.experiments import (
     ConfigError,
     auto,
-    compare_strategies,
     default_sweep_grid,
-    dynamic_success_probability,
     episode_seed,
     format_value,
     load_config,
@@ -20,11 +18,14 @@ from codedconv.experiments import (
     stress_test,
     success_rate,
     sweep_b,
+    write_csv,
+    write_manifest,
+)
+from analytics import (
+    dynamic_success_probability,
     traditional_success_probability,
     traditional_tolerated_failures,
     uncoded_success_probability,
-    write_csv,
-    write_manifest,
 )
 from codedconv.cli import main
 from codedconv.scenarios import ScenarioConfig, benchmark_scenario
@@ -89,10 +90,11 @@ def test_single_rep_reports_zero_std():
 
 def test_compare_rows_one_per_strategy():
     scn = small_scenario()
-    rows = compare_strategies(scn, reps=3, base_seed=9, ratio=0.0)
+    # The CLI's compare is a stress sweep at one ratio.
+    rows = stress_test(scn, [0.0], reps=3, base_seed=9)
     assert [r["strategy"] for r in rows] == ["uncoded", "traditional", "dynamic"]
     for r in rows:
-        assert set(r) == {"strategy", "mean_time_s", "std_time_s"}
+        assert set(r) == {"ratio", "strategy", "mean_time_s", "std_time_s"}
         assert r["mean_time_s"] > 0
 
 
@@ -109,8 +111,9 @@ def test_compare_paired_episodes_share_stragglers():
 
 def test_delay_factor_one_compares_like_no_stragglers():
     scn = benchmark_scenario(1, 64, delay_factor=1.0)
-    assert compare_strategies(scn, reps=3, base_seed=9, ratio=0.5) \
-        == compare_strategies(scn, reps=3, base_seed=9, ratio=0.0)
+    times = [[r["mean_time_s"], r["std_time_s"]]
+             for r in stress_test(scn, [0.5, 0.0], reps=3, base_seed=9)]
+    assert times[:3] == times[3:]
 
 
 def test_stress_rejects_empty_ratios():
@@ -178,7 +181,7 @@ def test_stress_runs_one_pilot_per_rep_and_strategy(monkeypatch):
 
 @pytest.mark.parametrize("experiment, straggler_configs", [
     (lambda scn: sweep_b(scn.replace(straggler_ratio=0.5), [8, 32], 3, 7), 1),
-    (lambda scn: compare_strategies(scn, 3, 7, ratio=0.5), 1),
+    (lambda scn: stress_test(scn, [0.5], 3, 7), 1),
     (lambda scn: stress_test(scn, [0.0, 0.3, 0.7, 1.0], 3, 7), 4),
     (lambda scn: stress_test(scn, [0.5, 1.0], 3, 7, mode="leave"), 2),
     (lambda scn: success_rate(scn, 12, 7), 1),
@@ -431,7 +434,7 @@ def test_reruns_byte_identical(tmp_path):
     scn = small_scenario()
 
     def render():
-        rows = compare_strategies(scn, reps=2, base_seed=8, ratio=0.0)
+        rows = stress_test(scn, [0.0], reps=2, base_seed=8)
         out = tmp_path / "r.csv"
         write_csv(out, ["strategy", "mean_time_s", "std_time_s"], rows)
         return out.read_bytes()

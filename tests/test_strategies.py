@@ -42,7 +42,9 @@ def test_select_s_matches_bruteforce():
     # Every other geometry draws mu down to 0.5, where the profile factor
     # of the score is no longer ~1.  The last geometry is one where a
     # length strictly inside the feasible range (406..563) wins, so
-    # scoring only the two ends would be wrong.
+    # scoring only the two ends would be wrong.  The feasible lengths are
+    # scored as one array, as select_s scores them: a scalar call can
+    # round one ulp away from the same length inside an array.
     rng = np.random.default_rng(7)
     geometries = []
     for i in range(40):
@@ -56,11 +58,11 @@ def test_select_s_matches_bruteforce():
         profiles = [WorkerProfile(mu=mu) for mu in mus]
         hi = min(n1, n2)
         lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
+        feasible = [s for s in range(lo, hi + 1)
+                    if math.ceil(max(n1, n2) / s) <= MAX_SQUARE_PIECES]
+        scores = chunk_score(np.array(feasible), n1, n2, p, profiles)
         want, best = None, -1.0
-        for s in range(lo, hi + 1):
-            if math.ceil(max(n1, n2) / s) > MAX_SQUARE_PIECES:
-                continue
-            score = abs(chunk_score(s, n1, n2, p, profiles))
+        for s, score in zip(feasible, np.abs(scores)):
             if score > best:
                 want, best = s, score
         assert select_s(n1, n2, p, profiles) == want
@@ -292,6 +294,27 @@ def test_traditional_without_decodable_length_fails_at_once(monkeypatch):
     assert out.pieces_dispatched == 0
     assert out.plan is None
     assert eng.log == []
+
+
+def test_fixed_codes_with_empty_initial_roster_send_nothing():
+    # Every worker joins at 0.5 s: the fixed codes address only the t=0
+    # roster, so they send nothing and give up at the horizon, while the
+    # dynamic strategy dispatches to each worker as it joins.
+    behaviors = [Behavior(joins=0.5)] * 4
+    for runner in (run_uncoded, run_traditional_coded):
+        eng = make_engine(p=4, behaviors=behaviors, collect_log=True)
+        out = runner(64, 48, eng, horizon=10.0)
+        assert eng.log == []
+        assert out.pieces_dispatched == 0
+        assert out.per_worker_results == {}
+        assert not out.success
+        assert out.completion_time == 10.0
+        assert out.plan is None
+    eng = make_engine(p=4, behaviors=behaviors, collect_log=True)
+    out = run_dynamic(64, 48, eng, horizon=10.0)
+    assert out.success
+    assert min(rec.time for rec in eng.log if rec.kind == "dispatch") == 0.5
+    assert sum(out.per_worker_results.values()) >= 1
 
 
 # -- dynamic strategy ---------------------------------------------------------------
