@@ -6,16 +6,24 @@ identically.  Randomness comes from counter-based Philox streams keyed per
 others and of the event interleaving: changing one worker's behaviour never
 perturbs another worker's compute times or trajectory.
 
+A stream is its key.  `substream` derives the key, and a draw loads it at
+counter zero into the one Philox generator that all streams share, which
+gives the draws of a generator built from that key.  The engine is
+single-threaded by design: one stream's session ends before the next one
+starts.  The one thing a stream keeps of what it drew is its tape, so no
+generator state is ever saved.
+
 An engine reads its randomness through a `Draws`, which holds everything
 one episode seed reads.  Per-node draws are kept on tapes: values in
-draw order, drawn ahead a few at a time on first read and kept, so every
-episode of a seed (every strategy, sweep point and straggler ratio of a
-rep) reads the same values without rebuilding a stream.  A node's
+draw order, drawn on first read and kept, so every episode of a seed
+(every strategy, sweep point and straggler ratio of a rep) reads the same
+values without drawing again.  A tape that runs out draws its stream
+again from the start to at least twice its length.  A node's
 position tape holds its position at each whole second: the start position
 is drawn at the node's first distance read and the velocity stream at its
 first read past second 0.  A worker's compute tape starts at the first
 piece it accepts.  Streams that no episode reads (failed workers, mobility
-in episodes shorter than a second) are never built, and since each stream
+in episodes shorter than a second) are never opened, and since each stream
 is keyed on its own, the draws do not depend on when or whether the
 others are made.  The `Draws` also holds the seed's profiles, behaviours
 and operands, one straggler-free pilot completion time per (scenario,
@@ -28,8 +36,7 @@ one of another seed is refused.
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); distance reads between ticks see the most
 recent tick position.  The engine keeps only the latest tick any read has
-reached, and a position tape is integrated a chunk at a time as far as
-reads reach, so an episode that finishes within a second never pays for
+reached, and a position tape is integrated as far as reads reach, so an episode that finishes within a second never pays for
 tick events.
 
 Each worker's `Behavior` is read in three places: its slowdown multiplies
@@ -43,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .models import (
     FAILURE_MODES,
@@ -76,77 +82,6 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-class _PhiloxKey(ISpawnableSeedSequence):
-    """Seed sequence whose only state is a ready 128-bit Philox key.
-
-    `Philox(key=...)` still seeds a throwaway SeedSequence from OS entropy;
-    `Philox(_PhiloxKey(key))` asks this object for its key instead and
-    ends in the same state (zero counter, this key) at about a third of
-    the cost.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or (dtype is not np.uint64
-                            and np.dtype(dtype) != np.uint64):
-            raise ValueError("a Philox key is two uint64 words; got "
-                             f"{n_words} words of {np.dtype(dtype)}")
-        return self.key
-
-    def spawn(self, n_children):
-        raise TypeError("keyed substreams do not spawn; derive a new "
-                        "substream with more tags instead")
-
-
-def philox_key(seed: int, *tags: int) -> np.ndarray:
-    """128-bit Philox key for (seed, *tags): splitmix64 chained over both."""
-    state = _splitmix64(seed & _MASK64)
-    for tag in tags:
-        state = _splitmix64(state ^ (int(tag) & _MASK64))
-    return np.array([_splitmix64(state), _splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)],
-                    dtype=np.uint64)
-
-
-def substream(seed: int, *tags: int) -> np.random.Generator:
-    """Independent Philox stream for (seed, *tags).
-
-    The stream is `Generator(Philox(key=philox_key(seed, *tags)))`, so
-    streams for different (node, purpose) pairs never collide in practice
-    and can be created in any order.
-    """
-    key = _PhiloxKey(philox_key(seed, *tags))
-    return np.random.Generator(np.random.Philox(key))
-
-
-# Values a tape draws at a time.  Chunked draws equal sequential ones on
-# Philox; a small chunk keeps episodes that read one or two values cheap.
-_CHUNK = 8
-
-
-class Tape(dict):
-    """One keyed stream's values by draw index, kept once drawn.
-
-    Reading `tape[k]` past the end takes chunks from `chunks`, an iterator
-    of lists, until the tape holds k + 1 values.  The chunks are made on
-    demand, so a stream nothing reads past is never built.  It is a dict
-    so that reading a value already drawn runs no Python code.
-    """
-
-    __slots__ = ("_chunks",)
-
-    def __init__(self, chunks):
-        self._chunks = chunks
-
-    def __missing__(self, k: int):
-        while len(self) <= k:
-            self.update(enumerate(next(self._chunks), len(self)))
-        return self[k]
-
-
 class Memo(dict):
     """Values by key, each made by `make(key)` at its first lookup."""
 
@@ -160,46 +95,171 @@ class Memo(dict):
         return value
 
 
-def _path(seed: int, tag: int, box: float, speed_limit: float) -> Tape:
+class Seed(int):
+    """A seed that mixes itself and each node tag into a key prefix once.
+
+    It is the int it was made from, so it goes wherever a seed goes.
+    `prefix` is the splitmix64 state of the seed alone and `nodes[tag]` the
+    state after node `tag`; `substream` starts from these instead of
+    mixing them again for every stream.  A `Draws` holds one, so the memo
+    is dropped with it and never outlives a rep.
+    """
+
+    def __new__(cls, seed: int):
+        self = super().__new__(cls, seed)
+        prefix = self.prefix = _splitmix64(seed & _MASK64)
+        self.nodes = Memo(lambda tag: _splitmix64(prefix ^ (int(tag) & _MASK64)))
+        return self
+
+
+# The one generator every stream draws through, and the state a session
+# loads into it: a stream's key at counter zero with an empty buffer.
+_GENERATOR = np.random.Generator(np.random.Philox(0))
+_START = {"bit_generator": "Philox",
+          "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+          "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+          "uinteger": 0}
+_in_session = False
+
+
+class Stream:
+    """One keyed Philox stream; draw from it in `with stream as rng: ...`.
+
+    A stream is its 128-bit key, two ints.  A session loads the key at
+    counter zero into the one generator all streams share and yields that
+    generator, so the draws in every session are those of
+    `Generator(Philox(key=key))` from its first value: Philox output is a
+    pure function of key and counter.  A session starts at the same place
+    whatever ran before it, so streams cannot see each other's state.
+    Sessions do not nest, and `rng` is not read after its session ends:
+    the engine is single-threaded by design.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: list):
+        self.key = key
+
+    def __enter__(self) -> np.random.Generator:
+        global _in_session
+        if _in_session:
+            raise RuntimeError("all streams draw through one generator; "
+                               "end one stream's session before starting "
+                               "another")
+        _in_session = True
+        _START["state"]["key"] = self.key
+        _GENERATOR.bit_generator.state = _START
+        return _GENERATOR
+
+    def __exit__(self, *exc) -> None:
+        global _in_session
+        _in_session = False
+
+
+def substream(seed: int, *tags: int) -> Stream:
+    """Independent Philox stream for (seed, *tags).
+
+    The key is splitmix64 chained over the seed and the tags, so streams
+    for different (node, purpose) pairs never collide in practice and can
+    be made in any order.  Opening one builds no generator.  Given a
+    `Seed`, the chain starts from its memo of the seed and the first tag;
+    given an int, from a `Seed` made for this stream alone.
+    """
+    if not isinstance(seed, Seed):
+        seed = Seed(seed)
+    if tags:
+        state = seed.nodes[tags[0]]
+        for tag in tags[1:]:
+            state = _splitmix64(state ^ (int(tag) & _MASK64))
+    else:
+        state = seed.prefix
+    return Stream([_splitmix64(state),
+                   _splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)])
+
+
+def philox_key(seed: int, *tags: int) -> np.ndarray:
+    """128-bit Philox key of `substream(seed, *tags)`, as two uint64 words."""
+    return np.array(substream(seed, *tags).key, dtype=np.uint64)
+
+
+# Values a tape draws at its first fill.
+_CHUNK = 8
+
+
+class Tape(list):
+    """One keyed stream's values in draw order, kept once drawn.
+
+    Read value k as `tape[k]` after `tape.fill(k)` when `k >= len(tape)`,
+    so reading a value already drawn runs no Python code.  `fill` opens
+    the stream at its first call and draws it again from its start to at
+    least twice the tape's length: a tape of n values has drawn fewer than
+    2n, and no generator state is kept between fills.  A subclass's
+    `_draw(rng, n)` appends values len(tape) to n - 1 from `rng` at the
+    start of the stream.
+    """
+
+    __slots__ = ("_seed", "_tags", "_stream")
+
+    def __init__(self, seed: int, *tags: int):
+        super().__init__()
+        self._seed, self._tags, self._stream = seed, tags, None
+
+    def fill(self, k: int) -> None:
+        """Draw until the tape holds value k."""
+        if self._stream is None:
+            self._stream = substream(self._seed, *self._tags)
+        with self._stream as rng:
+            self._draw(rng, max(k + 1, 2 * len(self), _CHUNK))
+
+
+class _Exponentials(Tape):
+    """A worker's compute tape: standard exponentials in accept order."""
+
+    __slots__ = ()
+
+    def _draw(self, rng, n: int) -> None:
+        self.extend(rng.standard_exponential(n)[len(self):].tolist())
+
+
+class _Path(Tape):
     """Node `tag`'s position tape, one position per whole second.
 
-    Index 0 is the start position in the +-box square; index k adds the
-    velocity of second k (dt = 1 s).  The velocity stream is built at the
-    first read past the start and drawn _CHUNK seconds at a time.
+    Index 0 is the start position in the +-box square, drawn when the tape
+    is made; index k adds the velocity of second k (dt = 1 s).  The
+    velocity stream is opened at the first read past the start.
     """
-    pos = substream(seed, tag, _POSITION).uniform(-box, box, 2)
-    tape = Tape(_moves(seed, tag, pos, speed_limit))
-    tape[0] = pos
-    return tape
 
+    __slots__ = ("_speed_limit",)
 
-def _moves(seed: int, tag: int, pos: np.ndarray, speed_limit: float):
-    """Chunks of the positions that follow `pos`, one per second."""
-    stream = substream(seed, tag, _VELOCITY)
-    while True:
-        chunk = []
-        for velocity in stream.uniform(-speed_limit, speed_limit, (_CHUNK, 2)):
+    def __init__(self, seed: int, tag: int, box: float, speed_limit: float):
+        super().__init__(seed, tag, _VELOCITY)
+        self._speed_limit = speed_limit
+        with substream(seed, tag, _POSITION) as rng:
+            self.append(rng.uniform(-box, box, 2))
+
+    def _draw(self, rng, n: int) -> None:
+        # Position k follows velocity row k - 1.
+        limit = self._speed_limit
+        pos = self[-1]
+        for velocity in rng.uniform(-limit, limit, (n - 1, 2))[len(self) - 1:]:
             pos = pos + velocity
-            chunk.append(pos)
-        yield chunk
+            self.append(pos)
 
 
 def _distance(paths: Memo, worker: int, second: int) -> float:
     """Master-worker distance at whole second `second` of `paths`."""
-    delta = paths[worker][second] - paths[_MASTER_TAG][second]
+    here, master = paths[worker], paths[_MASTER_TAG]
+    if second >= len(here):
+        here.fill(second)
+    if second >= len(master):
+        master.fill(second)
+    delta = here[second] - master[second]
     return float(np.hypot(delta[0], delta[1]))
 
 
 def _rates(paths: Memo, comm: CommParams) -> Memo:
     """Link rates over `comm` by (worker, second) of `paths`."""
     return Memo(lambda key: data_rate(_distance(paths, *key), comm))
-
-
-def _exponentials(seed: int, worker: int):
-    """Chunks of standard-exponential draws for `worker`'s pieces."""
-    stream = substream(seed, worker, _COMPUTE)
-    while True:
-        yield stream.standard_exponential(_CHUNK).tolist()
 
 
 class Draws:
@@ -218,6 +278,9 @@ class Draws:
     - `profiles[scenario.straggler_free]`, `behaviors[scenario]` and
       `operands[scenario.straggler_free]`: the episode draws of
       `episode_profiles`, `episode_behaviors` and `episode_task`.
+    Every stream is opened through `substream` with the `Draws`' own
+    `Seed`, so the seed and each node are mixed into a key prefix once per
+    `Draws`; a tape keeps its stream's key to draw it again.
     `pilot_times` is the memo `run_episode` keeps of straggler-free pilot
     completion times (`inf` for a pilot that cannot finish), keyed by
     (scenario.straggler_free, strategy, b).  Episodes of different seeds
@@ -228,10 +291,11 @@ class Draws:
         # The closures hold `seed`, not `self`: a cycle through them would
         # keep a dropped Draws alive until the cycle collector runs.
         self.seed = seed
+        seed = Seed(seed)
         paths = self.paths = Memo(lambda fleet: Memo(
-            lambda tag: _path(seed, tag, *fleet)))
+            lambda tag: _Path(seed, tag, *fleet)))
         self.rates = Memo(lambda link: _rates(paths[link[1:]], link[0]))
-        self.compute = Memo(lambda worker: Tape(_exponentials(seed, worker)))
+        self.compute = Memo(lambda worker: _Exponentials(seed, worker, _COMPUTE))
         self.profiles = Memo(lambda scn: episode_profiles(scn, seed))
         self.behaviors = Memo(lambda scn: episode_behaviors(scn, seed))
         self.operands = Memo(lambda scn: episode_task(scn, seed))
@@ -377,8 +441,11 @@ class SimEngine:
         load = compute_load(load_pair[0], load_pair[1], self.compute_coeff)
         k = self._compute_read[worker]
         self._compute_read[worker] = k + 1
+        compute = self._compute[worker]
+        if k >= len(compute):
+            compute.fill(k)
         # Slowdown covers the work and the return transfer.
-        t_comp = (sample_compute_time(self._compute[worker][k], load,
+        t_comp = (sample_compute_time(compute[k], load,
                                       self.profiles[worker]) * beh.slowdown)
         t_out = comm_time(n_out, rate, self.comm.payload_bytes) * beh.slowdown
         done = start + t_comp
@@ -418,8 +485,8 @@ class EpisodeMetrics(StrategyOutcome):
 
 def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     """Draw per-worker compute profiles for one episode."""
-    stream = substream(seed, _SCENARIO_TAG, _MU)
-    mus = stream.uniform(scenario.mu_low, scenario.mu_high, scenario.n_workers)
+    with substream(seed, _SCENARIO_TAG, _MU) as rng:
+        mus = rng.uniform(scenario.mu_low, scenario.mu_high, scenario.n_workers)
     return [WorkerProfile(mu=float(mu)) for mu in mus]
 
 
@@ -432,26 +499,27 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     changes the workers' compute or mobility draws.
     """
     p = scenario.n_workers
-    stream = substream(seed, _SCENARIO_TAG, _STRAGGLER)
-    if scenario.failure_count_uniform:
-        count = int(stream.integers(0, p + 1))
-    else:
-        count = int(round(scenario.straggler_ratio * p))
+    with substream(seed, _SCENARIO_TAG, _STRAGGLER) as rng:
+        if scenario.failure_count_uniform:
+            count = int(rng.integers(0, p + 1))
+        else:
+            count = int(round(scenario.straggler_ratio * p))
+        chosen = rng.choice(p, size=count, replace=False) if count else ()
     behaviors = [Behavior()] * p
     if count:
         straggler = (Behavior(departs=0.0)
                      if scenario.straggler_mode in FAILURE_MODES
                      else Behavior(slowdown=scenario.delay_factor))
-        for w in stream.choice(p, size=count, replace=False):
+        for w in chosen:
             behaviors[w] = straggler
     return behaviors
 
 
 def episode_task(scenario, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw the operand vectors for one episode."""
-    stream = substream(seed, _SCENARIO_TAG, _TASK)
-    a = stream.uniform(-1.0, 1.0, scenario.n1)
-    x = stream.uniform(-1.0, 1.0, scenario.n2)
+    with substream(seed, _SCENARIO_TAG, _TASK) as rng:
+        a = rng.uniform(-1.0, 1.0, scenario.n1)
+        x = rng.uniform(-1.0, 1.0, scenario.n2)
     return a, x
 
 

@@ -35,85 +35,114 @@ def make_engine(p=2, seed=11, behaviors=None, profiles=None, collect_log=True,
 # -- substreams ----------------------------------------------------------------
 
 
+def first_uniforms(seed, *tags, size):
+    with substream(seed, *tags) as rng:
+        return rng.uniform(size=size)
+
+
 def test_substream_reproducible():
-    a = substream(42, 3, 1).uniform(size=8)
-    b = substream(42, 3, 1).uniform(size=8)
+    a = first_uniforms(42, 3, 1, size=8)
+    b = first_uniforms(42, 3, 1, size=8)
     np.testing.assert_array_equal(a, b)
 
 
 def test_substream_distinct_tags_differ():
     draws = {}
     for tags in [(0, 1), (0, 2), (1, 1), (1, 2), (7, 3)]:
-        draws[tags] = tuple(substream(99, *tags).uniform(size=4))
+        draws[tags] = tuple(first_uniforms(99, *tags, size=4))
     assert len(set(draws.values())) == len(draws)
 
 
 def test_substream_seed_changes_everything():
-    a = substream(1, 5, 2).uniform(size=4)
-    b = substream(2, 5, 2).uniform(size=4)
+    a = first_uniforms(1, 5, 2, size=4)
+    b = first_uniforms(2, 5, 2, size=4)
     assert not np.allclose(a, b)
 
 
 def test_substream_draws_equal_philox_built_from_its_key():
-    # substream skips Philox's own seeding; the draws must still be those
-    # of the documented Generator(Philox(key=...)).
+    # substream builds no Philox; its draws must still be those of the
+    # documented Generator(Philox(key=...)), with or without a Seed's memo.
     rng = np.random.default_rng(2024)
     for _ in range(200):
         seed = int(rng.integers(0, 2**63))
         tags = tuple(int(t) for t in rng.integers(0, 2**32, rng.integers(0, 4)))
-        fast = substream(seed, *tags)
-        slow = np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
-        for gen in (fast, slow):
-            state = gen.bit_generator.state["state"]
-            assert state["key"].tolist() == philox_key(seed, *tags).tolist()
-            assert state["counter"].tolist() == [0] * 4
-        np.testing.assert_array_equal(fast.uniform(-3.0, 2.0, 5),
-                                      slow.uniform(-3.0, 2.0, 5))
-        np.testing.assert_array_equal(fast.exponential(0.5, 3),
-                                      slow.exponential(0.5, 3))
-        np.testing.assert_array_equal(fast.integers(0, 9, 4), slow.integers(0, 9, 4))
-        np.testing.assert_array_equal(fast.choice(8, size=3, replace=False),
-                                      slow.choice(8, size=3, replace=False))
+        for fast in (substream(seed, *tags), substream(engine.Seed(seed), *tags)):
+            slow = np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
+            assert fast.key == philox_key(seed, *tags).tolist()
+            with fast as gen:
+                for g in (gen, slow):
+                    state = g.bit_generator.state["state"]
+                    assert state["key"].tolist() == philox_key(seed, *tags).tolist()
+                    assert state["counter"].tolist() == [0] * 4
+                np.testing.assert_array_equal(gen.uniform(-3.0, 2.0, 5),
+                                              slow.uniform(-3.0, 2.0, 5))
+                np.testing.assert_array_equal(gen.exponential(0.5, 3),
+                                              slow.exponential(0.5, 3))
+                np.testing.assert_array_equal(gen.integers(0, 9, 4),
+                                              slow.integers(0, 9, 4))
+                np.testing.assert_array_equal(gen.choice(8, size=3, replace=False),
+                                              slow.choice(8, size=3, replace=False))
+
+
+def test_stream_sessions_start_at_the_key_and_do_not_nest():
+    # Two streams held at once: each session starts its stream afresh,
+    # whatever the other drew in between, and one cannot open inside another.
+    a, b = substream(5, 1, 2), substream(5, 2, 2)
+    with a as rng:
+        first = rng.uniform(size=3)
+    with b as rng:
+        rng.standard_exponential(5)
+        with pytest.raises(RuntimeError, match="one generator"):
+            with a:
+                pass
+    with a as rng:
+        np.testing.assert_array_equal(rng.uniform(size=3), first)
 
 
 @pytest.mark.parametrize("seed,tags", [(0, ()), (1234, (3, engine._COMPUTE)),
                                        (2**63 - 1, (engine._MASTER_TAG, 2))])
 def test_philox_draw_identities_the_tapes_rely_on(seed, tags):
-    # Compute tapes hold standard exponentials that the model scales, and
-    # every tape draws ahead in chunks; both must equal what sequential
-    # draws from the stream would give, bit for bit.
-    scaled, plain = substream(seed, *tags), substream(seed, *tags)
-    for scale in (1e-7, 0.37, 3.0, 2.5e4):
-        for _ in range(20):
-            assert scaled.exponential(scale) == scale * plain.standard_exponential()
-    sequential, chunked = substream(seed, *tags), substream(seed, *tags)
-    want = [sequential.standard_exponential() for _ in range(20)]
-    got = np.concatenate([chunked.standard_exponential(8) for _ in range(3)])
+    # Compute tapes hold standard exponentials that the model scales, and a
+    # tape that runs out draws its stream again from the start to a greater
+    # length; both must equal what sequential draws from the stream would
+    # give, bit for bit.
+    scales = (1e-7, 0.37, 3.0, 2.5e4)
+    with substream(seed, *tags) as scaled:
+        got = [scaled.exponential(scale) for scale in scales for _ in range(20)]
+    with substream(seed, *tags) as plain:
+        want = [scale * plain.standard_exponential()
+                for scale in scales for _ in range(20)]
+    assert got == want
+    with substream(seed, *tags) as sequential:
+        want = [sequential.standard_exponential() for _ in range(20)]
+    with substream(seed, *tags) as chunked:
+        got = np.concatenate([chunked.standard_exponential(8) for _ in range(3)])
     assert got[:20].tolist() == want
-    sequential, chunked = substream(seed, *tags), substream(seed, *tags)
-    want = np.array([sequential.uniform(-10.0, 10.0, 2) for _ in range(20)])
-    got = np.concatenate([chunked.uniform(-10.0, 10.0, (8, 2)) for _ in range(3)])
+    for n in (20, 24, 48):
+        with substream(seed, *tags) as once:
+            assert once.standard_exponential(n)[:20].tolist() == want
+    with substream(seed, *tags) as sequential:
+        want = np.array([sequential.uniform(-10.0, 10.0, 2) for _ in range(20)])
+    with substream(seed, *tags) as chunked:
+        got = np.concatenate([chunked.uniform(-10.0, 10.0, (8, 2)) for _ in range(3)])
     assert got[:20].tolist() == want.tolist()
+    for n in (20, 24, 48):
+        with substream(seed, *tags) as once:
+            assert once.uniform(-10.0, 10.0, (n, 2))[:20].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("strategy", ["uncoded", "traditional", "dynamic"])
 def test_failed_workers_and_short_episodes_build_no_unread_streams(
-        strategy, monkeypatch):
+        strategy, streams_opened):
     scn = benchmark_scenario(1, 64, straggler_mode="fail", straggler_ratio=0.5)
     seed = 5
     failed = {w for w, beh in enumerate(episode_behaviors(scn, seed))
               if beh.departs == 0.0}
     assert len(failed) == 4
-    made = []  # tags of every stream built, seen through the module global
-    original = engine.substream
-
-    def recording(seed, *tags):
-        made.append(tags)
-        return original(seed, *tags)
-
-    monkeypatch.setattr(engine, "substream", recording)
+    streams_opened.clear()
     m = run_episode(scn, strategy, seed, horizon=math.inf, collect_log=True,
                     keep_result=False)
+    made = [key[1:] for key in streams_opened]  # tags of every stream built
     assert max(rec.time for rec in m.event_log) < 1.0
     assert not [tags for tags in made if tags[-1] == engine._VELOCITY]
     for w in failed:
@@ -450,15 +479,7 @@ def test_run_episode_refuses_draws_of_another_seed():
         run_episode(benchmark_scenario(1, 64), "dynamic", 11, draws=Draws(12))
 
 
-def test_kept_results_on_one_draws_draw_the_operands_once(monkeypatch):
-    built = []
-    original = engine.substream
-
-    def recording(seed, *tags):
-        built.append(tags)
-        return original(seed, *tags)
-
-    monkeypatch.setattr(engine, "substream", recording)
+def test_kept_results_on_one_draws_draw_the_operands_once(streams_opened):
     scn = benchmark_scenario(1, 64)
     seed = 4
     draws = Draws(seed)
@@ -468,6 +489,7 @@ def test_kept_results_on_one_draws_draw_the_operands_once(monkeypatch):
             m = run_episode(scn.replace(straggler_ratio=ratio), strategy, seed,
                             draws=draws)
             assert m.result is not None
+    built = [key[1:] for key in streams_opened]
     assert built.count((engine._SCENARIO_TAG, engine._TASK)) == 1
 
 

@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedconv.engine import Draws, SimEngine, run_episode
+from codedconv import engine
+from codedconv.engine import Draws, SimEngine, philox_key, run_episode, substream
 from codedconv.models import STRAGGLER_MODES, Behavior, CommParams, WorkerProfile
 from codedconv.scenarios import ScenarioConfig
 from codedconv.strategies import STRATEGIES
@@ -168,3 +169,103 @@ def test_shared_draws_change_no_episode(run):
         assert_same_episode(
             run_episode(scn, strategy, seed, draws=draws, **kwargs),
             run_episode(scn, strategy, seed, **kwargs))
+
+
+# -- keyed streams drawn through one shared generator ------------------------------
+
+BOX, SPEED_LIMIT = 1500.0, 10.0
+TAPES = ("position", "compute")
+
+
+@st.composite
+def stream_reads(draw, kinds=(*TAPES, "straggler")):
+    """An interleaved list of reads of two or three nodes' streams.
+
+    A read is (node, kind, k): value k of the node's position or compute
+    tape, or a count of up to k + 1 stragglers and their choice, drawn in
+    one session of the node's straggler stream.
+    """
+    nodes = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3,
+                          unique=True))
+    return draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                   st.sampled_from(kinds),
+                                   st.integers(0, 3 * engine._CHUNK)),
+                         min_size=1, max_size=24))
+
+
+def built_from_key(seed, *tags):
+    return np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
+
+
+def expected(seed, node, kind, k):
+    """Read (node, kind, k) from generators built from the keys, in the
+    chunks the engine drew before it shared one generator."""
+    chunk = engine._CHUNK
+    if kind == "position":
+        pos = built_from_key(seed, node, engine._POSITION).uniform(-BOX, BOX, 2)
+        velocity = built_from_key(seed, node, engine._VELOCITY)
+        path = [pos]
+        while len(path) <= k:
+            for v in velocity.uniform(-SPEED_LIMIT, SPEED_LIMIT, (chunk, 2)):
+                pos = pos + v
+                path.append(pos)
+        return np.array(path[:k + 1]).tolist()
+    if kind == "compute":
+        compute = built_from_key(seed, node, engine._COMPUTE)
+        chunks = [compute.standard_exponential(chunk)
+                  for _ in range(k // chunk + 1)]
+        return np.concatenate(chunks)[:k + 1].tolist()
+    straggler = built_from_key(seed, node, engine._STRAGGLER)
+    count = int(straggler.integers(0, k + 2))
+    return count, straggler.choice(k + 1, size=count, replace=False).tolist()
+
+
+def read(draws, seed, node, kind, k):
+    """Read (node, kind, k) through the engine: tapes of `draws`, or a
+    session of a stream opened with `seed`."""
+    if kind == "straggler":
+        with substream(seed, node, engine._STRAGGLER) as rng:
+            count = int(rng.integers(0, k + 2))
+            return count, rng.choice(k + 1, size=count, replace=False).tolist()
+    tape = (draws.paths[BOX, SPEED_LIMIT][node] if kind == "position"
+            else draws.compute[node])
+    if k >= len(tape):
+        tape.fill(k)
+    return np.array(tape[:k + 1]).tolist()
+
+
+def tapes(draws):
+    held = {("compute", w): list(t) for w, t in draws.compute.items()}
+    for node, tape in draws.paths[BOX, SPEED_LIMIT].items():
+        held["position", node] = np.array(tape).tolist()
+    return held
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), stream_reads())
+def test_interleaved_streams_equal_philox_built_from_their_keys(seed, reads):
+    # Position pairs, velocity chunks, exponentials past the first chunk and
+    # integers-then-choice, read in any interleaving through the shared
+    # generator, with and without the seed's key-prefix memo.
+    draws, keyed = Draws(seed), engine.Seed(seed)
+    for i, (node, kind, k) in enumerate(reads):
+        stream_seed = keyed if i % 2 else seed
+        assert read(draws, stream_seed, node, kind, k) == expected(seed, node, kind, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2, unique=True),
+       stream_reads(TAPES), stream_reads(TAPES))
+def test_draws_filled_alternately_hold_what_each_holds_alone(seeds, reads_a,
+                                                            reads_b):
+    reads = reads_a, reads_b
+    together = [Draws(seed) for seed in seeds]
+    for pair in itertools.zip_longest(*reads):
+        for draws, one in zip(together, pair):
+            if one is not None:
+                read(draws, draws.seed, *one)
+    for draws, own in zip(together, reads):
+        alone = Draws(draws.seed)
+        for one in own:
+            read(alone, alone.seed, *one)
+        assert tapes(draws) == tapes(alone)

@@ -187,18 +187,11 @@ def test_stress_runs_one_pilot_per_rep_and_strategy(monkeypatch):
     (lambda scn: success_rate(scn, 12, 7), 1),
 ], ids=["sweep_b", "compare", "stress", "stress_leave", "success_rate"])
 def test_experiments_build_each_stream_once(experiment, straggler_configs,
-                                            monkeypatch):
-    built = Counter()
-    original = engine.substream
-
-    def recording(seed, *tags):
-        built[(seed, *tags)] += 1
-        return original(seed, *tags)
-
-    monkeypatch.setattr(engine, "substream", recording)
+                                            streams_opened):
     # Slow workers make episodes span mobility ticks, so velocity tapes
     # are built too.
     experiment(small_scenario(mu_low=100.0, mu_high=200.0))
+    built = Counter(streams_opened)
     assert any(tags[-1] == engine._VELOCITY for tags in built)
     # Each straggler configuration draws its behaviours from the start of
     # the seed's straggler stream; every other stream is built once.
