@@ -13,25 +13,24 @@ single-threaded by design: one stream's session ends before the next one
 starts.  The one thing a stream keeps of what it drew is its tape, so no
 generator state is ever saved.
 
-An engine reads its randomness through a `Draws`, which holds everything
-one episode seed reads.  Per-node draws are kept on tapes: values in
-draw order, drawn on first read and kept, so every episode of a seed
-(every strategy, sweep point and straggler ratio of a rep) reads the same
-values without drawing again.  A tape that runs out draws its stream
-again from the start to at least twice its length.  A node's
-position tape holds its position at each whole second: the start position
-is drawn at the node's first distance read and the velocity stream at its
-first read past second 0.  A worker's compute tape starts at the first
-piece it accepts.  Streams that no episode reads (failed workers, mobility
-in episodes shorter than a second) are never opened, and since each stream
-is keyed on its own, the draws do not depend on when or whether the
-others are made.  The `Draws` also holds the seed's profiles, behaviours
-and operands, one straggler-free pilot completion time per (scenario,
-strategy, b), and the link rates: the rate of a (worker, second) link for
-given link parameters and fleet, priced at its first read, so every
-strategy and straggler ratio of a rep prices each link once.  An episode
-given no `Draws` makes a private one, so sharing one changes no value;
-one of another seed is refused.
+An engine reads its randomness and its fleet through a `Draws`, made for
+one episode seed and one fleet: a scenario without its straggler fields.
+Per-node draws are kept on tapes: values in draw order, drawn on first
+read and kept, so every episode of a seed (every strategy, sweep point
+and straggler ratio of a rep) reads the same values without drawing
+again.  A tape that runs out draws its stream again from the start to at
+least twice its length.  A node's position tape holds its position at
+each whole second: the start position is drawn at the node's first
+distance read and the velocity stream at its first read past second 0.
+A worker's compute tape starts at the first piece it accepts.  Streams
+that no episode reads (failed workers, mobility in episodes shorter than
+a second) are never opened, and since each stream is keyed on its own,
+the draws do not depend on when or whether the others are made.  The
+`Draws` also holds the fleet's profiles and operands, the behaviours of
+each straggler setting, each pilot's completion time and each (worker,
+second) link rate, so a rep prices each link once.  An episode given no
+`Draws` makes a private one, so sharing one changes no value; one of
+another seed or fleet is refused.
 
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); distance reads between ticks see the most
@@ -45,6 +44,7 @@ it from its join time, and no piece is delivered past its departure time.
 Late joins and departures are also announced to the master as roster
 events.
 """
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -54,7 +54,6 @@ import numpy as np
 from .models import (
     FAILURE_MODES,
     Behavior,
-    CommParams,
     WorkerProfile,
     comm_time,
     compute_load,
@@ -257,49 +256,48 @@ def _distance(paths: Memo, worker: int, second: int) -> float:
     return float(np.hypot(delta[0], delta[1]))
 
 
-def _rates(paths: Memo, comm: CommParams) -> Memo:
-    """Link rates over `comm` by (worker, second) of `paths`."""
-    return Memo(lambda key: data_rate(_distance(paths, *key), comm))
-
-
 class Draws:
-    """Everything the episodes of one seed read, each drawn once.
+    """Everything the episodes of one seed on one fleet read, each drawn once.
 
-    Each field but `pilot_times` is a `Memo`, so a value is drawn at its
-    first lookup:
-    - `paths[box, speed_limit][tag]`: the position tape of node `tag` (a
-      worker index, or _MASTER_TAG); do not write to a position;
-    - `rates[comm, box, speed_limit][worker, second]`: the master-worker
-      link rate over `comm` at whole second `second` of those paths, made
-      by `data_rate` from the distance `SimEngine.distance` reads, so
-      every episode of the seed prices a (worker, second) link once;
+    `fleet` is `scenario.straggler_free`: the episodes that may share the
+    `Draws` differ from it at most in their straggler fields.  A value is
+    drawn at its first read:
+    - `paths[tag]`: the position tape of node `tag` (a worker index, or
+      _MASTER_TAG); do not write to a position;
+    - `rates[worker, second]`: the master-worker link rate at whole second
+      `second`, made by `data_rate` from the distance `SimEngine.distance`
+      reads;
     - `compute[worker]`: the worker's compute tape, standard exponentials
       that `sample_compute_time` scales, in accept order;
-    - `profiles[scenario.straggler_free]`, `behaviors[scenario]` and
-      `operands[scenario.straggler_free]`: the episode draws of
-      `episode_profiles`, `episode_behaviors` and `episode_task`.
+    - `profiles` (a list not to write to), `behaviors[scenario]` and
+      `operands`: the draws of `episode_profiles`, `episode_behaviors`
+      and `episode_task`.
     Every stream is opened through `substream` with the `Draws`' own
     `Seed`, so the seed and each node are mixed into a key prefix once per
     `Draws`; a tape keeps its stream's key to draw it again.
-    `pilot_times` is the memo `run_episode` keeps of straggler-free pilot
-    completion times (`inf` for a pilot that cannot finish), keyed by
-    (scenario.straggler_free, strategy, b).  Episodes of different seeds
-    must not share one, and `run_episode` refuses one of another seed.
+    `pilot_times` keeps `run_episode`'s straggler-free pilot completion
+    times by (strategy, b), `inf` for a pilot that cannot finish.
     """
 
-    def __init__(self, seed: int):
-        # The closures hold `seed`, not `self`: a cycle through them would
-        # keep a dropped Draws alive until the cycle collector runs.
-        self.seed = seed
-        seed = Seed(seed)
-        paths = self.paths = Memo(lambda fleet: Memo(
-            lambda tag: _Path(seed, tag, *fleet)))
-        self.rates = Memo(lambda link: _rates(paths[link[1:]], link[0]))
+    def __init__(self, seed: int, scenario):
+        # No closure holds `self`, so a dropped Draws is freed at once.
+        seed = self.seed = Seed(seed)
+        fleet = self.fleet = scenario.straggler_free
+        paths = self.paths = Memo(lambda tag: _Path(
+            seed, tag, fleet.init_box_m, fleet.speed_limit_mps))
+        self.rates = Memo(lambda link: data_rate(_distance(paths, *link),
+                                                 fleet.comm))
         self.compute = Memo(lambda worker: _Exponentials(seed, worker, _COMPUTE))
-        self.profiles = Memo(lambda scn: episode_profiles(scn, seed))
         self.behaviors = Memo(lambda scn: episode_behaviors(scn, seed))
-        self.operands = Memo(lambda scn: episode_task(scn, seed))
         self.pilot_times: dict = {}
+
+    @functools.cached_property
+    def profiles(self) -> list[WorkerProfile]:
+        return episode_profiles(self.fleet, self.seed)
+
+    @functools.cached_property
+    def operands(self) -> tuple[np.ndarray, np.ndarray]:
+        return episode_task(self.fleet, self.seed)
 
 
 @dataclass
@@ -339,16 +337,16 @@ class EngineEvent:
 class SimEngine:
     """Event queue plus fleet state for a single episode."""
 
-    def __init__(self, profiles, behaviors, comm: CommParams, draws: Draws, *,
-                 init_box_m: float = 1500.0, speed_limit_mps: float = 10.0,
-                 compute_coeff: float = 1.0, collect_log: bool = False):
-        if len(profiles) != len(behaviors) or not profiles:
-            raise ValueError("need matching, non-empty profiles and behaviors")
-        self.profiles = list(profiles)
+    def __init__(self, draws: Draws, behaviors, *, collect_log: bool = False):
+        fleet = draws.fleet
+        if len(behaviors) != fleet.n_workers:
+            raise ValueError(f"need one behavior per worker: the fleet has "
+                             f"{fleet.n_workers}, got {len(behaviors)}")
+        self.profiles = draws.profiles
         self.behaviors = list(behaviors)
-        self.comm = comm
-        self.compute_coeff = compute_coeff
-        self.n_workers = len(profiles)
+        self.comm = fleet.comm
+        self.compute_coeff = fleet.compute_coeff
+        self.n_workers = fleet.n_workers
         self._now = 0.0
         self._heap: list = []
         self._seq = 0
@@ -358,10 +356,8 @@ class SimEngine:
         self.log: list[SimEvent] = []
         self._log_seq = 0
 
-        # Position tapes by node tag (a worker index, or _MASTER_TAG), and
-        # link rates by (worker, second).
-        self._paths = draws.paths[init_box_m, speed_limit_mps]
-        self._rates = draws.rates[comm, init_box_m, speed_limit_mps]
+        self._paths = draws.paths
+        self._rates = draws.rates
         self._mobility_second = 0
         self._compute = draws.compute
         self._compute_read = [0] * self.n_workers
@@ -534,10 +530,10 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     horizon at horizon_factor times the pilot completion time.  A pilot
     that cannot finish sets none: the horizon stays infinite.
 
-    `draws` is a `Draws` of `seed` (one of another seed is a ValueError);
-    episodes that share one read each stream once and run each pilot once
-    per (scenario without its straggler fields, strategy, b).  By default
-    the episode makes its own.
+    `draws` is a `Draws` of `seed` and of `scenario.straggler_free` (one
+    of another seed or fleet is a ValueError); episodes that share one
+    read each stream once and run each pilot once per (strategy, b).  By
+    default the episode makes its own.
 
     The strategy schedules from the operand lengths.  Only with
     `keep_result` does a successful episode read the operands from `draws`
@@ -548,11 +544,12 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
         raise ValueError(f"unknown strategy {strategy!r}; "
                          f"choose from {sorted(STRATEGIES)}")
     if draws is None:
-        draws = Draws(seed)
+        draws = Draws(seed, scenario)
     elif draws.seed != seed:
         raise ValueError(f"the Draws are of seed {draws.seed}, "
                          f"not of the episode seed {seed}")
-    profiles = draws.profiles[scenario.straggler_free]
+    elif draws.fleet != scenario.straggler_free:
+        raise ValueError("the Draws are of another fleet than the scenario")
     behaviors = (_behaviors if _behaviors is not None
                  else draws.behaviors[scenario])
     normal = Behavior()
@@ -561,7 +558,7 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     if horizon is None:
         horizon = math.inf
         if n_stragglers:
-            key = (scenario.straggler_free, strategy, b)
+            key = (strategy, b)
             pilot_time = draws.pilot_times.get(key)
             if pilot_time is None:
                 pilot = run_episode(scenario, strategy, seed, b=b,
@@ -572,11 +569,7 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
                     pilot.completion_time if pilot.success else math.inf)
             horizon = scenario.horizon_factor * pilot_time
 
-    eng = SimEngine(profiles, behaviors, scenario.comm, draws,
-                    init_box_m=scenario.init_box_m,
-                    speed_limit_mps=scenario.speed_limit_mps,
-                    compute_coeff=scenario.compute_coeff,
-                    collect_log=collect_log)
+    eng = SimEngine(draws, behaviors, collect_log=collect_log)
     knobs = {}
     if strategy == "dynamic":
         knobs["b"] = b if b is not None else scenario.dynamic_b
@@ -585,8 +578,7 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     outcome = runner(scenario.n1, scenario.n2, eng, horizon=horizon, **knobs)
     result = None
     if keep_result and outcome.plan is not None:
-        result = outcome.plan.assemble(
-            *draws.operands[scenario.straggler_free])
+        result = outcome.plan.assemble(*draws.operands)
 
     return EpisodeMetrics(
         **vars(outcome),

@@ -45,15 +45,15 @@ def run_paired(episodes, reps: int, base_seed: int, value) -> list[list]:
 
     `episodes` lists (scenario, strategy, run_episode keywords); the
     scenarios differ at most in their straggler fields, so they share a
-    name, and that name derives the seeds.  All episodes of a rep share its
-    seed and one `Draws`, which is dropped before the next rep, so memory
-    does not grow with `reps`.
+    name and a fleet, and the name derives the seeds.  All episodes of a
+    rep share its seed and one `Draws`, which is dropped before the next
+    rep, so memory does not grow with `reps`.
     """
-    name = episodes[0][0].name
+    first = episodes[0][0]
     values: list[list] = [[] for _ in episodes]
     for rep in range(reps):
-        seed = episode_seed(base_seed, name, rep)
-        draws = Draws(seed)
+        seed = episode_seed(base_seed, first.name, rep)
+        draws = Draws(seed, first)
         for out, (scenario, strategy, kwargs) in zip(values, episodes):
             out.append(value(run_episode(scenario, strategy, seed,
                                          keep_result=False, draws=draws,

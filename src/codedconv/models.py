@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 MIN_DISTANCE_M = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkerProfile:
     """Per-worker compute parameters for the shifted-exponential model."""
 
@@ -25,7 +25,7 @@ class WorkerProfile:
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError(f"invalid profile mu={self.mu}")
-        self.alpha = 1.0 / self.mu
+        object.__setattr__(self, "alpha", 1.0 / self.mu)
 
 
 @dataclass(frozen=True)

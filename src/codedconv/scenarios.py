@@ -103,8 +103,8 @@ class ScenarioConfig:
     def straggler_free(self) -> "ScenarioConfig":
         """This scenario with its straggler fields at their defaults.
 
-        Built once per object: the engine keys straggler-free pilot
-        episodes on it, and every episode of a scenario looks it up.
+        It is the fleet an `engine.Draws` is made for, built once per
+        object: every episode of a scenario looks it up.
         """
         return self.replace(**_STRAGGLER_DEFAULTS)
 

@@ -136,6 +136,10 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     with each worker's chance of finishing a chunk of work
     2*coeff*s*log2(2s) in unit time under its shifted-exponential profile.
     `s` may be an array of lengths; the score is then one per length.
+    At preset rates alpha = 1 / mu <= 3.3e-7, so each profile's factor
+    (mu / work) ** alpha is within 5e-6 of 1 and the score is -slack; only
+    slow custom fleets, like the one `test_select_s_matches_bruteforce`
+    pins, need the loop.
     """
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 1):
@@ -314,23 +318,27 @@ class DispatchEstimator:
     def __init__(self):
         self._stats: dict[int, dict] = {}
 
-    def _entry(self, worker: int) -> dict:
-        return self._stats.setdefault(worker, {
-            "count": 0, "t_recv": 0.0, "t_finish": 0.0, "idle": 0.0,
-            "pending_idle": [], "rtt": 0.0, "service": 0.0,
-        })
-
     def record_send(self, worker: int, t_send: float) -> None:
-        # `pending_idle` holds one entry per piece in flight.
-        st = self._entry(worker)
+        # A worker's entry is made at its first send, which precedes its
+        # results; `pending_idle` holds one entry per piece in flight.
+        st = self._stats.get(worker)
+        if st is None:
+            st = self._stats[worker] = {
+                "count": 0, "t_recv": 0.0, "t_finish": 0.0, "idle": 0.0,
+                "pending_idle": [], "rtt": 0.0, "service": 0.0}
         increment = 0.0
         if st["count"] and not st["pending_idle"]:
             increment = st["rtt"] - (st["t_recv"] - t_send)
         st["pending_idle"].append(increment)
+        st["t_send"] = t_send
+
+    def last_send(self, worker: int) -> float:
+        """Time of the worker's latest `record_send`."""
+        return self._stats[worker]["t_send"]
 
     def record_result(self, worker: int, t_sent: float, t_recv: float,
                       rtt: float, n_in: int, n_out: int) -> None:
-        st = self._entry(worker)
+        st = self._stats[worker]
         st["count"] += 1
         if st["pending_idle"]:
             st["idle"] += st["pending_idle"].pop(0)
@@ -342,8 +350,8 @@ class DispatchEstimator:
 
     def interval(self, worker: int) -> float | None:
         """Estimated send-to-send spacing; None before the first result."""
-        st = self._entry(worker)
-        if st["count"] == 0:
+        st = self._stats.get(worker)
+        if st is None or st["count"] == 0:
             return None
         expected = (st["t_finish"] - st["idle"]) / st["count"]
         if expected <= 0.0:
@@ -379,14 +387,12 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     params = {"b": b, "pieces": m, "budget": budget}
     order = [*range(m, 0, -1), *range(m + 1, budget), 0]
     est = DispatchEstimator()
-    t_send_last: dict[int, float] = {}
     live = set(eng.initial_roster())
 
     def dispatch(worker: int) -> bool:
         if eng.dispatched == budget:
             return False
         est.record_send(worker, eng.now)
-        t_send_last[worker] = eng.now
         eng.send(worker, row=order[eng.dispatched], n_in=b, load_pair=(n1, b))
         return True
 
@@ -406,7 +412,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
         interval = est.interval(worker) if worker in live else None
         if interval is None:
             return
-        due = t_send_last[worker] + interval
+        due = est.last_send(worker) + interval
         if eng.now >= due:
             if dispatch(worker):
                 eng.schedule_wakeup(eng.now + interval, worker)

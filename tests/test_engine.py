@@ -19,17 +19,17 @@ from codedconv.engine import (
     run_episode,
     substream,
 )
-from codedconv.models import Behavior, CommParams, WorkerProfile, comm_time, data_rate
-from codedconv.scenarios import benchmark_scenario
+from codedconv.models import Behavior, CommParams, comm_time, data_rate
+from codedconv.scenarios import ScenarioConfig, benchmark_scenario
 from codedconv.strategies import StrategyOutcome
 
 
-def make_engine(p=2, seed=11, behaviors=None, profiles=None, collect_log=True,
-                **kwargs):
-    profiles = profiles or [WorkerProfile(mu=4e6)] * p
+def make_engine(p=2, seed=11, behaviors=None, collect_log=True, **fleet):
+    """An engine on `p` workers of mu 4e6; `fleet` sets scenario fields."""
+    scn = ScenarioConfig("engine", n1=1, n2=1, n_workers=p, mu_low=4e6,
+                         mu_high=4e6, **fleet)
     behaviors = behaviors or [Behavior() for _ in range(p)]
-    return SimEngine(profiles, behaviors, CommParams(), Draws(seed),
-                     collect_log=collect_log, **kwargs)
+    return SimEngine(Draws(seed, scn), behaviors, collect_log=collect_log)
 
 
 # -- substreams ----------------------------------------------------------------
@@ -228,11 +228,8 @@ def test_worker_queues_pieces_fifo():
 
 
 def test_delayed_worker_scales_compute_and_return():
-    profiles = [WorkerProfile(mu=4e6)]
-    normal = SimEngine(profiles, [Behavior()], CommParams(), Draws(7),
-                       collect_log=True)
-    slowed = SimEngine(profiles, [Behavior(slowdown=15.0)],
-                       CommParams(), Draws(7), collect_log=True)
+    normal = make_engine(p=1, seed=7, behaviors=[Behavior()])
+    slowed = make_engine(p=1, seed=7, behaviors=[Behavior(slowdown=15.0)])
     for eng in (normal, slowed):
         eng.send(0, row=0, n_in=50, load_pair=(50, 50))
         for _ in eng.events():
@@ -474,15 +471,34 @@ def test_run_episode_unknown_strategy():
         run_episode(scn, "psychic", 1)
 
 
-def test_run_episode_refuses_draws_of_another_seed():
-    with pytest.raises(ValueError, match="seed 12, .* seed 11"):
-        run_episode(benchmark_scenario(1, 64), "dynamic", 11, draws=Draws(12))
+@pytest.mark.parametrize("seed,fleet,refusal", [
+    (12, {}, "seed 12, .* seed 11"),
+    (11, {"init_box_m": 30.0}, "another fleet"),
+    (11, {"speed_limit_mps": 0.0}, "another fleet"),
+    (11, {"comm": CommParams(bandwidth_hz=2e5)}, "another fleet"),
+    (11, {"mu_low": 1e6}, "another fleet"),
+    (11, {"n_workers": 4}, "another fleet"),
+], ids=["seed", "init_box_m", "speed_limit_mps", "bandwidth_hz", "mu_low",
+        "n_workers"])
+def test_run_episode_refuses_draws_of_another_seed_or_fleet(seed, fleet,
+                                                            refusal):
+    scn = benchmark_scenario(1, 64)
+    draws = Draws(seed, scn.replace(**fleet))
+    with pytest.raises(ValueError, match=refusal):
+        run_episode(scn, "dynamic", 11, draws=draws)
+
+
+@pytest.mark.parametrize("n_behaviors", [0, 2, 4])
+def test_engine_refuses_behaviors_of_another_worker_count(n_behaviors):
+    draws = Draws(11, benchmark_scenario(1, 64, n_workers=3))
+    with pytest.raises(ValueError, match="one behavior per worker"):
+        SimEngine(draws, [Behavior()] * n_behaviors)
 
 
 def test_kept_results_on_one_draws_draw_the_operands_once(streams_opened):
     scn = benchmark_scenario(1, 64)
     seed = 4
-    draws = Draws(seed)
+    draws = Draws(seed, scn)
     # The operands do not depend on the straggler fields.
     for ratio in (0.0, 0.25):
         for strategy in ("uncoded", "traditional", "dynamic"):

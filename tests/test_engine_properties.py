@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from codedconv import engine
 from codedconv.engine import Draws, SimEngine, philox_key, run_episode, substream
-from codedconv.models import STRAGGLER_MODES, Behavior, CommParams, WorkerProfile
+from codedconv.models import STRAGGLER_MODES, Behavior, CommParams
 from codedconv.scenarios import ScenarioConfig
 from codedconv.strategies import STRATEGIES
 
@@ -45,16 +45,18 @@ behaviors = st.builds(
 
 @st.composite
 def episodes(draw):
-    fleet = draw(st.lists(st.tuples(st.floats(3e6, 6e6), behaviors),
-                          min_size=1, max_size=6))
-    profiles = [WorkerProfile(mu=mu) for mu, _ in fleet]
-    eng = KeyedEngine(profiles, [beh for _, beh in fleet], CommParams(),
-                      Draws(draw(st.integers(0, 2**32))), collect_log=True)
+    roster = draw(st.lists(behaviors, min_size=1, max_size=6))
+    # mu_low < mu_high, so the workers' profiles differ.
+    mu_low = draw(st.floats(3e6, 6e6, exclude_max=True))
+    fleet = ScenarioConfig(
+        name="properties", n1=draw(st.integers(1, 300)),
+        n2=draw(st.integers(1, 300)), n_workers=len(roster), mu_low=mu_low,
+        mu_high=draw(st.floats(mu_low, 6e6, exclude_min=True)))
+    eng = KeyedEngine(Draws(draw(st.integers(0, 2**32)), fleet), roster,
+                      collect_log=True)
     runner = STRATEGIES[draw(st.sampled_from(sorted(STRATEGIES)))]
-    n1 = draw(st.integers(1, 300))
-    n2 = draw(st.integers(1, 300))
     horizon = draw(st.sampled_from([math.inf, 0.002, 0.05]))
-    runner(n1, n2, eng, horizon=horizon)
+    runner(fleet.n1, fleet.n2, eng, horizon=horizon)
     return eng
 
 
@@ -114,12 +116,7 @@ def test_events_pop_in_time_then_seq_order(eng):
 
 @st.composite
 def shared_seed_runs(draw):
-    """A scenario, a seed and a shuffled grid of episode settings.
-
-    A setting is (strategy, ratio, b, fleet, bandwidth_hz).  A fleet is an
-    (init_box_m, speed_limit_mps) pair; both key the position tapes, and
-    the link rates are keyed by the fleet and the `CommParams`.
-    """
+    """A scenario, a seed and a shuffled grid of (strategy, ratio, b)."""
     n2 = draw(st.integers(1, 120))
     # Slow fleets make episodes span mobility ticks.
     mu_low = draw(st.sampled_from([500.0, 3e6]))
@@ -129,17 +126,14 @@ def shared_seed_runs(draw):
         mu_high=2 * mu_low,
         straggler_mode=draw(st.sampled_from(STRAGGLER_MODES)),
         delay_factor=draw(st.sampled_from([1.0, 15.0])),
-        failure_count_uniform=draw(st.booleans()))
+        failure_count_uniform=draw(st.booleans()),
+        init_box_m=draw(st.sampled_from([1500.0, 30.0])),
+        speed_limit_mps=draw(st.sampled_from([10.0, 0.0, 40.0])),
+        comm=CommParams(bandwidth_hz=draw(st.sampled_from([1e6, 2e5]))))
     ratios = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                            min_size=1, max_size=3, unique=True))
     bs = [None, draw(st.integers(1, n2))]
-    fleets = draw(st.lists(st.tuples(st.sampled_from([1500.0, 30.0]),
-                                     st.sampled_from([10.0, 0.0, 40.0])),
-                           min_size=1, max_size=2, unique=True))
-    bandwidths = draw(st.lists(st.sampled_from([1e6, 2e5]),
-                               min_size=1, max_size=2, unique=True))
-    grid = list(itertools.product(sorted(STRATEGIES), ratios, bs, fleets,
-                                  bandwidths))
+    grid = list(itertools.product(sorted(STRATEGIES), ratios, bs))
     return scenario, draw(st.integers(0, 2**63 - 1)), draw(st.permutations(grid))
 
 
@@ -160,11 +154,9 @@ def test_shared_draws_change_no_episode(run):
     # Whatever order a seed's episodes run in on one Draws, each gives what
     # it gives on a private one: tapes, profiles, behaviours and pilots.
     scenario, seed, grid = run
-    draws = Draws(seed)
-    for strategy, ratio, b, (box, speed_limit), bandwidth in grid:
-        scn = scenario.replace(straggler_ratio=ratio, init_box_m=box,
-                               speed_limit_mps=speed_limit,
-                               comm=CommParams(bandwidth_hz=bandwidth))
+    draws = Draws(seed, scenario)
+    for strategy, ratio, b in grid:
+        scn = scenario.replace(straggler_ratio=ratio)
         kwargs = dict(b=b, collect_log=True, keep_result=False)
         assert_same_episode(
             run_episode(scn, strategy, seed, draws=draws, **kwargs),
@@ -174,6 +166,8 @@ def test_shared_draws_change_no_episode(run):
 # -- keyed streams drawn through one shared generator ------------------------------
 
 BOX, SPEED_LIMIT = 1500.0, 10.0
+TAPE_FLEET = ScenarioConfig("tapes", n1=1, n2=1, n_workers=1, init_box_m=BOX,
+                            speed_limit_mps=SPEED_LIMIT)
 TAPES = ("position", "compute")
 
 
@@ -227,7 +221,7 @@ def read(draws, seed, node, kind, k):
         with substream(seed, node, engine._STRAGGLER) as rng:
             count = int(rng.integers(0, k + 2))
             return count, rng.choice(k + 1, size=count, replace=False).tolist()
-    tape = (draws.paths[BOX, SPEED_LIMIT][node] if kind == "position"
+    tape = (draws.paths[node] if kind == "position"
             else draws.compute[node])
     if k >= len(tape):
         tape.fill(k)
@@ -236,7 +230,7 @@ def read(draws, seed, node, kind, k):
 
 def tapes(draws):
     held = {("compute", w): list(t) for w, t in draws.compute.items()}
-    for node, tape in draws.paths[BOX, SPEED_LIMIT].items():
+    for node, tape in draws.paths.items():
         held["position", node] = np.array(tape).tolist()
     return held
 
@@ -247,7 +241,7 @@ def test_interleaved_streams_equal_philox_built_from_their_keys(seed, reads):
     # Position pairs, velocity chunks, exponentials past the first chunk and
     # integers-then-choice, read in any interleaving through the shared
     # generator, with and without the seed's key-prefix memo.
-    draws, keyed = Draws(seed), engine.Seed(seed)
+    draws, keyed = Draws(seed, TAPE_FLEET), engine.Seed(seed)
     for i, (node, kind, k) in enumerate(reads):
         stream_seed = keyed if i % 2 else seed
         assert read(draws, stream_seed, node, kind, k) == expected(seed, node, kind, k)
@@ -259,13 +253,13 @@ def test_interleaved_streams_equal_philox_built_from_their_keys(seed, reads):
 def test_draws_filled_alternately_hold_what_each_holds_alone(seeds, reads_a,
                                                             reads_b):
     reads = reads_a, reads_b
-    together = [Draws(seed) for seed in seeds]
+    together = [Draws(seed, TAPE_FLEET) for seed in seeds]
     for pair in itertools.zip_longest(*reads):
         for draws, one in zip(together, pair):
             if one is not None:
                 read(draws, draws.seed, *one)
     for draws, own in zip(together, reads):
-        alone = Draws(draws.seed)
+        alone = Draws(draws.seed, TAPE_FLEET)
         for one in own:
             read(alone, alone.seed, *one)
         assert tapes(draws) == tapes(alone)

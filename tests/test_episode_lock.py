@@ -25,7 +25,6 @@ from codedconv.engine import (
     Draws,
     SimEngine,
     episode_behaviors,
-    episode_profiles,
     run_episode,
 )
 from codedconv.models import Behavior
@@ -101,11 +100,7 @@ def run_roster(scn, strategy: str, seed: int, roster: dict,
     the (joins, departs) of some; no horizon."""
     behaviors = [Behavior(SLOW, *roster.get(w, (0.0, math.inf)))
                  for w in range(scn.n_workers)]
-    draws = Draws(seed)
-    eng = SimEngine(draws.profiles[scn], behaviors, scn.comm, draws,
-                    init_box_m=scn.init_box_m,
-                    speed_limit_mps=scn.speed_limit_mps,
-                    compute_coeff=scn.compute_coeff, collect_log=collect_log)
+    eng = SimEngine(Draws(seed, scn), behaviors, collect_log=collect_log)
     return RUNNERS[strategy](scn.n1, scn.n2, eng), eng
 
 
@@ -126,7 +121,7 @@ def tick_lines() -> list[str]:
             for mode, (overrides, horizon) in TICK_MODES.items():
                 scn = benchmark_scenario(preset, scale, **overrides)
                 for seed in seeds:
-                    draws = Draws(seed)
+                    draws = Draws(seed, scn)
                     for strategy in STRATEGIES:
                         m = run_episode(scn, strategy, seed, horizon=horizon,
                                         keep_result=False, draws=draws)
@@ -150,10 +145,7 @@ def distance_lines() -> list[str]:
     scn = benchmark_scenario(DISTANCE_PRESET, SCALE)
     lines = ["seed,worker,t,distance"]
     for seed in DISTANCE_SEEDS:
-        eng = SimEngine(episode_profiles(scn, seed),
-                        episode_behaviors(scn, seed), scn.comm, Draws(seed),
-                        init_box_m=scn.init_box_m,
-                        speed_limit_mps=scn.speed_limit_mps)
+        eng = SimEngine(Draws(seed, scn), episode_behaviors(scn, seed))
         for t in DISTANCE_TIMES:
             for w in DISTANCE_WORKERS:
                 lines.append(f"{seed},{w},{t!r},{eng.distance(w, t)!r}")

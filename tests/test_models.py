@@ -1,5 +1,6 @@
 """Tests for the compute-time, link-rate and behaviour models."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +72,14 @@ def test_worker_profile_validation():
         WorkerProfile(mu=0.0)
     with pytest.raises(ValueError):
         WorkerProfile(mu=math.nan)
+
+
+def test_worker_profile_is_frozen():
+    # Every episode of a rep reads the same profiles.
+    profile = WorkerProfile(mu=4e6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.mu = 1e6
+    assert (profile.mu, profile.alpha) == (4e6, 1.0 / 4e6)
 
 
 # ---------------------------------------------------------------------------

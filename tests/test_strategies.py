@@ -8,8 +8,8 @@ import pytest
 from codedconv import coding, strategies
 from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct, make_encoding_matrix
 from codedconv.engine import Draws, SimEngine, run_episode, episode_task
-from codedconv.models import Behavior, CommParams, WorkerProfile
-from codedconv.scenarios import benchmark_scenario
+from codedconv.models import Behavior, WorkerProfile
+from codedconv.scenarios import ScenarioConfig, benchmark_scenario
 from codedconv.strategies import (
     DispatchEstimator,
     Plan,
@@ -22,13 +22,12 @@ from codedconv.strategies import (
 )
 
 
-def make_engine(p, seed=1, behaviors=None, mus=None, collect_log=False):
-    if mus is None:
-        mus = [4e6] * p
-    profiles = [WorkerProfile(mu=mu) for mu in mus]
+def make_engine(p, seed=1, behaviors=None, collect_log=False):
+    """An engine on `p` workers of mu 4e6."""
+    fleet = ScenarioConfig("strategies", n1=1, n2=1, n_workers=p,
+                           mu_low=4e6, mu_high=4e6)
     behaviors = behaviors or [Behavior() for _ in range(p)]
-    return SimEngine(profiles, behaviors, CommParams(), Draws(seed),
-                     collect_log=collect_log)
+    return SimEngine(Draws(seed, fleet), behaviors, collect_log=collect_log)
 
 
 def random_task(rng, n1, n2):
@@ -104,7 +103,7 @@ def test_estimator_finish_placed_by_payload_share():
     est = DispatchEstimator()
     est.record_send(0, 0.0)
     est.record_result(0, t_sent=0.0, t_recv=10.0, rtt=1.0, n_in=1, n_out=3)
-    st = est._entry(0)
+    st = est._stats[0]
     assert st["t_finish"] == pytest.approx(9.25)
     assert est.interval(0) == pytest.approx(9.25)  # min(service=10, expected=9.25)
 
@@ -117,7 +116,7 @@ def test_estimator_idle_gap_accrues_on_first_free_send():
     # idle increment = rtt - (t_recv - t_send) = 1 - (10 - 10.5) = 1.5
     est.record_send(0, 10.5)
     est.record_result(0, 10.5, 20.0, rtt=1.0, n_in=1, n_out=3)
-    st = est._entry(0)
+    st = est._stats[0]
     assert st["idle"] == pytest.approx(1.5)
     expected = (20.0 - 0.75 - 1.5) / 2
     assert est.interval(0) == pytest.approx(min(20.0 - 10.5, expected))
@@ -131,9 +130,10 @@ def test_estimator_no_idle_while_pieces_outstanding():
     est.record_send(0, 12.0)   # one piece outstanding: never idle
     est.record_result(0, 10.0, 20.0, rtt=1.0, n_in=1, n_out=1)
     est.record_result(0, 12.0, 30.0, rtt=1.0, n_in=1, n_out=1)
-    st = est._entry(0)
+    st = est._stats[0]
     # only the 10.0 send could add idle: 1 - (10 - 10) = 1.0
     assert st["idle"] == pytest.approx(1.0)
+    assert est.last_send(0) == 12.0
 
 
 def test_estimator_idle_booked_at_own_result_not_at_send():
@@ -141,16 +141,16 @@ def test_estimator_idle_booked_at_own_result_not_at_send():
     est.record_send(0, 0.0)
     est.record_result(0, 0.0, 10.0, rtt=2.0, n_in=1, n_out=1)
     est.record_send(0, 15.0)  # idle increment 2 - (10-15) = 7, still pending
-    assert est._entry(0)["idle"] == 0.0
+    assert est._stats[0]["idle"] == 0.0
     est.record_result(0, 15.0, 25.0, rtt=2.0, n_in=1, n_out=1)
-    assert est._entry(0)["idle"] == pytest.approx(7.0)
+    assert est._stats[0]["idle"] == pytest.approx(7.0)
 
 
 def test_estimator_negative_expectation_falls_back_to_service():
     est = DispatchEstimator()
     est.record_send(0, 0.0)
     est.record_result(0, 0.0, 10.0, rtt=1.0, n_in=1, n_out=1)
-    st = est._entry(0)
+    st = est._stats[0]
     st["idle"] = 100.0  # force a nonsensical expectation
     assert est.interval(0) == pytest.approx(10.0)
 
