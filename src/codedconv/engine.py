@@ -33,10 +33,10 @@ second) link rate, so a rep prices each link once.  An episode given no
 another seed or fleet is refused.
 
 Node positions advance on a one-second mobility clock (velocities are
-redrawn each whole second); distance reads between ticks see the most
-recent tick position.  The engine keeps only the latest tick any read has
-reached, and a position tape is integrated as far as reads reach, so an episode that finishes within a second never pays for
-tick events.
+redrawn each whole second); a distance read at time t sees the position
+at whole second int(t).  A position tape is integrated as far as reads
+reach, so an episode that finishes within a second never pays for tick
+events.
 
 Each worker's `Behavior` is read in three places: its slowdown multiplies
 the compute and return-transfer time of every piece, the master can reach
@@ -302,10 +302,9 @@ class Draws:
 
 @dataclass
 class SimEvent:
-    """One event-log record; export order is (time, seq)."""
+    """One event-log record; the log holds them in the order they were made."""
 
     time: float
-    seq: int
     kind: str
     worker: int
     row: int
@@ -316,9 +315,9 @@ EVENT_LOG_COLUMNS = ("time", "kind", "worker", "row", "payload_numbers")
 
 
 def export_event_log(records, fh) -> None:
-    """Write log records as comma-delimited text, one event per line."""
+    """Write log records by time, one event per line; ties keep log order."""
     fh.write(",".join(EVENT_LOG_COLUMNS) + "\n")
-    for rec in sorted(records, key=lambda r: (r.time, r.seq)):
+    for rec in sorted(records, key=lambda r: r.time):
         fh.write(f"{rec.time:.9f},{rec.kind},{rec.worker},{rec.row},{rec.payload_numbers}\n")
 
 
@@ -354,11 +353,9 @@ class SimEngine:
         self.dispatched = 0         # send() calls, delivered or lost
         self._collect_log = collect_log
         self.log: list[SimEvent] = []
-        self._log_seq = 0
 
         self._paths = draws.paths
         self._rates = draws.rates
-        self._mobility_second = 0
         self._compute = draws.compute
         self._compute_read = [0] * self.n_workers
 
@@ -376,14 +373,9 @@ class SimEngine:
     def now(self) -> float:
         return self._now
 
-    def _tick(self, t: float) -> int:
-        """Advance the mobility clock to time `t`; the latest tick reached."""
-        self._mobility_second = max(self._mobility_second, int(math.floor(t)))
-        return self._mobility_second
-
     def distance(self, worker: int, t: float) -> float:
-        """Master-worker distance using the most recent mobility tick."""
-        return _distance(self._paths, worker, self._tick(t))
+        """Master-worker distance at the last mobility tick by time `t`."""
+        return _distance(self._paths, worker, int(t))
 
     # -- roster --------------------------------------------------------------
 
@@ -399,15 +391,13 @@ class SimEngine:
 
     def _log_event(self, kind: str, time: float, worker: int, row, payload: int) -> None:
         if self._collect_log:
-            self.log.append(SimEvent(time, self._log_seq, kind, worker,
-                                     -1 if row is None else int(row), int(payload)))
-            self._log_seq += 1
+            self.log.append(SimEvent(time, kind, worker, row, payload))
 
     def schedule_wakeup(self, time: float, worker: int) -> None:
         """Ask for a wakeup event at `time` tagged with `worker`."""
         self._push(max(time, self._now), EngineEvent("wakeup", time, worker))
 
-    def send(self, worker: int, row, n_in: int,
+    def send(self, worker: int, row: int, n_in: int,
              load_pair: tuple[int, int]) -> None:
         """Dispatch work item `row` to a worker at the current time.
 
@@ -426,7 +416,7 @@ class SimEngine:
         dead_t = beh.departs
         if now < beh.joins or now >= dead_t:
             return
-        rate = self._rates[worker, self._tick(now)]
+        rate = self._rates[worker, int(now)]
         t_in = comm_time(n_in, rate, self.comm.payload_bytes)
         arrive = now + t_in
         if arrive > dead_t:

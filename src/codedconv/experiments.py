@@ -251,15 +251,11 @@ _SECTIONS = {
     "comm": _COMM_KEYS,
     "experiment": _EXPERIMENT_KEYS,
 }
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+# [scenario] and [straggler] keys whose `ScenarioConfig` field has another
+# name; every other key but index and scale names its field.
+_FIELD_NAMES = {"workers": "n_workers", "ratio": "straggler_ratio",
+                "mode": "straggler_mode"}
+_SIZES = {"n1", "n2", "workers"}
 
 
 def load_config(path: str) -> dict:
@@ -294,7 +290,7 @@ def load_config(path: str) -> dict:
             kind = known[key]
             try:
                 if kind is bool:
-                    values[key] = _parse_bool(raw)
+                    values[key] = parser.getboolean(section, key)
                 elif kind is str:
                     values[key] = raw.strip()
                 else:
@@ -309,46 +305,35 @@ def load_config(path: str) -> dict:
 def scenario_from_config(config: dict) -> ScenarioConfig:
     """Scenario described by a loaded config.
 
+    [scenario] and [straggler] keys set the fields they name, through
+    _FIELD_NAMES where the names differ, and [comm] sets `comm`.
     [experiment] ratio, like the sweep-b and compare --ratio flag, sets the
     straggler ratio and takes precedence over [straggler] ratio.
     """
-    scn = dict(config.get("scenario", {}))
-    strag = config.get("straggler", {})
-    comm = config.get("comm", {})
+    scn = config.get("scenario", {})
     exp = config.get("experiment", {})
-
-    overrides = {}
-    for key in ("mu_low", "mu_high", "compute_coeff", "init_box_m",
-                "speed_limit_mps", "horizon_factor", "dynamic_b",
-                "traditional_s"):
-        if key in scn:
-            overrides[key] = scn[key]
-    if "ratio" in exp or "ratio" in strag:
-        overrides["straggler_ratio"] = exp.get("ratio", strag.get("ratio"))
-    if "mode" in strag:
-        overrides["straggler_mode"] = strag["mode"]
-    if "delay_factor" in strag:
-        overrides["delay_factor"] = strag["delay_factor"]
-    if "failure_count_uniform" in strag:
-        overrides["failure_count_uniform"] = strag["failure_count_uniform"]
-    if comm:
-        overrides["comm"] = CommParams(**comm)
-
+    sections = (scn, config.get("straggler", {}),
+                {"ratio": exp["ratio"]} if "ratio" in exp else {})
+    fields = {_FIELD_NAMES.get(key, key): value
+              for section in sections for key, value in section.items()
+              if key not in ("index", "scale")}
+    if "comm" in config:
+        fields["comm"] = CommParams(**config["comm"])
+    sizes = _SIZES & scn.keys()
+    if "index" in scn and sizes:
+        raise ConfigError(
+            "give either index or explicit n1/n2/workers, not both")
+    if "index" not in scn and sizes != _SIZES:
+        raise ConfigError(
+            "scenario needs either index=1..4 or all of n1, n2, workers")
+    if "index" not in scn and "scale" in scn:
+        raise ConfigError("scale applies to a preset index, not to "
+                          "explicit n1/n2/workers")
     try:
         if "index" in scn:
-            for key in ("n1", "n2", "workers"):
-                if key in scn:
-                    raise ConfigError(
-                        "give either index or explicit n1/n2/workers, not both")
             return benchmark_scenario(scn["index"],
                                       scn.get("scale", DEFAULT_SCALE),
-                                      **overrides)
-        if not all(key in scn for key in ("n1", "n2", "workers")):
-            raise ConfigError(
-                "scenario needs either index=1..4 or all of n1, n2, workers")
-        return ScenarioConfig(name="custom", n1=scn["n1"], n2=scn["n2"],
-                              n_workers=scn["workers"], **overrides)
+                                      **fields)
+        return ScenarioConfig(name="custom", **fields)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc

@@ -397,7 +397,7 @@ def test_event_log_causality_per_piece():
     scn = benchmark_scenario(1)
     m = run_episode(scn, "dynamic", 77, collect_log=True, keep_result=False)
     order = {}
-    for rec in sorted(m.event_log, key=lambda r: (r.time, r.seq)):
+    for rec in sorted(m.event_log, key=lambda r: r.time):
         order.setdefault((rec.worker, rec.row), []).append(rec.kind)
     for key, kinds in order.items():
         if "result_arrives" in kinds:

@@ -64,7 +64,7 @@ def piece_times(eng):
     """(worker, row) -> {log kind: time}, plus each worker's rows in send order."""
     times = defaultdict(dict)
     sent = defaultdict(list)
-    for rec in sorted(eng.log, key=lambda r: r.seq):
+    for rec in eng.log:
         times[rec.worker, rec.row][rec.kind] = rec.time
         if rec.kind == "dispatch":
             sent[rec.worker].append(rec.row)

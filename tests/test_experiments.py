@@ -1,5 +1,6 @@
 """Experiment drivers, analytics, CSV/manifest output, config files."""
 
+import operator
 import os
 import weakref
 from collections import Counter
@@ -361,6 +362,14 @@ def test_config_bad_kind(tmp_path, capsys):
     assert "sweep-b, compare, stress, success-rate" in err
 
 
+def write_config(path, config: dict):
+    """Write {section: {key: raw value}} as a config file at `path`."""
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        for name, entries in config.items()))
+    return path
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("scenario", "compute_coeff", "nan"),
     ("scenario", "compute_coeff", "inf"),
@@ -385,10 +394,7 @@ def test_config_bad_value_exits_2_before_running(section, key, value,
               "experiment": {"kind": "compare", "reps": "2",
                              "out_dir": str(tmp_path / "res")}}
     config.setdefault(section, {})[key] = value
-    path = tmp_path / "exp.cfg"
-    path.write_text("".join(
-        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
-        for name, entries in config.items()))
+    path = write_config(tmp_path / "exp.cfg", config)
     assert main(["run", str(path)]) == 2
     assert key in capsys.readouterr().err
     assert not ran
@@ -402,6 +408,56 @@ def test_config_straggler_section(tmp_path):
     scn = scenario_from_config(load_config(path))
     assert scn.straggler_ratio == 0.5
     assert scn.straggler_mode == "fail"
+
+
+# One valid value per [scenario], [straggler] and [comm] key that is not
+# its default on preset 1: (raw value, field it sets, parsed value).  The
+# geometry keys have tests of their own.
+GEOMETRY_KEYS = ("index", "scale", "n1", "n2", "workers")
+KEY_VALUES = {
+    ("scenario", "mu_low"): ("2e6", "mu_low", 2e6),
+    ("scenario", "mu_high"): ("7e6", "mu_high", 7e6),
+    ("scenario", "compute_coeff"): ("2", "compute_coeff", 2.0),
+    ("scenario", "init_box_m"): ("900", "init_box_m", 900.0),
+    ("scenario", "speed_limit_mps"): ("4", "speed_limit_mps", 4.0),
+    ("scenario", "horizon_factor"): ("20", "horizon_factor", 20.0),
+    ("scenario", "dynamic_b"): ("64", "dynamic_b", 64),
+    ("scenario", "traditional_s"): ("128", "traditional_s", 128),
+    ("straggler", "ratio"): ("0.25", "straggler_ratio", 0.25),
+    ("straggler", "mode"): ("leave", "straggler_mode", "leave"),
+    ("straggler", "delay_factor"): ("4", "delay_factor", 4.0),
+    ("straggler", "failure_count_uniform"): ("yes", "failure_count_uniform",
+                                             True),
+    ("comm", "bandwidth_hz"): ("2e6", "comm.bandwidth_hz", 2e6),
+    ("comm", "noise_w"): ("1e-11", "comm.noise_w", 1e-11),
+    ("comm", "payload_bytes"): ("4", "comm.payload_bytes", 4),
+    ("comm", "rx_offset_dbm"): ("3", "comm.rx_offset_dbm", 3.0),
+}
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section in ("scenario", "straggler", "comm")
+    for key in experiments._SECTIONS[section] if key not in GEOMETRY_KEYS])
+def test_config_key_reaches_its_field(section, key, tmp_path):
+    raw, field, value = KEY_VALUES[section, key]
+    config = {"scenario": {"index": "1"}}
+    config.setdefault(section, {})[key] = raw
+    path = write_config(tmp_path / "exp.cfg", config)
+    read = operator.attrgetter(field)
+    assert read(benchmark_scenario(1)) != value
+    assert read(scenario_from_config(load_config(path))) == value
+
+
+def test_config_scale_with_sizes_exits_2(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("[scenario]\nn1 = 48\nn2 = 32\nworkers = 3\nscale = 8\n\n"
+                    "[experiment]\nkind = compare\nreps = 2\n"
+                    f"out_dir = {tmp_path / 'res'}\n")
+    with pytest.raises(ConfigError, match="scale"):
+        scenario_from_config(load_config(path))
+    assert main(["run", str(path)]) == 2
+    assert "scale" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
 def test_run_scenario_file_emits_files(tmp_path, capsys):
