@@ -71,6 +71,8 @@ _MU, _STRAGGLER, _TASK = 4, 5, 6
 # Node tag for the master and for scenario-level streams.
 _MASTER_TAG = 0x6D737472
 _SCENARIO_TAG = 0x7363656E
+# The behaviour of a normal worker: anything else is a straggler.
+_NORMAL = Behavior()
 
 
 def _splitmix64(z: int) -> int:
@@ -269,9 +271,11 @@ class Draws:
       reads;
     - `compute[worker]`: the worker's compute tape, standard exponentials
       that `sample_compute_time` scales, in accept order;
-    - `profiles` (a list not to write to), `behaviors[scenario]` and
-      `operands`: the draws of `episode_profiles`, `episode_behaviors`
-      and `episode_task`.
+    - `profiles` (a list not to write to) and `operands`: the draws of
+      `episode_profiles` and `episode_task`;
+    - `behaviors[scenario.straggler_key]`: `run_episode`'s (behaviours,
+      straggler count) for a scenario of the fleet, the behaviours drawn
+      by `episode_behaviors`.
     Every stream is opened through `substream` with the `Draws`' own
     `Seed`, so the seed and each node are mixed into a key prefix once per
     `Draws`; a tape keeps its stream's key to draw it again.
@@ -288,7 +292,7 @@ class Draws:
         self.rates = Memo(lambda link: data_rate(_distance(paths, *link),
                                                  fleet.comm))
         self.compute = Memo(lambda worker: _Exponentials(seed, worker, _COMPUTE))
-        self.behaviors = Memo(lambda scn: episode_behaviors(scn, seed))
+        self.behaviors: dict = {}
         self.pilot_times: dict = {}
 
     @functools.cached_property
@@ -491,7 +495,7 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
         else:
             count = int(round(scenario.straggler_ratio * p))
         chosen = rng.choice(p, size=count, replace=False) if count else ()
-    behaviors = [Behavior()] * p
+    behaviors = [_NORMAL] * p
     if count:
         straggler = (Behavior(departs=0.0)
                      if scenario.straggler_mode in FAILURE_MODES
@@ -540,10 +544,16 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
                          f"not of the episode seed {seed}")
     elif draws.fleet != scenario.straggler_free:
         raise ValueError("the Draws are of another fleet than the scenario")
-    behaviors = (_behaviors if _behaviors is not None
-                 else draws.behaviors[scenario])
-    normal = Behavior()
-    n_stragglers = sum(beh != normal for beh in behaviors)
+    if _behaviors is None:
+        straggling = draws.behaviors.get(scenario.straggler_key)
+        if straggling is None:
+            behaviors = episode_behaviors(scenario, seed)
+            straggling = draws.behaviors[scenario.straggler_key] = (
+                behaviors, sum(beh != _NORMAL for beh in behaviors))
+        behaviors, n_stragglers = straggling
+    else:
+        behaviors = _behaviors
+        n_stragglers = sum(beh != _NORMAL for beh in behaviors)
 
     if horizon is None:
         horizon = math.inf
@@ -554,7 +564,7 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
                 pilot = run_episode(scenario, strategy, seed, b=b,
                                     horizon=math.inf, keep_result=False,
                                     draws=draws,
-                                    _behaviors=[normal] * len(behaviors))
+                                    _behaviors=[_NORMAL] * len(behaviors))
                 pilot_time = draws.pilot_times[key] = (
                     pilot.completion_time if pilot.success else math.inf)
             horizon = scenario.horizon_factor * pilot_time

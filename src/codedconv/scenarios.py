@@ -108,6 +108,15 @@ class ScenarioConfig:
         """
         return self.replace(**_STRAGGLER_DEFAULTS)
 
+    @functools.cached_property
+    def straggler_key(self) -> tuple:
+        """The values of the straggler fields, built once per object.
+
+        They are all that the scenarios sharing a `straggler_free` fleet
+        can differ in, so they key the behaviours an `engine.Draws` keeps.
+        """
+        return tuple(getattr(self, name) for name in _STRAGGLER_DEFAULTS)
+
 
 # The fields that choose which workers straggle and how; nothing else in a
 # scenario depends on them.

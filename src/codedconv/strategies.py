@@ -51,6 +51,10 @@ _EXTRA_ROWS_PER_WORKER = 8
 # Default piece-count target when no piece length is configured; 16 pieces
 # keeps the real-valued decode well inside its float64 conditioning range.
 _DEFAULT_PIECE_TARGET = 16
+# Relative margin below the best score at which `select_s` drops a range
+# of chunk lengths: far wider than the rounding gap between its float
+# scores and `chunk_score`'s, so it never drops the full scan's argmax.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass
@@ -136,10 +140,9 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     with each worker's chance of finishing a chunk of work
     2*coeff*s*log2(2s) in unit time under its shifted-exponential profile.
     `s` may be an array of lengths; the score is then one per length.
-    At preset rates alpha = 1 / mu <= 3.3e-7, so each profile's factor
-    (mu / work) ** alpha is within 5e-6 of 1 and the score is -slack; only
-    slow custom fleets, like the one `test_select_s_matches_bruteforce`
-    pins, need the loop.
+    This is the score `select_s` maximizes in magnitude, and its tie
+    breaker: `select_s` calls it only on the lengths its bound cannot
+    tell apart, as one array.
     """
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 1):
@@ -160,6 +163,21 @@ def select_s(n1: int, n2: int, p: int, profiles,
     every worker) up to min(n1, n2), and must cut max(n1, n2) into at most
     MAX_SQUARE_PIECES pieces, past which no coded column decodes.  Ties
     pick the smallest length; None when no length is feasible.
+
+    The search is exact without scoring every length.  |chunk_score(s)|
+    is |slack(s)| * G(s): slack = p*s/n2 - n1/s + 1 strictly increases
+    in s, so |slack| peaks at an end of any range of lengths, and
+    G = sum(mu**alpha / (p * work**alpha)) is positive and falls as the
+    work 2*coeff*s*log2(2s) grows.  On lengths a..b that gives the bound
+    |score| <= max(|slack(a)|, |slack(b)|) * G(a).  The ends are scored,
+    the lengths between are bisected, and a range whose bound is below
+    the best score seen by the relative _PRUNE_MARGIN is dropped.  Each
+    factor of G is exp(alpha * (log mu - log work)), at most
+    exp(1 / (e * work)) as alpha is 1 / mu, where work**alpha alone
+    overflows on slow profiles.  A lone survivor is the answer; several
+    are scored by `chunk_score` as one array, whose argmax takes the
+    smallest of tied lengths.  When every score is 0 that argmax is the
+    smallest length.
     """
     if p < 1:
         raise ValueError("need at least one worker")
@@ -168,8 +186,39 @@ def select_s(n1: int, n2: int, p: int, profiles,
              _pieces(max(n1, n2), MAX_SQUARE_PIECES))
     if lo > hi:
         return None
-    scores = np.abs(chunk_score(np.arange(lo, hi + 1), n1, n2, p, profiles, coeff))
-    return lo + int(np.argmax(scores))
+    rates = [(prof.alpha, math.log(prof.mu)) for prof in profiles]
+
+    def slack(s: int) -> float:
+        return abs(p * s / n2 - n1 / s + 1.0)
+
+    def gain(s: int) -> float:
+        log_work = math.log(2.0 * coeff * s * math.log2(2.0 * s))
+        return sum(math.exp(alpha * (log_mu - log_work))
+                   for alpha, log_mu in rates) / p
+
+    g_lo = gain(lo)
+    if max(slack(lo), slack(hi)) * g_lo == 0.0:
+        return lo
+    scores = {lo: slack(lo) * g_lo, hi: slack(hi) * gain(hi)}
+    floor = max(scores.values()) * (1.0 - _PRUNE_MARGIN)
+    ranges = [(lo + 1, hi - 1)]
+    while ranges:
+        a, b = ranges.pop()
+        if a > b or max(slack(a), slack(b)) * gain(a) < floor:
+            continue
+        mid = (a + b) // 2
+        scores[mid] = score = slack(mid) * gain(mid)
+        floor = max(floor, score * (1.0 - _PRUNE_MARGIN))
+        ranges += [(a, mid - 1), (mid + 1, b)]
+    survivors = sorted(s for s, score in scores.items() if score >= floor)
+    if len(survivors) == 1:
+        return survivors[0]
+    # A slow profile can overflow work**alpha to inf here; its term is then
+    # the exact 0 that the full scan gives it too.
+    with np.errstate(over="ignore"):
+        tied = np.abs(chunk_score(np.array(survivors), n1, n2, p, profiles,
+                                  coeff))
+    return survivors[int(np.argmax(tied))]
 
 
 # -- the episode loop ----------------------------------------------------------

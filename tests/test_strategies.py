@@ -1,9 +1,12 @@
 """Strategy tests: chunk selection, pacing estimator, end-to-end episodes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codedconv import coding, strategies
 from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct, make_encoding_matrix
@@ -66,6 +69,75 @@ def test_select_s_matches_bruteforce():
                 want, best = s, score
         assert select_s(n1, n2, p, profiles) == want
     assert 406 < want < 563
+
+
+def full_scan(n1, n2, p, profiles, coeff=1.0):
+    """The argmax of |chunk_score| over every feasible length, as one array.
+
+    A slow profile overflows work**alpha to inf, whose term is then 0.
+    """
+    hi = min(n1, n2)
+    lo = max(min(hi, math.ceil(math.sqrt(n1 * n2 / p))),
+             math.ceil(max(n1, n2) / MAX_SQUARE_PIECES))
+    if lo > hi:
+        return None
+    with np.errstate(over="ignore", under="ignore"):
+        scores = np.abs(chunk_score(np.arange(lo, hi + 1), n1, n2, p,
+                                    profiles, coeff))
+    return lo + int(np.argmax(scores))
+
+
+fleet_mus = st.one_of(
+    st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
+    st.lists(st.floats(3e6, 6e6), min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(16, 1500), st.integers(16, 1500), fleet_mus)
+@example(563, 585, [0.586, 0.572])      # a length inside the range wins
+@example(512, 256, [1e-3] * 8)          # every score underflows to 0
+def test_select_s_matches_full_scan(n1, n2, mus):
+    profiles = [WorkerProfile(mu=mu) for mu in mus]
+    want = full_scan(n1, n2, len(mus), profiles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert select_s(n1, n2, len(mus), profiles) == want
+
+
+def test_select_s_slow_fleet_picks_min_length_without_warning():
+    # alpha = 1 / mu = 1000: work**alpha overflows a float, and every
+    # score is 0, so the smallest feasible length wins.
+    scenario = ScenarioConfig("slow", n1=512, n2=256, n_workers=8,
+                              mu_low=1e-3, mu_high=2e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert select_s(512, 256, 8, [WorkerProfile(mu=1e-3)] * 8) == 128
+        m = run_episode(scenario, "traditional", 3, keep_result=False)
+    assert m.params["s"] == 128
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [8, 1])
+def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
+    # The bound settles every preset fleet on a single length, so the
+    # array scoring of `chunk_score`, kept for near ties, never runs.
+    scenario = benchmark_scenario(index, scale)
+    n1, n2 = max(scenario.n1, scenario.n2), min(scenario.n1, scenario.n2)
+    p = scenario.n_workers
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return chunk_score(*args, **kwargs)
+
+    for seed in (1, 2, 1234):
+        profiles = Draws(seed, scenario).profiles
+        want = full_scan(n1, n2, p, profiles, scenario.compute_coeff)
+        with monkeypatch.context() as patch:
+            patch.setattr(strategies, "chunk_score", counted)
+            assert strategies.select_s(n1, n2, p, profiles,
+                                       scenario.compute_coeff) == want
+    assert calls == []
 
 
 def test_select_s_degenerate_argmax_is_min_length():
