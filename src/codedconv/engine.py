@@ -20,8 +20,9 @@ read and kept, so every episode of a seed (every strategy, sweep point
 and straggler ratio of a rep) reads the same values without drawing
 again.  A tape that runs out draws its stream again from the start to at
 least twice its length.  A node's position tape holds its position at
-each whole second: the start position is drawn at the node's first
-distance read and the velocity stream at its first read past second 0.
+each whole second as an (x, y) pair of floats: the start position is
+drawn at the node's first distance read and the velocity stream at its
+first read past second 0.
 A worker's compute tape starts at the first piece it accepts.  Streams
 that no episode reads (failed workers, mobility in episodes shorter than
 a second) are never opened, and since each stream is keyed on its own,
@@ -223,7 +224,7 @@ class _Exponentials(Tape):
 
 
 class _Path(Tape):
-    """Node `tag`'s position tape, one position per whole second.
+    """Node `tag`'s position tape, one (x, y) float pair per whole second.
 
     Index 0 is the start position in the +-box square, drawn when the tape
     is made; index k adds the velocity of second k (dt = 1 s).  The
@@ -236,15 +237,17 @@ class _Path(Tape):
         super().__init__(seed, tag, _VELOCITY)
         self._speed_limit = speed_limit
         with substream(seed, tag, _POSITION) as rng:
-            self.append(rng.uniform(-box, box, 2))
+            self.append(tuple(rng.uniform(-box, box, 2).tolist()))
 
     def _draw(self, rng, n: int) -> None:
         # Position k follows velocity row k - 1.
         limit = self._speed_limit
-        pos = self[-1]
-        for velocity in rng.uniform(-limit, limit, (n - 1, 2))[len(self) - 1:]:
-            pos = pos + velocity
-            self.append(pos)
+        x, y = self[-1]
+        velocities = rng.uniform(-limit, limit, (n - 1, 2))[len(self) - 1:]
+        for vx, vy in velocities.tolist():
+            x += vx
+            y += vy
+            self.append((x, y))
 
 
 def _distance(paths: Memo, worker: int, second: int) -> float:
@@ -254,8 +257,9 @@ def _distance(paths: Memo, worker: int, second: int) -> float:
         here.fill(second)
     if second >= len(master):
         master.fill(second)
-    delta = here[second] - master[second]
-    return float(np.hypot(delta[0], delta[1]))
+    (x, y), (mx, my) = here[second], master[second]
+    # np.hypot, not math.hypot: the two differ in the last bit.
+    return float(np.hypot(x - mx, y - my))
 
 
 class Draws:
@@ -265,7 +269,7 @@ class Draws:
     `Draws` differ from it at most in their straggler fields.  A value is
     drawn at its first read:
     - `paths[tag]`: the position tape of node `tag` (a worker index, or
-      _MASTER_TAG); do not write to a position;
+      _MASTER_TAG), one (x, y) float pair per whole second;
     - `rates[worker, second]`: the master-worker link rate at whole second
       `second`, made by `data_rate` from the distance `SimEngine.distance`
       reads;
@@ -325,7 +329,7 @@ def export_event_log(records, fh) -> None:
         fh.write(f"{rec.time:.9f},{rec.kind},{rec.worker},{rec.row},{rec.payload_numbers}\n")
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineEvent:
     """Master-visible event yielded to the strategy loop."""
 
@@ -394,12 +398,13 @@ class SimEngine:
         self._seq += 1
 
     def _log_event(self, kind: str, time: float, worker: int, row, payload: int) -> None:
-        if self._collect_log:
-            self.log.append(SimEvent(time, kind, worker, row, payload))
+        self.log.append(SimEvent(time, kind, worker, row, payload))
 
     def schedule_wakeup(self, time: float, worker: int) -> None:
         """Ask for a wakeup event at `time` tagged with `worker`."""
-        self._push(max(time, self._now), EngineEvent("wakeup", time, worker))
+        now = self._now
+        self._push(time if time > now else now,
+                   EngineEvent("wakeup", time, worker))
 
     def send(self, worker: int, row: int, n_in: int,
              load_pair: tuple[int, int]) -> None:
@@ -413,50 +418,61 @@ class SimEngine:
         has no failure detection beyond roster-change events.
         """
         now = self._now
-        n_out = load_pair[0] + load_pair[1] - 1
         beh = self.behaviors[worker]
         self.dispatched += 1
-        self._log_event("dispatch", now, worker, row, n_in)
+        logged = self._collect_log
+        if logged:
+            self._log_event("dispatch", now, worker, row, n_in)
         dead_t = beh.departs
         if now < beh.joins or now >= dead_t:
             return
+        payload_bytes = self.comm.payload_bytes
         rate = self._rates[worker, int(now)]
-        t_in = comm_time(n_in, rate, self.comm.payload_bytes)
+        t_in = comm_time(n_in, rate, payload_bytes)
         arrive = now + t_in
         if arrive > dead_t:
             return
-        self._log_event("piece_arrives", arrive, worker, row, n_in)
-        # Pieces queue at the worker and compute one at a time.
-        start = max(arrive, self._busy[worker])
-        load = compute_load(load_pair[0], load_pair[1], self.compute_coeff)
+        if logged:
+            self._log_event("piece_arrives", arrive, worker, row, n_in)
+        n1, n2 = load_pair
+        n_out = n1 + n2 - 1
+        load = compute_load(n1, n2, self.compute_coeff)
         k = self._compute_read[worker]
         self._compute_read[worker] = k + 1
         compute = self._compute[worker]
         if k >= len(compute):
             compute.fill(k)
-        # Slowdown covers the work and the return transfer.
-        t_comp = (sample_compute_time(compute[k], load,
-                                      self.profiles[worker]) * beh.slowdown)
-        t_out = comm_time(n_out, rate, self.comm.payload_bytes) * beh.slowdown
-        done = start + t_comp
+        # Pieces queue at the worker and compute one at a time; slowdown
+        # covers the work and the return transfer.
+        slowdown = beh.slowdown
+        t_comp = sample_compute_time(compute[k], load,
+                                     self.profiles[worker]) * slowdown
+        t_out = comm_time(n_out, rate, payload_bytes) * slowdown
+        busy = self._busy[worker]
+        done = (arrive if arrive > busy else busy) + t_comp
         self._busy[worker] = done
         if done > dead_t:
             return
-        self._log_event("compute_done", done, worker, row, 0)
+        if logged:
+            self._log_event("compute_done", done, worker, row, 0)
         t_recv = done + t_out
         if t_recv > dead_t:
             return
-        self._log_event("result_arrives", t_recv, worker, row, n_out)
-        self._push(t_recv, EngineEvent("result_arrives", t_recv, worker, row=row,
-                                       t_sent=now, rtt=t_in + t_out))
+        if logged:
+            self._log_event("result_arrives", t_recv, worker, row, n_out)
+        self._push(t_recv, EngineEvent("result_arrives", t_recv, worker, row,
+                                       now, t_in + t_out))
 
     def events(self, until: float = math.inf):
-        """Pop events in (time, seq) order, stopping past `until`."""
-        while self._heap:
-            if self._heap[0][0] > until:
-                break
-            t, _, ev = heapq.heappop(self._heap)
-            self._now = max(self._now, t)
+        """Pop events in (time, seq) order, stopping past `until`.
+
+        Nothing is pushed earlier than the clock, so the clock is the time
+        of the event popped last.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and heap[0][0] <= until:
+            self._now, _, ev = pop(heap)
             yield ev
 
 
@@ -542,7 +558,8 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     elif draws.seed != seed:
         raise ValueError(f"the Draws are of seed {draws.seed}, "
                          f"not of the episode seed {seed}")
-    elif draws.fleet != scenario.straggler_free:
+    elif (draws.fleet is not scenario.straggler_free
+          and draws.fleet != scenario.straggler_free):
         raise ValueError("the Draws are of another fleet than the scenario")
     if _behaviors is None:
         straggling = draws.behaviors.get(scenario.straggler_key)

@@ -224,48 +224,44 @@ def select_s(n1: int, n2: int, p: int, profiles,
 # -- the episode loop ----------------------------------------------------------
 
 
-def _record(plan: Plan, i: int, j: int) -> bool:
-    """Record row i for column j; True once every column is full.
-
-    A column is full at as many rows as the matrix has columns.  For a
-    Vandermonde code the row that fills it checks that those rows decode
-    (`check_decodable`; DecodeFailure propagates).  The identity needs no
-    check: any m distinct rows of it form a permutation matrix, whose
-    rcond is exactly 1.  Later rows of a full column are ignored.
-    """
-    m = plan.matrix.shape[1]
-    rows = plan.columns[j]
-    if len(rows) == m:
-        return False
-    rows.append(i)
-    if len(rows) < m:
-        return False
-    if plan.code is not None:
-        check_decodable(*plan.code, rows)
-    return all(len(col) == m for col in plan.columns)
-
-
 def _run(plan: Plan, eng, horizon: float, params: dict,
          react=None) -> StrategyOutcome:
     """Count and record results until every column of `plan` is full.
 
-    Result row k is pair divmod(k, ncols) = (row i, column j).  The episode
-    fails at the horizon, when the queue drains, or when a full column does
-    not decode.  `react(ev)`, if given, sees every event that did not end it.
+    Result row k is pair divmod(k, ncols) = (row i, column j), and row i
+    is recorded in `plan.columns[j]` unless that column is full already.
+    A column is full at as many rows as the matrix has columns.  For a
+    Vandermonde code the row that fills it checks that those rows decode
+    (`check_decodable`).  The identity needs no check: any m distinct rows
+    of it form a permutation matrix, whose rcond is exactly 1.
+
+    The episode fails at the horizon, when the queue drains, or when a
+    full column does not decode.  `react(ev)`, if given, sees every event
+    that did not end it.
     """
-    ncols = len(plan.columns)
+    columns, code = plan.columns, plan.code
+    ncols, m = len(columns), plan.matrix.shape[1]
+    open_columns = ncols
     per_worker = defaultdict(int)
     for ev in eng.events(until=horizon):
         if ev.kind == "result_arrives":
             per_worker[ev.worker] += 1
-            try:
-                if _record(plan, *divmod(ev.row, ncols)):
-                    return StrategyOutcome(True, ev.time, eng.dispatched, 0,
-                                           dict(per_worker), params, plan)
-            except DecodeFailure:
-                # Numerically unusable system: count the episode as failed
-                # rather than aborting the whole experiment.
-                break
+            i, j = divmod(ev.row, ncols)
+            rows = columns[j]
+            if len(rows) < m:
+                rows.append(i)
+                if len(rows) == m:
+                    if code is not None:
+                        try:
+                            check_decodable(*code, rows)
+                        except DecodeFailure:
+                            # Numerically unusable system: count the episode
+                            # as failed rather than aborting the experiment.
+                            break
+                    open_columns -= 1
+                    if not open_columns:
+                        return StrategyOutcome(True, ev.time, eng.dispatched, 0,
+                                               dict(per_worker), params, plan)
         if react is not None:
             react(ev)
     # Unfinished episodes are charged the full horizon (inf when uncapped).
@@ -285,10 +281,10 @@ def _run_fixed_code(plan: Plan, eng, horizon: float,
     """
     roster = eng.initial_roster()
     s = plan.coded_length
+    load_pair = (s, s)
     if roster:
         for k in range(plan.matrix.shape[0] * len(plan.columns)):
-            eng.send(roster[k % len(roster)], row=k, n_in=2 * s,
-                     load_pair=(s, s))
+            eng.send(roster[k % len(roster)], k, 2 * s, load_pair)
     return _run(plan, eng, horizon, params)
 
 
@@ -345,6 +341,26 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
 # -- dynamic coded --------------------------------------------------------------
 
 
+class _WorkerStats:
+    """One worker's `DispatchEstimator` state.
+
+    `count` results are back; the latest arrived at `t_recv` after a round
+    trip `rtt`, `service` after it was sent, and its compute finished at
+    the estimated `t_finish`.  `idle` is the idle time booked so far and
+    `pending_idle` holds one increment per piece in flight, oldest first.
+    `t_send` is the latest send.
+    """
+
+    __slots__ = ("count", "t_recv", "t_finish", "idle", "pending_idle",
+                 "rtt", "service", "t_send")
+
+    def __init__(self):
+        self.count = 0
+        self.t_recv = self.t_finish = self.idle = 0.0
+        self.rtt = self.service = self.t_send = 0.0
+        self.pending_idle: list[float] = []
+
+
 class DispatchEstimator:
     """Per-worker turnaround estimate from master-visible timestamps only.
 
@@ -365,47 +381,45 @@ class DispatchEstimator:
     """
 
     def __init__(self):
-        self._stats: dict[int, dict] = {}
+        self._stats: dict[int, _WorkerStats] = {}
 
     def record_send(self, worker: int, t_send: float) -> None:
-        # A worker's entry is made at its first send, which precedes its
-        # results; `pending_idle` holds one entry per piece in flight.
+        # A worker's record is made at its first send, which precedes its
+        # results.
         st = self._stats.get(worker)
         if st is None:
-            st = self._stats[worker] = {
-                "count": 0, "t_recv": 0.0, "t_finish": 0.0, "idle": 0.0,
-                "pending_idle": [], "rtt": 0.0, "service": 0.0}
+            st = self._stats[worker] = _WorkerStats()
         increment = 0.0
-        if st["count"] and not st["pending_idle"]:
-            increment = st["rtt"] - (st["t_recv"] - t_send)
-        st["pending_idle"].append(increment)
-        st["t_send"] = t_send
+        if st.count and not st.pending_idle:
+            increment = st.rtt - (st.t_recv - t_send)
+        st.pending_idle.append(increment)
+        st.t_send = t_send
 
     def last_send(self, worker: int) -> float:
         """Time of the worker's latest `record_send`."""
-        return self._stats[worker]["t_send"]
+        return self._stats[worker].t_send
 
     def record_result(self, worker: int, t_sent: float, t_recv: float,
                       rtt: float, n_in: int, n_out: int) -> None:
         st = self._stats[worker]
-        st["count"] += 1
-        if st["pending_idle"]:
-            st["idle"] += st["pending_idle"].pop(0)
+        st.count += 1
+        if st.pending_idle:
+            st.idle += st.pending_idle.pop(0)
         share = n_out / (n_in + n_out)
-        st["t_finish"] = t_recv - share * rtt
-        st["service"] = t_recv - t_sent
-        st["rtt"] = rtt
-        st["t_recv"] = t_recv
+        st.t_finish = t_recv - share * rtt
+        st.service = t_recv - t_sent
+        st.rtt = rtt
+        st.t_recv = t_recv
 
     def interval(self, worker: int) -> float | None:
         """Estimated send-to-send spacing; None before the first result."""
         st = self._stats.get(worker)
-        if st is None or st["count"] == 0:
+        if st is None or not st.count:
             return None
-        expected = (st["t_finish"] - st["idle"]) / st["count"]
+        expected = (st.t_finish - st.idle) / st.count
         if expected <= 0.0:
-            return st["service"]
-        return min(st["service"], expected)
+            return st.service
+        return min(st.service, expected)
 
 
 def default_piece_length(n2: int, p: int) -> int:
@@ -438,38 +452,42 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     est = DispatchEstimator()
     live = set(eng.initial_roster())
 
-    def dispatch(worker: int) -> bool:
+    load_pair, n_out = (n1, b), n1 + b - 1
+
+    def dispatch(worker: int, now: float) -> bool:
         if eng.dispatched == budget:
             return False
-        est.record_send(worker, eng.now)
-        eng.send(worker, row=order[eng.dispatched], n_in=b, load_pair=(n1, b))
+        est.record_send(worker, now)
+        eng.send(worker, order[eng.dispatched], b, load_pair)
         return True
 
     def react(ev) -> None:
-        worker = ev.worker
-        if ev.kind == "result_arrives":
-            est.record_result(worker, ev.t_sent, ev.time, ev.rtt, b, n1 + b - 1)
-        elif ev.kind == "worker_leaves":
+        worker, kind = ev.worker, ev.kind
+        if kind == "result_arrives":
+            est.record_result(worker, ev.t_sent, ev.time, ev.rtt, b, n_out)
+        elif kind == "worker_leaves":
             live.discard(worker)
             return
-        elif ev.kind == "worker_joins":
+        elif kind == "worker_joins":
             live.add(worker)
-            dispatch(worker)
+            dispatch(worker, eng.now)
             return
         # After a result or a wakeup: send now if the worker's next piece
         # is due, else book a wakeup for when it is.
-        interval = est.interval(worker) if worker in live else None
+        if worker not in live:
+            return
+        interval = est.interval(worker)
         if interval is None:
             return
-        due = est.last_send(worker) + interval
-        if eng.now >= due:
-            if dispatch(worker):
-                eng.schedule_wakeup(eng.now + interval, worker)
+        now, due = eng.now, est.last_send(worker) + interval
+        if now >= due:
+            if dispatch(worker, now):
+                eng.schedule_wakeup(now + interval, worker)
         else:
             eng.schedule_wakeup(due, worker)
 
     for worker in sorted(live):
-        dispatch(worker)
+        dispatch(worker, eng.now)
     outcome = _run(plan, eng, horizon, params, react)
     # The stack's spare row 0 plus one per fresh row sent: every dispatch
     # past the m-th sends one until rows m+1..budget-1 are out.

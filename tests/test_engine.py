@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedconv import engine, models
 from codedconv.engine import (
     Draws,
+    EngineEvent,
     SimEngine,
     episode_behaviors,
     episode_profiles,
@@ -19,9 +22,16 @@ from codedconv.engine import (
     run_episode,
     substream,
 )
-from codedconv.models import Behavior, CommParams, comm_time, data_rate
+from codedconv.models import (
+    Behavior,
+    CommParams,
+    comm_time,
+    compute_load,
+    data_rate,
+    sample_compute_time,
+)
 from codedconv.scenarios import ScenarioConfig, benchmark_scenario
-from codedconv.strategies import StrategyOutcome
+from codedconv.strategies import STRATEGIES, StrategyOutcome
 
 
 def make_engine(p=2, seed=11, behaviors=None, collect_log=True, **fleet):
@@ -210,6 +220,115 @@ def test_single_piece_timing_matches_models():
     assert results[0].t_sent == 0.0
 
 
+class PushLog(SimEngine):
+    """SimEngine that keeps every (time, seq, event) it pushes, in order."""
+
+    def __init__(self, *args, **kwargs):
+        self.pushed = []
+        super().__init__(*args, **kwargs)
+
+    def _push(self, time, ev):
+        self.pushed.append((time, self._seq, ev))
+        super()._push(time, ev)
+
+
+@st.composite
+def piece_runs(draw):
+    """(seed, fleet, behaviours, sends): each send is (worker, (n_in,
+    load_pair), time), in time order, on a few piece shapes."""
+    p = draw(st.integers(1, 3))
+    roster = draw(st.lists(st.builds(
+        Behavior,
+        slowdown=st.one_of(st.just(1.0), st.floats(1.0, 50.0)),
+        joins=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        departs=st.one_of(st.just(math.inf), st.floats(0.0, 3.5))),
+        min_size=p, max_size=p))
+    fleet = ScenarioConfig(
+        "pieces", n1=1, n2=1, n_workers=p,
+        compute_coeff=draw(st.sampled_from([1.0, 0.5, 2.5])),
+        comm=CommParams(payload_bytes=draw(st.sampled_from([8, 4]))))
+    length = st.integers(1, 4000)
+    shapes = draw(st.lists(st.tuples(length, st.tuples(length, length)),
+                           min_size=1, max_size=3))
+    time = st.one_of(st.sampled_from([0.0, 0.01, 1.0]), st.floats(0.0, 3.0))
+    sends = draw(st.lists(st.tuples(st.integers(0, p - 1),
+                                    st.sampled_from(shapes), time),
+                          min_size=1, max_size=12))
+    return (draw(st.integers(0, 2**32)), fleet, roster,
+            sorted(sends, key=lambda send: send[2]))
+
+
+def run_pieces(seed, fleet, roster, sends, collect_log):
+    """Send piece k at its time, as row k, from a wakeup tagged k."""
+    eng = PushLog(Draws(seed, fleet), roster, collect_log=collect_log)
+    for k, (_, _, time) in enumerate(sends):
+        eng.schedule_wakeup(time, k)
+    for ev in eng.events():
+        if ev.kind == "wakeup":
+            worker, (n_in, load_pair), _ = sends[ev.worker]
+            eng.send(worker, ev.worker, n_in, load_pair)
+    return eng.pushed
+
+
+def priced_pushes(seed, fleet, roster, sends):
+    """Every (time, seq, event) the engine should push, each piece priced
+    on its own by the model formulas."""
+    pushed = []
+
+    def push(time, ev):
+        pushed.append((time, len(pushed), ev))
+
+    for w, beh in enumerate(roster):
+        if 0.0 < beh.joins < beh.departs:
+            push(beh.joins, EngineEvent("worker_joins", beh.joins, w))
+        if beh.departs < math.inf:
+            push(beh.departs, EngineEvent("worker_leaves", beh.departs, w))
+    for k, (_, _, time) in enumerate(sends):
+        push(time, EngineEvent("wakeup", time, k))
+
+    def built_from_key(*tags):
+        return np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
+
+    probe = SimEngine(Draws(seed, fleet), roster)
+    mus = built_from_key(engine._SCENARIO_TAG, engine._MU).uniform(
+        fleet.mu_low, fleet.mu_high, fleet.n_workers)
+    profiles = [models.WorkerProfile(mu=float(mu)) for mu in mus]
+    exponentials = [built_from_key(w, engine._COMPUTE).standard_exponential(16)
+                    for w in range(fleet.n_workers)]
+    accepted = [0] * fleet.n_workers
+    busy = [0.0] * fleet.n_workers
+    payload_bytes = fleet.comm.payload_bytes
+    for row, (w, (n_in, (n1, n2)), now) in enumerate(sends):
+        beh = roster[w]
+        if now < beh.joins or now >= beh.departs:
+            continue
+        rate = data_rate(probe.distance(w, now), fleet.comm)
+        t_in = comm_time(n_in, rate, payload_bytes)
+        if now + t_in > beh.departs:
+            continue
+        std_exp = float(exponentials[w][accepted[w]])
+        accepted[w] += 1
+        load = compute_load(n1, n2, fleet.compute_coeff)
+        t_comp = sample_compute_time(std_exp, load, profiles[w]) * beh.slowdown
+        t_out = comm_time(n1 + n2 - 1, rate, payload_bytes) * beh.slowdown
+        busy[w] = done = max(now + t_in, busy[w]) + t_comp
+        if done + t_out <= beh.departs:
+            push(done + t_out, EngineEvent("result_arrives", done + t_out, w,
+                                           row, now, t_in + t_out))
+    return pushed
+
+
+@settings(max_examples=60, deadline=None)
+@given(piece_runs())
+def test_every_piece_is_priced_by_the_models(run):
+    # Random shapes, several per engine, on workers that straggle, join late
+    # and depart: the queue keys and events equal the per-piece formulas
+    # exactly, whether or not the engine keeps a log.
+    want = priced_pushes(*run)
+    assert run_pieces(*run, collect_log=False) == want
+    assert run_pieces(*run, collect_log=True) == want
+
+
 def test_worker_queues_pieces_fifo():
     eng = make_engine(p=1, seed=3)
     for row in range(3):
@@ -373,6 +492,19 @@ def test_positions_start_inside_box():
 
 
 # -- event log export --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_episodes_without_a_log_make_no_log_records(strategy, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a SimEvent was made")
+
+    monkeypatch.setattr(engine, "SimEvent", refuse)
+    scn = benchmark_scenario(1, 64, straggler_ratio=0.25)
+    m = run_episode(scn, strategy, 3, keep_result=False)
+    assert m.pieces_dispatched and m.event_log is None
+    with pytest.raises(AssertionError, match="SimEvent"):
+        run_episode(scn, strategy, 3, keep_result=False, collect_log=True)
 
 
 def test_export_event_log_round_trip():

@@ -176,7 +176,7 @@ def test_estimator_finish_placed_by_payload_share():
     est.record_send(0, 0.0)
     est.record_result(0, t_sent=0.0, t_recv=10.0, rtt=1.0, n_in=1, n_out=3)
     st = est._stats[0]
-    assert st["t_finish"] == pytest.approx(9.25)
+    assert st.t_finish == pytest.approx(9.25)
     assert est.interval(0) == pytest.approx(9.25)  # min(service=10, expected=9.25)
 
 
@@ -189,7 +189,7 @@ def test_estimator_idle_gap_accrues_on_first_free_send():
     est.record_send(0, 10.5)
     est.record_result(0, 10.5, 20.0, rtt=1.0, n_in=1, n_out=3)
     st = est._stats[0]
-    assert st["idle"] == pytest.approx(1.5)
+    assert st.idle == pytest.approx(1.5)
     expected = (20.0 - 0.75 - 1.5) / 2
     assert est.interval(0) == pytest.approx(min(20.0 - 10.5, expected))
 
@@ -204,7 +204,7 @@ def test_estimator_no_idle_while_pieces_outstanding():
     est.record_result(0, 12.0, 30.0, rtt=1.0, n_in=1, n_out=1)
     st = est._stats[0]
     # only the 10.0 send could add idle: 1 - (10 - 10) = 1.0
-    assert st["idle"] == pytest.approx(1.0)
+    assert st.idle == pytest.approx(1.0)
     assert est.last_send(0) == 12.0
 
 
@@ -213,9 +213,9 @@ def test_estimator_idle_booked_at_own_result_not_at_send():
     est.record_send(0, 0.0)
     est.record_result(0, 0.0, 10.0, rtt=2.0, n_in=1, n_out=1)
     est.record_send(0, 15.0)  # idle increment 2 - (10-15) = 7, still pending
-    assert est._stats[0]["idle"] == 0.0
+    assert est._stats[0].idle == 0.0
     est.record_result(0, 15.0, 25.0, rtt=2.0, n_in=1, n_out=1)
-    assert est._stats[0]["idle"] == pytest.approx(7.0)
+    assert est._stats[0].idle == pytest.approx(7.0)
 
 
 def test_estimator_negative_expectation_falls_back_to_service():
@@ -223,7 +223,7 @@ def test_estimator_negative_expectation_falls_back_to_service():
     est.record_send(0, 0.0)
     est.record_result(0, 0.0, 10.0, rtt=1.0, n_in=1, n_out=1)
     st = est._stats[0]
-    st["idle"] = 100.0  # force a nonsensical expectation
+    st.idle = 100.0  # force a nonsensical expectation
     assert est.interval(0) == pytest.approx(10.0)
 
 
