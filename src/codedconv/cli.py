@@ -21,6 +21,7 @@ from .experiments import (
     format_value,
     load_config,
     manifest_entries,
+    preset_scale,
     scenario_from_config,
     stress_test,
     success_rate,
@@ -114,10 +115,8 @@ def _spec_from_config(path: str) -> ExperimentSpec:
     if kind not in _KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; valid kinds: "
                           + ", ".join(_KINDS))
-    preset = config.get("scenario", {})
-    scale = preset.get("scale", DEFAULT_SCALE) if "index" in preset else None
     return _make_spec(kind, scenario, options, mode=scenario.straggler_mode,
-                      scale=scale, name=str)
+                      scale=preset_scale(config), name=str)
 
 
 def _print_table(fieldnames, rows) -> None:

@@ -17,8 +17,8 @@ scenario defaults keep piece counts at or below 16.
 Codes are shared read-only constants: `make_encoding_matrix` builds each
 (rows, cols) code once and hands every caller the same array, which
 refuses writes.  Since a code is fixed by its shape, so is the decode
-verdict for an ordered set of its rows, and `check_decodable` keeps the
-most recent verdicts, failures included.
+verdict for a (shape, row set), decoded in ascending row order, and
+`check_decodable` keeps the most recent verdicts, failures included.
 """
 
 import functools
@@ -42,7 +42,7 @@ DECODE_GUARD_REL = 1e-4
 # Largest m whose square make_encoding_matrix(m, m) system passes RCOND_LIMIT.
 MAX_SQUARE_PIECES = 31
 # How many codes and decode verdicts are kept.  The bounds keep a long run's
-# memory flat: an unbounded verdict memo grows with every new arrival order.
+# memory flat: an unbounded verdict memo grows with every new row set.
 CODES_KEPT = 64
 VERDICTS_KEPT = 1024
 
@@ -198,13 +198,13 @@ def decode_factors(matrix: np.ndarray, rows) -> np.ndarray:
 
 
 def check_decodable(rows: int, cols: int, order) -> None:
-    """Raise what decode_factors(make_encoding_matrix(rows, cols), order) raises.
+    """Raise what decode_factors(rows x cols code, sorted(order)) raises.
 
-    The verdict depends only on the code's shape and the ordered rows, so
-    the last VERDICTS_KEPT verdicts are kept by that key, and a kept
-    failure is raised again on every hit.
+    The verdict is judged per (shape, row set), decoded in ascending row
+    order, so any arrival order of one set hits the same one of the last
+    VERDICTS_KEPT verdicts, and a kept failure is raised again on a hit.
     """
-    failure = _decode_failure(rows, cols, tuple(order))
+    failure = _decode_failure(rows, cols, tuple(sorted(order)))
     if failure is not None:
         raise DecodeFailure(failure)
 

@@ -302,6 +302,12 @@ def load_config(path: str) -> dict:
     return config
 
 
+def preset_scale(config: dict) -> float | None:
+    """The preset scale a loaded config runs at; None for explicit sizes."""
+    scn = config.get("scenario", {})
+    return scn.get("scale", DEFAULT_SCALE) if "index" in scn else None
+
+
 def scenario_from_config(config: dict) -> ScenarioConfig:
     """Scenario described by a loaded config.
 
@@ -331,8 +337,7 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
                           "explicit n1/n2/workers")
     try:
         if "index" in scn:
-            return benchmark_scenario(scn["index"],
-                                      scn.get("scale", DEFAULT_SCALE),
+            return benchmark_scenario(scn["index"], preset_scale(config),
                                       **fields)
         return ScenarioConfig(name="custom", **fields)
     except ValueError as exc:

@@ -65,10 +65,10 @@ class Plan:
     `coded_length` and the other one into pieces of `other_length`.
     Result (i, j) is row i of the code's `matrix` applied to the coded
     pieces, convolved with piece j of the other operand; `columns[j]`
-    lists the rows i of column j in arrival order.  `lengths` is
-    (len(a), len(x)).  `code` is the (rows, cols) shape of the Vandermonde
-    code, or None for the identity over the coded pieces; `matrix` is
-    built from it.
+    lists the rows i of column j in arrival order, and `assemble` decodes
+    them in ascending row order, as `_run` judged their (shape, row set).
+    `lengths` is (len(a), len(x)); `code` is the Vandermonde code's (rows,
+    cols) shape, or None for the identity; `matrix` is built from it.
     """
 
     lengths: tuple[int, int]
@@ -101,7 +101,7 @@ class Plan:
         parts = []
         for piece, rows in zip(other.pieces, self.columns):
             results = [(i, convolve_fft(mds_encode(coded, self.matrix, i), piece))
-                       for i in rows]
+                       for i in sorted(rows)]
             decoded = mds_decode(results, self.matrix)
             parts.append(overlap_add(list(decoded), coded.piece_length,
                                      column_length))
@@ -231,9 +231,9 @@ def _run(plan: Plan, eng, horizon: float, params: dict,
     Result row k is pair divmod(k, ncols) = (row i, column j), and row i
     is recorded in `plan.columns[j]` unless that column is full already.
     A column is full at as many rows as the matrix has columns.  For a
-    Vandermonde code the row that fills it checks that those rows decode
-    (`check_decodable`).  The identity needs no check: any m distinct rows
-    of it form a permutation matrix, whose rcond is exactly 1.
+    Vandermonde code the row that fills it checks (`check_decodable`) that
+    the (shape, row set) decodes in ascending row order, as `assemble` does.
+    The identity needs no check: its m-row subsets are permutations, rcond 1.
 
     The episode fails at the horizon, when the queue drains, or when a
     full column does not decode.  `react(ev)`, if given, sees every event

@@ -1,8 +1,16 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and hypothesis profiles shared by the test modules.
+
+The `ci` profile (`pytest --hypothesis-profile=ci`) derandomizes the
+property tests, so a CI failure reproduces on rerun, and prints the blob
+that replays a failing example; local runs keep the default profile.
+"""
 
 import pytest
+from hypothesis import settings
 
 from codedconv import engine
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture

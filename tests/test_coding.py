@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedconv import coding
 from codedconv.coding import (
@@ -326,9 +328,9 @@ def test_decode_verdict_memo_raises_every_failure_again(monkeypatch):
             check_decodable(32, 32, range(32))
         check_decodable(31, 31, range(31))
     assert calls == [tuple(range(32)), tuple(range(31))]
-    # The verdict is per ordered row list.
+    # The verdict is per row set: a permutation of a judged set is a hit.
     check_decodable(31, 31, reversed(range(31)))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_decode_verdict_memo_is_bounded():
@@ -336,6 +338,58 @@ def test_decode_verdict_memo_is_bounded():
     for first in range(VERDICTS_KEPT + 10):
         check_decodable(VERDICTS_KEPT + 10, 1, [first])
     assert coding._decode_failure.cache_info().currsize == VERDICTS_KEPT
+
+
+# The code shapes the strategies build: dynamic (m + max(64, 8p), m) for
+# m pieces on p workers; traditional square (k, k), past the decode limit
+# too, and tall (r, k) when the workers outnumber the pieces.
+code_shapes = st.one_of(
+    st.builds(lambda m, p: (m + max(64, 8 * p), m),
+              st.integers(1, 16), st.integers(1, 16)),
+    st.integers(1, MAX_SQUARE_PIECES + 4).map(lambda k: (k, k)),
+    st.integers(1, 16).flatmap(
+        lambda k: st.integers(k + 1, 64).map(lambda r: (r, k))),
+)
+
+
+@st.composite
+def row_set_orders(draw):
+    """A code shape, and three arrival orders of one row set of it."""
+    rows, cols = draw(code_shapes)
+    chosen = draw(st.lists(st.integers(0, rows - 1), min_size=cols,
+                           max_size=cols, unique=True))
+    return rows, cols, [draw(st.permutations(chosen)) for _ in range(3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_set_orders())
+def test_decode_verdict_is_per_row_set(case):
+    # Every arrival order of a row set gets the verdict of the set decoded
+    # in ascending row order, and only the first of them computes it.
+    rows, cols, orders = case
+    ascending = tuple(sorted(orders[0]))
+    try:
+        decode_factors(make_encoding_matrix(rows, cols), ascending)
+        failure = None
+    except DecodeFailure as exc:
+        failure = str(exc)
+    calls = []
+
+    def counted(matrix, order):
+        calls.append(tuple(order))
+        return decode_factors(matrix, order)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coding, "decode_factors", counted)
+        coding._decode_failure.cache_clear()
+        for order in orders:
+            if failure is None:
+                check_decodable(rows, cols, order)
+            else:
+                with pytest.raises(DecodeFailure) as raised:
+                    check_decodable(rows, cols, order)
+                assert str(raised.value) == failure
+    assert calls == [ascending]
 
 
 def test_decode_factors_verdict_follows_the_one_norm_condition():

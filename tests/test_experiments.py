@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from codedconv import engine, experiments
+from codedconv import coding, engine, experiments, strategies
 from codedconv.experiments import (
     ConfigError,
     auto,
@@ -73,6 +73,33 @@ def test_sweep_b_rejects_bad_grid():
         sweep_b(scn, [scn.n2 + 1], reps=1, base_seed=1)
     with pytest.raises(ConfigError):
         sweep_b(scn, [], reps=1, base_seed=1)
+
+
+def test_sweep_b_judges_each_row_set_once(monkeypatch):
+    # A full-size sweep meets many arrival orders of a few row sets per
+    # code; decode_factors runs once per (shape, row set), not per order.
+    judged = []
+    check_decodable = strategies.check_decodable
+    decode_factors = coding.decode_factors
+    calls = []
+
+    def recording(rows, cols, order):
+        judged.append((rows, cols, tuple(order)))
+        return check_decodable(rows, cols, order)
+
+    def counted(matrix, rows):
+        calls.append((*matrix.shape, tuple(rows)))
+        return decode_factors(matrix, rows)
+
+    monkeypatch.setattr(strategies, "check_decodable", recording)
+    monkeypatch.setattr(coding, "decode_factors", counted)
+    coding._decode_failure.cache_clear()
+    scn = benchmark_scenario(3, 1)
+    sweep_b(scn, default_sweep_grid(scn.n2), reps=10, base_seed=1234)
+    row_sets = {(rows, cols, tuple(sorted(order)))
+                for rows, cols, order in judged}
+    assert len(set(judged)) > len(row_sets)
+    assert sorted(calls) == sorted(row_sets)
 
 
 def test_default_sweep_grid():

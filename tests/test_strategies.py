@@ -529,6 +529,54 @@ def test_all_strategies_agree_on_same_episode():
         assert err < 1e-6, (strat, err)
 
 
+def test_assemble_decodes_the_judged_row_sets_in_ascending_order(monkeypatch):
+    # `assemble` solves the systems `_run` judged: each column's row set,
+    # in ascending row order whatever order its rows arrived in.
+    calls = []
+    assembling = []
+    decode_factors = coding.decode_factors
+    assemble = Plan.assemble
+
+    def counted(matrix, rows):
+        calls.append((bool(assembling), matrix.shape, tuple(rows)))
+        return decode_factors(matrix, rows)
+
+    def traced(plan, a, x):
+        assembling.append(plan)
+        try:
+            return assemble(plan, a, x)
+        finally:
+            assembling.pop()
+
+    monkeypatch.setattr(coding, "decode_factors", counted)
+    monkeypatch.setattr(Plan, "assemble", traced)
+    unsorted_columns = 0
+    for preset in (1, 3):
+        scn = benchmark_scenario(preset)
+        for strategy in ("traditional", "dynamic"):
+            for seed in (5, 6):
+                coding._decode_failure.cache_clear()
+                calls.clear()
+                m = run_episode(scn, strategy, seed, keep_result=True)
+                assert m.success
+                judged = {(shape, rows) for inside, shape, rows in calls
+                          if not inside}
+                decoded = [(shape, rows) for inside, shape, rows in calls
+                           if inside]
+                assert len(decoded) == len(m.plan.columns)
+                assert {rows for _, rows in decoded} == {
+                    tuple(sorted(column)) for column in m.plan.columns}
+                assert all(list(rows) == sorted(rows) for _, rows in decoded)
+                assert set(decoded) <= judged
+                unsorted_columns += sum(column != sorted(column)
+                                        for column in m.plan.columns)
+                want = convolve_direct(*episode_task(scn, seed))
+                err = np.max(np.abs(m.result - want)) / np.max(np.abs(want))
+                assert err < 1e-6, (preset, strategy, seed, err)
+    # Arrival order differs from row order, so sorting is exercised.
+    assert unsorted_columns
+
+
 def test_paired_seed_same_straggler_draws():
     scn = benchmark_scenario(2).replace(straggler_ratio=0.5)
     outs = [run_episode(scn, strat, 33, keep_result=False)
