@@ -7,7 +7,10 @@ one of them would otherwise break only `bench/run.py --trace 1`.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from codedconv import coding, strategies
+from codedconv.cli import main
 from codedconv.engine import run_episode
 from codedconv.scenarios import benchmark_scenario
 
@@ -51,3 +54,30 @@ def test_tracer_installs_and_uninstalls_on_package():
     # the names the tracer wraps.
     assert counts["strategies.estimator.calls"] > 0
     assert counts["coding.make_encoding_matrix.calls"] > 0
+
+
+# Each kind's experiment span; compare is stress at one ratio.
+KIND_SPANS = {
+    "sweep-b": ("experiments.sweep_b", ["--reps", "1"]),
+    "compare": ("experiments.stress_test", ["--reps", "1"]),
+    "stress": ("experiments.stress_test", ["--reps", "1"]),
+    "success-rate": ("experiments.success_rate", ["--runs", "3"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPANS))
+def test_cli_calls_reach_the_experiment_spans(kind, tmp_path, capsys):
+    # The tracer wraps the experiments, emit and the scenario presets at
+    # their names in `cli`; a call that goes round them reads 0 here.
+    span, count = KIND_SPANS[kind]
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        code = main([kind, "--scale", "64", "--out", str(tmp_path), *count])
+        counts = tracer.layer_metrics()[0]
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert counts[f"{span}.calls"] == 1
+    assert counts["experiments.emit.calls"] == 1
+    assert counts["scenarios.benchmark_scenario.calls"] >= 1

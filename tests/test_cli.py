@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from codedconv import __version__
+from codedconv import __version__, cli
 from codedconv.cli import main
+from codedconv.experiments import STRATEGY_ORDER, default_sweep_grid
+from codedconv.scenarios import benchmark_scenario
 
 
 def run_cli(argv, capsys):
@@ -238,3 +240,49 @@ def test_manifest_has_no_timestamp(tmp_path, capsys):
     assert "version" in keys
     assert not any("date" in k or "timestamp" in k for k in keys)
     assert os.linesep not in text or os.linesep == "\n"
+
+
+# (count, grid, seed, mode) that a bare subcommand and a config holding
+# only the preset and the kind both pass to the experiment.
+DEFAULT_CALLS = {
+    "sweep-b": (25, default_sweep_grid(benchmark_scenario(1, 64).n2), 1234,
+                None),
+    "compare": (25, None, 1234, "delayed"),
+    "stress": (25, [0.0, 0.25, 0.5, 0.75, 1.0], 1234, "delayed"),
+    "success-rate": (2000, None, 1234, "fail"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_CALLS))
+def test_subcommand_and_config_share_defaults(kind, tmp_path, capsys,
+                                              monkeypatch):
+    calls = []
+
+    def sweep_b(scenario, b_values, reps, base_seed):
+        calls.append((reps, list(b_values), base_seed, None))
+        rows = [{"b": b, "mean_time_s": 1.0, "std_time_s": 0.0}
+                for b in b_values]
+        return rows, b_values[0]
+
+    def stress_test(scenario, ratios, reps, base_seed, mode="delayed"):
+        # compare's one ratio is not compared: --ratio defaults to 0.5,
+        # a config's [straggler] ratio to 0.
+        grid = None if kind == "compare" else list(ratios)
+        calls.append((reps, grid, base_seed, mode))
+        return [{"ratio": ratio, "strategy": strategy, "mean_time_s": 1.0,
+                 "std_time_s": 0.0}
+                for ratio in ratios for strategy in STRATEGY_ORDER]
+
+    def success_rate(scenario, runs, base_seed, mode="fail"):
+        calls.append((runs, None, base_seed, mode))
+        return [{"strategy": strategy, "success_rate": 1.0, "successes": runs,
+                 "runs": runs} for strategy in STRATEGY_ORDER], {}
+
+    for fake in (sweep_b, stress_test, success_rate):
+        monkeypatch.setattr(cli, fake.__name__, fake)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(
+        f"[scenario]\nindex = 1\nscale = 64\n\n[experiment]\nkind = {kind}\n")
+    assert run_cli([kind, "--scale", "64"], capsys)[0] == 0
+    assert run_cli(["run", "exp.cfg"], capsys)[0] == 0
+    assert calls == [DEFAULT_CALLS[kind]] * 2
