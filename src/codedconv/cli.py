@@ -1,16 +1,16 @@
 """Command-line front end for the simulation experiments.
 
 Subcommands mirror the four experiments (sweep-b, compare, stress,
-success-rate) plus `run`, which executes a config file.  Both front ends
-build the same ExperimentSpec, and `run_experiment` executes it: all
-output is CSV plus a manifest sidecar in the output directory, and tables
-are echoed to stdout.
+success-rate) plus `run`, which executes a config file.  `main` reads
+either front end into a kind, a scenario and [experiment]-style options,
+and one `run_experiment` runs every kind through its row in `_KINDS`: it
+calls the kind's runner, echoes the table to stdout and writes it as CSV
+plus a manifest sidecar in the output directory.
 Exit codes: 0 success, 2 bad usage or config, 3 runtime failure.
 """
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .experiments import (
@@ -28,39 +28,11 @@ from .experiments import (
     sweep_b,
 )
 from .models import FAILURE_MODES, STRAGGLER_MODES
-from .scenarios import DEFAULT_SCALE, ScenarioConfig, benchmark_scenario
+from .scenarios import DEFAULT_SCALE, benchmark_scenario
 
 # Defaults shared by the subcommand flags and the [experiment] keys.
 DEFAULTS = {"seed": 1234, "reps": 25, "runs": 2000, "out_dir": "results",
             "ratios": "0,0.25,0.5,0.75,1"}
-
-# Per experiment kind: output file stem, table columns, the option that
-# counts episodes, and the grid option with the type of its values.
-_KINDS = {
-    "sweep-b": ("sweep_b", ("b", "mean_time_s", "std_time_s"),
-                "reps", ("b_values", int)),
-    "compare": ("compare", ("strategy", "mean_time_s", "std_time_s"),
-                "reps", None),
-    "stress": ("stress", ("ratio", "strategy", "mean_time_s", "std_time_s"),
-               "reps", ("ratios", float)),
-    "success-rate": ("success_rate",
-                     ("strategy", "success_rate", "successes", "runs"),
-                     "runs", None),
-}
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment, whether asked for by flags or by a config file."""
-
-    kind: str
-    scenario: ScenarioConfig    # straggler ratio already applied
-    seed: int
-    count: int                  # reps, or runs for success-rate
-    grid: list | None           # b values or ratios; None: default b grid
-    mode: str                   # straggler mode for compare/stress/success-rate
-    scale: float | None         # preset scale; None for explicit sizes
-    out_dir: str
 
 
 def parse_list(text: str, convert, option: str) -> list:
@@ -75,93 +47,91 @@ def parse_list(text: str, convert, option: str) -> list:
             f"{option}: expected comma-separated numbers, got {text!r}") from exc
 
 
-def _make_spec(kind: str, scenario: ScenarioConfig, options: dict, *,
-               mode: str, scale, name) -> ExperimentSpec:
-    """Validate `options` (keys as in [experiment]); `name` spells a key."""
-    _, _, count_key, grid = _KINDS[kind]
+# Kind runners: (scenario, grid, count, seed, mode) -> (table rows, the
+# manifest entries only that kind writes).  Each calls its experiment through
+# the name bound in this module; grid is None for kinds without one.
+
+
+def _sweep_b(scn, b_values, reps, seed, mode):
+    """Dynamic strategy over piece lengths; None sweeps the default grid."""
+    b_values = default_sweep_grid(scn.n2) if b_values is None else b_values
+    rows, argmin_b = sweep_b(scn, b_values, reps, seed)
+    return rows, {"argmin_b": argmin_b,
+                  "b_values": " ".join(map(str, b_values))}
+
+
+def _compare(scn, grid, reps, seed, mode):
+    """Stress at the scenario's one ratio; the table drops the ratio column."""
+    rows = stress_test(scn, [scn.straggler_ratio], reps, seed, mode=mode)
+    return rows, {"ratio": scn.straggler_ratio, "mode": mode,
+                  "b": auto(scn.dynamic_b), "s": auto(scn.traditional_s)}
+
+
+def _stress(scn, ratios, reps, seed, mode):
+    """All three strategies over a grid of straggler ratios."""
+    rows = stress_test(scn, ratios, reps, seed, mode=mode)
+    return rows, {"mode": mode, "ratios": " ".join(map(format_value, ratios)),
+                  "b": auto(scn.dynamic_b)}
+
+
+def _success_rate(scn, grid, runs, seed, mode):
+    """Success fraction under uniform failure counts; "delayed", the mode of
+    a config without [straggler] mode, counts failures here."""
+    mode = "fail" if mode == "delayed" else mode
+    rows, _ = success_rate(scn, runs, seed, mode=mode)
+    return rows, {"mode": mode, "b": auto(scn.dynamic_b)}
+
+
+# Per kind: its runner, output file stem, table columns, the option that
+# counts episodes, and the grid option (None: no grid) and its value type.
+_KINDS = {
+    "sweep-b": (_sweep_b, "sweep_b", ("b", "mean_time_s", "std_time_s"),
+                "reps", "b_values", int),
+    "compare": (_compare, "compare", ("strategy", "mean_time_s", "std_time_s"),
+                "reps", None, None),
+    "stress": (_stress, "stress",
+               ("ratio", "strategy", "mean_time_s", "std_time_s"),
+               "reps", "ratios", float),
+    "success-rate": (_success_rate, "success_rate",
+                     ("strategy", "success_rate", "successes", "runs"),
+                     "runs", None, None),
+}
+
+
+def _flag(key: str) -> str:
+    """The subcommand flag that sets [experiment] key `key`."""
+    return "--out" if key == "out_dir" else "--" + key.replace("_", "-")
+
+
+def run_experiment(kind: str, scenario, options: dict, *, mode: str, scale,
+                   name) -> None:
+    """Run one experiment, echo its table and write its CSV and manifest.
+
+    `options` holds [experiment] keys, missing ones taking `DEFAULTS`, and
+    `name(key)` spells a key in errors; a bad one raises ConfigError before
+    any episode runs.  `scale` is the preset scale, None for explicit sizes.
+    """
+    runner, stem, fields, count_key, grid_key, convert = _KINDS[kind]
     count = options.get(count_key, DEFAULTS[count_key])
     if count < 1:
         raise ConfigError(f"{name(count_key)} must be >= 1")
-    values = None
-    if grid is not None:
-        key, convert = grid
-        text = options.get(key, DEFAULTS.get(key))
-        if text is not None:
-            values = parse_list(text, convert, name(key))
+    text = options.get(grid_key, DEFAULTS.get(grid_key))
+    grid = None if text is None else parse_list(text, convert, name(grid_key))
     out_dir = options.get("out_dir", DEFAULTS["out_dir"])
     if not out_dir:
         raise ConfigError(f"{name('out_dir')} must name a directory")
-    return ExperimentSpec(kind, scenario, options.get("seed", DEFAULTS["seed"]),
-                          count, values, mode, scale, out_dir)
-
-
-def _spec_from_args(args) -> ExperimentSpec:
-    ratio = {"straggler_ratio": args.ratio} if "ratio" in args else {}
-    scenario = benchmark_scenario(args.scenario, args.scale, **ratio)
-    options = {key: value for key, value in vars(args).items()
-               if value is not None}
-    return _make_spec(args.command, scenario, options,
-                      mode=getattr(args, "mode", scenario.straggler_mode),
-                      scale=args.scale,
-                      name=lambda key: "--out" if key == "out_dir"
-                      else "--" + key.replace("_", "-"))
-
-
-def _spec_from_config(path: str) -> ExperimentSpec:
-    config = load_config(path)
-    scenario = scenario_from_config(config)
-    options = config.get("experiment", {})
-    kind = options.get("kind")
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; valid kinds: "
-                          + ", ".join(_KINDS))
-    return _make_spec(kind, scenario, options, mode=scenario.straggler_mode,
-                      scale=preset_scale(config), name=str)
-
-
-def _print_table(fieldnames, rows) -> None:
-    print(",".join(fieldnames))
+    seed = options.get("seed", DEFAULTS["seed"])
+    rows, extra = runner(scenario, grid, count, seed, mode)
+    extra[count_key] = count
+    if scale is not None:
+        extra["scale"] = scale
+    print(",".join(fields))
     for row in rows:
-        print(",".join(format_value(row[name]) for name in fieldnames))
-
-
-def run_experiment(spec: ExperimentSpec) -> None:
-    """Run `spec`, echo its table and write its CSV and manifest."""
-    scn = spec.scenario
-    if spec.kind == "sweep-b":
-        b_values = (spec.grid if spec.grid is not None
-                    else default_sweep_grid(scn.n2))
-        rows, argmin_b = sweep_b(scn, b_values, spec.count, spec.seed)
-        extra = {"reps": spec.count, "argmin_b": argmin_b,
-                 "b_values": " ".join(map(str, b_values))}
-    elif spec.kind == "compare":
-        # Stress at one ratio; the table drops the ratio column (_KINDS).
-        rows = stress_test(scn, [scn.straggler_ratio], spec.count, spec.seed,
-                           mode=spec.mode)
-        extra = {"reps": spec.count, "ratio": scn.straggler_ratio,
-                 "mode": spec.mode, "b": auto(scn.dynamic_b),
-                 "s": auto(scn.traditional_s)}
-    elif spec.kind == "stress":
-        rows = stress_test(scn, spec.grid, spec.count, spec.seed,
-                           mode=spec.mode)
-        extra = {"reps": spec.count, "mode": spec.mode,
-                 "ratios": " ".join(format_value(r) for r in spec.grid),
-                 "b": auto(scn.dynamic_b)}
-    else:
-        # A config file without a straggler mode leaves "delayed", which
-        # success-rate has no use for; it counts failures then.
-        mode = "fail" if spec.mode == "delayed" else spec.mode
-        rows, _ = success_rate(scn, spec.count, spec.seed, mode=mode)
-        extra = {"runs": spec.count, "mode": mode, "b": auto(scn.dynamic_b)}
-    if spec.scale is not None:
-        extra["scale"] = spec.scale
-
-    name, fields, _, _ = _KINDS[spec.kind]
-    _print_table(fields, rows)
+        print(",".join(format_value(row[field]) for field in fields))
     if "argmin_b" in extra:
         print(f"argmin_b={extra['argmin_b']}")
-    manifest = manifest_entries(scn, spec.kind, spec.seed, **extra)
-    csv_path, _ = emit(spec.out_dir, name, fields, rows, manifest)
+    manifest = manifest_entries(scenario, kind, seed, **extra)
+    csv_path, _ = emit(out_dir, stem, fields, rows, manifest)
     print(f"wrote {csv_path}")
 
 
@@ -231,10 +201,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            spec = _spec_from_config(args.config)
+            config = load_config(args.config)
+            scenario = scenario_from_config(config)
+            options = config.get("experiment", {})
+            kind = options.get("kind")
+            if kind not in _KINDS:
+                raise ConfigError(f"unknown experiment kind {kind!r}; "
+                                  "valid kinds: " + ", ".join(_KINDS))
+            mode, scale, name = (scenario.straggler_mode,
+                                 preset_scale(config), str)
         else:
-            spec = _spec_from_args(args)
-        run_experiment(spec)
+            kind, scale, name = args.command, args.scale, _flag
+            ratio = {"straggler_ratio": args.ratio} if "ratio" in args else {}
+            scenario = benchmark_scenario(args.scenario, scale, **ratio)
+            options = vars(args)
+            mode = getattr(args, "mode", scenario.straggler_mode)
+        run_experiment(kind, scenario, options, mode=mode, scale=scale,
+                       name=name)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

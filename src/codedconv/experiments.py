@@ -11,7 +11,6 @@ reproduce byte-identical files.
 """
 
 import configparser
-import itertools
 import math
 import os
 import zlib
@@ -61,19 +60,25 @@ def run_paired(episodes, reps: int, base_seed: int, value) -> list[list]:
     return values
 
 
-def _completion_time(metrics) -> float:
-    return metrics.completion_time
-
-
-def _mean_std(values) -> tuple[float, float]:
-    if len(values) == 1:
-        return float(values[0]), 0.0
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        # A failed episode without a horizon costs inf: the spread is
-        # undefined, and numpy would warn on inf - inf.
-        return float(arr.mean()), math.nan
-    return float(arr.mean()), float(arr.std(ddof=1))
+def _time_rows(labels, episodes, reps: int, base_seed: int) -> list[dict]:
+    """One row per episode of `run_paired`: `labels[i]`'s columns, then the
+    mean and std of `episodes[i]`'s completion time over `reps` seeds."""
+    times = run_paired(episodes, reps, base_seed,
+                       lambda metrics: metrics.completion_time)
+    rows = []
+    for label, values in zip(labels, times):
+        arr = np.asarray(values, dtype=float)
+        if len(arr) == 1:
+            std = 0.0
+        elif np.all(np.isfinite(arr)):
+            std = float(arr.std(ddof=1))
+        else:
+            # A failed episode without a horizon costs inf: the spread is
+            # undefined, and numpy would warn on inf - inf.
+            std = math.nan
+        rows.append({**label, "mean_time_s": float(arr.mean()),
+                     "std_time_s": std})
+    return rows
 
 
 # -- the four experiments ------------------------------------------------------
@@ -91,12 +96,9 @@ def sweep_b(scenario: ScenarioConfig, b_values, reps: int, base_seed: int):
     for b in b_values:
         if not 1 <= b <= scenario.n2:
             raise ConfigError(f"b={b} out of range [1, {scenario.n2}]")
-    times = run_paired([(scenario, "dynamic", {"b": b}) for b in b_values],
-                       reps, base_seed, _completion_time)
-    rows = []
-    for b, values in zip(b_values, times):
-        mean, std = _mean_std(values)
-        rows.append({"b": b, "mean_time_s": mean, "std_time_s": std})
+    rows = _time_rows([{"b": b} for b in b_values],
+                      [(scenario, "dynamic", {"b": b}) for b in b_values],
+                      reps, base_seed)
     argmin_b = min(rows, key=lambda r: r["mean_time_s"])["b"]
     return rows, argmin_b
 
@@ -119,16 +121,11 @@ def stress_test(scenario: ScenarioConfig, ratios, reps: int, base_seed: int,
             raise ConfigError(f"straggler ratio {r} out of range [0, 1]")
     scenarios = [scenario.replace(straggler_ratio=ratio, straggler_mode=mode)
                  for ratio in ratios]
-    times = run_paired([(scn, strategy, {}) for scn in scenarios
-                        for strategy in STRATEGY_ORDER],
-                       reps, base_seed, _completion_time)
-    rows = []
-    for (ratio, strategy), values in zip(
-            itertools.product(ratios, STRATEGY_ORDER), times):
-        mean, std = _mean_std(values)
-        rows.append({"ratio": ratio, "strategy": strategy,
-                     "mean_time_s": mean, "std_time_s": std})
-    return rows
+    return _time_rows([{"ratio": ratio, "strategy": strategy}
+                       for ratio in ratios for strategy in STRATEGY_ORDER],
+                      [(scn, strategy, {}) for scn in scenarios
+                       for strategy in STRATEGY_ORDER],
+                      reps, base_seed)
 
 
 def success_rate(scenario: ScenarioConfig, runs: int, base_seed: int,
