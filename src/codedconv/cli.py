@@ -6,10 +6,13 @@ either front end into a kind, a scenario and [experiment]-style options,
 and one `run_experiment` runs every kind through its row in `_KINDS`: it
 calls the kind's runner, echoes the table to stdout and writes it as CSV
 plus a manifest sidecar in the output directory.
+`main` may be called many times in one process: it builds its parser with
+`build_parser` at its first call and reuses it for every later one.
 Exit codes: 0 success, 2 bad usage or config, 3 runtime failure.
 """
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -197,8 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` reuses: built at the first call, not at import, and
+# never mutated, so every call parses with the flags `build_parser` defines.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             config = load_config(args.config)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output files, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from codedconv import __version__, cli
 from codedconv.cli import main
 from codedconv.experiments import STRATEGY_ORDER, default_sweep_grid
 from codedconv.scenarios import benchmark_scenario
+from test_golden import run_golden_case
 
 
 def run_cli(argv, capsys):
@@ -286,3 +288,62 @@ def test_subcommand_and_config_share_defaults(kind, tmp_path, capsys,
     assert run_cli([kind, "--scale", "64"], capsys)[0] == 0
     assert run_cli(["run", "exp.cfg"], capsys)[0] == 0
     assert calls == [DEFAULT_CALLS[kind]] * 2
+
+
+def test_import_builds_no_parser_and_main_builds_it_once():
+    # A fresh interpreter counts parser constructions (subparsers included):
+    # none at import, so the benchmark's set-up pays for none, all of them
+    # at the first `main` call, and none at the second.
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import codedconv.cli as cli\n"
+        "assert built == [], built\n"
+        "for expected in (6, 0):\n"
+        "    del built[:]\n"
+        "    try:\n"
+        "        cli.main(['--version'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0\n"
+        "    assert len(built) == expected, built\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines() == [__version__] * 2
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    # Usage errors, --version and a config error share the parser with the
+    # golden calls that follow; their non-default flags must not carry over.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with pytest.raises(SystemExit) as exc:
+        main(["stress", "--mode", "leave", "--ratios", "0.5", "--bogus"])
+    assert exc.value.code == 2
+    del built[:]  # that first call built the parser unless a test before did
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    code, _, err = run_cli(
+        ["stress", "--scenario", "2", "--scale", "64", "--mode", "fail",
+         "--ratios", ",", "--reps", "3", "--out", str(tmp_path / "bad")],
+        capsys)
+    assert code == 2 and "--ratios" in err
+    assert not (tmp_path / "bad").exists()
+    run_golden_case("stress", tmp_path / "stress", capsys)
+    run_golden_case("success_rate", tmp_path / "success_rate", capsys)
+    assert built == []

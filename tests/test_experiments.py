@@ -1,11 +1,17 @@
 """Experiment drivers, analytics, CSV/manifest output, config files."""
 
+import math
 import operator
 import os
+import warnings
 import weakref
 from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codedconv import coding, engine, experiments, strategies
 from codedconv.experiments import (
@@ -111,6 +117,46 @@ def test_single_rep_reports_zero_std():
     scn = small_scenario()
     rows, _ = sweep_b(scn, [16], reps=1, base_seed=2)
     assert rows[0]["std_time_s"] == 0.0
+
+
+@st.composite
+def paired_times(draw):
+    """(rows, reps) completion times over several decades; when drawn so,
+    a tenth of the entries are inf."""
+    rows, reps = draw(st.integers(1, 20)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.lognormal(0.0, 2.0, size=(rows, reps))
+    if draw(st.booleans()):
+        times[rng.random((rows, reps)) < 0.1] = math.inf
+    return times.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(paired_times())
+@example([[math.inf]])
+@example([[1.0, math.inf], [2.0, 3.0]])
+def test_time_rows_match_per_row_statistics(times):
+    # The one-array reduction gives every row the bits of its own 1-D mean
+    # and ddof=1 std, warns about nothing, and keeps the two special cases:
+    # one rep has std 0.0, and a row with an inf has mean inf and std nan.
+    reps = len(times[0])
+    labels = [{"row": i} for i in range(len(times))]
+    with mock.patch.object(experiments, "run_paired",
+                           lambda episodes, n, seed, value: times), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = experiments._time_rows(labels, [None] * len(times), reps, 0)
+    assert [row["row"] for row in rows] == list(range(len(times)))
+    for row, values in zip(rows, times):
+        arr = np.asarray(values, dtype=float)
+        assert row["mean_time_s"].hex() == float(arr.mean()).hex()
+        if reps == 1:
+            assert row["std_time_s"].hex() == (0.0).hex()
+        elif math.inf in values:
+            assert row["mean_time_s"] == math.inf
+            assert math.isnan(row["std_time_s"])
+        else:
+            assert row["std_time_s"].hex() == float(arr.std(ddof=1)).hex()
 
 
 # -- compare / stress / success-rate ------------------------------------------------
