@@ -179,11 +179,6 @@ def substream(seed: int, *tags: int) -> Stream:
                    _splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)])
 
 
-def philox_key(seed: int, *tags: int) -> np.ndarray:
-    """128-bit Philox key of `substream(seed, *tags)`, as two uint64 words."""
-    return np.array(substream(seed, *tags).key, dtype=np.uint64)
-
-
 # Values a tape draws at its first fill.
 _CHUNK = 8
 
@@ -271,8 +266,8 @@ class Draws:
     - `paths[tag]`: the position tape of node `tag` (a worker index, or
       _MASTER_TAG), one (x, y) float pair per whole second;
     - `rates[worker, second]`: the master-worker link rate at whole second
-      `second`, made by `data_rate` from the distance `SimEngine.distance`
-      reads;
+      `second`, made by `data_rate` from the distance `_distance` reads
+      off the worker's and the master's position tapes;
     - `compute[worker]`: the worker's compute tape, standard exponentials
       that `sample_compute_time` scales, in accept order;
     - `profiles` (a list not to write to) and `operands`: the draws of
@@ -362,7 +357,6 @@ class SimEngine:
         self._collect_log = collect_log
         self.log: list[SimEvent] = []
 
-        self._paths = draws.paths
         self._rates = draws.rates
         self._compute = draws.compute
         self._compute_read = [0] * self.n_workers
@@ -380,10 +374,6 @@ class SimEngine:
     @property
     def now(self) -> float:
         return self._now
-
-    def distance(self, worker: int, t: float) -> float:
-        """Master-worker distance at the last mobility tick by time `t`."""
-        return _distance(self._paths, worker, int(t))
 
     # -- roster --------------------------------------------------------------
 

@@ -18,7 +18,6 @@ from codedconv.engine import (
     episode_profiles,
     episode_task,
     export_event_log,
-    philox_key,
     run_episode,
     substream,
 )
@@ -32,14 +31,26 @@ from codedconv.models import (
 )
 from codedconv.scenarios import ScenarioConfig, benchmark_scenario
 from codedconv.strategies import STRATEGIES, StrategyOutcome
+from keys import built_from_key, philox_key
+
+
+def make_draws(p=2, seed=11, **fleet):
+    """Draws of `p` workers of mu 4e6; `fleet` sets scenario fields."""
+    scn = ScenarioConfig("engine", n1=1, n2=1, n_workers=p, mu_low=4e6,
+                         mu_high=4e6, **fleet)
+    return Draws(seed, scn)
 
 
 def make_engine(p=2, seed=11, behaviors=None, collect_log=True, **fleet):
-    """An engine on `p` workers of mu 4e6; `fleet` sets scenario fields."""
-    scn = ScenarioConfig("engine", n1=1, n2=1, n_workers=p, mu_low=4e6,
-                         mu_high=4e6, **fleet)
+    """An engine on the fleet of `make_draws(p, seed, **fleet)`."""
     behaviors = behaviors or [Behavior() for _ in range(p)]
-    return SimEngine(Draws(seed, scn), behaviors, collect_log=collect_log)
+    return SimEngine(make_draws(p, seed, **fleet), behaviors,
+                     collect_log=collect_log)
+
+
+def distance(draws, worker, t):
+    """Master-worker distance at the last mobility tick by time `t`."""
+    return engine._distance(draws.paths, worker, int(t))
 
 
 # -- substreams ----------------------------------------------------------------
@@ -77,7 +88,7 @@ def test_substream_draws_equal_philox_built_from_its_key():
         seed = int(rng.integers(0, 2**63))
         tags = tuple(int(t) for t in rng.integers(0, 2**32, rng.integers(0, 4)))
         for fast in (substream(seed, *tags), substream(engine.Seed(seed), *tags)):
-            slow = np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
+            slow = built_from_key(seed, *tags)
             assert fast.key == philox_key(seed, *tags).tolist()
             with fast as gen:
                 for g in (gen, slow):
@@ -201,9 +212,8 @@ def test_now_advances_with_events():
 
 def test_single_piece_timing_matches_models():
     eng = make_engine(p=1, seed=5)
-    probe = make_engine(p=1, seed=5)  # same seed, same geometry
-    d0 = probe.distance(0, 0.0)
-    rate = data_rate(d0, probe.comm)
+    probe = make_draws(p=1, seed=5)  # same seed, same geometry
+    rate = data_rate(distance(probe, 0, 0.0), eng.comm)
     n_in, n_out = 100, 299
     eng.send(0, row=0, n_in=n_in, load_pair=(200, 100))
     results = [ev for ev in eng.events() if ev.kind == "result_arrives"]
@@ -286,14 +296,11 @@ def priced_pushes(seed, fleet, roster, sends):
     for k, (_, _, time) in enumerate(sends):
         push(time, EngineEvent("wakeup", time, k))
 
-    def built_from_key(*tags):
-        return np.random.Generator(np.random.Philox(key=philox_key(seed, *tags)))
-
-    probe = SimEngine(Draws(seed, fleet), roster)
-    mus = built_from_key(engine._SCENARIO_TAG, engine._MU).uniform(
+    probe = Draws(seed, fleet)
+    mus = built_from_key(seed, engine._SCENARIO_TAG, engine._MU).uniform(
         fleet.mu_low, fleet.mu_high, fleet.n_workers)
     profiles = [models.WorkerProfile(mu=float(mu)) for mu in mus]
-    exponentials = [built_from_key(w, engine._COMPUTE).standard_exponential(16)
+    exponentials = [built_from_key(seed, w, engine._COMPUTE).standard_exponential(16)
                     for w in range(fleet.n_workers)]
     accepted = [0] * fleet.n_workers
     busy = [0.0] * fleet.n_workers
@@ -302,7 +309,7 @@ def priced_pushes(seed, fleet, roster, sends):
         beh = roster[w]
         if now < beh.joins or now >= beh.departs:
             continue
-        rate = data_rate(probe.distance(w, now), fleet.comm)
+        rate = data_rate(distance(probe, w, now), fleet.comm)
         t_in = comm_time(n_in, rate, payload_bytes)
         if now + t_in > beh.departs:
             continue
@@ -464,20 +471,20 @@ def test_joining_worker_accepts_pieces_from_join_time(send_time):
 
 
 def test_mobility_lazy_advance_is_query_independent():
-    a = make_engine(p=3, seed=21)
-    b = make_engine(p=3, seed=21)
+    a = make_draws(p=3, seed=21)
+    b = make_draws(p=3, seed=21)
     for t in (0.3, 1.1, 2.7, 3.9, 4.2):
-        a.distance(1, t)
-    da = a.distance(1, 5.0)
-    db = b.distance(1, 5.0)  # direct jump, no intermediate queries
+        distance(a, 1, t)
+    da = distance(a, 1, 5.0)
+    db = distance(b, 1, 5.0)  # direct jump, no intermediate queries
     assert da == pytest.approx(db, abs=0.0)
 
 
 def test_mobility_speed_bounded():
-    eng = make_engine(p=1, seed=13, speed_limit_mps=10.0)
-    prev = eng.distance(0, 0.0)
+    draws = make_draws(p=1, seed=13, speed_limit_mps=10.0)
+    prev = distance(draws, 0, 0.0)
     for t in range(1, 30):
-        cur = eng.distance(0, float(t))
+        cur = distance(draws, 0, float(t))
         # both nodes move at most 10*sqrt(2) m/s, so relative motion is bounded
         assert abs(cur - prev) <= 2 * 10.0 * math.sqrt(2.0) + 1e-9
         prev = cur
@@ -485,10 +492,10 @@ def test_mobility_speed_bounded():
 
 def test_positions_start_inside_box():
     for seed in range(20):
-        eng = make_engine(p=4, seed=seed, init_box_m=1500.0)
+        draws = make_draws(p=4, seed=seed, init_box_m=1500.0)
         # distance between any worker and master is at most the box diagonal
         for w in range(4):
-            assert eng.distance(w, 0.0) <= math.hypot(3000.0, 3000.0)
+            assert distance(draws, w, 0.0) <= math.hypot(3000.0, 3000.0)
 
 
 # -- event log export --------------------------------------------------------------

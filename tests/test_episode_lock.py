@@ -3,8 +3,9 @@
 The tables in tests/golden/ keep only means and standard deviations, so a
 change that moves single episodes but keeps the means would pass them.
 `episodes.csv` holds one row per (preset, mode, strategy, seed) episode at
-`--scale 64`; `distances.csv` holds direct `SimEngine.distance` reads
-across whole-second mobility ticks, which no `--scale 64` episode reaches.
+`--scale 64`; `distances.csv` holds master-worker distances read off a
+`Draws`' position tapes across whole-second mobility ticks, which no
+`--scale 64` episode reaches.
 `ticks.csv` holds the episodes that do: every episode of a small grid at
 scales 8 and 1 that runs past one second, plus episodes whose workers
 depart mid-task or join late, which no CLI experiment can ask for.
@@ -21,10 +22,10 @@ and say so where the change is recorded.
 import math
 from pathlib import Path
 
+from codedconv import engine
 from codedconv.engine import (
     Draws,
     SimEngine,
-    episode_behaviors,
     run_episode,
 )
 from codedconv.models import Behavior
@@ -141,14 +142,15 @@ def tick_lines() -> list[str]:
 
 
 def distance_lines() -> list[str]:
-    # One engine per seed, read in increasing time as an episode would.
+    # One Draws per seed, read in increasing time as an episode would.
     scn = benchmark_scenario(DISTANCE_PRESET, SCALE)
     lines = ["seed,worker,t,distance"]
     for seed in DISTANCE_SEEDS:
-        eng = SimEngine(Draws(seed, scn), episode_behaviors(scn, seed))
+        paths = Draws(seed, scn).paths
         for t in DISTANCE_TIMES:
             for w in DISTANCE_WORKERS:
-                lines.append(f"{seed},{w},{t!r},{eng.distance(w, t)!r}")
+                d = engine._distance(paths, w, int(t))
+                lines.append(f"{seed},{w},{t!r},{d!r}")
     return lines
 
 
