@@ -1,11 +1,13 @@
 """Command-line front end for the simulation experiments.
 
 Subcommands mirror the four experiments (sweep-b, compare, stress,
-success-rate) plus `run`, which executes a config file.  `main` reads
-either front end into a kind, a scenario and [experiment]-style options,
-and one `run_experiment` runs every kind through its row in `_KINDS`: it
-calls the kind's runner, echoes the table to stdout and writes it as CSV
-plus a manifest sidecar in the output directory.
+success-rate) plus `run`, which executes a config file.  A config runs the
+subcommand its `kind` names: its options are that subcommand's defaults
+with the config's [experiment] keys, and its [straggler] ratio and mode
+where the subcommand has that flag, on top.  One `run_experiment` runs
+every kind through its row in `_KINDS`: it calls the kind's runner, echoes
+the table to stdout and writes it as CSV plus a manifest sidecar in the
+output directory.
 `main` may be called many times in one process: it builds its parser with
 `build_parser` at its first call and reuses it for every later one.
 Exit codes: 0 success, 2 bad usage or config, 3 runtime failure.
@@ -32,11 +34,6 @@ from .experiments import (
 )
 from .models import FAILURE_MODES, STRAGGLER_MODES
 from .scenarios import DEFAULT_SCALE, benchmark_scenario
-
-# Defaults shared by the subcommand flags and the [experiment] keys.
-DEFAULTS = {"seed": 1234, "reps": 25, "runs": 2000, "out_dir": "results",
-            "ratios": "0,0.25,0.5,0.75,1"}
-
 
 def parse_list(text: str, convert, option: str) -> list:
     """Comma-separated numbers; an empty list is an error naming `option`."""
@@ -78,9 +75,7 @@ def _stress(scn, ratios, reps, seed, mode):
 
 
 def _success_rate(scn, grid, runs, seed, mode):
-    """Success fraction under uniform failure counts; "delayed", the mode of
-    a config without [straggler] mode, counts failures here."""
-    mode = "fail" if mode == "delayed" else mode
+    """Success fraction under uniform failure counts."""
     rows, _ = success_rate(scn, runs, seed, mode=mode)
     return rows, {"mode": mode, "b": auto(scn.dynamic_b)}
 
@@ -106,35 +101,37 @@ def _flag(key: str) -> str:
     return "--out" if key == "out_dir" else "--" + key.replace("_", "-")
 
 
-def run_experiment(kind: str, scenario, options: dict, *, mode: str, scale,
-                   name) -> None:
+def run_experiment(kind: str, scenario, options: dict, *, name) -> None:
     """Run one experiment, echo its table and write its CSV and manifest.
 
-    `options` holds [experiment] keys, missing ones taking `DEFAULTS`, and
-    `name(key)` spells a key in errors; a bad one raises ConfigError before
-    any episode runs.  `scale` is the preset scale, None for explicit sizes.
+    `options` holds the parsed flags of subcommand `kind`; `name(key)`
+    spells a key in errors, and a bad one raises ConfigError before any
+    episode runs.  A `ratio` option sets the scenario's straggler ratio,
+    `mode` is the kind's straggler mode and `scale` the preset scale, None
+    for explicit sizes.
     """
     runner, stem, fields, count_key, grid_key, convert = _KINDS[kind]
-    count = options.get(count_key, DEFAULTS[count_key])
+    count = options[count_key]
     if count < 1:
         raise ConfigError(f"{name(count_key)} must be >= 1")
-    text = options.get(grid_key, DEFAULTS.get(grid_key))
+    text = options.get(grid_key)
     grid = None if text is None else parse_list(text, convert, name(grid_key))
-    out_dir = options.get("out_dir", DEFAULTS["out_dir"])
-    if not out_dir:
+    if not options["out_dir"]:
         raise ConfigError(f"{name('out_dir')} must name a directory")
-    seed = options.get("seed", DEFAULTS["seed"])
-    rows, extra = runner(scenario, grid, count, seed, mode)
+    if "ratio" in options:
+        scenario = scenario.replace(straggler_ratio=options["ratio"])
+    seed = options["seed"]
+    rows, extra = runner(scenario, grid, count, seed, options.get("mode"))
     extra[count_key] = count
-    if scale is not None:
-        extra["scale"] = scale
+    if options["scale"] is not None:
+        extra["scale"] = options["scale"]
     print(",".join(fields))
     for row in rows:
         print(",".join(format_value(row[field]) for field in fields))
     if "argmin_b" in extra:
         print(f"argmin_b={extra['argmin_b']}")
     manifest = manifest_entries(scenario, kind, seed, **extra)
-    csv_path, _ = emit(out_dir, stem, fields, rows, manifest)
+    csv_path, _ = emit(options["out_dir"], stem, fields, rows, manifest)
     print(f"wrote {csv_path}")
 
 
@@ -152,13 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FACTOR",
                        help="divide operand lengths by FACTOR (default 8; "
                             "1 = full size)")
-        p.add_argument("--seed", type=int, default=DEFAULTS["seed"],
+        p.add_argument("--seed", type=int, default=1234,
                        help="base seed (default 1234)")
-        p.add_argument("--out", dest="out_dir", default=DEFAULTS["out_dir"],
+        p.add_argument("--out", dest="out_dir", default="results",
                        metavar="DIR",
                        help="output directory (default results/)")
         if reps:
-            p.add_argument("--reps", type=int, default=DEFAULTS["reps"],
+            p.add_argument("--reps", type=int, default=25,
                            help="repetitions per point (default 25)")
 
     p = sub.add_parser("sweep-b", help="mean time of the dynamic strategy "
@@ -181,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stress", help="strategy comparison over a grid of "
                                       "straggler ratios")
     add_common(p)
-    p.add_argument("--ratios", metavar="LIST", default=DEFAULTS["ratios"],
+    p.add_argument("--ratios", metavar="LIST", default="0,0.25,0.5,0.75,1",
                    help="comma-separated ratios (default 0,0.25,0.5,0.75,1)")
     p.add_argument("--mode", choices=STRAGGLER_MODES,
                    default="delayed", help="straggler behaviour")
@@ -189,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("success-rate", help="success fraction under uniform "
                                             "0..P worker failures")
     add_common(p, reps=False)
-    p.add_argument("--runs", type=int, default=DEFAULTS["runs"],
+    p.add_argument("--runs", type=int, default=2000,
                    help="episodes per strategy (default 2000)")
     p.add_argument("--mode", choices=FAILURE_MODES, default="fail",
                    help="failure behaviour")
@@ -211,21 +208,20 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = load_config(args.config)
             scenario = scenario_from_config(config)
-            options = config.get("experiment", {})
-            kind = options.get("kind")
+            experiment = config.get("experiment", {})
+            kind = experiment.get("kind")
             if kind not in _KINDS:
                 raise ConfigError(f"unknown experiment kind {kind!r}; "
                                   "valid kinds: " + ", ".join(_KINDS))
-            mode, scale, name = (scenario.straggler_mode,
-                                 preset_scale(config), str)
+            options = vars(_parser().parse_args([kind])) | experiment
+            straggler = config.get("straggler", {})
+            options.update((key, straggler[key]) for key in ("ratio", "mode")
+                           if key in straggler and key in options)
+            options["scale"], name = preset_scale(config), str
         else:
-            kind, scale, name = args.command, args.scale, _flag
-            ratio = {"straggler_ratio": args.ratio} if "ratio" in args else {}
-            scenario = benchmark_scenario(args.scenario, scale, **ratio)
-            options = vars(args)
-            mode = getattr(args, "mode", scenario.straggler_mode)
-        run_experiment(kind, scenario, options, mode=mode, scale=scale,
-                       name=name)
+            kind, options, name = args.command, vars(args), _flag
+            scenario = benchmark_scenario(args.scenario, args.scale)
+        run_experiment(kind, scenario, options, name=name)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,6 +44,12 @@ CODES_KEPT = 64
 VERDICTS_KEPT = 1024
 
 
+def shortest_piece(n: int) -> int:
+    """Shortest piece length that cuts n values into at most
+    MAX_SQUARE_PIECES pieces; a coded column of more never decodes."""
+    return -(-n // MAX_SQUARE_PIECES)
+
+
 def as_vector(values) -> np.ndarray:
     """Validate and return `values` as a 1-D float64 array of length >= 1."""
     arr = np.asarray(values, dtype=np.float64)

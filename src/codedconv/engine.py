@@ -369,7 +369,7 @@ class SimEngine:
             if beh.departs < math.inf:
                 self._push(beh.departs, EngineEvent("worker_leaves", beh.departs, w))
 
-    # -- time and mobility ---------------------------------------------------
+    # -- time ----------------------------------------------------------------
 
     @property
     def now(self) -> float:

@@ -18,6 +18,7 @@ import zlib
 import numpy as np
 
 from . import __version__
+from .coding import MAX_SQUARE_PIECES, shortest_piece
 from .engine import Draws, run_episode
 from .models import FAILURE_MODES, CommParams
 from .scenarios import (
@@ -90,14 +91,18 @@ def sweep_b(scenario: ScenarioConfig, b_values, reps: int, base_seed: int):
     """Dynamic-strategy mean/std completion time for each piece length.
 
     Returns (rows, argmin_b); rows keep the given b order, argmin ties go
-    to the earliest row.
+    to the earliest row.  A b below `shortest_piece(n2)` is refused: its
+    column has more than MAX_SQUARE_PIECES pieces and never decodes.
     """
     b_values = list(b_values)
     if not b_values:
         raise ConfigError("b_values must not be empty")
+    lo = shortest_piece(scenario.n2)
     for b in b_values:
-        if not 1 <= b <= scenario.n2:
-            raise ConfigError(f"b={b} out of range [1, {scenario.n2}]")
+        if not lo <= b <= scenario.n2:
+            raise ConfigError(
+                f"b_values: b={b} out of range [{lo}, {scenario.n2}], the "
+                f"lengths that cut n2 into <= {MAX_SQUARE_PIECES} pieces")
     rows = _time_rows([{"b": b} for b in b_values],
                       [(scenario, "dynamic", {"b": b}) for b in b_values],
                       reps, base_seed)
@@ -242,7 +247,7 @@ _COMM_KEYS = {
 }
 _EXPERIMENT_KEYS = {
     "kind": str, "reps": int, "seed": int, "out_dir": str,
-    "b_values": str, "ratios": str, "runs": int, "ratio": float,
+    "b_values": str, "ratios": str, "runs": int,
 }
 _SECTIONS = {
     "scenario": _SCENARIO_KEYS,
@@ -312,13 +317,11 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
 
     [scenario] and [straggler] keys set the fields they name, through
     _FIELD_NAMES where the names differ, and [comm] sets `comm`.
-    [experiment] ratio, like the sweep-b and compare --ratio flag, sets the
-    straggler ratio and takes precedence over [straggler] ratio.
+    [straggler] ratio and mode are also the options of the subcommands
+    with a --ratio or --mode flag, which `cli.main` applies.
     """
     scn = config.get("scenario", {})
-    exp = config.get("experiment", {})
-    sections = (scn, config.get("straggler", {}),
-                {"ratio": exp["ratio"]} if "ratio" in exp else {})
+    sections = (scn, config.get("straggler", {}))
     fields = {_FIELD_NAMES.get(key, key): value
               for section in sections for key, value in section.items()
               if key not in ("index", "scale")}

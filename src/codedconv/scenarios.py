@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .coding import MAX_SQUARE_PIECES
+from .coding import MAX_SQUARE_PIECES, shortest_piece
 from .models import STRAGGLER_MODES, CommParams
 
 SCENARIO_SIZES = {
@@ -85,12 +85,14 @@ class ScenarioConfig:
                             ">= 0, both finite")
         if not self.horizon_factor > 1.0:
             problems.append("horizon_factor must be > 1")
-        if self.dynamic_b is not None and not 1 <= self.dynamic_b <= self.n2:
-            problems.append("dynamic_b must be in [1, n2]")
+        # A column cut into more than MAX_SQUARE_PIECES pieces never decodes.
+        b = self.dynamic_b
+        if b is not None and not shortest_piece(self.n2) <= b <= self.n2:
+            problems.append("dynamic_b must be in [1, n2] and cut n2 into "
+                            f"<= {MAX_SQUARE_PIECES} pieces")
         s = self.traditional_s
-        if s is not None and not (1 <= s <= min(self.n1, self.n2) and math.ceil(
-                max(self.n1, self.n2) / s) <= MAX_SQUARE_PIECES):
-            # More coded pieces than the square-system limit never decode.
+        if s is not None and not (shortest_piece(max(self.n1, self.n2)) <= s
+                                  <= min(self.n1, self.n2)):
             problems.append("traditional_s must be in [1, min(n1, n2)] and cut "
                             f"max(n1, n2) into <= {MAX_SQUARE_PIECES} pieces")
         if problems:

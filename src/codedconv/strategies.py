@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coding import (
-    MAX_SQUARE_PIECES,
     DecodeFailure,
     as_vector,
     check_decodable,
@@ -42,6 +41,7 @@ from .coding import (
     mds_encode,
     overlap_add,
     partition,
+    shortest_piece,
 )
 
 # Stack budget headroom for the dynamic strategy: enough fresh rows that
@@ -189,7 +189,7 @@ def select_s(n1: int, n2: int, p: int, profiles,
         raise ValueError("need at least one worker")
     hi = min(n1, n2)
     lo = max(min(hi, math.ceil(math.sqrt(n1 * n2 / p))),
-             _pieces(max(n1, n2), MAX_SQUARE_PIECES))
+             shortest_piece(max(n1, n2)))
     if lo > hi:
         return None
     rates = [(prof.alpha, math.log(prof.mu)) for prof in profiles]

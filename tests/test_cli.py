@@ -184,11 +184,58 @@ def test_traditional_s_with_too_many_pieces_exits_2(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
+def test_dynamic_b_with_too_many_pieces_exits_2(tmp_path, capsys):
+    # ceil(256 / 8) = 32 pieces per column could never decode.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nindex = 1\ndynamic_b = 8\n\n"
+                   "[experiment]\nkind = compare\nreps = 1\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, _, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert "dynamic_b" in err and "31 pieces" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_sweep_b_with_too_many_pieces_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["sweep-b", "--scenario", "1", "--b-values", "8", "--reps", "1",
+         "--out", str(tmp_path / "res")], capsys)
+    assert code == 2
+    assert "b_values" in err and "b=8" in err and "31 pieces" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_experiment_ratio_key_exits_2(tmp_path, capsys):
+    # [straggler] ratio is the one ratio key.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nindex = 1\nscale = 64\n\n"
+                   "[experiment]\nkind = compare\nratio = 0.5\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, _, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert ("unknown key 'ratio' in [experiment]; valid keys: b_values, "
+            "kind, out_dir, ratios, reps, runs, seed") in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_success_rate_config_with_delayed_mode_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nindex = 2\nscale = 64\n\n"
+                   "[straggler]\nmode = delayed\n\n"
+                   "[experiment]\nkind = success-rate\nruns = 5\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, _, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert "'fail' or 'leave'" in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_compare_without_decodable_chunk_length(tmp_path, capsys):
     # No automatic chunk length cuts n1 = 2000 into <= 31 pieces, so every
     # traditional episode fails at once: mean inf, std nan, no warning.
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("[scenario]\nn1 = 2000\nn2 = 2\nworkers = 4\n\n"
+                   "[straggler]\nratio = 0\n\n"
                    "[experiment]\nkind = compare\nreps = 2\nseed = 7\n"
                    f"out_dir = {tmp_path / 'res'}\n")
     with warnings.catch_warnings():
@@ -244,14 +291,15 @@ def test_manifest_has_no_timestamp(tmp_path, capsys):
     assert os.linesep not in text or os.linesep == "\n"
 
 
-# (count, grid, seed, mode) that a bare subcommand and a config holding
-# only the preset and the kind both pass to the experiment.
+# (count, grid, seed, mode, scenario straggler ratio) that a bare subcommand
+# and a config holding only the preset and the kind both pass to the
+# experiment.
 DEFAULT_CALLS = {
     "sweep-b": (25, default_sweep_grid(benchmark_scenario(1, 64).n2), 1234,
-                None),
-    "compare": (25, None, 1234, "delayed"),
-    "stress": (25, [0.0, 0.25, 0.5, 0.75, 1.0], 1234, "delayed"),
-    "success-rate": (2000, None, 1234, "fail"),
+                None, 0.0),
+    "compare": (25, [0.5], 1234, "delayed", 0.5),
+    "stress": (25, [0.0, 0.25, 0.5, 0.75, 1.0], 1234, "delayed", 0.0),
+    "success-rate": (2000, None, 1234, "fail", 0.0),
 }
 
 
@@ -261,22 +309,21 @@ def test_subcommand_and_config_share_defaults(kind, tmp_path, capsys,
     calls = []
 
     def sweep_b(scenario, b_values, reps, base_seed):
-        calls.append((reps, list(b_values), base_seed, None))
+        calls.append((reps, list(b_values), base_seed, None,
+                      scenario.straggler_ratio))
         rows = [{"b": b, "mean_time_s": 1.0, "std_time_s": 0.0}
                 for b in b_values]
         return rows, b_values[0]
 
     def stress_test(scenario, ratios, reps, base_seed, mode="delayed"):
-        # compare's one ratio is not compared: --ratio defaults to 0.5,
-        # a config's [straggler] ratio to 0.
-        grid = None if kind == "compare" else list(ratios)
-        calls.append((reps, grid, base_seed, mode))
+        calls.append((reps, list(ratios), base_seed, mode,
+                      scenario.straggler_ratio))
         return [{"ratio": ratio, "strategy": strategy, "mean_time_s": 1.0,
                  "std_time_s": 0.0}
                 for ratio in ratios for strategy in STRATEGY_ORDER]
 
     def success_rate(scenario, runs, base_seed, mode="fail"):
-        calls.append((runs, None, base_seed, mode))
+        calls.append((runs, None, base_seed, mode, scenario.straggler_ratio))
         return [{"strategy": strategy, "success_rate": 1.0, "successes": runs,
                  "runs": runs} for strategy in STRATEGY_ORDER], {}
 

@@ -25,6 +25,7 @@ from codedconv.coding import (
     mds_encode,
     overlap_add,
     partition,
+    shortest_piece,
 )
 
 
@@ -297,6 +298,15 @@ def test_decode_factors_square_system_holds_up_to_31_pieces():
     decode_factors(make_encoding_matrix(31, 31), range(31))
     with pytest.raises(DecodeFailure):
         decode_factors(make_encoding_matrix(32, 32), range(32))
+
+
+@given(st.integers(1, 100_000))
+def test_shortest_piece_is_the_cap_on_piece_count(n):
+    # ScenarioConfig's dynamic_b and traditional_s, sweep_b's grid and
+    # select_s's lower bound all refuse a length shorter than this.
+    length = shortest_piece(n)
+    assert -(-n // length) <= MAX_SQUARE_PIECES
+    assert length == 1 or -(-n // (length - 1)) > MAX_SQUARE_PIECES
 
 
 def test_decode_verdict_memo_raises_every_failure_again(monkeypatch):

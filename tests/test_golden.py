@@ -37,16 +37,16 @@ CONFIG_CASES = {
     "sweep_b": "[scenario]\nindex = 1\nscale = 64\n\n"
                "[experiment]\nkind = sweep-b\nreps = 2\nseed = 7\n",
     "compare": "[scenario]\nindex = 1\nscale = 64\n\n"
-               "[experiment]\nkind = compare\nreps = 2\nseed = 7\n"
-               "ratio = 0.5\n",
+               "[experiment]\nkind = compare\nreps = 2\nseed = 7\n",
     "stress": "[scenario]\nindex = 2\nscale = 64\n\n"
               "[experiment]\nkind = stress\nreps = 2\nseed = 7\n",
     "success_rate": "[scenario]\nindex = 2\nscale = 64\n\n"
                     "[experiment]\nkind = success-rate\nruns = 20\n"
                     "seed = 7\n",
     "sweep_b_ratio": "[scenario]\nindex = 2\nscale = 64\n\n"
+                     "[straggler]\nratio = 0.5\n\n"
                      "[experiment]\nkind = sweep-b\nreps = 2\nseed = 7\n"
-                     "ratio = 0.5\nb_values = 8,16,32\n",
+                     "b_values = 8,16,32\n",
     "compare_fail": "[scenario]\nindex = 4\nscale = 64\n\n"
                     "[straggler]\nmode = fail\nratio = 0.25\n\n"
                     "[experiment]\nkind = compare\nreps = 2\nseed = 7\n",
