@@ -43,7 +43,13 @@ Each worker's `Behavior` is read in three places: its slowdown multiplies
 the compute and return-transfer time of every piece, the master can reach
 it from its join time, and no piece is delivered past its departure time.
 Late joins and departures are also announced to the master as roster
-events.
+events, except a departure at t=0: a worker that fails at the start never
+returns a result or gets a wakeup, so no strategy could act on it, and it
+is never announced.
+
+The strategies schedule from a plan's code shape alone; the plan builds
+its encoding matrix when `assemble` reads it, so an episode that keeps no
+result builds none.
 """
 import functools
 import heapq
@@ -81,7 +87,7 @@ def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return z ^ (z >> 31)
 
 
 class Memo(dict):
@@ -169,7 +175,10 @@ def substream(seed: int, *tags: int) -> Stream:
     """
     if not isinstance(seed, Seed):
         seed = Seed(seed)
-    if tags:
+    if len(tags) == 2:
+        # The usual (node, purpose) pair.
+        state = _splitmix64(seed.nodes[tags[0]] ^ (int(tags[1]) & _MASK64))
+    elif tags:
         state = seed.nodes[tags[0]]
         for tag in tags[1:]:
             state = _splitmix64(state ^ (int(tag) & _MASK64))
@@ -215,7 +224,8 @@ class _Exponentials(Tape):
     __slots__ = ()
 
     def _draw(self, rng, n: int) -> None:
-        self.extend(rng.standard_exponential(n)[len(self):].tolist())
+        values = rng.standard_exponential(n)
+        self.extend((values[len(self):] if self else values).tolist())
 
 
 class _Path(Tape):
@@ -229,7 +239,9 @@ class _Path(Tape):
     __slots__ = ("_speed_limit",)
 
     def __init__(self, seed: int, tag: int, box: float, speed_limit: float):
-        super().__init__(seed, tag, _VELOCITY)
+        # Tape's fields, set here: a new list is already empty, so
+        # Tape.__init__ would do nothing more.
+        self._seed, self._tags, self._stream = seed, (tag, _VELOCITY), None
         self._speed_limit = speed_limit
         with substream(seed, tag, _POSITION) as rng:
             self.append(tuple(rng.uniform(-box, box, 2).tolist()))
@@ -238,7 +250,9 @@ class _Path(Tape):
         # Position k follows velocity row k - 1.
         limit = self._speed_limit
         x, y = self[-1]
-        velocities = rng.uniform(-limit, limit, (n - 1, 2))[len(self) - 1:]
+        velocities = rng.uniform(-limit, limit, (n - 1, 2))
+        if len(self) > 1:
+            velocities = velocities[len(self) - 1:]
         for vx, vy in velocities.tolist():
             x += vx
             y += vy
@@ -361,12 +375,14 @@ class SimEngine:
         self._compute = draws.compute
         self._compute_read = [0] * self.n_workers
 
-        # Master-visible roster changes; a worker that departs before it
-        # joins is never announced as joining.
+        # Master-visible roster changes.  A worker that departs before it
+        # joins is never announced as joining, and one that departs at t=0
+        # is never announced at all: it returns no result and gets no
+        # wakeup, so no strategy could act on its departure.
         for w, beh in enumerate(self.behaviors):
             if 0.0 < beh.joins < beh.departs:
                 self._push(beh.joins, EngineEvent("worker_joins", beh.joins, w))
-            if beh.departs < math.inf:
+            if 0.0 < beh.departs < math.inf:
                 self._push(beh.departs, EngineEvent("worker_leaves", beh.departs, w))
 
     # -- time ----------------------------------------------------------------
@@ -483,7 +499,7 @@ def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     """Draw per-worker compute profiles for one episode."""
     with substream(seed, _SCENARIO_TAG, _MU) as rng:
         mus = rng.uniform(scenario.mu_low, scenario.mu_high, scenario.n_workers)
-    return [WorkerProfile(mu=float(mu)) for mu in mus]
+    return [WorkerProfile(mu=mu) for mu in mus.tolist()]
 
 
 def episode_behaviors(scenario, seed: int) -> list[Behavior]:

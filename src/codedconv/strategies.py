@@ -25,6 +25,7 @@ A successful outcome carries a Plan, and `plan.assemble(a, x)` turns the
 operands into the convolution those results would decode to.
 """
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -68,7 +69,11 @@ class Plan:
     lists the rows i of column j in arrival order, and `assemble` decodes
     them in ascending row order, as `_run` judged their (shape, row set).
     `lengths` is (len(a), len(x)); `code` is the Vandermonde code's (rows,
-    cols) shape, or None for the identity; `matrix` is built from it.
+    cols) shape, or None for the identity.  `shape` is the matrix's shape,
+    known without the matrix, and the only part `_run` reads; `matrix` is
+    built from the code when `assemble` reads it, so an episode that keeps
+    no result builds none.  A worker that departs at t=0 adds no row: the
+    engine never announces it, and every piece sent to it is lost.
     """
 
     lengths: tuple[int, int]
@@ -77,14 +82,21 @@ class Plan:
     other_length: int
     code: tuple[int, int] | None
     columns: list[list[int]]
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, cols) of `matrix`: the code's, or the identity's."""
         if self.code is None:
-            coded = self.lengths[self.coded_is_x]
-            self.matrix = np.eye(_pieces(coded, self.coded_length))
-        else:
-            self.matrix = make_encoding_matrix(*self.code)
+            pieces = _pieces(self.lengths[self.coded_is_x], self.coded_length)
+            return pieces, pieces
+        return self.code
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The shared code matrix, or an identity of the piece count."""
+        if self.code is None:
+            return np.eye(self.shape[0])
+        return make_encoding_matrix(*self.code)
 
     def assemble(self, a, x) -> np.ndarray:
         """Encode, convolve, decode and overlap-add the full convolution."""
@@ -246,7 +258,7 @@ def _run(plan: Plan, eng, horizon: float, params: dict,
     that did not end it.
     """
     columns, code = plan.columns, plan.code
-    ncols, m = len(columns), plan.matrix.shape[1]
+    ncols, m = len(columns), plan.shape[1]
     open_columns = ncols
     per_worker = defaultdict(int)
     for ev in eng.events(until=horizon):
@@ -289,7 +301,7 @@ def _run_fixed_code(plan: Plan, eng, horizon: float,
     s = plan.coded_length
     load_pair = (s, s)
     if roster:
-        for k in range(plan.matrix.shape[0] * len(plan.columns)):
+        for k in range(plan.shape[0] * len(plan.columns)):
             eng.send(roster[k % len(roster)], k, 2 * s, load_pair)
     return _run(plan, eng, horizon, params)
 

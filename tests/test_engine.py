@@ -291,7 +291,7 @@ def priced_pushes(seed, fleet, roster, sends):
     for w, beh in enumerate(roster):
         if 0.0 < beh.joins < beh.departs:
             push(beh.joins, EngineEvent("worker_joins", beh.joins, w))
-        if beh.departs < math.inf:
+        if 0.0 < beh.departs < math.inf:
             push(beh.departs, EngineEvent("worker_leaves", beh.departs, w))
     for k, (_, _, time) in enumerate(sends):
         push(time, EngineEvent("wakeup", time, k))
@@ -378,10 +378,8 @@ def test_failed_worker_loses_pieces_silently():
     eng.send(0, row=0, n_in=10, load_pair=(10, 10))
     eng.send(1, row=1, n_in=10, load_pair=(10, 10))
     events = list(eng.events())
-    kinds = [(ev.kind, ev.worker) for ev in events]
-    assert ("worker_leaves", 0) in kinds
-    results = [ev for ev in events if ev.kind == "result_arrives"]
-    assert [ev.worker for ev in results] == [1]
+    # A worker that fails at t=0 is never announced: it yields no event.
+    assert [(ev.kind, ev.worker) for ev in events] == [("result_arrives", 1)]
     # the dispatch to the dead worker is still logged (master-side view)
     dispatches = [rec for rec in eng.log if rec.kind == "dispatch"]
     assert len(dispatches) == 2

@@ -18,7 +18,8 @@ from keys import built_from_key
 
 
 class KeyedEngine(SimEngine):
-    """SimEngine that records the (time, seq) queue key of each popped event."""
+    """SimEngine that records the (time, seq, event) queue entry of each
+    popped event."""
 
     def __init__(self, *args, **kwargs):
         self.keys = {}
@@ -31,23 +32,25 @@ class KeyedEngine(SimEngine):
 
     def events(self, until=math.inf):
         for ev in super().events(until):
-            self.popped.append(self.keys[id(ev)][:2])
+            self.popped.append(self.keys[id(ev)])
             yield ev
 
 
-# Each field is drawn on its own, so a worker may be slowed, join late and
-# depart (even before it joins) in the same episode.
-behaviors = st.builds(
-    Behavior,
-    slowdown=st.one_of(st.just(1.0), st.floats(1.0, 50.0)),
-    joins=st.one_of(st.just(0.0), st.floats(0.0, 0.005)),
-    departs=st.one_of(st.just(math.inf), st.floats(0.0, 0.005)),
-)
+# Departure times; a worker that fails at t=0 is a choice of its own, so
+# such workers are common.
+DEPARTURES = st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.0, 0.005))
 
 
 @st.composite
-def runs(draw):
+def runs(draw, departures=DEPARTURES):
     """(engine, outcome) of one strategy run on a random fleet."""
+    # Each field is drawn on its own, so a worker may be slowed, join late
+    # and depart (even before it joins) in the same episode.
+    behaviors = st.builds(
+        Behavior,
+        slowdown=st.one_of(st.just(1.0), st.floats(1.0, 50.0)),
+        joins=st.one_of(st.just(0.0), st.floats(0.0, 0.005)),
+        departs=departures)
     roster = draw(st.lists(behaviors, min_size=1, max_size=6))
     # mu_low < mu_high, so the workers' profiles differ.
     mu_low = draw(st.floats(3e6, 6e6, exclude_max=True))
@@ -115,7 +118,18 @@ def test_no_result_after_departure(eng):
 @fleets
 @given(episodes())
 def test_events_pop_in_time_then_seq_order(eng):
-    assert eng.popped == sorted(eng.popped)
+    keys = [(time, seq) for time, seq, _ in eng.popped]
+    assert keys == sorted(keys)
+
+
+@fleets
+@given(episodes())
+def test_worker_failing_at_start_is_never_heard_from(eng):
+    # No event names a worker that departs at t=0, not even its departure,
+    # and a piece sent to it goes no further than its dispatch.
+    failed = {w for w, beh in enumerate(eng.behaviors) if beh.departs == 0.0}
+    assert not [ev for *_, ev in eng.popped if ev.worker in failed]
+    assert {rec.kind for rec in eng.log if rec.worker in failed} <= {"dispatch"}
 
 
 # Largest error of a successful episode's convolution, in units of
@@ -127,8 +141,13 @@ def test_events_pop_in_time_then_seq_order(eng):
 DECODE_ERROR_K = 64
 
 
+# Only successful episodes count here, and failures at t=0 make fewer of
+# them: with 0.0 among the departures about a third of the runs succeed,
+# and Hypothesis's filter health check (50 inputs filtered before 10 pass)
+# fails now and then.  So this test draws departures without it.
 @fleets
-@given(runs(), st.integers(0, 2**32 - 1))
+@given(runs(st.one_of(st.just(math.inf), st.floats(0.0, 0.005))),
+       st.integers(0, 2**32 - 1))
 def test_successful_decode_is_within_its_condition_bound(run, operand_seed):
     _, outcome = run
     assume(outcome.success)
@@ -174,9 +193,8 @@ def assert_same_episode(shared, private):
     assert got == want
     assert (plans[0] is None) == (plans[1] is None)
     if plans[0] is not None:
-        got, want = dict(vars(plans[0])), dict(vars(plans[1]))
-        np.testing.assert_array_equal(got.pop("matrix"), want.pop("matrix"))
-        assert got == want
+        assert plans[0] == plans[1]
+        np.testing.assert_array_equal(plans[0].matrix, plans[1].matrix)
 
 
 @settings(max_examples=40, deadline=None)

@@ -322,7 +322,7 @@ def test_traditional_past_decode_limit_fails_without_data():
     assert out.plan is None
 
 
-def test_plan_matrix_follows_its_code():
+def test_plan_matrix_follows_its_code(monkeypatch):
     # A square Vandermonde code and the identity share a shape; the plan's
     # code alone decides which one its matrix is.
     kwargs = dict(lengths=(40, 12), coded_is_x=False, coded_length=10,
@@ -330,6 +330,27 @@ def test_plan_matrix_follows_its_code():
     np.testing.assert_array_equal(Plan(code=None, **kwargs).matrix, np.eye(4))
     assert Plan(code=(4, 4), **kwargs).matrix is make_encoding_matrix(4, 4)
     assert Plan(code=(9, 4), **kwargs).matrix is make_encoding_matrix(9, 4)
+    # An episode that keeps no result builds no matrix; its plan builds the
+    # same one when it is read.
+    built = []
+
+    def counted(*code):
+        built.append(code)
+        return make_encoding_matrix(*code)
+
+    monkeypatch.setattr(strategies, "make_encoding_matrix", counted)
+    scn = benchmark_scenario(1, 8)
+    for strategy in sorted(strategies.STRATEGIES):
+        out = run_episode(scn, strategy, 3, keep_result=False)
+        assert out.success and built == []
+        if strategy == "uncoded":
+            np.testing.assert_array_equal(out.plan.matrix,
+                                          np.eye(out.params["rows"]))
+            assert built == []
+        else:
+            assert out.plan.matrix is make_encoding_matrix(*out.plan.code)
+            assert built == [out.plan.code]
+        built.clear()
 
 
 def test_uncoded_checks_no_decode(monkeypatch):
