@@ -25,13 +25,16 @@ drawn at the node's first distance read and the velocity stream at its
 first read past second 0.
 A worker's compute tape starts at the first piece it accepts.  Streams
 that no episode reads (failed workers, mobility in episodes shorter than
-a second) are never opened, and since each stream is keyed on its own,
-the draws do not depend on when or whether the others are made.  The
-`Draws` also holds the fleet's profiles and operands, the behaviours of
-each straggler setting, each pilot's completion time and each (worker,
-second) link rate, so a rep prices each link once.  An episode given no
-`Draws` makes a private one, so sharing one changes no value; one of
-another seed or fleet is refused.
+a second, the straggler stream of a setting that draws no straggler) are
+never opened, and since each stream is keyed on its own, the draws do
+not depend on when or whether the others are made.  The `Draws` also
+holds the fleet's profiles and operands, the behaviours of each
+straggler setting, each pilot's completion time, the traditional
+strategy's chunk length for each pair of operand lengths and each
+(worker, second) link rate, so a rep searches each chunk length once and
+prices each link once.  An episode given no `Draws` makes a private one,
+so sharing one changes no value; one of another seed or fleet is
+refused.
 
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); a distance read at time t sees the position
@@ -294,6 +297,9 @@ class Draws:
     `Draws`; a tape keeps its stream's key to draw it again.
     `pilot_times` keeps `run_episode`'s straggler-free pilot completion
     times by (strategy, b), `inf` for a pilot that cannot finish.
+    `chunk_lengths[n1, n2]` keeps `select_s`'s answer for the fleet and
+    operand lengths n1 >= n2, None included; `run_traditional_coded`
+    fills it at its first search.
     """
 
     def __init__(self, seed: int, scenario):
@@ -307,6 +313,7 @@ class Draws:
         self.compute = Memo(lambda worker: _Exponentials(seed, worker, _COMPUTE))
         self.behaviors: dict = {}
         self.pilot_times: dict = {}
+        self.chunk_lengths: dict = {}
 
     @functools.cached_property
     def profiles(self) -> list[WorkerProfile]:
@@ -351,7 +358,12 @@ class EngineEvent:
 
 
 class SimEngine:
-    """Event queue plus fleet state for a single episode."""
+    """Event queue plus fleet state for a single episode.
+
+    `now` is the clock: the time of the event popped last, 0 before the
+    first.  Only `events()` sets it.  `profiles` and `chunk_lengths` are
+    the `Draws`' own.
+    """
 
     def __init__(self, draws: Draws, behaviors, *, collect_log: bool = False):
         fleet = draws.fleet
@@ -359,11 +371,12 @@ class SimEngine:
             raise ValueError(f"need one behavior per worker: the fleet has "
                              f"{fleet.n_workers}, got {len(behaviors)}")
         self.profiles = draws.profiles
+        self.chunk_lengths = draws.chunk_lengths
         self.behaviors = list(behaviors)
         self.comm = fleet.comm
         self.compute_coeff = fleet.compute_coeff
         self.n_workers = fleet.n_workers
-        self._now = 0.0
+        self.now = 0.0
         self._heap: list = []
         self._seq = 0
         self._busy = [0.0] * self.n_workers
@@ -374,6 +387,11 @@ class SimEngine:
         self._rates = draws.rates
         self._compute = draws.compute
         self._compute_read = [0] * self.n_workers
+        # The piece shape `send` priced last: its load pair, compute load
+        # and result length.
+        self._shape = None
+        self._load = 0.0
+        self._n_out = 0
 
         # Master-visible roster changes.  A worker that departs before it
         # joins is never announced as joining, and one that departs at t=0
@@ -384,12 +402,6 @@ class SimEngine:
                 self._push(beh.joins, EngineEvent("worker_joins", beh.joins, w))
             if 0.0 < beh.departs < math.inf:
                 self._push(beh.departs, EngineEvent("worker_leaves", beh.departs, w))
-
-    # -- time ----------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     # -- roster --------------------------------------------------------------
 
@@ -408,7 +420,7 @@ class SimEngine:
 
     def schedule_wakeup(self, time: float, worker: int) -> None:
         """Ask for a wakeup event at `time` tagged with `worker`."""
-        now = self._now
+        now = self.now
         self._push(time if time > now else now,
                    EngineEvent("wakeup", time, worker))
 
@@ -418,12 +430,15 @@ class SimEngine:
 
         The worker receives `n_in` values and convolves operands of the
         `load_pair` lengths, so its result has sum(load_pair) - 1 values.
-        Transfer times for both directions are priced at the dispatch-time
-        distance.  The piece is silently lost when the worker has departed
-        or not yet joined, or departs before the result is back; the master
-        has no failure detection beyond roster-change events.
+        A shape's compute load and result length are computed once per
+        shape, again only when `load_pair` differs in value from the
+        previous piece's.  Transfer times for both directions are priced
+        at the dispatch-time distance.  The piece is silently lost when the
+        worker has departed or not yet joined, or departs before the result
+        is back; the master has no failure detection beyond roster-change
+        events.
         """
-        now = self._now
+        now = self.now
         beh = self.behaviors[worker]
         self.dispatched += 1
         logged = self._collect_log
@@ -440,9 +455,12 @@ class SimEngine:
             return
         if logged:
             self._log_event("piece_arrives", arrive, worker, row, n_in)
-        n1, n2 = load_pair
-        n_out = n1 + n2 - 1
-        load = compute_load(n1, n2, self.compute_coeff)
+        if load_pair != self._shape:
+            n1, n2 = load_pair
+            self._shape = load_pair
+            self._load = compute_load(n1, n2, self.compute_coeff)
+            self._n_out = n1 + n2 - 1
+        load, n_out = self._load, self._n_out
         k = self._compute_read[worker]
         self._compute_read[worker] = k + 1
         compute = self._compute[worker]
@@ -478,7 +496,7 @@ class SimEngine:
         heap = self._heap
         pop = heapq.heappop
         while heap and heap[0][0] <= until:
-            self._now, _, ev = pop(heap)
+            self.now, _, ev = pop(heap)
             yield ev
 
 
@@ -511,13 +529,15 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     changes the workers' compute or mobility draws.
     """
     p = scenario.n_workers
+    behaviors = [_NORMAL] * p
+    count = int(round(scenario.straggler_ratio * p))
+    if not (count or scenario.failure_count_uniform):
+        # Nothing to draw, so the stream is not opened.
+        return behaviors
     with substream(seed, _SCENARIO_TAG, _STRAGGLER) as rng:
         if scenario.failure_count_uniform:
             count = int(rng.integers(0, p + 1))
-        else:
-            count = int(round(scenario.straggler_ratio * p))
         chosen = rng.choice(p, size=count, replace=False) if count else ()
-    behaviors = [_NORMAL] * p
     if count:
         straggler = (Behavior(departs=0.0)
                      if scenario.straggler_mode in FAILURE_MODES
@@ -572,11 +592,13 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
         if straggling is None:
             behaviors = episode_behaviors(scenario, seed)
             straggling = draws.behaviors[scenario.straggler_key] = (
-                behaviors, sum(beh != _NORMAL for beh in behaviors))
+                behaviors, sum(beh is not _NORMAL and beh != _NORMAL
+                               for beh in behaviors))
         behaviors, n_stragglers = straggling
     else:
         behaviors = _behaviors
-        n_stragglers = sum(beh != _NORMAL for beh in behaviors)
+        n_stragglers = sum(beh is not _NORMAL and beh != _NORMAL
+                           for beh in behaviors)
 
     if horizon is None:
         horizon = math.inf

@@ -332,6 +332,9 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     redundant rows of the long one.  Each column of chunk pairs decodes
     independently as soon as enough of its rows are back.  When no chunk
     length can decode (see select_s) the episode fails without a send.
+    Without an explicit `s`, the chunk length is `select_s`'s answer, which
+    depends on the lengths and the fleet alone; it is kept in
+    `eng.chunk_lengths`, so the episodes of one `Draws` share one search.
     """
     _check_lengths(n1, n2)
     lengths = (n1, n2)
@@ -340,7 +343,11 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
         n1, n2 = n2, n1
     p = eng.n_workers
     if s is None:
-        s = select_s(n1, n2, p, eng.profiles, eng.compute_coeff)
+        try:
+            s = eng.chunk_lengths[n1, n2]
+        except KeyError:
+            s = eng.chunk_lengths[n1, n2] = select_s(n1, n2, p, eng.profiles,
+                                                     eng.compute_coeff)
         if s is None:
             return StrategyOutcome(False, horizon, 0, 0, {},
                                    {"s": None, "swapped": swapped})

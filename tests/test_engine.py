@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedconv import engine, models
@@ -327,6 +327,11 @@ def priced_pushes(seed, fleet, roster, sends):
 
 @settings(max_examples=60, deadline=None)
 @given(piece_runs())
+# Shape A, then B, then A again on one engine: `send` prices a shape once
+# and must price it again after another one.
+@example((5, ScenarioConfig("pieces", n1=1, n2=1, n_workers=1), [Behavior()],
+          [(0, (10, (10, 10)), 0.0), (0, (700, (3000, 700)), 0.01),
+           (0, (10, (10, 10)), 1.0)]))
 def test_every_piece_is_priced_by_the_models(run):
     # Random shapes, several per engine, on workers that straggle, join late
     # and depart: the queue keys and events equal the per-piece formulas

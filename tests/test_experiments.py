@@ -253,10 +253,28 @@ def test_stress_runs_one_pilot_per_rep_and_strategy(monkeypatch):
     assert len(set(pilots)) == len(pilots)
 
 
+def test_stress_searches_one_chunk_length_per_rep(monkeypatch):
+    # Every episode of a rep has the rep's fleet and operand lengths, so
+    # the traditional strategy's chunk-length search runs once per rep,
+    # pilots included.
+    calls = []
+    original = strategies.select_s
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(strategies, "select_s", counted)
+    reps = 3
+    stress_test(small_scenario(), [0.0, 0.3, 0.7, 1.0], reps, base_seed=5)
+    assert len(calls) == reps
+
+
 @pytest.mark.parametrize("experiment, straggler_configs", [
     (lambda scn: sweep_b(scn.replace(straggler_ratio=0.5), [8, 32], 3, 7), 1),
     (lambda scn: stress_test(scn, [0.5], 3, 7), 1),
-    (lambda scn: stress_test(scn, [0.0, 0.3, 0.7, 1.0], 3, 7), 4),
+    # Ratio 0 draws no straggler, so it opens no straggler stream.
+    (lambda scn: stress_test(scn, [0.0, 0.3, 0.7, 1.0], 3, 7), 3),
     (lambda scn: stress_test(scn, [0.5, 1.0], 3, 7, mode="leave"), 2),
     (lambda scn: success_rate(scn, 12, 7), 1),
 ], ids=["sweep_b", "compare", "stress", "stress_leave", "success_rate"])
@@ -267,8 +285,8 @@ def test_experiments_build_each_stream_once(experiment, straggler_configs,
     experiment(small_scenario(mu_low=100.0, mu_high=200.0))
     built = Counter(streams_opened)
     assert any(tags[-1] == engine._VELOCITY for tags in built)
-    # Each straggler configuration draws its behaviours from the start of
-    # the seed's straggler stream; every other stream is built once.
+    # Each straggler configuration that draws a straggler reads the seed's
+    # straggler stream from its start; every other stream is built once.
     for tags, count in built.items():
         if tags[-1] == engine._STRAGGLER:
             assert count == straggler_configs

@@ -309,6 +309,37 @@ def test_traditional_explicit_s_respected():
                                rtol=1e-7, atol=1e-10)
 
 
+def test_traditional_searches_each_chunk_length_once_per_draws(monkeypatch):
+    # An explicit s searches and keeps nothing.  Without one, each pair of
+    # operand lengths is searched once per Draws, in either order, and an
+    # answer of None is kept too.
+    calls = []
+    original = strategies.select_s
+
+    def counted(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(strategies, "select_s", counted)
+    fleet = ScenarioConfig("strategies", n1=1, n2=1, n_workers=4,
+                           mu_low=4e6, mu_high=4e6)
+    draws = Draws(1, fleet)
+
+    def run(n1, n2, **knobs):
+        eng = SimEngine(draws, [Behavior()] * 4)
+        return run_traditional_coded(n1, n2, eng, **knobs).params["s"]
+
+    assert run(60, 60, s=30) == 30
+    assert calls == [] and draws.chunk_lengths == {}
+    picks = [run(n1, n2) for n1, n2 in
+             [(512, 256), (2000, 2), (256, 512), (2000, 2), (512, 256)]]
+    assert calls == [(512, 256), (2000, 2)]
+    want = original(512, 256, 4, draws.profiles, fleet.compute_coeff)
+    assert want is not None
+    assert draws.chunk_lengths == {(512, 256): want, (2000, 2): None}
+    assert picks == [want, None, want, None, want]
+
+
 def test_traditional_past_decode_limit_fails_without_data():
     # 33 coded pieces: the square decode system fails its rcond check as
     # the 33rd row arrives, before any payload is computed.
