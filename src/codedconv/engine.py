@@ -6,9 +6,10 @@ identically.  Randomness comes from counter-based Philox streams keyed per
 others and of the event interleaving: changing one worker's behaviour never
 perturbs another worker's compute times or trajectory.
 
-A stream is its key.  `substream` derives the key, and a draw loads it at
-counter zero into the one Philox generator that all streams share, which
-gives the draws of a generator built from that key.  The engine is
+A stream is its key, made from (seed, node, purpose) alone by `substream`.
+A draw loads the key at counter zero into the one Philox generator that
+all streams share, which gives the draws of a generator built from that
+key.  The engine is
 single-threaded by design: one stream's session ends before the next one
 starts.  The one thing a stream keeps of what it drew is its tape, so no
 generator state is ever saved.
@@ -57,6 +58,7 @@ result builds none.
 import functools
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,21 +108,15 @@ class Memo(dict):
         return value
 
 
-class Seed(int):
-    """A seed that mixes itself and each node tag into a key prefix once.
+# The (seed, node) key prefixes `_node_state` keeps.  A rep opens streams
+# of at most its fleet's workers, the master and the scenario node.
+NODES_KEPT = 256
 
-    It is the int it was made from, so it goes wherever a seed goes.
-    `prefix` is the splitmix64 state of the seed alone and `nodes[tag]` the
-    state after node `tag`; `substream` starts from these instead of
-    mixing them again for every stream.  A `Draws` holds one, so the memo
-    is dropped with it and never outlives a rep.
-    """
 
-    def __new__(cls, seed: int):
-        self = super().__new__(cls, seed)
-        prefix = self.prefix = _splitmix64(seed & _MASK64)
-        self.nodes = Memo(lambda tag: _splitmix64(prefix ^ (int(tag) & _MASK64)))
-        return self
+@functools.lru_cache(maxsize=NODES_KEPT)
+def _node_state(seed: int, node: int) -> int:
+    """The splitmix64 state after the seed and node `node`: a key prefix."""
+    return _splitmix64(_splitmix64(int(seed) & _MASK64) ^ (int(node) & _MASK64))
 
 
 # The one generator every stream draws through, and the state a session
@@ -167,26 +163,16 @@ class Stream:
         _in_session = False
 
 
-def substream(seed: int, *tags: int) -> Stream:
-    """Independent Philox stream for (seed, *tags).
+def substream(seed: int, node: int, purpose: int) -> Stream:
+    """Independent Philox stream for (seed, node, purpose).
 
-    The key is splitmix64 chained over the seed and the tags, so streams
-    for different (node, purpose) pairs never collide in practice and can
-    be made in any order.  Opening one builds no generator.  Given a
-    `Seed`, the chain starts from its memo of the seed and the first tag;
-    given an int, from a `Seed` made for this stream alone.
+    The key is splitmix64 chained over the seed, the node and the purpose,
+    so streams for different (node, purpose) pairs never collide in
+    practice and can be made in any order.  The chain starts from the
+    (seed, node) prefix that `_node_state` keeps for the NODES_KEPT pairs
+    used last.  Opening one builds no generator.
     """
-    if not isinstance(seed, Seed):
-        seed = Seed(seed)
-    if len(tags) == 2:
-        # The usual (node, purpose) pair.
-        state = _splitmix64(seed.nodes[tags[0]] ^ (int(tags[1]) & _MASK64))
-    elif tags:
-        state = seed.nodes[tags[0]]
-        for tag in tags[1:]:
-            state = _splitmix64(state ^ (int(tag) & _MASK64))
-    else:
-        state = seed.prefix
+    state = _splitmix64(_node_state(seed, node) ^ (int(purpose) & _MASK64))
     return Stream([_splitmix64(state),
                    _splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)])
 
@@ -196,7 +182,7 @@ _CHUNK = 8
 
 
 class Tape(list):
-    """One keyed stream's values in draw order, kept once drawn.
+    """A (seed, node, purpose) stream's values in draw order, kept once drawn.
 
     Read value k as `tape[k]` after `tape.fill(k)` when `k >= len(tape)`,
     so reading a value already drawn runs no Python code.  `fill` opens
@@ -207,16 +193,16 @@ class Tape(list):
     start of the stream.
     """
 
-    __slots__ = ("_seed", "_tags", "_stream")
+    __slots__ = ("_key", "_stream")
 
-    def __init__(self, seed: int, *tags: int):
+    def __init__(self, seed: int, node: int, purpose: int):
         super().__init__()
-        self._seed, self._tags, self._stream = seed, tags, None
+        self._key, self._stream = (seed, node, purpose), None
 
     def fill(self, k: int) -> None:
         """Draw until the tape holds value k."""
         if self._stream is None:
-            self._stream = substream(self._seed, *self._tags)
+            self._stream = substream(*self._key)
         with self._stream as rng:
             self._draw(rng, max(k + 1, 2 * len(self), _CHUNK))
 
@@ -244,7 +230,7 @@ class _Path(Tape):
     def __init__(self, seed: int, tag: int, box: float, speed_limit: float):
         # Tape's fields, set here: a new list is already empty, so
         # Tape.__init__ would do nothing more.
-        self._seed, self._tags, self._stream = seed, (tag, _VELOCITY), None
+        self._key, self._stream = (seed, tag, _VELOCITY), None
         self._speed_limit = speed_limit
         with substream(seed, tag, _POSITION) as rng:
             self.append(tuple(rng.uniform(-box, box, 2).tolist()))
@@ -292,9 +278,9 @@ class Draws:
     - `behaviors[scenario.straggler_key]`: `run_episode`'s (behaviours,
       straggler count) for a scenario of the fleet, the behaviours drawn
       by `episode_behaviors`.
-    Every stream is opened through `substream` with the `Draws`' own
-    `Seed`, so the seed and each node are mixed into a key prefix once per
-    `Draws`; a tape keeps its stream's key to draw it again.
+    `seed` is the plain int episode seed.  Every stream is opened as
+    `substream(seed, node, purpose)`, and a tape keeps that triple to
+    draw its stream again.
     `pilot_times` keeps `run_episode`'s straggler-free pilot completion
     times by (strategy, b), `inf` for a pilot that cannot finish.
     `chunk_lengths[n1, n2]` keeps `select_s`'s answer for the fleet and
@@ -304,7 +290,7 @@ class Draws:
 
     def __init__(self, seed: int, scenario):
         # No closure holds `self`, so a dropped Draws is freed at once.
-        seed = self.seed = Seed(seed)
+        self.seed = seed
         fleet = self.fleet = scenario.straggler_free
         paths = self.paths = Memo(lambda tag: _Path(
             seed, tag, fleet.init_box_m, fleet.speed_limit_mps))
@@ -434,9 +420,10 @@ class SimEngine:
         shape, again only when `load_pair` differs in value from the
         previous piece's.  Transfer times for both directions are priced
         at the dispatch-time distance.  The piece is silently lost when the
-        worker has departed or not yet joined, or departs before the result
-        is back; the master has no failure detection beyond roster-change
-        events.
+        worker has departed or not yet joined, when the link's rate is 0
+        (far enough out, the Shannon rate underflows), or when the worker
+        departs before the result is back; the master has no failure
+        detection beyond roster-change events.
         """
         now = self.now
         beh = self.behaviors[worker]
@@ -449,6 +436,8 @@ class SimEngine:
             return
         payload_bytes = self.comm.payload_bytes
         rate = self._rates[worker, int(now)]
+        if not rate:
+            return
         t_in = comm_time(n_in, rate, payload_bytes)
         arrive = now + t_in
         if arrive > dead_t:
@@ -491,10 +480,13 @@ class SimEngine:
         """Pop events in (time, seq) order, stopping past `until`.
 
         Nothing is pushed earlier than the clock, so the clock is the time
-        of the event popped last.
+        of the event popped last.  An event due at t = inf never happens,
+        so it is never popped, whatever `until` is.
         """
         heap = self._heap
         pop = heapq.heappop
+        if until > sys.float_info.max:
+            until = sys.float_info.max
         while heap and heap[0][0] <= until:
             self.now, _, ev = pop(heap)
             yield ev

@@ -15,7 +15,7 @@ settings.register_profile("ci", derandomize=True, print_blob=True)
 
 @pytest.fixture
 def streams_opened(monkeypatch):
-    """(seed, *tags) of every stream opened through `engine.substream`.
+    """(seed, node, purpose) of every stream opened through `engine.substream`.
 
     The engine opens streams through its module global, so replacing it
     sees every stream an episode or experiment opens, in order.
@@ -23,9 +23,9 @@ def streams_opened(monkeypatch):
     opened = []
     original = engine.substream
 
-    def recording(seed, *tags):
-        opened.append((seed, *tags))
-        return original(seed, *tags)
+    def recording(seed, node, purpose):
+        opened.append((seed, node, purpose))
+        return original(seed, node, purpose)
 
     monkeypatch.setattr(engine, "substream", recording)
     return opened

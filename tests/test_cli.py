@@ -264,6 +264,22 @@ def test_compare_with_stragglers_and_no_finishing_pilot(tmp_path, capsys):
     assert "traditional,inf,nan" in table
 
 
+def test_compare_over_zero_rate_links(tmp_path, capsys):
+    # At -200 dBm the link rate underflows to 0 beyond a few hundred
+    # metres: a piece sent over such a link is lost, so the run writes its
+    # table of failed strategies rather than aborting.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nindex = 1\nscale = 64\n\n"
+                   "[comm]\nrx_offset_dbm = -200\n\n"
+                   "[experiment]\nkind = compare\nreps = 2\nseed = 7\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 0, err
+    table = (tmp_path / "res" / "compare.csv").read_text().splitlines()
+    assert table == ["strategy,mean_time_s,std_time_s", "uncoded,inf,nan",
+                     "traditional,inf,nan", "dynamic,inf,nan"]
+
+
 def test_rerun_byte_identical_outputs(tmp_path, capsys):
     argv = ["compare", "--scenario", "1", "--scale", "64", "--reps", "2",
             "--seed", "42", "--ratio", "0.5"]

@@ -31,7 +31,7 @@ from codedconv.models import (
 )
 from codedconv.scenarios import ScenarioConfig, benchmark_scenario
 from codedconv.strategies import STRATEGIES, StrategyOutcome
-from keys import built_from_key, philox_key
+from keys import built_from_key
 
 
 def make_draws(p=2, seed=11, **fleet):
@@ -82,18 +82,21 @@ def test_substream_seed_changes_everything():
 
 def test_substream_draws_equal_philox_built_from_its_key():
     # substream builds no Philox; its draws must still be those of the
-    # documented Generator(Philox(key=...)), with or without a Seed's memo.
+    # documented Generator(Philox(key=...)), with the (seed, node) prefix
+    # kept or made afresh.
     rng = np.random.default_rng(2024)
     for _ in range(200):
         seed = int(rng.integers(0, 2**63))
-        tags = tuple(int(t) for t in rng.integers(0, 2**32, rng.integers(0, 4)))
-        for fast in (substream(seed, *tags), substream(engine.Seed(seed), *tags)):
-            slow = built_from_key(seed, *tags)
-            assert fast.key == philox_key(seed, *tags).tolist()
+        tags = tuple(int(t) for t in rng.integers(0, 2**32, 2))
+        for fresh in (False, True):
+            if fresh:
+                engine._node_state.cache_clear()
+            fast, slow = substream(seed, *tags), built_from_key(seed, *tags)
+            assert fast.key == reference_key(seed, *tags)
             with fast as gen:
                 for g in (gen, slow):
                     state = g.bit_generator.state["state"]
-                    assert state["key"].tolist() == philox_key(seed, *tags).tolist()
+                    assert state["key"].tolist() == reference_key(seed, *tags)
                     assert state["counter"].tolist() == [0] * 4
                 np.testing.assert_array_equal(gen.uniform(-3.0, 2.0, 5),
                                               slow.uniform(-3.0, 2.0, 5))
@@ -103,6 +106,50 @@ def test_substream_draws_equal_philox_built_from_its_key():
                                               slow.integers(0, 9, 4))
                 np.testing.assert_array_equal(gen.choice(8, size=3, replace=False),
                                               slow.choice(8, size=3, replace=False))
+
+
+def reference_key(seed, node, purpose):
+    """The documented key of stream (seed, node, purpose), derived here
+    apart from the engine: splitmix64 chained over the seed, the node and
+    the purpose, then once more for each of the two key words."""
+    mask = 2**64 - 1
+
+    def splitmix64(z):
+        z = (z + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    state = splitmix64(seed & mask)
+    state = splitmix64(state ^ (int(node) & mask))
+    state = splitmix64(state ^ (int(purpose) & mask))
+    return [splitmix64(state), splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)]
+
+
+@pytest.mark.parametrize("seed", [0, -1, -2**63, 2**63, 2**64 - 1, 2**64 + 7])
+@pytest.mark.parametrize("node", [0, 5, engine._MASTER_TAG,
+                                  engine._SCENARIO_TAG, np.int64(3),
+                                  np.uint32(2**32 - 1)])
+def test_substream_key_is_the_documented_chain(seed, node):
+    for purpose in (engine._POSITION, engine._VELOCITY, engine._COMPUTE,
+                    engine._MU, engine._STRAGGLER, engine._TASK):
+        key = substream(seed, node, purpose).key
+        assert key == reference_key(seed, node, purpose)
+        assert all(type(word) is int for word in key)
+
+
+def test_prefix_cache_is_bounded_and_changes_no_key():
+    cache = engine._node_state
+    assert cache.cache_info().maxsize == engine.NODES_KEPT
+    cache.cache_clear()
+    key = substream(7, 3, engine._COMPUTE).key
+    # More than NODES_KEPT other (seed, node) pairs evict (7, 3)'s prefix.
+    for node in range(engine.NODES_KEPT + 1):
+        substream(8, node, engine._COMPUTE)
+    misses = cache.cache_info().misses
+    assert substream(7, 3, engine._COMPUTE).key == key
+    assert cache.cache_info().misses == misses + 1
+    assert cache.cache_info().currsize == engine.NODES_KEPT
 
 
 def test_stream_sessions_start_at_the_key_and_do_not_nest():
@@ -120,7 +167,8 @@ def test_stream_sessions_start_at_the_key_and_do_not_nest():
         np.testing.assert_array_equal(rng.uniform(size=3), first)
 
 
-@pytest.mark.parametrize("seed,tags", [(0, ()), (1234, (3, engine._COMPUTE)),
+@pytest.mark.parametrize("seed,tags", [(0, (engine._SCENARIO_TAG, engine._TASK)),
+                                       (1234, (3, engine._COMPUTE)),
                                        (2**63 - 1, (engine._MASTER_TAG, 2))])
 def test_philox_draw_identities_the_tapes_rely_on(seed, tags):
     # Compute tapes hold standard exponentials that the model scales, and a
@@ -196,6 +244,14 @@ def test_events_honor_until():
     assert got == [0.5, 1.5]
     # remainder still queued
     assert [ev.time for ev in eng.events()] == [2.5]
+
+
+def test_events_never_pop_at_t_inf():
+    eng = make_engine(p=1)
+    eng.schedule_wakeup(math.inf, 0)
+    eng.schedule_wakeup(1.0, 0)
+    assert [ev.time for ev in eng.events()] == [1.0]
+    assert [ev.time for ev in eng.events(until=math.inf)] == []
 
 
 def test_now_advances_with_events():
@@ -391,6 +447,19 @@ def test_failed_worker_loses_pieces_silently():
     # but nothing else happened at worker 0
     w0 = [rec for rec in eng.log if rec.worker == 0 and rec.kind != "dispatch"]
     assert w0 == []
+
+
+def test_piece_over_a_zero_rate_link_is_lost_unpriced():
+    # Far enough out the Shannon rate underflows to 0: the piece is lost
+    # as one sent to a departed worker is, before any compute draw.
+    draws = make_draws(p=1, comm=CommParams(rx_offset_dbm=-200.0))
+    eng = SimEngine(draws, [Behavior()], collect_log=True)
+    assert draws.rates[0, 0] == 0.0
+    eng.send(0, row=0, n_in=10, load_pair=(10, 10))
+    assert list(eng.events()) == []
+    assert [rec.kind for rec in eng.log] == ["dispatch"]
+    assert eng.dispatched == 1
+    assert 0 not in draws.compute
 
 
 def test_mid_flight_death_drops_result():
@@ -689,6 +758,17 @@ def test_all_workers_fail_episode_fails_at_horizon():
     assert not m.success
     assert m.completion_time == m.horizon
     assert math.isfinite(m.horizon)
+
+
+def test_no_episode_succeeds_at_t_inf():
+    # Infinitely slow stragglers and no give-up horizon: every result is
+    # due at t = inf, which never comes, so every strategy fails.
+    scn = benchmark_scenario(1, 64, straggler_ratio=1.0, delay_factor=math.inf,
+                             horizon_factor=math.inf)
+    for strategy in STRATEGIES:
+        m = run_episode(scn, strategy, 3)
+        assert (m.success, m.completion_time) == (False, math.inf)
+        assert m.plan is None and m.result is None
 
 
 def test_episode_metrics_carry_the_strategy_outcome():

@@ -39,16 +39,17 @@ class KeyedEngine(SimEngine):
 # Departure times; a worker that fails at t=0 is a choice of its own, so
 # such workers are common.
 DEPARTURES = st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.0, 0.005))
+SLOWDOWNS = st.one_of(st.just(1.0), st.floats(1.0, 50.0))
 
 
 @st.composite
-def runs(draw, departures=DEPARTURES):
+def runs(draw, departures=DEPARTURES, slowdowns=SLOWDOWNS):
     """(engine, outcome) of one strategy run on a random fleet."""
     # Each field is drawn on its own, so a worker may be slowed, join late
     # and depart (even before it joins) in the same episode.
     behaviors = st.builds(
         Behavior,
-        slowdown=st.one_of(st.just(1.0), st.floats(1.0, 50.0)),
+        slowdown=slowdowns,
         joins=st.one_of(st.just(0.0), st.floats(0.0, 0.005)),
         departs=departures)
     roster = draw(st.lists(behaviors, min_size=1, max_size=6))
@@ -130,6 +131,17 @@ def test_worker_failing_at_start_is_never_heard_from(eng):
     failed = {w for w, beh in enumerate(eng.behaviors) if beh.departs == 0.0}
     assert not [ev for *_, ev in eng.popped if ev.worker in failed]
     assert {rec.kind for rec in eng.log if rec.worker in failed} <= {"dispatch"}
+
+
+# Infinitely slow workers, none of whose results ever arrives.
+@fleets
+@given(runs(slowdowns=st.one_of(st.just(1.0), st.just(math.inf),
+                                st.floats(1.0, 50.0))))
+def test_nothing_happens_at_t_inf(run):
+    eng, outcome = run
+    assert all(time < math.inf for time, _, _ in eng.popped)
+    if outcome.success:
+        assert outcome.completion_time < math.inf
 
 
 # Largest error of a successful episode's convolution, in units of
@@ -285,11 +297,12 @@ def tapes(draws):
 def test_interleaved_streams_equal_philox_built_from_their_keys(seed, reads):
     # Position pairs, velocity chunks, exponentials past the first chunk and
     # integers-then-choice, read in any interleaving through the shared
-    # generator, with and without the seed's key-prefix memo.
-    draws, keyed = Draws(seed, TAPE_FLEET), engine.Seed(seed)
+    # generator, with the (seed, node) key prefixes kept or made afresh.
+    draws = Draws(seed, TAPE_FLEET)
     for i, (node, kind, k) in enumerate(reads):
-        stream_seed = keyed if i % 2 else seed
-        assert read(draws, stream_seed, node, kind, k) == expected(seed, node, kind, k)
+        if i % 2:
+            engine._node_state.cache_clear()
+        assert read(draws, seed, node, kind, k) == expected(seed, node, kind, k)
 
 
 @settings(max_examples=40, deadline=None)
