@@ -7,12 +7,17 @@ others and of the event interleaving: changing one worker's behaviour never
 perturbs another worker's compute times or trajectory.
 
 A stream is its key, made from (seed, node, purpose) alone by `substream`.
-A draw loads the key at counter zero into the one Philox generator that
-all streams share, which gives the draws of a generator built from that
-key.  The engine is
-single-threaded by design: one stream's session ends before the next one
-starts.  The one thing a stream keeps of what it drew is its tape, so no
-generator state is ever saved.
+Keys are derived a block of seeds at a time: `derive_keys` evaluates the
+splitmix64 key chain in numpy for every stream a fleet can open under
+each seed of the block, and the last KEY_ROWS_KEPT seeds' rows are kept.
+The experiments derive each block of reps before its first episode, a
+`Draws` made on its own derives its seed's row, and a stream outside the
+rows kept gets its one key from the same derivation.  A draw loads the
+key at counter zero into the one Philox generator that all streams
+share, which gives the draws of a generator built from that key.  The
+engine is single-threaded by design: one stream's session ends before
+the next one starts.  The one thing a stream keeps of what it drew is
+its tape, so no generator state is ever saved.
 
 An engine reads its randomness and its fleet through a `Draws`, made for
 one episode seed and one fleet: a scenario without its straggler fields.
@@ -41,7 +46,9 @@ Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); a distance read at time t sees the position
 at whole second int(t).  A position tape is integrated as far as reads
 reach, so an episode that finishes within a second never pays for tick
-events.
+events.  The clock stops at CLOCK_LIMIT_S, an hour: no event past it is
+popped, so an episode whose results would come back later fails, and no
+position tape holds more than CLOCK_LIMIT_S + 1 seconds.
 
 Each worker's `Behavior` is read in three places: its slowdown multiplies
 the compute and return-transfer time of every piece, the master can reach
@@ -58,7 +65,6 @@ result builds none.
 import functools
 import heapq
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +91,11 @@ _MASTER_TAG = 0x6D737472
 _SCENARIO_TAG = 0x7363656E
 # The behaviour of a normal worker: anything else is a straggler.
 _NORMAL = Behavior()
-
-
-def _splitmix64(z: int) -> int:
-    """One splitmix64 step; the documented key-derivation mix function."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+# The episode clock stops at an hour: no event later than this is popped,
+# so an episode ends in bounded time and memory even when its links are
+# all but dead, and fails rather than succeeding years later.  The golden
+# episodes all end within 30 s.
+CLOCK_LIMIT_S = 3600.0
 
 
 class Memo(dict):
@@ -108,15 +111,82 @@ class Memo(dict):
         return value
 
 
-# The (seed, node) key prefixes `_node_state` keeps.  A rep opens streams
-# of at most its fleet's workers, the master and the scenario node.
-NODES_KEPT = 256
+# The splitmix64 constants of the key chain and the xor of each key word,
+# as uint64 arrays: numpy scalars warn on the overflow the mix relies on,
+# and a Python int operand can promote uint64 to float under numpy 1.x.
+_GAMMA, _MIX1, _MIX2 = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB],
+    dtype=np.uint64)[:, None]
+_SHIFT30, _SHIFT27, _SHIFT31 = np.array([30, 27, 31], dtype=np.uint64)[:, None]
+_WORDS = np.array([0, 0xA5A5A5A5A5A5A5A5], dtype=np.uint64)
 
 
-@functools.lru_cache(maxsize=NODES_KEPT)
-def _node_state(seed: int, node: int) -> int:
-    """The splitmix64 state after the seed and node `node`: a key prefix."""
-    return _splitmix64(_splitmix64(int(seed) & _MASK64) ^ (int(node) & _MASK64))
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """One splitmix64 step on every entry of a uint64 array."""
+    z = z + _GAMMA
+    z ^= z >> _SHIFT30
+    z *= _MIX1
+    z ^= z >> _SHIFT27
+    z *= _MIX2
+    z ^= z >> _SHIFT31
+    return z
+
+
+def _derive(seeds, nodes, purposes) -> list:
+    """The keys of `seeds` x the streams (nodes[i], purposes[i]).
+
+    One row per seed, the key words of stream i at 2i and 2i + 1:
+    splitmix64 chained over the seed, the node and the purpose, then once
+    more for each key word, the second xor-ed with 0xA5A5A5A5A5A5A5A5.
+    Seeds are taken mod 2**64; nodes and purposes are uint64 already.
+    """
+    seed = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    state = _splitmix64(_splitmix64(_splitmix64(seed[:, None])
+                                    ^ np.asarray(nodes, dtype=np.uint64))
+                        ^ np.asarray(purposes, dtype=np.uint64))
+    return _splitmix64(state[..., None] ^ _WORDS).reshape(len(seed), -1).tolist()
+
+
+@functools.lru_cache(maxsize=8)
+def _fleet_streams(n_workers: int):
+    """Every (node, purpose) a fleet of `n_workers` can open: where its key
+    starts in a row, and the node and purpose columns as uint64 arrays."""
+    streams = ([(w, purpose) for w in range(n_workers)
+                for purpose in (_POSITION, _VELOCITY, _COMPUTE)]
+               + [(_MASTER_TAG, _POSITION), (_MASTER_TAG, _VELOCITY),
+                  (_SCENARIO_TAG, _MU), (_SCENARIO_TAG, _STRAGGLER),
+                  (_SCENARIO_TAG, _TASK)])
+    start = {stream: 2 * i for i, stream in enumerate(streams)}
+    return (start, *np.array(streams, dtype=np.uint64).T)
+
+
+# Rows of stream keys by seed, for the last KEY_ROWS_KEPT seeds that
+# `derive_keys` derived: a row is its fleet's key starts and the key
+# words, 2(3p + 5) ints for a fleet of p workers.
+KEY_ROWS_KEPT = 16
+_KEY_ROWS: dict = {}
+
+
+def derive_keys(seeds, n_workers: int) -> None:
+    """Derive the stream keys of a block of at most KEY_ROWS_KEPT seeds,
+    every stream a fleet of `n_workers` can open, in one evaluation, and
+    keep them for `substream`.
+
+    The rows derived first are dropped first, and before the block is
+    derived, so no more than KEY_ROWS_KEPT rows are ever held.
+    """
+    seeds = list(seeds)
+    if len(seeds) > KEY_ROWS_KEPT:
+        raise ValueError(f"a block holds at most {KEY_ROWS_KEPT} seeds, "
+                         f"got {len(seeds)}")
+    for seed in seeds:
+        _KEY_ROWS.pop(seed, None)
+    excess = len(_KEY_ROWS) + len(seeds) - KEY_ROWS_KEPT
+    for seed in list(_KEY_ROWS)[:max(excess, 0)]:
+        del _KEY_ROWS[seed]
+    start, nodes, purposes = _fleet_streams(n_workers)
+    for seed, keys in zip(seeds, _derive(seeds, nodes, purposes)):
+        _KEY_ROWS[seed] = start, keys
 
 
 # The one generator every stream draws through, and the state a session
@@ -168,13 +238,19 @@ def substream(seed: int, node: int, purpose: int) -> Stream:
 
     The key is splitmix64 chained over the seed, the node and the purpose,
     so streams for different (node, purpose) pairs never collide in
-    practice and can be made in any order.  The chain starts from the
-    (seed, node) prefix that `_node_state` keeps for the NODES_KEPT pairs
-    used last.  Opening one builds no generator.
+    practice and can be made in any order.  Keys are derived a block of
+    seeds at a time by `derive_keys`; a stream outside the rows kept gets
+    its one key from the same derivation.  Opening one builds no
+    generator.
     """
-    state = _splitmix64(_node_state(seed, node) ^ (int(purpose) & _MASK64))
-    return Stream([_splitmix64(state),
-                   _splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)])
+    row = _KEY_ROWS.get(seed)
+    if row is not None:
+        start, keys = row
+        i = start.get((node, purpose))
+        if i is not None:
+            return Stream(keys[i:i + 2])
+    return Stream(_derive((seed,), (int(node) & _MASK64,),
+                          (int(purpose) & _MASK64,))[0])
 
 
 # Values a tape draws at its first fill.
@@ -236,7 +312,9 @@ class _Path(Tape):
             self.append(tuple(rng.uniform(-box, box, 2).tolist()))
 
     def _draw(self, rng, n: int) -> None:
-        # Position k follows velocity row k - 1.
+        # Position k follows velocity row k - 1.  No read is past the
+        # clock limit, so neither is the tape.
+        n = min(n, int(CLOCK_LIMIT_S) + 1)
         limit = self._speed_limit
         x, y = self[-1]
         velocities = rng.uniform(-limit, limit, (n - 1, 2))
@@ -278,9 +356,11 @@ class Draws:
     - `behaviors[scenario.straggler_key]`: `run_episode`'s (behaviours,
       straggler count) for a scenario of the fleet, the behaviours drawn
       by `episode_behaviors`.
-    `seed` is the plain int episode seed.  Every stream is opened as
-    `substream(seed, node, purpose)`, and a tape keeps that triple to
-    draw its stream again.
+    `seed` is the plain int episode seed.  A `Draws` made for a seed
+    whose key row is not kept derives it (`derive_keys`); `run_paired`
+    derives a block of rows before their `Draws` are made.  Every stream
+    is opened as `substream(seed, node, purpose)`, and a tape keeps that
+    triple to draw its stream again.
     `pilot_times` keeps `run_episode`'s straggler-free pilot completion
     times by (strategy, b), `inf` for a pilot that cannot finish.
     `chunk_lengths[n1, n2]` keeps `select_s`'s answer for the fleet and
@@ -292,6 +372,8 @@ class Draws:
         # No closure holds `self`, so a dropped Draws is freed at once.
         self.seed = seed
         fleet = self.fleet = scenario.straggler_free
+        if seed not in _KEY_ROWS:
+            derive_keys((seed,), fleet.n_workers)
         paths = self.paths = Memo(lambda tag: _Path(
             seed, tag, fleet.init_box_m, fleet.speed_limit_mps))
         self.rates = Memo(lambda link: data_rate(_distance(paths, *link),
@@ -477,16 +559,17 @@ class SimEngine:
                                        now, t_in + t_out))
 
     def events(self, until: float = math.inf):
-        """Pop events in (time, seq) order, stopping past `until`.
+        """Pop events in (time, seq) order, stopping past `until` or past
+        CLOCK_LIMIT_S, whichever is earlier.
 
         Nothing is pushed earlier than the clock, so the clock is the time
-        of the event popped last.  An event due at t = inf never happens,
-        so it is never popped, whatever `until` is.
+        of the event popped last, and it never passes CLOCK_LIMIT_S: an
+        event due later, at t = inf included, never happens.
         """
         heap = self._heap
         pop = heapq.heappop
-        if until > sys.float_info.max:
-            until = sys.float_info.max
+        if until > CLOCK_LIMIT_S:
+            until = CLOCK_LIMIT_S
         while heap and heap[0][0] <= until:
             self.now, _, ev = pop(heap)
             yield ev
@@ -515,6 +598,9 @@ def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
 def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     """Draw the straggler assignment for one episode.
 
+    The straggler count is round(ratio * p), and Python's `round` takes a
+    half to the even count: at p = 6, the ratios 0.25, 0.5 and 0.75 make
+    2, 3 and 4 stragglers, a third, a half and two thirds of the fleet.
     Stragglers of the failure modes depart at t=0; "delayed" stragglers
     are slowed by the scenario's delay factor for the whole episode.  The
     straggler draw has its own stream, so changing the ratio or mode never

@@ -82,15 +82,21 @@ def test_substream_seed_changes_everything():
 
 def test_substream_draws_equal_philox_built_from_its_key():
     # substream builds no Philox; its draws must still be those of the
-    # documented Generator(Philox(key=...)), with the (seed, node) prefix
-    # kept or made afresh.
+    # documented Generator(Philox(key=...)), with the key served from a
+    # derived block or derived on its own.
     rng = np.random.default_rng(2024)
-    for _ in range(200):
+    fleet_streams = [(node, purpose) for node in (0, 3, engine._MASTER_TAG,
+                                                  engine._SCENARIO_TAG)
+                     for purpose in range(1, 7)]
+    for i in range(200):
         seed = int(rng.integers(0, 2**63))
-        tags = tuple(int(t) for t in rng.integers(0, 2**32, 2))
-        for fresh in (False, True):
-            if fresh:
-                engine._node_state.cache_clear()
+        tags = (fleet_streams[i % len(fleet_streams)] if i % 2
+                else tuple(int(t) for t in rng.integers(0, 2**32, 2)))
+        for in_block in (True, False):
+            if in_block:
+                engine.derive_keys([seed], 4)
+            else:
+                engine._KEY_ROWS.clear()
             fast, slow = substream(seed, *tags), built_from_key(seed, *tags)
             assert fast.key == reference_key(seed, *tags)
             with fast as gen:
@@ -126,30 +132,74 @@ def reference_key(seed, node, purpose):
     return [splitmix64(state), splitmix64(state ^ 0xA5A5A5A5A5A5A5A5)]
 
 
-@pytest.mark.parametrize("seed", [0, -1, -2**63, 2**63, 2**64 - 1, 2**64 + 7])
-@pytest.mark.parametrize("node", [0, 5, engine._MASTER_TAG,
-                                  engine._SCENARIO_TAG, np.int64(3),
-                                  np.uint32(2**32 - 1)])
+KEY_SEEDS = [0, -1, -2**63, 2**63, 2**64 - 1, 2**64 + 7]
+KEY_NODES = [0, 5, engine._MASTER_TAG, engine._SCENARIO_TAG, np.int64(3),
+             np.uint32(2**32 - 1)]
+PURPOSES = (engine._POSITION, engine._VELOCITY, engine._COMPUTE,
+            engine._MU, engine._STRAGGLER, engine._TASK)
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+@pytest.mark.parametrize("node", KEY_NODES)
 def test_substream_key_is_the_documented_chain(seed, node):
-    for purpose in (engine._POSITION, engine._VELOCITY, engine._COMPUTE,
-                    engine._MU, engine._STRAGGLER, engine._TASK):
+    engine._KEY_ROWS.clear()
+    for purpose in PURPOSES:
         key = substream(seed, node, purpose).key
         assert key == reference_key(seed, node, purpose)
         assert all(type(word) is int for word in key)
 
 
-def test_prefix_cache_is_bounded_and_changes_no_key():
-    cache = engine._node_state
-    assert cache.cache_info().maxsize == engine.NODES_KEPT
-    cache.cache_clear()
+def test_block_keys_are_the_documented_chain(monkeypatch):
+    # One derivation for the block; every stream of the fleet is then
+    # served from it, and any other stream is derived on its own.
+    p = 6
+    engine.derive_keys(KEY_SEEDS, p)
+    derived = []
+    original = engine._derive
+    monkeypatch.setattr(engine, "_derive",
+                        lambda *args: derived.append(args) or original(*args))
+    in_fleet = {(node, purpose) for node in range(p)
+                for purpose in (engine._POSITION, engine._VELOCITY,
+                                engine._COMPUTE)}
+    in_fleet |= {(engine._MASTER_TAG, engine._POSITION),
+                 (engine._MASTER_TAG, engine._VELOCITY)}
+    in_fleet |= {(engine._SCENARIO_TAG, purpose)
+                 for purpose in (engine._MU, engine._STRAGGLER, engine._TASK)}
+    for seed in KEY_SEEDS:
+        for node in KEY_NODES:
+            for purpose in PURPOSES:
+                before = len(derived)
+                key = substream(seed, node, purpose).key
+                assert key == reference_key(seed, node, purpose)
+                assert all(type(word) is int for word in key)
+                served = (node, purpose) in in_fleet
+                assert len(derived) == before + (not served)
+
+
+def test_key_rows_are_bounded_and_eviction_changes_no_key():
+    kept = engine.KEY_ROWS_KEPT
+    engine._KEY_ROWS.clear()
+    engine.derive_keys(range(200, 198 + kept), 4)
+    engine.derive_keys([7], 4)
+    # A cache with room drops nothing.
+    assert list(engine._KEY_ROWS) == [*range(200, 198 + kept), 7]
     key = substream(7, 3, engine._COMPUTE).key
-    # More than NODES_KEPT other (seed, node) pairs evict (7, 3)'s prefix.
-    for node in range(engine.NODES_KEPT + 1):
-        substream(8, node, engine._COMPUTE)
-    misses = cache.cache_info().misses
+    # More than KEY_ROWS_KEPT other seeds, a block at a time, evict 7's row.
+    for block in range(3):
+        engine.derive_keys(range(100 + kept * block, 100 + kept * (block + 1)),
+                           4)
+        assert len(engine._KEY_ROWS) == kept
+    assert 7 not in engine._KEY_ROWS
     assert substream(7, 3, engine._COMPUTE).key == key
-    assert cache.cache_info().misses == misses + 1
-    assert cache.cache_info().currsize == engine.NODES_KEPT
+    # A full cache drops its oldest rows only, as many as a block brings.
+    rows = list(engine._KEY_ROWS)
+    engine.derive_keys([7], 4)
+    assert list(engine._KEY_ROWS) == rows[1:] + [7]
+    engine.derive_keys([7, 1], 4)
+    assert list(engine._KEY_ROWS) == rows[2:] + [7, 1]
+    with pytest.raises(ValueError, match="at most"):
+        engine.derive_keys(range(kept + 1), 4)
+    assert len(engine._KEY_ROWS) == kept
 
 
 def test_stream_sessions_start_at_the_key_and_do_not_nest():
@@ -252,6 +302,39 @@ def test_events_never_pop_at_t_inf():
     eng.schedule_wakeup(1.0, 0)
     assert [ev.time for ev in eng.events()] == [1.0]
     assert [ev.time for ev in eng.events(until=math.inf)] == []
+
+
+def test_events_stop_at_the_clock_limit():
+    eng = make_engine(p=1)
+    limit = engine.CLOCK_LIMIT_S
+    for time in (limit + 1.0, limit, 1.0):
+        eng.schedule_wakeup(time, 0)
+    assert [ev.time for ev in eng.events()] == [1.0, limit]
+    assert eng.now == limit
+    assert [ev.time for ev in eng.events(until=math.inf)] == []
+
+
+def test_position_tape_stops_at_the_clock_limit():
+    tape = make_draws(p=1, speed_limit_mps=10.0).paths[0]
+    last = int(engine.CLOCK_LIMIT_S)
+    tape.fill(last // 2 + 1)
+    tape.fill(last)
+    assert len(tape) == last + 1
+
+
+@pytest.mark.parametrize("speed", [0.0, 10.0])
+def test_all_but_dead_links_fail_within_the_clock_limit(speed):
+    # Links slow enough that results would come back after years: every
+    # strategy fails, and no position tape is read past the limit.
+    scn = benchmark_scenario(1, 64, init_box_m=10, speed_limit_mps=speed,
+                             comm=CommParams(rx_offset_dbm=-200))
+    for seed in range(4):
+        draws = Draws(seed, scn)
+        for strategy in STRATEGIES:
+            m = run_episode(scn, strategy, seed, draws=draws)
+            assert (m.success, m.completion_time) == (False, math.inf)
+        assert all(len(tape) <= engine.CLOCK_LIMIT_S + 1
+                   for tape in draws.paths.values())
 
 
 def test_now_advances_with_events():
@@ -642,6 +725,17 @@ def test_episode_behaviors_modes_and_count():
                   if b == Behavior(departs=0.0)) for seed in range(200)}
     assert counts <= set(range(0, 9))
     assert 0 in counts and 8 in counts  # uniform draw spans the full range
+
+
+@pytest.mark.parametrize("p, counts", [(2, (0, 1, 2)), (4, (1, 2, 3)),
+                                       (6, (2, 3, 4)), (8, (2, 4, 6))])
+def test_straggler_counts_round_half_to_even(p, counts):
+    # round(ratio * p) rounds a half to the even count: at p = 2, 0.25
+    # makes no straggler, and at p = 6, 0.75 makes 4 of 6.
+    scn = ScenarioConfig("round", n1=8, n2=8, n_workers=p)
+    for ratio, count in zip((0.25, 0.5, 0.75), counts):
+        behaviors = episode_behaviors(scn.replace(straggler_ratio=ratio), 1)
+        assert sum(beh != Behavior() for beh in behaviors) == count
 
 
 @pytest.mark.parametrize("uniform", [False, True])

@@ -297,11 +297,12 @@ def tapes(draws):
 def test_interleaved_streams_equal_philox_built_from_their_keys(seed, reads):
     # Position pairs, velocity chunks, exponentials past the first chunk and
     # integers-then-choice, read in any interleaving through the shared
-    # generator, with the (seed, node) key prefixes kept or made afresh.
+    # generator, with the keys served from the seed's derived row or, once
+    # the rows are dropped, derived one at a time.
     draws = Draws(seed, TAPE_FLEET)
     for i, (node, kind, k) in enumerate(reads):
         if i % 2:
-            engine._node_state.cache_clear()
+            engine._KEY_ROWS.clear()
         assert read(draws, seed, node, kind, k) == expected(seed, node, kind, k)
 
 

@@ -311,6 +311,38 @@ def test_success_rate_keeps_one_draws_alive(monkeypatch):
     assert len(alive) == 3 * runs and max(alive) == 1
 
 
+def test_success_rate_derives_keys_a_bounded_block_at_a_time(monkeypatch):
+    # Each block of seeds is derived in one evaluation before its first
+    # episode; no stream derives a key of its own, and the rows kept never
+    # outgrow KEY_ROWS_KEPT however many runs there are.
+    kept = engine.KEY_ROWS_KEPT
+    blocks, derivations = [], []
+    derive_keys, derive = experiments.derive_keys, engine._derive
+    run_episode = experiments.run_episode
+
+    def recording_block(seeds, n_workers):
+        blocks.append(list(seeds))
+        derive_keys(seeds, n_workers)
+
+    def recording(*args):
+        derivations.append(args)
+        return derive(*args)
+
+    def checking_episode(scenario, strategy, seed, **kwargs):
+        assert seed in blocks[-1] and seed in engine._KEY_ROWS
+        assert len(engine._KEY_ROWS) <= kept
+        return run_episode(scenario, strategy, seed, **kwargs)
+
+    monkeypatch.setattr(experiments, "derive_keys", recording_block)
+    monkeypatch.setattr(engine, "_derive", recording)
+    monkeypatch.setattr(experiments, "run_episode", checking_episode)
+    runs = 3 * kept + 5
+    success_rate(small_scenario(n_workers=4), runs, base_seed=3)
+    assert [len(block) for block in blocks] == [kept, kept, kept, 5]
+    assert len(derivations) == len(blocks)
+    assert len(engine._KEY_ROWS) <= kept
+
+
 # -- analytics ----------------------------------------------------------------------
 
 
