@@ -7,12 +7,13 @@ others and of the event interleaving: changing one worker's behaviour never
 perturbs another worker's compute times or trajectory.
 
 A stream is its key, made from (seed, node, purpose) alone by `substream`.
-Keys are derived a block of seeds at a time: `derive_keys` evaluates the
-splitmix64 key chain in numpy for every stream a fleet can open under
-each seed of the block, and the last KEY_ROWS_KEPT seeds' rows are kept.
-The experiments derive each block of reps before its first episode, a
-`Draws` made on its own derives its seed's row, and a stream outside the
-rows kept gets its one key from the same derivation.  A draw loads the
+Keys are read ahead: a `Draws` whose seed has no kept row evaluates the
+splitmix64 key chain in numpy, in one pass, for every stream its fleet
+can open under its seed and the next KEY_ROWS_KEPT - 1 seeds, and those
+rows replace the ones kept.  The experiments give rep r + 1 the seed of
+rep r plus one, so one pass serves KEY_ROWS_KEPT reps; they never see a
+key.  A stream outside the rows kept gets its one key from the same
+derivation, so no value depends on the readahead.  A draw loads the
 key at counter zero into the one Philox generator that all streams
 share, which gives the draws of a generator built from that key.  The
 engine is single-threaded by design: one stream's session ends before
@@ -160,33 +161,25 @@ def _fleet_streams(n_workers: int):
     return (start, *np.array(streams, dtype=np.uint64).T)
 
 
-# Rows of stream keys by seed, for the last KEY_ROWS_KEPT seeds that
-# `derive_keys` derived: a row is its fleet's key starts and the key
+# Rows of stream keys by seed, for the KEY_ROWS_KEPT seeds that
+# `_derive_rows` derived last: a row is its fleet's key starts and the key
 # words, 2(3p + 5) ints for a fleet of p workers.
 KEY_ROWS_KEPT = 16
 _KEY_ROWS: dict = {}
 
 
-def derive_keys(seeds, n_workers: int) -> None:
-    """Derive the stream keys of a block of at most KEY_ROWS_KEPT seeds,
-    every stream a fleet of `n_workers` can open, in one evaluation, and
-    keep them for `substream`.
+def _derive_rows(seed: int, n_workers: int) -> None:
+    """Replace the kept rows by those of seeds seed .. seed + KEY_ROWS_KEPT
+    - 1, every stream a fleet of `n_workers` can open, in one evaluation.
 
-    The rows derived first are dropped first, and before the block is
-    derived, so no more than KEY_ROWS_KEPT rows are ever held.
+    The old rows are dropped before the new ones are made, so no more than
+    KEY_ROWS_KEPT rows are ever held.
     """
-    seeds = list(seeds)
-    if len(seeds) > KEY_ROWS_KEPT:
-        raise ValueError(f"a block holds at most {KEY_ROWS_KEPT} seeds, "
-                         f"got {len(seeds)}")
-    for seed in seeds:
-        _KEY_ROWS.pop(seed, None)
-    excess = len(_KEY_ROWS) + len(seeds) - KEY_ROWS_KEPT
-    for seed in list(_KEY_ROWS)[:max(excess, 0)]:
-        del _KEY_ROWS[seed]
+    _KEY_ROWS.clear()
+    seeds = range(seed, seed + KEY_ROWS_KEPT)
     start, nodes, purposes = _fleet_streams(n_workers)
-    for seed, keys in zip(seeds, _derive(seeds, nodes, purposes)):
-        _KEY_ROWS[seed] = start, keys
+    _KEY_ROWS.update(zip(seeds, [(start, keys) for keys
+                                 in _derive(seeds, nodes, purposes)]))
 
 
 # The one generator every stream draws through, and the state a session
@@ -238,10 +231,9 @@ def substream(seed: int, node: int, purpose: int) -> Stream:
 
     The key is splitmix64 chained over the seed, the node and the purpose,
     so streams for different (node, purpose) pairs never collide in
-    practice and can be made in any order.  Keys are derived a block of
-    seeds at a time by `derive_keys`; a stream outside the rows kept gets
-    its one key from the same derivation.  Opening one builds no
-    generator.
+    practice and can be made in any order.  The key is read from the
+    rows a `Draws` derived ahead; a stream outside them gets its one key
+    from the same derivation.  Opening one builds no generator.
     """
     row = _KEY_ROWS.get(seed)
     if row is not None:
@@ -298,7 +290,9 @@ class _Path(Tape):
 
     Index 0 is the start position in the +-box square, drawn when the tape
     is made; index k adds the velocity of second k (dt = 1 s).  The
-    velocity stream is opened at the first read past the start.
+    velocity stream is opened at the first read past the start.  At a
+    speed limit of 0 every velocity drawn is 0, so the node stays at its
+    start position.
     """
 
     __slots__ = ("_speed_limit",)
@@ -357,9 +351,10 @@ class Draws:
       straggler count) for a scenario of the fleet, the behaviours drawn
       by `episode_behaviors`.
     `seed` is the plain int episode seed.  A `Draws` made for a seed
-    whose key row is not kept derives it (`derive_keys`); `run_paired`
-    derives a block of rows before their `Draws` are made.  Every stream
-    is opened as `substream(seed, node, purpose)`, and a tape keeps that
+    whose key row is not kept reads ahead: it derives the rows of its seed
+    and the next KEY_ROWS_KEPT - 1 seeds in one pass (`_derive_rows`), so
+    the `Draws` of the following reps find theirs.  Every stream is
+    opened as `substream(seed, node, purpose)`, and a tape keeps that
     triple to draw its stream again.
     `pilot_times` keeps `run_episode`'s straggler-free pilot completion
     times by (strategy, b), `inf` for a pilot that cannot finish.
@@ -373,7 +368,7 @@ class Draws:
         self.seed = seed
         fleet = self.fleet = scenario.straggler_free
         if seed not in _KEY_ROWS:
-            derive_keys((seed,), fleet.n_workers)
+            _derive_rows(seed, fleet.n_workers)
         paths = self.paths = Memo(lambda tag: _Path(
             seed, tag, fleet.init_box_m, fleet.speed_limit_mps))
         self.rates = Memo(lambda link: data_rate(_distance(paths, *link),

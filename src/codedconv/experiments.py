@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .coding import MAX_SQUARE_PIECES, shortest_piece
-from .engine import KEY_ROWS_KEPT, Draws, derive_keys, run_episode
+from .engine import Draws, run_episode
 from .models import FAILURE_MODES, CommParams
 from .scenarios import (
     DEFAULT_SCALE,
@@ -47,22 +47,19 @@ def run_paired(episodes, reps: int, base_seed: int, value) -> list[list]:
     scenarios differ at most in their straggler fields, so they share a
     name and a fleet, and the name derives the seeds.  All episodes of a
     rep share its seed and one `Draws`, which is dropped before the next
-    rep, so memory does not grow with `reps`.  The stream keys of
-    KEY_ROWS_KEPT reps at a time are derived in one block
-    (`engine.derive_keys`) before the block's first episode.
+    rep, so memory does not grow with `reps`.  The seeds of successive
+    reps are successive ints, so the stream keys a `Draws` reads ahead
+    serve the next reps too; no key is seen here.
     """
     first = episodes[0][0]
     values: list[list] = [[] for _ in episodes]
-    for block in range(0, reps, KEY_ROWS_KEPT):
-        seeds = [episode_seed(base_seed, first.name, rep)
-                 for rep in range(block, min(block + KEY_ROWS_KEPT, reps))]
-        derive_keys(seeds, first.n_workers)
-        for seed in seeds:
-            draws = Draws(seed, first)
-            for out, (scenario, strategy, kwargs) in zip(values, episodes):
-                out.append(value(run_episode(scenario, strategy, seed,
-                                             keep_result=False, draws=draws,
-                                             **kwargs)))
+    for rep in range(reps):
+        seed = episode_seed(base_seed, first.name, rep)
+        draws = Draws(seed, first)
+        for out, (scenario, strategy, kwargs) in zip(values, episodes):
+            out.append(value(run_episode(scenario, strategy, seed,
+                                         keep_result=False, draws=draws,
+                                         **kwargs)))
     return values
 
 

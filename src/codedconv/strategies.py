@@ -371,26 +371,28 @@ class _WorkerStats:
 
     `count` results are back; the latest arrived at `t_recv` after a round
     trip `rtt`, `service` after it was sent, and its compute finished at
-    the estimated `t_finish`.  `idle` is the idle time booked so far and
-    `pending_idle` holds one increment per piece in flight, oldest first.
+    the estimated `t_finish`.  `idle` is the idle time booked so far.
+    `in_flight` pieces are out, and `pending` is the idle increment to
+    book at the next result: only a send with nothing in flight makes a
+    nonzero one, so every later piece of the same run books 0.
     `t_send` is the latest send.
     """
 
-    __slots__ = ("count", "t_recv", "t_finish", "idle", "pending_idle",
-                 "rtt", "service", "t_send")
+    __slots__ = ("count", "t_recv", "t_finish", "idle", "in_flight",
+                 "pending", "rtt", "service", "t_send")
 
     def __init__(self):
-        self.count = 0
-        self.t_recv = self.t_finish = self.idle = 0.0
+        self.count = self.in_flight = 0
+        self.t_recv = self.t_finish = self.idle = self.pending = 0.0
         self.rtt = self.service = self.t_send = 0.0
-        self.pending_idle: list[float] = []
 
 
 class DispatchEstimator:
     """Per-worker turnaround estimate from master-visible timestamps only.
 
-    For each returned piece the worker's compute-finish instant is placed
-    inside the observed round trip in proportion to the payload split:
+    Every piece carries `n_in` values out and `n_out` back.  For each
+    returned piece the worker's compute-finish instant is placed inside
+    the observed round trip in proportion to that payload split:
     t_finish = t_recv - rtt * n_out / (n_in + n_out).  The worker's
     accumulated idle time grows only for a dispatch made while it has no
     outstanding piece (with work queued it cannot go idle before the new
@@ -405,7 +407,8 @@ class DispatchEstimator:
     the service time when the expectation is not yet meaningful.
     """
 
-    def __init__(self):
+    def __init__(self, n_in: int, n_out: int):
+        self._share = n_out / (n_in + n_out)
         self._stats: dict[int, _WorkerStats] = {}
 
     def record_send(self, worker: int, t_send: float) -> None:
@@ -414,10 +417,9 @@ class DispatchEstimator:
         st = self._stats.get(worker)
         if st is None:
             st = self._stats[worker] = _WorkerStats()
-        increment = 0.0
-        if st.count and not st.pending_idle:
-            increment = st.rtt - (st.t_recv - t_send)
-        st.pending_idle.append(increment)
+        if not st.in_flight and st.count:
+            st.pending = st.rtt - (st.t_recv - t_send)
+        st.in_flight += 1
         st.t_send = t_send
 
     def last_send(self, worker: int) -> float:
@@ -425,13 +427,14 @@ class DispatchEstimator:
         return self._stats[worker].t_send
 
     def record_result(self, worker: int, t_sent: float, t_recv: float,
-                      rtt: float, n_in: int, n_out: int) -> None:
+                      rtt: float) -> None:
         st = self._stats[worker]
         st.count += 1
-        if st.pending_idle:
-            st.idle += st.pending_idle.pop(0)
-        share = n_out / (n_in + n_out)
-        st.t_finish = t_recv - share * rtt
+        if st.in_flight:
+            st.in_flight -= 1
+            st.idle += st.pending
+            st.pending = 0.0
+        st.t_finish = t_recv - self._share * rtt
         st.service = t_recv - t_sent
         st.rtt = rtt
         st.t_recv = t_recv
@@ -474,10 +477,9 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
                 other_length=n1, code=(budget, m), columns=[[]])
     params = {"b": b, "pieces": m, "budget": budget}
     order = [*range(m, 0, -1), *range(m + 1, budget), 0]
-    est = DispatchEstimator()
+    est = DispatchEstimator(b, n1 + b - 1)
     live = set(eng.initial_roster())
-
-    load_pair, n_out = (n1, b), n1 + b - 1
+    load_pair = (n1, b)
 
     def dispatch(worker: int, now: float) -> bool:
         if eng.dispatched == budget:
@@ -489,7 +491,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     def react(ev) -> None:
         worker, kind = ev.worker, ev.kind
         if kind == "result_arrives":
-            est.record_result(worker, ev.t_sent, ev.time, ev.rtt, b, n_out)
+            est.record_result(worker, ev.t_sent, ev.time, ev.rtt)
         elif kind == "worker_leaves":
             live.discard(worker)
             return

@@ -82,8 +82,8 @@ def test_substream_seed_changes_everything():
 
 def test_substream_draws_equal_philox_built_from_its_key():
     # substream builds no Philox; its draws must still be those of the
-    # documented Generator(Philox(key=...)), with the key served from a
-    # derived block or derived on its own.
+    # documented Generator(Philox(key=...)), with the key served from the
+    # rows read ahead or derived on its own.
     rng = np.random.default_rng(2024)
     fleet_streams = [(node, purpose) for node in (0, 3, engine._MASTER_TAG,
                                                   engine._SCENARIO_TAG)
@@ -94,7 +94,7 @@ def test_substream_draws_equal_philox_built_from_its_key():
                 else tuple(int(t) for t in rng.integers(0, 2**32, 2)))
         for in_block in (True, False):
             if in_block:
-                engine.derive_keys([seed], 4)
+                engine._derive_rows(seed, 4)
             else:
                 engine._KEY_ROWS.clear()
             fast, slow = substream(seed, *tags), built_from_key(seed, *tags)
@@ -150,10 +150,10 @@ def test_substream_key_is_the_documented_chain(seed, node):
 
 
 def test_block_keys_are_the_documented_chain(monkeypatch):
-    # One derivation for the block; every stream of the fleet is then
-    # served from it, and any other stream is derived on its own.
-    p = 6
-    engine.derive_keys(KEY_SEEDS, p)
+    # One derivation reads ahead a block of seeds; every stream of the fleet
+    # under each of them is then served from it, and any other stream is
+    # derived on its own.
+    p, kept = 6, engine.KEY_ROWS_KEPT
     derived = []
     original = engine._derive
     monkeypatch.setattr(engine, "_derive",
@@ -165,41 +165,45 @@ def test_block_keys_are_the_documented_chain(monkeypatch):
                  (engine._MASTER_TAG, engine._VELOCITY)}
     in_fleet |= {(engine._SCENARIO_TAG, purpose)
                  for purpose in (engine._MU, engine._STRAGGLER, engine._TASK)}
-    for seed in KEY_SEEDS:
-        for node in KEY_NODES:
-            for purpose in PURPOSES:
-                before = len(derived)
-                key = substream(seed, node, purpose).key
-                assert key == reference_key(seed, node, purpose)
-                assert all(type(word) is int for word in key)
-                served = (node, purpose) in in_fleet
-                assert len(derived) == before + (not served)
+    for first in KEY_SEEDS:
+        engine._derive_rows(first, p)
+        assert list(engine._KEY_ROWS) == [*range(first, first + kept)]
+        for seed in (first, first + 1, first + kept - 1):
+            for node in KEY_NODES:
+                for purpose in PURPOSES:
+                    before = len(derived)
+                    key = substream(seed, node, purpose).key
+                    assert key == reference_key(seed, node, purpose)
+                    assert all(type(word) is int for word in key)
+                    served = (node, purpose) in in_fleet
+                    assert len(derived) == before + (not served)
 
 
-def test_key_rows_are_bounded_and_eviction_changes_no_key():
+def test_key_rows_are_bounded_and_eviction_changes_no_key(monkeypatch):
     kept = engine.KEY_ROWS_KEPT
     engine._KEY_ROWS.clear()
-    engine.derive_keys(range(200, 198 + kept), 4)
-    engine.derive_keys([7], 4)
-    # A cache with room drops nothing.
-    assert list(engine._KEY_ROWS) == [*range(200, 198 + kept), 7]
+    firsts = []
+    original = engine._derive_rows
+    monkeypatch.setattr(engine, "_derive_rows",
+                        lambda seed, p: firsts.append(seed) or original(seed, p))
+    make_draws(p=4, seed=7)
+    assert list(engine._KEY_ROWS) == [*range(7, 7 + kept)]
     key = substream(7, 3, engine._COMPUTE).key
-    # More than KEY_ROWS_KEPT other seeds, a block at a time, evict 7's row.
-    for block in range(3):
-        engine.derive_keys(range(100 + kept * block, 100 + kept * (block + 1)),
-                           4)
-        assert len(engine._KEY_ROWS) == kept
-    assert 7 not in engine._KEY_ROWS
+    # A Draws inside the kept block derives nothing.
+    make_draws(p=4, seed=7 + kept - 1)
+    assert firsts == [7]
+    # One outside it reads ahead from its own seed, and its rows replace
+    # the kept ones whole: 7's row is evicted, and its key is unchanged.
+    make_draws(p=4, seed=7 + kept)
+    assert firsts == [7, 7 + kept]
+    assert list(engine._KEY_ROWS) == [*range(7 + kept, 7 + 2 * kept)]
     assert substream(7, 3, engine._COMPUTE).key == key
-    # A full cache drops its oldest rows only, as many as a block brings.
-    rows = list(engine._KEY_ROWS)
-    engine.derive_keys([7], 4)
-    assert list(engine._KEY_ROWS) == rows[1:] + [7]
-    engine.derive_keys([7, 1], 4)
-    assert list(engine._KEY_ROWS) == rows[2:] + [7, 1]
-    with pytest.raises(ValueError, match="at most"):
-        engine.derive_keys(range(kept + 1), 4)
-    assert len(engine._KEY_ROWS) == kept
+    for seed in (6, 0, 2**63 - 1, 7 + 3 * kept, 5):
+        make_draws(p=4, seed=seed)
+        assert len(engine._KEY_ROWS) == kept
+    assert firsts == [7, 7 + kept, 6, 0, 2**63 - 1, 7 + 3 * kept, 5]
+    assert 7 + kept not in engine._KEY_ROWS
+    assert substream(7, 3, engine._COMPUTE).key == key
 
 
 def test_stream_sessions_start_at_the_key_and_do_not_nest():

@@ -5,7 +5,7 @@ import math
 from collections import defaultdict
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from codedconv import engine
@@ -222,6 +222,44 @@ def test_shared_draws_change_no_episode(run):
         assert_same_episode(
             run_episode(scn, strategy, seed, draws=draws, **kwargs),
             run_episode(scn, strategy, seed, **kwargs))
+
+
+# -- links at the edge of underflow ---------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.floats(-220.0, -100.0),
+       st.floats(0.0, math.log10(2000.0)).map(lambda e: 10.0 ** e),
+       st.sampled_from([0.0, 10.0]), st.integers(1, 4), st.integers(1, 64),
+       st.integers(1, 64), st.sampled_from([math.inf, 60.0, 1e4]))
+# Dynamic succeeds at 3,565 s, the fixed codes' results come back too late,
+# and the static fleet's tapes are read up to the limit.
+@example(6942716486964102153, -150.6, 1.1, 0.0, 2, 26, 16, math.inf)
+# Every link rate is 0.
+@example(1, -200.0, 1000.0, 10.0, 2, 16, 16, math.inf)
+def test_links_near_underflow_stop_at_the_clock_limit(seed, rx_offset_dbm, box,
+                                                      speed_limit, p, n1, n2,
+                                                      horizon):
+    # Offsets from -220 to -100 dBm over boxes of 1 to 2000 m put link
+    # rates on both sides of the Shannon rate's underflow to 0: results
+    # come back within seconds, after most of an hour or never.  Every
+    # strategy's clock stops at the limit, no position tape runs past it,
+    # and a failed episode is charged its horizon.
+    fleet = ScenarioConfig(
+        name="underflow", n1=n1, n2=n2, n_workers=p, init_box_m=box,
+        speed_limit_mps=speed_limit,
+        comm=CommParams(rx_offset_dbm=rx_offset_dbm))
+    draws = Draws(seed, fleet)
+    for strategy in sorted(STRATEGIES):
+        eng = KeyedEngine(draws, [Behavior()] * p)
+        outcome = STRATEGIES[strategy](n1, n2, eng, horizon=horizon)
+        assert all(time <= engine.CLOCK_LIMIT_S for time, _, _ in eng.popped)
+        if outcome.success:
+            assert outcome.completion_time <= min(horizon, engine.CLOCK_LIMIT_S)
+        else:
+            assert outcome.completion_time == horizon
+    assert all(len(tape) <= engine.CLOCK_LIMIT_S + 1
+               for tape in draws.paths.values())
 
 
 # -- keyed streams drawn through one shared generator ------------------------------

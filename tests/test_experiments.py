@@ -5,6 +5,7 @@ import operator
 import os
 import warnings
 import weakref
+import zlib
 from collections import Counter
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from codedconv import coding, engine, experiments, strategies
 from codedconv.experiments import (
+    STRATEGY_ORDER,
     ConfigError,
     auto,
     default_sweep_grid,
@@ -54,6 +56,49 @@ def test_episode_seed_stable_and_distinct():
     assert s != episode_seed(1234, "scenario2", 0)
     assert s != episode_seed(1235, "scenario1", 0)
     assert 0 <= s < 2 ** 63
+
+
+@given(st.integers(-2**70, 2**70), st.text(max_size=12),
+       st.integers(0, 10**6))
+def test_next_rep_has_the_next_seed(base_seed, name, rep):
+    # A Draws reads ahead the keys of the seeds after its own, which are
+    # the next reps' seeds everywhere but at the 2**63 wrap.
+    seed = episode_seed(base_seed, name, rep)
+    if seed != 2**63 - 1:
+        assert episode_seed(base_seed, name, rep + 1) == seed + 1
+
+
+def base_seed_at(seed, name):
+    """The base seed whose rep 0 has episode seed `seed` under `name`."""
+    tag = zlib.crc32(name.encode("utf-8"))
+    return (seed - 97 * tag) * pow(1_000_003, -1, 2**63) % 2**63
+
+
+def test_run_paired_across_the_seed_wrap_matches_private_draws(monkeypatch):
+    # Reps 0-4 have seeds 2**63 - 3 .. 2**63 - 1, 0, 1: the keys read ahead
+    # at rep 0 stop serving at the wrap, so seed 0 reads ahead its own.
+    scn = small_scenario(n_workers=4, straggler_ratio=0.5)
+    base_seed = base_seed_at(2**63 - 3, scn.name)
+    seeds = [episode_seed(base_seed, scn.name, rep) for rep in range(5)]
+    assert seeds == [2**63 - 3, 2**63 - 2, 2**63 - 1, 0, 1]
+    episodes = [(scn, strategy, {}) for strategy in STRATEGY_ORDER]
+
+    def value(m):
+        return m.success, m.completion_time, m.pieces_dispatched, m.horizon
+
+    firsts = []
+    original = engine._derive_rows
+    monkeypatch.setattr(engine, "_derive_rows",
+                        lambda seed, p: firsts.append(seed) or original(seed, p))
+    engine._KEY_ROWS.clear()
+    paired = experiments.run_paired(episodes, 5, base_seed, value)
+    assert firsts == [2**63 - 3, 0]
+    for out, (_, strategy, _) in zip(paired, episodes):
+        alone = []
+        for seed in seeds:
+            engine._KEY_ROWS.clear()
+            alone.append(value(engine.run_episode(scn, strategy, seed)))
+        assert out == alone
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -312,34 +357,31 @@ def test_success_rate_keeps_one_draws_alive(monkeypatch):
 
 
 def test_success_rate_derives_keys_a_bounded_block_at_a_time(monkeypatch):
-    # Each block of seeds is derived in one evaluation before its first
-    # episode; no stream derives a key of its own, and the rows kept never
-    # outgrow KEY_ROWS_KEPT however many runs there are.
+    # A rep's Draws reads ahead the keys of KEY_ROWS_KEPT reps in one
+    # evaluation, so 53 runs derive at reps 0, 16, 32 and 48 alone; no
+    # stream derives a key of its own, and the rows kept never outgrow
+    # KEY_ROWS_KEPT.
     kept = engine.KEY_ROWS_KEPT
-    blocks, derivations = [], []
-    derive_keys, derive = experiments.derive_keys, engine._derive
-    run_episode = experiments.run_episode
+    derived = []
+    derive, run_episode = engine._derive, experiments.run_episode
 
-    def recording_block(seeds, n_workers):
-        blocks.append(list(seeds))
-        derive_keys(seeds, n_workers)
-
-    def recording(*args):
-        derivations.append(args)
-        return derive(*args)
+    def recording(seeds, *args):
+        derived.append(list(seeds))
+        return derive(seeds, *args)
 
     def checking_episode(scenario, strategy, seed, **kwargs):
-        assert seed in blocks[-1] and seed in engine._KEY_ROWS
+        assert seed in derived[-1] and seed in engine._KEY_ROWS
         assert len(engine._KEY_ROWS) <= kept
         return run_episode(scenario, strategy, seed, **kwargs)
 
-    monkeypatch.setattr(experiments, "derive_keys", recording_block)
     monkeypatch.setattr(engine, "_derive", recording)
     monkeypatch.setattr(experiments, "run_episode", checking_episode)
-    runs = 3 * kept + 5
-    success_rate(small_scenario(n_workers=4), runs, base_seed=3)
-    assert [len(block) for block in blocks] == [kept, kept, kept, 5]
-    assert len(derivations) == len(blocks)
+    engine._KEY_ROWS.clear()
+    scn = small_scenario(n_workers=4)
+    success_rate(scn, 53, base_seed=3)
+    assert [seeds[0] for seeds in derived] == [
+        episode_seed(3, scn.name, rep) for rep in (0, 16, 32, 48)]
+    assert all(len(seeds) == kept for seeds in derived)
     assert len(engine._KEY_ROWS) <= kept
 
 

@@ -164,7 +164,7 @@ def test_select_s_needs_worker():
 
 
 def test_estimator_no_data_returns_none():
-    est = DispatchEstimator()
+    est = DispatchEstimator(n_in=1, n_out=1)
     assert est.interval(0) is None
     est.record_send(0, 0.0)
     assert est.interval(0) is None
@@ -172,22 +172,22 @@ def test_estimator_no_data_returns_none():
 
 def test_estimator_finish_placed_by_payload_share():
     # result 3x the size of the input: finish sits at t_recv - 0.75*rtt
-    est = DispatchEstimator()
+    est = DispatchEstimator(n_in=1, n_out=3)
     est.record_send(0, 0.0)
-    est.record_result(0, t_sent=0.0, t_recv=10.0, rtt=1.0, n_in=1, n_out=3)
+    est.record_result(0, t_sent=0.0, t_recv=10.0, rtt=1.0)
     st = est._stats[0]
     assert st.t_finish == pytest.approx(9.25)
     assert est.interval(0) == pytest.approx(9.25)  # min(service=10, expected=9.25)
 
 
 def test_estimator_idle_gap_accrues_on_first_free_send():
-    est = DispatchEstimator()
+    est = DispatchEstimator(n_in=1, n_out=3)
     est.record_send(0, 0.0)
-    est.record_result(0, 0.0, 10.0, rtt=1.0, n_in=1, n_out=3)
+    est.record_result(0, 0.0, 10.0, rtt=1.0)
     # worker idle since 9.25; new piece sent at 10.5 lands at ~11.25:
     # idle increment = rtt - (t_recv - t_send) = 1 - (10 - 10.5) = 1.5
     est.record_send(0, 10.5)
-    est.record_result(0, 10.5, 20.0, rtt=1.0, n_in=1, n_out=3)
+    est.record_result(0, 10.5, 20.0, rtt=1.0)
     st = est._stats[0]
     assert st.idle == pytest.approx(1.5)
     expected = (20.0 - 0.75 - 1.5) / 2
@@ -195,13 +195,13 @@ def test_estimator_idle_gap_accrues_on_first_free_send():
 
 
 def test_estimator_no_idle_while_pieces_outstanding():
-    est = DispatchEstimator()
+    est = DispatchEstimator(n_in=1, n_out=1)
     est.record_send(0, 0.0)
-    est.record_result(0, 0.0, 10.0, rtt=1.0, n_in=1, n_out=1)
+    est.record_result(0, 0.0, 10.0, rtt=1.0)
     est.record_send(0, 10.0)   # worker free: may accrue idle
     est.record_send(0, 12.0)   # one piece outstanding: never idle
-    est.record_result(0, 10.0, 20.0, rtt=1.0, n_in=1, n_out=1)
-    est.record_result(0, 12.0, 30.0, rtt=1.0, n_in=1, n_out=1)
+    est.record_result(0, 10.0, 20.0, rtt=1.0)
+    est.record_result(0, 12.0, 30.0, rtt=1.0)
     st = est._stats[0]
     # only the 10.0 send could add idle: 1 - (10 - 10) = 1.0
     assert st.idle == pytest.approx(1.0)
@@ -209,19 +209,19 @@ def test_estimator_no_idle_while_pieces_outstanding():
 
 
 def test_estimator_idle_booked_at_own_result_not_at_send():
-    est = DispatchEstimator()
+    est = DispatchEstimator(n_in=1, n_out=1)
     est.record_send(0, 0.0)
-    est.record_result(0, 0.0, 10.0, rtt=2.0, n_in=1, n_out=1)
+    est.record_result(0, 0.0, 10.0, rtt=2.0)
     est.record_send(0, 15.0)  # idle increment 2 - (10-15) = 7, still pending
     assert est._stats[0].idle == 0.0
-    est.record_result(0, 15.0, 25.0, rtt=2.0, n_in=1, n_out=1)
+    est.record_result(0, 15.0, 25.0, rtt=2.0)
     assert est._stats[0].idle == pytest.approx(7.0)
 
 
 def test_estimator_negative_expectation_falls_back_to_service():
-    est = DispatchEstimator()
+    est = DispatchEstimator(n_in=1, n_out=1)
     est.record_send(0, 0.0)
-    est.record_result(0, 0.0, 10.0, rtt=1.0, n_in=1, n_out=1)
+    est.record_result(0, 0.0, 10.0, rtt=1.0)
     st = est._stats[0]
     st.idle = 100.0  # force a nonsensical expectation
     assert est.interval(0) == pytest.approx(10.0)
