@@ -222,11 +222,9 @@ def main(argv=None) -> int:
             kind, options, name = args.command, vars(args), _flag
             scenario = benchmark_scenario(args.scenario, args.scale)
         run_experiment(kind, scenario, options, name=name)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:  # noqa: BLE001 - report and signal runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -3,19 +3,20 @@
 The distribution strategies split long vectors into fixed-length pieces,
 convolve pieces on remote workers, and reassemble the full product with
 overlap-add.  The coded strategies additionally mix pieces through a
-Vandermonde matrix so that any `cols` returned combinations suffice to
+polynomial code so that any `cols` returned combinations suffice to
 recover the originals (an MDS property over the reals).
 
-Evaluation points for the Vandermonde rows are Chebyshev nodes taken in a
-low-discrepancy (bit-reversed) order.  Any prefix of the row sequence is
-then spread across (-1, 1), which keeps the decode solve well conditioned
-when rows are consumed in dispatch order.  Real-field decoding still loses
-precision as the piece count grows.  The one decode check is the
-reciprocal condition number: `decode_factors` refuses a system below
-RCOND_LIMIT (1e-12), and a decode it accepts is accurate only to a few
-eps / rcond relative, about 1e-4 for a square 31-piece system (rcond
-2.4e-12).  That is why the shipped scenario defaults keep piece counts at
-or below 16.
+Row i of a code holds the Chebyshev polynomials T_0 .. T_{cols-1} at the
+i-th encoding point.  The points are Chebyshev nodes taken in a
+low-discrepancy (bit-reversed) order, so any prefix of the row sequence is
+spread across (-1, 1), which keeps the decode solve well conditioned when
+rows are consumed in dispatch order.  The Chebyshev basis keeps it so as
+the piece count grows, where monomials lose a digit of rcond about every
+three pieces (Fahim & Cadambe, *Numerically Stable Polynomially Coded
+Computing*): a square 31-piece system has rcond 2.5e-2 in it and 2.4e-12
+in the monomial basis.  The one decode check is the reciprocal condition
+number: `decode_factors` refuses a system below RCOND_LIMIT, which is set
+so that a decode it accepts is accurate to DECODE_ACCURACY relative.
 
 Codes are shared read-only constants: `make_encoding_matrix` builds each
 (rows, cols) code once and hands every caller the same array, which
@@ -25,7 +26,6 @@ verdict for a (shape, row set), decoded in ascending row order, and
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,14 @@ class DecodeFailure(Exception):
     """The decode system is singular or too ill conditioned to trust."""
 
 
-# Reciprocal condition number below which a decode is refused outright.
-RCOND_LIMIT = 1e-12
-# Largest m whose square make_encoding_matrix(m, m) system passes RCOND_LIMIT.
+# Relative error, against the largest |a * x|, that an accepted decode
+# meets.  A decode is off by at most about 64 eps / rcond relative, so
+# RCOND_LIMIT (about 1.4e-8) is the rcond below which a decode is refused.
+DECODE_ACCURACY = 1e-6
+RCOND_LIMIT = 64 * np.finfo(np.float64).eps / DECODE_ACCURACY
+# Most pieces a coded column is cut into.  A cap on the piece count, not a
+# decode limit: it bounds the automatic and configured chunk and piece
+# lengths from below, and so the codes and verdicts a tiny length builds.
 MAX_SQUARE_PIECES = 31
 # How many codes and decode verdicts are kept.  The bounds keep a long run's
 # memory flat: an unbounded verdict memo grows with every new row set.
@@ -46,7 +51,7 @@ VERDICTS_KEPT = 1024
 
 def shortest_piece(n: int) -> int:
     """Shortest piece length that cuts n values into at most
-    MAX_SQUARE_PIECES pieces; a coded column of more never decodes."""
+    MAX_SQUARE_PIECES pieces, the cap on a coded column's piece count."""
     return -(-n // MAX_SQUARE_PIECES)
 
 
@@ -103,29 +108,16 @@ def convolve_fft(a, x) -> np.ndarray:
     return np.fft.irfft(spec, nfft)[:n]
 
 
-@dataclass
-class Partition:
-    """A vector split into equal-length pieces, zero-padded at the tail."""
-
-    pieces: np.ndarray          # shape (count, piece_length)
-    piece_length: int
-    original_length: int
-
-
-def partition(values, piece_length: int) -> Partition:
-    """Split `values` into ceil(n / piece_length) zero-padded pieces."""
+def partition(values, piece_length: int) -> np.ndarray:
+    """Split `values` into ceil(n / piece_length) pieces, zero-padded at the
+    tail, as the (count, piece_length) array that `mds_encode` takes."""
     vec = as_vector(values)
     if not isinstance(piece_length, (int, np.integer)) or piece_length < 1:
         raise ValueError(f"piece_length must be a positive integer, got {piece_length!r}")
     piece_length = int(piece_length)
     count = -(-len(vec) // piece_length)
     pad = count * piece_length - len(vec)
-    padded = np.concatenate([vec, np.zeros(pad)])
-    return Partition(
-        pieces=padded.reshape(count, piece_length),
-        piece_length=piece_length,
-        original_length=len(vec),
-    )
+    return np.concatenate([vec, np.zeros(pad)]).reshape(count, piece_length)
 
 
 def encoding_points(count: int) -> np.ndarray:
@@ -149,32 +141,29 @@ def encoding_points(count: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=CODES_KEPT)
 def make_encoding_matrix(rows: int, cols: int) -> np.ndarray:
-    """The rows x cols Vandermonde matrix over encoding_points(rows).
+    """The rows x cols Chebyshev-Vandermonde matrix over encoding_points(rows).
 
-    Distinct points make every cols x cols row-submatrix invertible, so any
-    `cols` coded results determine the original pieces.  Any other 2-D
-    array, such as the identity, serves as a code too.  The matrix is
-    built once per shape and shared, so it is read-only.
+    Entry (i, j) is T_j(point i).  The Chebyshev basis is the monomial one
+    times an invertible triangular matrix, so distinct points still make
+    every cols x cols row-submatrix invertible, and any `cols` coded
+    results determine the original pieces.  Any other 2-D array, such as
+    the identity, serves as a code too.  The matrix is built once per
+    shape and shared, so it is read-only.
     """
     if cols < 1:
         raise ValueError("cols must be >= 1")
     if rows < 1:
         raise ValueError("rows must be >= 1")
-    matrix = np.vander(encoding_points(rows), cols, increasing=True)
+    matrix = np.polynomial.chebyshev.chebvander(encoding_points(rows), cols - 1)
     matrix.setflags(write=False)
     return matrix
 
 
-def _pieces_array(pieces) -> np.ndarray:
-    arr = pieces.pieces if isinstance(pieces, Partition) else np.asarray(pieces, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("pieces must form a non-empty 2-D array")
-    return arr
-
-
 def mds_encode(pieces, matrix: np.ndarray, row: int) -> np.ndarray:
     """Combine pieces with one matrix row: sum_j matrix[row, j] * piece[j]."""
-    arr = _pieces_array(pieces)
+    arr = np.asarray(pieces, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("pieces must form a non-empty 2-D array")
     rows, cols = matrix.shape
     if arr.shape[0] != cols:
         raise ValueError(f"matrix has {cols} cols but {arr.shape[0]} pieces given")

@@ -637,7 +637,8 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     When the episode contains stragglers and no horizon is given, a
     straggler-free pilot episode with the same seed sets the give-up
     horizon at horizon_factor times the pilot completion time.  A pilot
-    that cannot finish sets none: the horizon stays infinite.
+    that cannot finish sets none: the horizon stays infinite.  The pilot
+    runs with `_behaviors`, the straggler-free roster `[_NORMAL] * p`.
 
     `draws` is a `Draws` of `seed` and of `scenario.straggler_free` (one
     of another seed or fleet is a ValueError); episodes that share one
@@ -669,9 +670,7 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
                                for beh in behaviors))
         behaviors, n_stragglers = straggling
     else:
-        behaviors = _behaviors
-        n_stragglers = sum(beh is not _NORMAL and beh != _NORMAL
-                           for beh in behaviors)
+        behaviors, n_stragglers = _behaviors, 0
 
     if horizon is None:
         horizon = math.inf

@@ -94,7 +94,7 @@ def sweep_b(scenario: ScenarioConfig, b_values, reps: int, base_seed: int):
 
     Returns (rows, argmin_b); rows keep the given b order, argmin ties go
     to the earliest row.  A b below `shortest_piece(n2)` is refused: its
-    column has more than MAX_SQUARE_PIECES pieces and never decodes.
+    column would have more than MAX_SQUARE_PIECES pieces, the cap.
     """
     b_values = list(b_values)
     if not b_values:

@@ -85,7 +85,7 @@ class ScenarioConfig:
                             ">= 0, both finite")
         if not self.horizon_factor > 1.0:
             problems.append("horizon_factor must be > 1")
-        # A column cut into more than MAX_SQUARE_PIECES pieces never decodes.
+        # No column is cut into more than MAX_SQUARE_PIECES pieces.
         b = self.dynamic_b
         if b is not None and not shortest_piece(self.n2) <= b <= self.n2:
             problems.append("dynamic_b must be in [1, n2] and cut n2 into "

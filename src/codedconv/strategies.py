@@ -108,17 +108,15 @@ class Plan:
         if self.coded_is_x:
             a, x = x, a
         coded = partition(a, self.coded_length)
-        other = partition(x, self.other_length)
-        column_length = coded.original_length + other.piece_length - 1
+        column_length = len(a) + self.other_length - 1
         parts = []
-        for piece, rows in zip(other.pieces, self.columns):
+        for piece, rows in zip(partition(x, self.other_length), self.columns):
             results = [(i, convolve_fft(mds_encode(coded, self.matrix, i), piece))
                        for i in sorted(rows)]
             decoded = mds_decode(results, self.matrix)
-            parts.append(overlap_add(list(decoded), coded.piece_length,
+            parts.append(overlap_add(list(decoded), self.coded_length,
                                      column_length))
-        return overlap_add(parts, other.piece_length,
-                           coded.original_length + other.original_length - 1)
+        return overlap_add(parts, self.other_length, len(a) + len(x) - 1)
 
 
 @dataclass
@@ -173,8 +171,8 @@ def select_s(n1: int, n2: int, p: int, profiles,
 
     Feasible lengths run from ceil(sqrt(n1*n2/p)) (enough chunk pairs for
     every worker) up to min(n1, n2), and must cut max(n1, n2) into at most
-    MAX_SQUARE_PIECES pieces, past which no coded column decodes.  Ties
-    pick the smallest length; None when no length is feasible.
+    MAX_SQUARE_PIECES pieces, the cap on a coded column's piece count.
+    Ties pick the smallest length; None when no length is feasible.
 
     The search is exact without scoring every length.  |chunk_score(s)|
     is |slack(s)| * G(s): slack = p*s/n2 - n1/s + 1 strictly increases
@@ -428,12 +426,12 @@ class DispatchEstimator:
 
     def record_result(self, worker: int, t_sent: float, t_recv: float,
                       rtt: float) -> None:
+        # Every result follows its own record_send, so a piece is in flight.
         st = self._stats[worker]
         st.count += 1
-        if st.in_flight:
-            st.in_flight -= 1
-            st.idle += st.pending
-            st.pending = 0.0
+        st.in_flight -= 1
+        st.idle += st.pending
+        st.pending = 0.0
         st.t_finish = t_recv - self._share * rtt
         st.service = t_recv - t_sent
         st.rtt = rtt
@@ -500,12 +498,11 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
             dispatch(worker, eng.now)
             return
         # After a result or a wakeup: send now if the worker's next piece
-        # is due, else book a wakeup for when it is.
+        # is due, else book a wakeup for when it is.  Either one follows a
+        # recorded result of the worker, so its interval is known.
         if worker not in live:
             return
         interval = est.interval(worker)
-        if interval is None:
-            return
         now, due = eng.now, est.last_send(worker) + interval
         if now >= due:
             if dispatch(worker, now):

@@ -8,7 +8,7 @@ that replays a failing example; local runs keep the default profile.
 import pytest
 from hypothesis import settings
 
-from codedconv import engine
+from codedconv import coding, engine
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
@@ -29,3 +29,20 @@ def streams_opened(monkeypatch):
 
     monkeypatch.setattr(engine, "substream", recording)
     return opened
+
+
+@pytest.fixture
+def rcond_limit(monkeypatch):
+    """Set `coding.RCOND_LIMIT` for one test: call the fixture with the limit.
+
+    No square system up to the piece-count cap fails the shipped limit, so
+    a test that needs a failing verdict raises the limit.  The verdict
+    memo is cleared when the limit is set and again at teardown, so no
+    verdict judged under the test's limit outlives it.
+    """
+    def set_limit(limit):
+        monkeypatch.setattr(coding, "RCOND_LIMIT", limit)
+        coding._decode_failure.cache_clear()
+
+    yield set_limit
+    coding._decode_failure.cache_clear()

@@ -164,6 +164,30 @@ def test_empty_out_dir_exits_2_and_writes_nothing(tmp_path, capsys,
     assert os.listdir(tmp_path) == []
 
 
+def test_runtime_failure_exits_3_and_writes_nothing(tmp_path, capsys,
+                                                   monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "stress_test", broken)
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(["compare", "--scale", "64", "--reps", "1",
+                            "--out", str(out_dir)], capsys)
+    assert code == 3
+    assert err.startswith("runtime error: boom")
+    assert not out_dir.exists()
+
+
+def test_interrupt_is_not_a_runtime_failure(tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "stress_test", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["compare", "--scale", "64", "--reps", "1",
+              "--out", str(tmp_path / "out")])
+
+
 def test_success_rate_rejects_reps(capsys):
     # argparse exits on an unknown option instead of returning from main.
     with pytest.raises(SystemExit) as exc:

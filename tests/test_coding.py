@@ -11,7 +11,6 @@ from codedconv import coding
 from codedconv.coding import (
     DecodeFailure,
     MAX_SQUARE_PIECES,
-    RCOND_LIMIT,
     VERDICTS_KEPT,
     _fast_length,
     as_vector,
@@ -123,15 +122,13 @@ def test_as_vector_casts_ints():
 
 
 def test_partition_example_with_padding():
-    p = partition([1, 2, 3, 4, 5], 2)
-    assert p.pieces.size - p.original_length == 1
-    np.testing.assert_array_equal(p.pieces, [[1, 2], [3, 4], [5, 0]])
+    np.testing.assert_array_equal(partition([1, 2, 3, 4, 5], 2),
+                                  [[1, 2], [3, 4], [5, 0]])
 
 
 def test_partition_exact_fit():
-    p = partition(np.arange(6.0), 3)
-    assert p.pieces.size == p.original_length
-    np.testing.assert_array_equal(p.pieces, [[0, 1, 2], [3, 4, 5]])
+    np.testing.assert_array_equal(partition(np.arange(6.0), 3),
+                                  [[0, 1, 2], [3, 4, 5]])
 
 
 def test_partition_round_trip_random():
@@ -140,11 +137,10 @@ def test_partition_round_trip_random():
         n = int(rng.integers(1, 200))
         length = int(rng.integers(1, 50))
         v = rng.uniform(-1, 1, n)
-        p = partition(v, length)
-        assert p.pieces.shape == (-(-n // length), length)
-        assert p.original_length == n
-        np.testing.assert_array_equal(p.pieces.reshape(-1)[:n], v)
-        assert not p.pieces.reshape(-1)[n:].any()
+        pieces = partition(v, length)
+        assert pieces.shape == (-(-n // length), length)
+        np.testing.assert_array_equal(pieces.reshape(-1)[:n], v)
+        assert not pieces.reshape(-1)[n:].any()
 
 
 def test_partition_rejects_bad_length():
@@ -160,13 +156,15 @@ def test_partition_rejects_bad_length():
 # encoding matrix
 
 
-def test_matrix_entries_are_point_powers():
+def test_matrix_entries_are_chebyshev_polynomials_at_the_points():
+    # T_j(cos t) = cos(j t), an oracle apart from chebvander's recurrence.
     m = make_encoding_matrix(6, 4)
     points = encoding_points(6)
     assert m.shape == (6, 4)
     for i in range(6):
         for j in range(4):
-            assert m[i, j] == pytest.approx(points[i] ** j, rel=1e-15)
+            want = np.cos(j * np.arccos(points[i]))
+            assert m[i, j] == pytest.approx(want, abs=1e-15)
 
 
 def test_codes_are_shared_read_only_constants():
@@ -175,11 +173,11 @@ def test_codes_are_shared_read_only_constants():
     with pytest.raises(ValueError, match="read-only"):
         m[0, 0] = 2.0
     np.testing.assert_array_equal(
-        m, np.vander(encoding_points(6), 4, increasing=True))
+        m, np.polynomial.chebyshev.chebvander(encoding_points(6), 3))
 
 
 def test_matrix_points_distinct_and_bounded():
-    # Column 1 of the Vandermonde matrix holds the evaluation points.
+    # Column 1, T_1(x) = x, holds the evaluation points.
     points = make_encoding_matrix(40, 8)[:, 1]
     assert len(np.unique(points)) == 40
     assert np.all(np.abs(points) < 1.0)
@@ -290,11 +288,16 @@ def test_decode_ill_conditioned_raises(points, match):
         mds_decode(coded, m)
 
 
-def test_decode_factors_square_system_holds_up_to_31_pieces():
-    # The verdict needs only the rows; 31 is the last square system that
-    # passes RCOND_LIMIT, which is what caps ScenarioConfig.traditional_s
-    # and the automatic chunk length.
+def test_decode_factors_square_system_holds_up_to_31_pieces(rcond_limit):
+    # The verdict needs only the rows.  31 pieces is the piece-count cap
+    # on ScenarioConfig.traditional_s and the automatic chunk length, not
+    # a decode limit: square systems pass RCOND_LIMIT well past it.
     assert MAX_SQUARE_PIECES == 31
+    for m in (MAX_SQUARE_PIECES, 32, 64, 128):
+        decode_factors(make_encoding_matrix(m, m), range(m))
+    # A limit between the 31- and 32-piece rconds (2.53e-2 and 2.45e-2)
+    # refuses the larger system alone.
+    rcond_limit(0.025)
     decode_factors(make_encoding_matrix(31, 31), range(31))
     with pytest.raises(DecodeFailure):
         decode_factors(make_encoding_matrix(32, 32), range(32))
@@ -309,9 +312,10 @@ def test_shortest_piece_is_the_cap_on_piece_count(n):
     assert length == 1 or -(-n // (length - 1)) > MAX_SQUARE_PIECES
 
 
-def test_decode_verdict_memo_raises_every_failure_again(monkeypatch):
-    # The 32-piece square system fails; its memoized verdict must fail on
-    # every hit, not only on the call that computed it.
+def test_decode_verdict_memo_raises_every_failure_again(monkeypatch,
+                                                        rcond_limit):
+    # Under a limit of 0.025 the 32-piece square system fails; its memoized
+    # verdict must fail on every hit, not only on the call that computed it.
     calls = []
 
     def counted(matrix, rows):
@@ -319,7 +323,7 @@ def test_decode_verdict_memo_raises_every_failure_again(monkeypatch):
         return decode_factors(matrix, rows)
 
     monkeypatch.setattr(coding, "decode_factors", counted)
-    coding._decode_failure.cache_clear()
+    rcond_limit(0.025)
     for _ in range(3):
         with pytest.raises(DecodeFailure, match="rcond"):
             check_decodable(32, 32, range(32))
@@ -338,8 +342,8 @@ def test_decode_verdict_memo_is_bounded():
 
 
 # The code shapes the strategies build: dynamic (m + max(64, 8p), m) for
-# m pieces on p workers; traditional square (k, k), past the decode limit
-# too, and tall (r, k) when the workers outnumber the pieces.
+# m pieces on p workers; traditional square (k, k), past the piece-count
+# cap too, and tall (r, k) when the workers outnumber the pieces.
 code_shapes = st.one_of(
     st.builds(lambda m, p: (m + max(64, 8 * p), m),
               st.integers(1, 16), st.integers(1, 16)),
@@ -389,15 +393,18 @@ def test_decode_verdict_is_per_row_set(case):
     assert calls == [ascending]
 
 
-def test_decode_factors_verdict_follows_the_one_norm_condition():
+def test_decode_factors_verdict_follows_the_one_norm_condition(rcond_limit):
     # The verdict reads the exact 1-norm condition number (largest column
     # sums of the system and its inverse), so it must agree with
-    # 1 / cond(sub, 1); with the infinity norm the 32-piece system
-    # (1-norm rcond 9.9e-13) would pass.
+    # 1 / cond(sub, 1).  Under a limit of 0.025 the systems of 32 pieces
+    # and more fail; with the infinity norm every one would pass (the
+    # 32-piece system's rconds are 2.45e-2 in the 1-norm, 3.4e-2 in it).
+    limit = 0.025
+    rcond_limit(limit)
     for m in range(24, 36):
         matrix = make_encoding_matrix(m, m)
         rcond = 1.0 / np.linalg.cond(matrix, 1)
-        if rcond >= RCOND_LIMIT:
+        if rcond >= limit:
             decode_factors(matrix, range(m))
         else:
             with pytest.raises(DecodeFailure, match="rcond"):
@@ -409,12 +416,12 @@ def test_encode_linearity_under_convolution():
     rng = np.random.default_rng(107)
     a = rng.uniform(-1, 1, 33)
     xp = partition(rng.uniform(-1, 1, 40), 8)
-    m = make_encoding_matrix(7, len(xp.pieces))
+    m = make_encoding_matrix(7, len(xp))
     for row in range(7):
         coded = mds_encode(xp, m, row)
         lhs = convolve_fft(a, coded)
         rhs = mds_encode(
-            np.stack([convolve_fft(a, piece) for piece in xp.pieces]), m, row)
+            np.stack([convolve_fft(a, piece) for piece in xp]), m, row)
         assert_close(lhs, rhs, rtol=1e-9)
 
 
@@ -438,8 +445,7 @@ def test_overlap_add_reconstructs_block_convolution():
     rng = np.random.default_rng(108)
     a = rng.uniform(-1, 1, 64)
     x = rng.uniform(-1, 1, 64)
-    xp = partition(x, 16)
-    parts = [convolve_fft(a, piece) for piece in xp.pieces]
+    parts = [convolve_fft(a, piece) for piece in partition(x, 16)]
     got = overlap_add(parts, 16, len(a) + len(x) - 1)
     assert_close(got, convolve_direct(a, x), rtol=1e-9)
 
@@ -448,8 +454,7 @@ def test_overlap_add_with_padding_truncates_correctly():
     rng = np.random.default_rng(109)
     a = rng.uniform(-1, 1, 50)
     x = rng.uniform(-1, 1, 41)          # 41 does not divide by 16
-    xp = partition(x, 16)
-    parts = [convolve_fft(a, piece) for piece in xp.pieces]
+    parts = [convolve_fft(a, piece) for piece in partition(x, 16)]
     got = overlap_add(parts, 16, len(a) + len(x) - 1)
     assert_close(got, convolve_direct(a, x), rtol=1e-9)
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from codedconv import engine
-from codedconv.coding import convolve_direct
+from codedconv.coding import DECODE_ACCURACY, MAX_SQUARE_PIECES, convolve_direct
 from codedconv.engine import Draws, SimEngine, run_episode, substream
 from codedconv.models import STRAGGLER_MODES, Behavior, CommParams
 from codedconv.scenarios import ScenarioConfig
@@ -171,6 +171,44 @@ def test_successful_decode_is_within_its_condition_bound(run, operand_seed):
                 for rows in plan.columns)
     bound = DECODE_ERROR_K * np.finfo(float).eps * kappa * np.abs(want).max()
     assert np.abs(plan.assemble(a, x) - want).max() <= bound
+
+
+@st.composite
+def long_columns(draw):
+    """(strategy, scenario) whose coded column has 16 to 31 pieces.
+
+    The coded operand is cut by the strategy's configured length: n2 by
+    dynamic's b, the longer operand by traditional's s.  Stragglers of any
+    mode change which rows arrive first, and so which row sets decode.
+    """
+    strategy = draw(st.sampled_from(["traditional", "dynamic"]))
+    length = draw(st.integers(1, 40))
+    coded = (draw(st.integers(16, MAX_SQUARE_PIECES)) * length
+             - draw(st.integers(0, length - 1)))
+    if strategy == "dynamic":
+        n1, n2, knobs = draw(st.integers(1, 300)), coded, {"dynamic_b": length}
+    else:
+        n1, n2 = coded, draw(st.integers(length, 3 * length))
+        knobs = {"traditional_s": length}
+    return strategy, ScenarioConfig(
+        "long-columns", n1=n1, n2=n2, n_workers=draw(st.integers(1, 8)),
+        straggler_ratio=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        straggler_mode=draw(st.sampled_from(STRAGGLER_MODES)), **knobs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_columns(), st.integers(0, 2**32 - 1))
+# The automatic chunk length 32 cuts n1 into a square 31-piece code.
+@example(("traditional", ScenarioConfig("custom", n1=992, n2=32, n_workers=1)),
+         0)
+def test_accepted_decodes_meet_the_decode_accuracy(case, seed):
+    strategy, scenario = case
+    draws = Draws(seed, scenario)
+    metrics = run_episode(scenario, strategy, seed, draws=draws)
+    assume(metrics.success)
+    want = convolve_direct(*draws.operands)
+    error = np.abs(metrics.result - want).max() / np.abs(want).max()
+    assert error <= DECODE_ACCURACY
 
 
 # -- one Draws shared by the episodes of a seed ----------------------------------

@@ -140,6 +140,23 @@ def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
     assert calls == []
 
 
+def test_select_s_breaks_an_exact_tie_with_one_array_score(monkeypatch):
+    # Lengths 1 and 2 both score exactly 0.5, so both survive the bound and
+    # one array call to `chunk_score` picks the smaller, as the full scan does.
+    profiles = [WorkerProfile(mu=1.0)] * 4
+    assert full_scan(2, 2, 4, profiles) == 1
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return chunk_score(*args, **kwargs)
+
+    monkeypatch.setattr(strategies, "chunk_score", counted)
+    assert strategies.select_s(2, 2, 4, profiles) == 1
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0][0], [1, 2])
+
+
 def test_select_s_degenerate_argmax_is_min_length():
     # with mu in the standard range the power factors are ~1 and the score
     # grows with s, so the chosen chunk length is min(n1, n2)
@@ -151,7 +168,7 @@ def test_select_s_degenerate_argmax_is_min_length():
 def test_select_s_only_cuts_into_decodable_piece_counts():
     profiles = [WorkerProfile(mu=4.5e6)]
     assert select_s(31 * 32, 32, 1, profiles) == 32        # 31 pieces
-    assert select_s(31 * 32 + 1, 32, 1, profiles) is None  # 32 would not decode
+    assert select_s(31 * 32 + 1, 32, 1, profiles) is None  # 32: past the cap
     assert select_s(2000, 2, 4, profiles * 4) is None
 
 
@@ -340,9 +357,11 @@ def test_traditional_searches_each_chunk_length_once_per_draws(monkeypatch):
     assert picks == [want, None, want, None, want]
 
 
-def test_traditional_past_decode_limit_fails_without_data():
-    # 33 coded pieces: the square decode system fails its rcond check as
-    # the 33rd row arrives, before any payload is computed.
+def test_traditional_past_decode_limit_fails_without_data(rcond_limit):
+    # 33 coded pieces under a limit above their square system's rcond
+    # (2.38e-2): the system fails its rcond check as the 33rd row arrives,
+    # before any payload is computed.
+    rcond_limit(0.024)
     rng = np.random.default_rng(16)
     a, x = random_task(rng, 66, 2)
     out = run_traditional_coded(len(a), len(x), make_engine(p=4), s=2)
