@@ -48,7 +48,8 @@ redrawn each whole second); a distance read at time t sees the position
 at whole second int(t).  A position tape is integrated as far as reads
 reach, so an episode that finishes within a second never pays for tick
 events.  The clock stops at CLOCK_LIMIT_S, an hour: no event past it is
-popped, so an episode whose results would come back later fails, and no
+pushed, so none is popped and the queue holds nothing the clock can never
+reach.  An episode whose results would come back later fails, and no
 position tape holds more than CLOCK_LIMIT_S + 1 seconds.
 
 Each worker's `Behavior` is read in three places: its slowdown multiplies
@@ -90,9 +91,11 @@ _MU, _STRAGGLER, _TASK = 4, 5, 6
 # Node tag for the master and for scenario-level streams.
 _MASTER_TAG = 0x6D737472
 _SCENARIO_TAG = 0x7363656E
-# The behaviour of a normal worker: anything else is a straggler.
+# The behaviour of a normal worker: anything else is a straggler.  Every
+# straggler of the failure modes shares `_FAILED`.
 _NORMAL = Behavior()
-# The episode clock stops at an hour: no event later than this is popped,
+_FAILED = Behavior(departs=0.0)
+# The episode clock stops at an hour: no event later than this is pushed,
 # so an episode ends in bounded time and memory even when its links are
 # all but dead, and fails rather than succeeding years later.  The golden
 # episodes all end within 30 s.
@@ -475,14 +478,19 @@ class SimEngine:
     # -- scheduling ----------------------------------------------------------
 
     def _push(self, time: float, ev: EngineEvent) -> None:
-        heapq.heappush(self._heap, (time, self._seq, ev))
-        self._seq += 1
+        # An event past the clock limit would never be popped, so it is not
+        # pushed, and takes no sequence number: the (time, seq) order of
+        # the events that are pushed is the same either way.
+        if time <= CLOCK_LIMIT_S:
+            heapq.heappush(self._heap, (time, self._seq, ev))
+            self._seq += 1
 
     def _log_event(self, kind: str, time: float, worker: int, row, payload: int) -> None:
         self.log.append(SimEvent(time, kind, worker, row, payload))
 
     def schedule_wakeup(self, time: float, worker: int) -> None:
-        """Ask for a wakeup event at `time` tagged with `worker`."""
+        """Ask for a wakeup event at `time` tagged with `worker`; one past
+        CLOCK_LIMIT_S is not pushed."""
         now = self.now
         self._push(time if time > now else now,
                    EngineEvent("wakeup", time, worker))
@@ -500,7 +508,9 @@ class SimEngine:
         worker has departed or not yet joined, when the link's rate is 0
         (far enough out, the Shannon rate underflows), or when the worker
         departs before the result is back; the master has no failure
-        detection beyond roster-change events.
+        detection beyond roster-change events.  A result due past
+        CLOCK_LIMIT_S is not pushed, but the piece still takes its place on
+        the worker's compute tape and keeps the worker busy.
         """
         now = self.now
         beh = self.behaviors[worker]
@@ -554,17 +564,15 @@ class SimEngine:
                                        now, t_in + t_out))
 
     def events(self, until: float = math.inf):
-        """Pop events in (time, seq) order, stopping past `until` or past
-        CLOCK_LIMIT_S, whichever is earlier.
+        """Pop events in (time, seq) order, stopping past `until`.
 
-        Nothing is pushed earlier than the clock, so the clock is the time
-        of the event popped last, and it never passes CLOCK_LIMIT_S: an
-        event due later, at t = inf included, never happens.
+        Nothing is pushed earlier than the clock or later than
+        CLOCK_LIMIT_S, so the clock is the time of the event popped last,
+        and it never passes CLOCK_LIMIT_S: an event due later, at t = inf
+        included, never happens.
         """
         heap = self._heap
         pop = heapq.heappop
-        if until > CLOCK_LIMIT_S:
-            until = CLOCK_LIMIT_S
         while heap and heap[0][0] <= until:
             self.now, _, ev = pop(heap)
             yield ev
@@ -612,8 +620,7 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
             count = int(rng.integers(0, p + 1))
         chosen = rng.choice(p, size=count, replace=False) if count else ()
     if count:
-        straggler = (Behavior(departs=0.0)
-                     if scenario.straggler_mode in FAILURE_MODES
+        straggler = (_FAILED if scenario.straggler_mode in FAILURE_MODES
                      else Behavior(slowdown=scenario.delay_factor))
         for w in chosen:
             behaviors[w] = straggler

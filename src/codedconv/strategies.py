@@ -27,7 +27,6 @@ operands into the convolution those results would decode to.
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +55,11 @@ _DEFAULT_PIECE_TARGET = 16
 # of chunk lengths: far wider than the rounding gap between its float
 # scores and `chunk_score`'s, so it never drops the full scan's argmax.
 _PRUNE_MARGIN = 1e-9
+# Largest |log| of a factor mu**alpha, work**alpha or their ratio at which
+# `select_s` settles a pick by its closed-form bound: e**600 lies well
+# inside float64's normal range (about e**+-708), so there no score of the
+# full scan over- or underflows and its rounding is far below the margin.
+_LOG_RANGE = 600.0
 
 
 @dataclass
@@ -174,43 +178,68 @@ def select_s(n1: int, n2: int, p: int, profiles,
     MAX_SQUARE_PIECES pieces, the cap on a coded column's piece count.
     Ties pick the smallest length; None when no length is feasible.
 
-    The search is exact without scoring every length.  |chunk_score(s)|
-    is |slack(s)| * G(s): slack = p*s/n2 - n1/s + 1 strictly increases
-    in s, so |slack| peaks at an end of any range of lengths, and
-    G = sum(mu**alpha / (p * work**alpha)) is positive and falls as the
-    work 2*coeff*s*log2(2s) grows.  On lengths a..b that gives the bound
-    |score| <= max(|slack(a)|, |slack(b)|) * G(a).  The ends are scored,
-    the lengths between are bisected, and a range whose bound is below
-    the best score seen by the relative _PRUNE_MARGIN is dropped.  Each
-    factor of G is exp(alpha * (log mu - log work)), at most
-    exp(1 / (e * work)) as alpha is 1 / mu, where work**alpha alone
+    |chunk_score(s)| is |slack(s)| * G(s): slack = p*s/n2 - n1/s + 1
+    strictly increases in s, so |slack| peaks at an end of any range of
+    lengths, and G = sum(mu**alpha / (p * work**alpha)) is positive and
+    falls as the work W(s) = 2*coeff*s*log2(2s) grows.
+
+    The pick is settled before any term of G is summed.  Every length s
+    in lo..hi-1 has G(s) <= G(hi) * exp(alpha_max * (log W(hi) - log
+    W(lo))), with alpha_max the largest alpha, and |slack(s)| <=
+    max(|slack(lo)|, |slack(hi-1)|).  So when that slack times the factor
+    is below |slack(hi)| by more than the relative _PRUNE_MARGIN, the
+    answer is hi = min(n1, n2).  The comparison is made in logs, so no
+    slow fleet overflows it, and only where every factor mu**alpha,
+    work**alpha and their ratio lies within e**+-_LOG_RANGE: there no
+    score of the full scan over- or underflows, so its float argmax is
+    the exact one.  G does no work on any fleet the scenarios draw: with
+    mu in [3e6, 6e6], alpha = 1 / mu is about 2.5e-7, so the factor is
+    1 + 3.3e-6 at most, and on presets 1-4 at scales 64, 8 and 1, seeds
+    0-19, every pick is hi, settled this way.
+
+    Elsewhere (slow fleets, whose scores underflow to 0, or a length
+    inside the range that wins) the search is exact without scoring every
+    length.  On lengths a..b, |score| <= max(|slack(a)|, |slack(b)|) *
+    G(a).  The ends are scored, the lengths between are bisected, and a
+    range whose bound is below the best score seen by _PRUNE_MARGIN is
+    dropped.  Each factor of G is exp(alpha * (log mu - log work)), at
+    most exp(1 / (e * work)) as alpha is 1 / mu, where work**alpha alone
     overflows on slow profiles.  A lone survivor is the answer; several
     are scored by `chunk_score` as one array, whose argmax takes the
     smallest of tied lengths.  When every score is 0 that argmax is the
     smallest length.
-
-    G does no work on any fleet the scenarios draw: with mu in [3e6, 6e6],
-    alpha = 1 / mu is about 2.5e-7, so G is constant over the lengths to
-    within about 3.3e-6 relative and |slack| alone decides the pick.  On
-    presets 1-4 at scales 64, 8 and 1, seeds 0-19, the pick is min(n1, n2)
-    every time, the first argmax of |slack|.
     """
     if p < 1:
         raise ValueError("need at least one worker")
     hi = min(n1, n2)
     lo = max(min(hi, math.ceil(math.sqrt(n1 * n2 / p))),
              shortest_piece(max(n1, n2)))
-    if lo > hi:
-        return None
-    rates = [(prof.alpha, math.log(prof.mu)) for prof in profiles]
+    if lo >= hi:
+        return hi if lo == hi else None
 
     def slack(s: int) -> float:
         return abs(p * s / n2 - n1 / s + 1.0)
 
+    def log_work(s: int) -> float:
+        return math.log(2.0 * coeff * s * math.log2(2.0 * s))
+
+    log_lo, log_hi = log_work(lo), log_work(hi)
+    mus = [prof.mu for prof in profiles]
+    mu_low, mu_high = min(mus), max(mus)
+    alpha = 1.0 / mu_low        # the largest alpha, as alpha = 1 / mu
+    log_range = alpha * (max(-math.log(mu_low), math.log(mu_high))
+                         + max(abs(log_lo), abs(log_hi)))
+    # lo >= sqrt(n1*n2/p) here, so every slack on lo..hi is at least 1.
+    if log_range <= _LOG_RANGE and (
+            math.log(slack(hi)) - math.log(max(slack(lo), slack(hi - 1)))
+            > alpha * (log_hi - log_lo) + _PRUNE_MARGIN):
+        return hi
+
+    rates = [(prof.alpha, math.log(prof.mu)) for prof in profiles]
+
     def gain(s: int) -> float:
-        log_work = math.log(2.0 * coeff * s * math.log2(2.0 * s))
-        return sum(math.exp(alpha * (log_mu - log_work))
-                   for alpha, log_mu in rates) / p
+        log_w = log_work(s)
+        return sum(math.exp(a * (log_mu - log_w)) for a, log_mu in rates) / p
 
     g_lo = gain(lo)
     if max(slack(lo), slack(hi)) * g_lo == 0.0:
@@ -253,15 +282,16 @@ def _run(plan: Plan, eng, horizon: float, params: dict,
 
     The episode fails at the horizon, when the queue drains, or when a
     full column does not decode.  `react(ev)`, if given, sees every event
-    that did not end it.
+    that did not end it.  The outcome's `per_worker_results` is the dict
+    of popped results by worker; a worker with none has no entry.
     """
     columns, code = plan.columns, plan.code
     ncols, m = len(columns), plan.shape[1]
     open_columns = ncols
-    per_worker = defaultdict(int)
+    per_worker = {}
     for ev in eng.events(until=horizon):
         if ev.kind == "result_arrives":
-            per_worker[ev.worker] += 1
+            per_worker[ev.worker] = per_worker.get(ev.worker, 0) + 1
             i, j = divmod(ev.row, ncols)
             rows = columns[j]
             if len(rows) < m:
@@ -277,12 +307,12 @@ def _run(plan: Plan, eng, horizon: float, params: dict,
                     open_columns -= 1
                     if not open_columns:
                         return StrategyOutcome(True, ev.time, eng.dispatched, 0,
-                                               dict(per_worker), params, plan)
+                                               per_worker, params, plan)
         if react is not None:
             react(ev)
     # Unfinished episodes are charged the full horizon (inf when uncapped).
-    return StrategyOutcome(False, horizon, eng.dispatched, 0,
-                           dict(per_worker), params)
+    return StrategyOutcome(False, horizon, eng.dispatched, 0, per_worker,
+                           params)
 
 
 # -- fixed codes: uncoded and traditional ---------------------------------------

@@ -341,6 +341,34 @@ def test_all_but_dead_links_fail_within_the_clock_limit(speed):
                    for tape in draws.paths.values())
 
 
+# Today's outcome of each strategy on the fleet below, at every seed 0-3:
+# (pieces dispatched, redundancy used).
+DEAD_LINK_OUTCOMES = {"uncoded": (8, 0), "traditional": (8, 0),
+                      "dynamic": (8, 1)}
+
+
+def test_nothing_past_the_clock_limit_is_pushed():
+    # Every result would come back years out.  Each piece still takes its
+    # compute draw and keeps its worker busy, but its result is not pushed,
+    # so the queue ends empty, and each episode fails as it did when those
+    # results were pushed and never popped.
+    scn = benchmark_scenario(1, 64, init_box_m=10,
+                             comm=CommParams(rx_offset_dbm=-200))
+    p = scn.n_workers
+    for seed in range(4):
+        draws = Draws(seed, scn)
+        for strategy, (dispatched, redundancy) in DEAD_LINK_OUTCOMES.items():
+            eng = SimEngine(draws, episode_behaviors(scn, seed))
+            out = STRATEGIES[strategy](scn.n1, scn.n2, eng)
+            assert not [time for time, _, _ in eng._heap
+                        if time > engine.CLOCK_LIMIT_S]
+            assert eng._compute_read == [1] * p
+            assert min(eng._busy) > engine.CLOCK_LIMIT_S
+            assert (out.success, out.completion_time, out.pieces_dispatched,
+                    out.redundancy_used, out.per_worker_results) == (
+                        False, math.inf, dispatched, redundancy, {})
+
+
 def test_now_advances_with_events():
     eng = make_engine(p=1)
     eng.schedule_wakeup(3.25, 0)

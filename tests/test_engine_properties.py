@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -131,6 +131,19 @@ def test_worker_failing_at_start_is_never_heard_from(eng):
     failed = {w for w, beh in enumerate(eng.behaviors) if beh.departs == 0.0}
     assert not [ev for *_, ev in eng.popped if ev.worker in failed]
     assert {rec.kind for rec in eng.log if rec.worker in failed} <= {"dispatch"}
+
+
+@fleets
+@given(runs())
+def test_per_worker_results_count_the_popped_results(run):
+    # A plain dict of the results popped per worker: no default factory,
+    # and no entry for a worker that returned nothing.
+    eng, outcome = run
+    popped = Counter(ev.worker for *_, ev in eng.popped
+                     if ev.kind == "result_arrives")
+    assert type(outcome.per_worker_results) is dict
+    assert outcome.per_worker_results == popped
+    assert 0 not in outcome.per_worker_results.values()
 
 
 # Infinitely slow workers, none of whose results ever arrives.

@@ -95,7 +95,11 @@ fleet_mus = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(16, 1500), st.integers(16, 1500), fleet_mus)
 @example(563, 585, [0.586, 0.572])      # a length inside the range wins
-@example(512, 256, [1e-3] * 8)          # every score underflows to 0
+# Every score underflows to 0, so the bound leaves the pick to the search,
+# which keeps the smallest length.
+@example(512, 256, [1e-3] * 8)
+@example(26, 16, [4e6, 5e6])            # lengths 15 and 16: hi = lo + 1
+@example(32, 16, [4e6])                 # lo = hi = 16, where slack is 0
 def test_select_s_matches_full_scan(n1, n2, mus):
     profiles = [WorkerProfile(mu=mu) for mu in mus]
     want = full_scan(n1, n2, len(mus), profiles)
@@ -117,26 +121,31 @@ def test_select_s_slow_fleet_picks_min_length_without_warning():
 
 
 @pytest.mark.parametrize("index", [1, 2, 3, 4])
-@pytest.mark.parametrize("scale", [8, 1])
+@pytest.mark.parametrize("scale", [64, 8, 1])
 def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
-    # The bound settles every preset fleet on a single length, so the
-    # array scoring of `chunk_score`, kept for near ties, never runs.
+    # The closed-form bound settles every preset fleet on min(n1, n2)
+    # before any term of the profile factor G is summed: no `math.exp`
+    # call, and no array scoring by `chunk_score`, kept for near ties.
     scenario = benchmark_scenario(index, scale)
     n1, n2 = max(scenario.n1, scenario.n2), min(scenario.n1, scenario.n2)
     p = scenario.n_workers
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return chunk_score(*args, **kwargs)
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    for seed in (1, 2, 1234):
+    for seed in [*range(20), 1234]:
         profiles = Draws(seed, scenario).profiles
-        want = full_scan(n1, n2, p, profiles, scenario.compute_coeff)
+        assert full_scan(n1, n2, p, profiles, scenario.compute_coeff) == n2
         with monkeypatch.context() as patch:
-            patch.setattr(strategies, "chunk_score", counted)
+            patch.setattr(math, "exp", counted("exp", math.exp))
+            patch.setattr(strategies, "chunk_score",
+                          counted("chunk_score", chunk_score))
             assert strategies.select_s(n1, n2, p, profiles,
-                                       scenario.compute_coeff) == want
+                                       scenario.compute_coeff) == n2
     assert calls == []
 
 
