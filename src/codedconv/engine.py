@@ -34,14 +34,20 @@ A worker's compute tape starts at the first piece it accepts.  Streams
 that no episode reads (failed workers, mobility in episodes shorter than
 a second, the straggler stream of a setting that draws no straggler) are
 never opened, and since each stream is keyed on its own, the draws do
-not depend on when or whether the others are made.  The `Draws` also
-holds the fleet's profiles and operands, the behaviours of each
-straggler setting, each pilot's completion time, the traditional
-strategy's chunk length for each pair of operand lengths and each
-(worker, second) link rate, so a rep searches each chunk length once and
-prices each link once.  An episode given no `Draws` makes a private one,
-so sharing one changes no value; one of another seed or fleet is
-refused.
+not depend on when or whether the others are made.  A start position
+and a worker's mu are drawn as `low + (high - low) * u` from
+`rng.random`: bit for bit numpy's `uniform(low, high)`, whose C code is
+`low + range * next_double`, without its per-call cost.  The `Draws` also
+holds the fleet's profiles and operands, each straggler setting's
+`Roster` (its behaviours, straggler count, initial roster and roster
+events), each pilot's completion time and each (worker, second) link
+rate, so a rep prices each link once and no episode rescans the fleet.
+The traditional strategy's chunk length is settled once per fleet where
+the fleet's mu range settles it (`strategies.settle_chunk_length`);
+elsewhere the `Draws` keeps it for each pair of operand lengths, so a
+rep searches each chunk length once.  An episode given no `Draws` makes
+a private one, so sharing one changes no value; one of another seed or
+fleet is refused.
 
 Node positions advance on a one-second mobility clock (velocities are
 redrawn each whole second); a distance read at time t sees the position
@@ -306,7 +312,10 @@ class _Path(Tape):
         self._key, self._stream = (seed, tag, _VELOCITY), None
         self._speed_limit = speed_limit
         with substream(seed, tag, _POSITION) as rng:
-            self.append(tuple(rng.uniform(-box, box, 2).tolist()))
+            x, y = rng.random(2).tolist()
+        # rng.uniform(-box, box, 2), bit for bit (see the module docstring).
+        span = box - -box
+        self.append((-box + span * x, -box + span * y))
 
     def _draw(self, rng, n: int) -> None:
         # Position k follows velocity row k - 1.  No read is past the
@@ -350,9 +359,10 @@ class Draws:
       that `sample_compute_time` scales, in accept order;
     - `profiles` (a list not to write to) and `operands`: the draws of
       `episode_profiles` and `episode_task`;
-    - `behaviors[scenario.straggler_key]`: `run_episode`'s (behaviours,
-      straggler count) for a scenario of the fleet, the behaviours drawn
-      by `episode_behaviors`.
+    - `behaviors[scenario.straggler_key]`: the `Roster` of a scenario of
+      the fleet, made from the behaviours `episode_behaviors` draws; the
+      straggler-free one, which pilots run with, is under the fleet's own
+      `straggler_key`.
     `seed` is the plain int episode seed.  A `Draws` made for a seed
     whose key row is not kept reads ahead: it derives the rows of its seed
     and the next KEY_ROWS_KEPT - 1 seeds in one pass (`_derive_rows`), so
@@ -363,7 +373,8 @@ class Draws:
     times by (strategy, b), `inf` for a pilot that cannot finish.
     `chunk_lengths[n1, n2]` keeps `select_s`'s answer for the fleet and
     operand lengths n1 >= n2, None included; `run_traditional_coded`
-    fills it at its first search.
+    fills it at its first search, made only on a fleet whose mu range
+    does not settle the answer.
     """
 
     def __init__(self, seed: int, scenario):
@@ -423,26 +434,59 @@ class EngineEvent:
     rtt: float = 0.0
 
 
+class Roster:
+    """One straggler setting: its behaviours and what an engine reads of
+    them before the first event.
+
+    `behaviors` has one `Behavior` per worker and `stragglers` counts
+    those that are not a normal worker's.  `initial` lists the workers the
+    master can address at t=0 (late joiners excluded).  `events` lists
+    the roster changes an engine pushes before the first event, in push
+    order: a worker that departs before it joins is never announced as
+    joining, and one that departs at t=0 is never announced at all, since
+    it returns no result and gets no wakeup, so no strategy could act on
+    its departure.  A roster is not written to: the episodes of a `Draws`
+    share one per straggler setting.
+    """
+
+    __slots__ = ("behaviors", "stragglers", "initial", "events")
+
+    def __init__(self, behaviors):
+        self.behaviors = behaviors = list(behaviors)
+        self.stragglers = sum(beh is not _NORMAL and beh != _NORMAL
+                              for beh in behaviors)
+        self.initial = [w for w, beh in enumerate(behaviors) if not beh.joins]
+        self.events = events = []
+        for w, beh in enumerate(behaviors):
+            if 0.0 < beh.joins < beh.departs:
+                events.append(EngineEvent("worker_joins", beh.joins, w))
+            if 0.0 < beh.departs < math.inf:
+                events.append(EngineEvent("worker_leaves", beh.departs, w))
+
+
 class SimEngine:
     """Event queue plus fleet state for a single episode.
 
     `now` is the clock: the time of the event popped last, 0 before the
-    first.  Only `events()` sets it.  `profiles` and `chunk_lengths` are
-    the `Draws`' own.
+    first.  Only `events()` sets it.  `fleet`, `profiles` and
+    `chunk_lengths` are the `Draws`' own.  `behaviors` is one `Behavior`
+    per worker, or a `Roster` made of them.
     """
 
     def __init__(self, draws: Draws, behaviors, *, collect_log: bool = False):
-        fleet = draws.fleet
+        fleet = self.fleet = draws.fleet
+        roster = behaviors if isinstance(behaviors, Roster) else Roster(behaviors)
+        behaviors = self.behaviors = roster.behaviors
         if len(behaviors) != fleet.n_workers:
             raise ValueError(f"need one behavior per worker: the fleet has "
                              f"{fleet.n_workers}, got {len(behaviors)}")
         self.profiles = draws.profiles
         self.chunk_lengths = draws.chunk_lengths
-        self.behaviors = list(behaviors)
         self.comm = fleet.comm
         self.compute_coeff = fleet.compute_coeff
         self.n_workers = fleet.n_workers
         self.now = 0.0
+        self._initial = roster.initial
         self._heap: list = []
         self._seq = 0
         self._busy = [0.0] * self.n_workers
@@ -458,22 +502,15 @@ class SimEngine:
         self._shape = None
         self._load = 0.0
         self._n_out = 0
-
-        # Master-visible roster changes.  A worker that departs before it
-        # joins is never announced as joining, and one that departs at t=0
-        # is never announced at all: it returns no result and gets no
-        # wakeup, so no strategy could act on its departure.
-        for w, beh in enumerate(self.behaviors):
-            if 0.0 < beh.joins < beh.departs:
-                self._push(beh.joins, EngineEvent("worker_joins", beh.joins, w))
-            if 0.0 < beh.departs < math.inf:
-                self._push(beh.departs, EngineEvent("worker_leaves", beh.departs, w))
+        for ev in roster.events:
+            self._push(ev.time, ev)
 
     # -- roster --------------------------------------------------------------
 
     def initial_roster(self) -> list[int]:
-        """Workers the master can address at t=0 (late joiners excluded)."""
-        return [w for w, b in enumerate(self.behaviors) if not b.joins]
+        """Workers the master can address at t=0 (late joiners excluded),
+        a list not to write to."""
+        return self._initial
 
     # -- scheduling ----------------------------------------------------------
 
@@ -594,8 +631,11 @@ class EpisodeMetrics(StrategyOutcome):
 def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     """Draw per-worker compute profiles for one episode."""
     with substream(seed, _SCENARIO_TAG, _MU) as rng:
-        mus = rng.uniform(scenario.mu_low, scenario.mu_high, scenario.n_workers)
-    return [WorkerProfile(mu=mu) for mu in mus.tolist()]
+        fractions = rng.random(scenario.n_workers).tolist()
+    # rng.uniform(mu_low, mu_high, p), bit for bit (see the module docstring).
+    low = scenario.mu_low
+    span = scenario.mu_high - low
+    return [WorkerProfile(low + span * u) for u in fractions]
 
 
 def episode_behaviors(scenario, seed: int) -> list[Behavior]:
@@ -635,6 +675,15 @@ def episode_task(scenario, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return a, x
 
 
+def _roster(draws: Draws, scenario) -> Roster:
+    """The `Roster` of `scenario`'s straggler setting, kept in `draws`."""
+    roster = draws.behaviors.get(scenario.straggler_key)
+    if roster is None:
+        roster = draws.behaviors[scenario.straggler_key] = Roster(
+            episode_behaviors(scenario, draws.seed))
+    return roster
+
+
 def run_episode(scenario, strategy: str, seed: int, *, b=None,
                 horizon: float | None = None, collect_log: bool = False,
                 keep_result: bool = True, draws: Draws | None = None,
@@ -645,7 +694,8 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     straggler-free pilot episode with the same seed sets the give-up
     horizon at horizon_factor times the pilot completion time.  A pilot
     that cannot finish sets none: the horizon stays infinite.  The pilot
-    runs with `_behaviors`, the straggler-free roster `[_NORMAL] * p`.
+    runs with `_behaviors`, the straggler-free fleet's `Roster`, in which
+    every worker is normal.
 
     `draws` is a `Draws` of `seed` and of `scenario.straggler_free` (one
     of another seed or fleet is a ValueError); episodes that share one
@@ -668,16 +718,8 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     elif (draws.fleet is not scenario.straggler_free
           and draws.fleet != scenario.straggler_free):
         raise ValueError("the Draws are of another fleet than the scenario")
-    if _behaviors is None:
-        straggling = draws.behaviors.get(scenario.straggler_key)
-        if straggling is None:
-            behaviors = episode_behaviors(scenario, seed)
-            straggling = draws.behaviors[scenario.straggler_key] = (
-                behaviors, sum(beh is not _NORMAL and beh != _NORMAL
-                               for beh in behaviors))
-        behaviors, n_stragglers = straggling
-    else:
-        behaviors, n_stragglers = _behaviors, 0
+    roster = _roster(draws, scenario) if _behaviors is None else _behaviors
+    n_stragglers = roster.stragglers
 
     if horizon is None:
         horizon = math.inf
@@ -688,12 +730,12 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
                 pilot = run_episode(scenario, strategy, seed, b=b,
                                     horizon=math.inf, keep_result=False,
                                     draws=draws,
-                                    _behaviors=[_NORMAL] * len(behaviors))
+                                    _behaviors=_roster(draws, draws.fleet))
                 pilot_time = draws.pilot_times[key] = (
                     pilot.completion_time if pilot.success else math.inf)
             horizon = scenario.horizon_factor * pilot_time
 
-    eng = SimEngine(draws, behaviors, collect_log=collect_log)
+    eng = SimEngine(draws, roster, collect_log=collect_log)
     knobs = {}
     if strategy == "dynamic":
         knobs["b"] = b if b is not None else scenario.dynamic_b
@@ -705,7 +747,13 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
         result = outcome.plan.assemble(*draws.operands)
 
     return EpisodeMetrics(
-        **vars(outcome),
+        success=outcome.success,
+        completion_time=outcome.completion_time,
+        pieces_dispatched=outcome.pieces_dispatched,
+        redundancy_used=outcome.redundancy_used,
+        per_worker_results=outcome.per_worker_results,
+        params=outcome.params,
+        plan=outcome.plan,
         scenario_name=scenario.name,
         strategy=strategy,
         seed=seed,

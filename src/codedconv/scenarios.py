@@ -79,10 +79,13 @@ class ScenarioConfig:
             problems.append("delay_factor must be >= 1")
         if not 0 < self.compute_coeff < math.inf:
             problems.append("compute_coeff must be positive and finite")
-        if not (0 < self.init_box_m < math.inf
-                and 0 <= self.speed_limit_mps < math.inf):
+        # Positions and velocities are drawn on [-limit, limit), a range of
+        # twice the limit, which must be finite too.
+        if not (0 < self.init_box_m and 2 * self.init_box_m < math.inf
+                and 0 <= self.speed_limit_mps
+                and 2 * self.speed_limit_mps < math.inf):
             problems.append("init_box_m must be positive, speed_limit_mps "
-                            ">= 0, both finite")
+                            ">= 0, and twice each finite")
         if not self.horizon_factor > 1.0:
             problems.append("horizon_factor must be > 1")
         # No column is cut into more than MAX_SQUARE_PIECES pieces.

@@ -169,6 +169,61 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     return -total
 
 
+def _slack(n1: int, n2: int, p: int, s: int) -> float:
+    """|slack(s)| = |p*s/n2 - n1/s + 1|, the first factor of |chunk_score|."""
+    return abs(p * s / n2 - n1 / s + 1.0)
+
+
+def _log_work(s: int, coeff: float) -> float:
+    """log W(s) = log(2*coeff*s*log2(2s)), the log of a chunk's work."""
+    return math.log(2.0 * coeff * s * math.log2(2.0 * s))
+
+
+def _feasible(n1: int, n2: int, p: int) -> tuple[int, int]:
+    """(lo, hi): the shortest and longest chunk lengths `select_s` may pick."""
+    if p < 1:
+        raise ValueError("need at least one worker")
+    hi = min(n1, n2)
+    lo = max(min(hi, math.ceil(math.sqrt(n1 * n2 / p))),
+             shortest_piece(max(n1, n2)))
+    return lo, hi
+
+
+def _settles_at_hi(n1: int, n2: int, p: int, lo: int, hi: int,
+                   mu_low: float, mu_high: float, coeff: float) -> bool:
+    """Whether `select_s`'s closed-form bound picks hi for profiles whose
+    mus lie in [mu_low, mu_high]; see `select_s` (lo < hi)."""
+    log_lo, log_hi = _log_work(lo, coeff), _log_work(hi, coeff)
+    alpha = 1.0 / mu_low        # the largest alpha, as alpha = 1 / mu
+    log_range = alpha * (max(-math.log(mu_low), math.log(mu_high))
+                         + max(abs(log_lo), abs(log_hi)))
+    # lo >= sqrt(n1*n2/p) here, so every slack on lo..hi is at least 1.
+    return log_range <= _LOG_RANGE and (
+        math.log(_slack(n1, n2, p, hi))
+        - math.log(max(_slack(n1, n2, p, lo), _slack(n1, n2, p, hi - 1)))
+        > alpha * (log_hi - log_lo) + _PRUNE_MARGIN)
+
+
+@functools.lru_cache(maxsize=256)
+def settle_chunk_length(n1: int, n2: int, p: int, mu_low: float,
+                        mu_high: float, coeff: float = 1.0) -> int | None:
+    """min(n1, n2) when `select_s`'s closed-form bound picks it for every
+    fleet of p profiles with mus in [mu_low, mu_high]; else None.
+
+    The bound is evaluated once, at the fleet's alpha_max = 1 / mu_low and
+    largest mu, mu_high.  Both its condition and its _LOG_RANGE guard only
+    get harder as alpha_max and the largest mu grow, so a fleet that
+    settles at its bounds settles for every draw, endpoints included, and
+    needs no search per rep.  Every preset fleet settles (mu in [3e6,
+    6e6]).  A slow one, such as mu = 1e-3, whose scores underflow, does
+    not, and neither does a pair of lengths with at most one feasible.
+    """
+    lo, hi = _feasible(n1, n2, p)
+    if lo < hi and _settles_at_hi(n1, n2, p, lo, hi, mu_low, mu_high, coeff):
+        return hi
+    return None
+
+
 def select_s(n1: int, n2: int, p: int, profiles,
              coeff: float = 1.0) -> int | None:
     """Chunk length maximizing |chunk_score| over the feasible range.
@@ -194,8 +249,11 @@ def select_s(n1: int, n2: int, p: int, profiles,
     score of the full scan over- or underflows, so its float argmax is
     the exact one.  G does no work on any fleet the scenarios draw: with
     mu in [3e6, 6e6], alpha = 1 / mu is about 2.5e-7, so the factor is
-    1 + 3.3e-6 at most, and on presets 1-4 at scales 64, 8 and 1, seeds
-    0-19, every pick is hi, settled this way.
+    1 + 3.3e-6 at most, and every preset pick is hi, settled this way.
+    The bound holds for a whole fleet when it holds at the fleet's mu
+    range, so `run_traditional_coded` asks `settle_chunk_length` once per
+    fleet and pair of lengths, and calls `select_s` only where that does
+    not settle the pick, once per `Draws`.
 
     Elsewhere (slow fleets, whose scores underflow to 0, or a length
     inside the range that wins) the search is exact without scoring every
@@ -209,36 +267,18 @@ def select_s(n1: int, n2: int, p: int, profiles,
     smallest of tied lengths.  When every score is 0 that argmax is the
     smallest length.
     """
-    if p < 1:
-        raise ValueError("need at least one worker")
-    hi = min(n1, n2)
-    lo = max(min(hi, math.ceil(math.sqrt(n1 * n2 / p))),
-             shortest_piece(max(n1, n2)))
+    lo, hi = _feasible(n1, n2, p)
     if lo >= hi:
         return hi if lo == hi else None
-
-    def slack(s: int) -> float:
-        return abs(p * s / n2 - n1 / s + 1.0)
-
-    def log_work(s: int) -> float:
-        return math.log(2.0 * coeff * s * math.log2(2.0 * s))
-
-    log_lo, log_hi = log_work(lo), log_work(hi)
     mus = [prof.mu for prof in profiles]
-    mu_low, mu_high = min(mus), max(mus)
-    alpha = 1.0 / mu_low        # the largest alpha, as alpha = 1 / mu
-    log_range = alpha * (max(-math.log(mu_low), math.log(mu_high))
-                         + max(abs(log_lo), abs(log_hi)))
-    # lo >= sqrt(n1*n2/p) here, so every slack on lo..hi is at least 1.
-    if log_range <= _LOG_RANGE and (
-            math.log(slack(hi)) - math.log(max(slack(lo), slack(hi - 1)))
-            > alpha * (log_hi - log_lo) + _PRUNE_MARGIN):
+    if _settles_at_hi(n1, n2, p, lo, hi, min(mus), max(mus), coeff):
         return hi
 
+    slack = functools.partial(_slack, n1, n2, p)
     rates = [(prof.alpha, math.log(prof.mu)) for prof in profiles]
 
     def gain(s: int) -> float:
-        log_w = log_work(s)
+        log_w = _log_work(s, coeff)
         return sum(math.exp(a * (log_mu - log_w)) for a, log_mu in rates) / p
 
     g_lo = gain(lo)
@@ -361,8 +401,10 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     independently as soon as enough of its rows are back.  When no chunk
     length can decode (see select_s) the episode fails without a send.
     Without an explicit `s`, the chunk length is `select_s`'s answer, which
-    depends on the lengths and the fleet alone; it is kept in
-    `eng.chunk_lengths`, so the episodes of one `Draws` share one search.
+    depends on the lengths and the fleet alone.  Where the fleet's mu range
+    settles it (`settle_chunk_length`, kept per fleet), no rep searches;
+    elsewhere the answer, None included, is kept in `eng.chunk_lengths`, so
+    the episodes of one `Draws` share one search.
     """
     _check_lengths(n1, n2)
     lengths = (n1, n2)
@@ -371,11 +413,15 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
         n1, n2 = n2, n1
     p = eng.n_workers
     if s is None:
-        try:
-            s = eng.chunk_lengths[n1, n2]
-        except KeyError:
-            s = eng.chunk_lengths[n1, n2] = select_s(n1, n2, p, eng.profiles,
-                                                     eng.compute_coeff)
+        fleet = eng.fleet
+        s = settle_chunk_length(n1, n2, p, fleet.mu_low, fleet.mu_high,
+                                fleet.compute_coeff)
+        if s is None:
+            try:
+                s = eng.chunk_lengths[n1, n2]
+            except KeyError:
+                s = eng.chunk_lengths[n1, n2] = select_s(
+                    n1, n2, p, eng.profiles, fleet.compute_coeff)
         if s is None:
             return StrategyOutcome(False, horizon, 0, 0, {},
                                    {"s": None, "swapped": swapped})

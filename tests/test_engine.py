@@ -114,6 +114,41 @@ def test_substream_draws_equal_philox_built_from_its_key():
                                               slow.choice(8, size=3, replace=False))
 
 
+def uniform_bits(values) -> bytes:
+    """The float64 bits of `values`: -0.0 and 0.0 differ, as do NaNs."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("box", [1500.0, 10.0])
+def test_start_positions_are_numpy_uniform_bit_for_bit(box):
+    # A start position is scaled from `random` in Python; it must be the
+    # value numpy's own `uniform` draws from the stream, to the bit.
+    rng = np.random.default_rng(31)
+    fleet = ScenarioConfig("starts", n1=1, n2=1, n_workers=4, init_box_m=box)
+    seeds = [*range(40), *(int(s) for s in rng.integers(0, 2**63, 40))]
+    for seed in seeds:
+        draws = Draws(seed, fleet)
+        for tag in (0, 1, 2, 3, engine._MASTER_TAG):
+            want = built_from_key(seed, tag, engine._POSITION).uniform(-box, box, 2)
+            assert uniform_bits(draws.paths[tag][0]) == uniform_bits(want)
+
+
+@pytest.mark.parametrize("mu_low, mu_high", [(3e6, 6e6), (100.0, 200.0),
+                                             (1e-3, 1e-3)])
+def test_profile_mus_are_numpy_uniform_bit_for_bit(mu_low, mu_high):
+    # Each worker's mu is scaled from `random` in Python; the fleet's mus
+    # must be the values numpy's own `uniform` draws from the stream.
+    rng = np.random.default_rng(37)
+    fleet = ScenarioConfig("mus", n1=1, n2=1, n_workers=8, mu_low=mu_low,
+                           mu_high=mu_high)
+    seeds = [*range(100), *(int(s) for s in rng.integers(0, 2**63, 100))]
+    for seed in seeds:
+        mus = [prof.mu for prof in episode_profiles(fleet, seed)]
+        want = built_from_key(seed, engine._SCENARIO_TAG, engine._MU).uniform(
+            mu_low, mu_high, 8)
+        assert uniform_bits(mus) == uniform_bits(want)
+
+
 def reference_key(seed, node, purpose):
     """The documented key of stream (seed, node, purpose), derived here
     apart from the engine: splitmix64 chained over the seed, the node and

@@ -298,10 +298,9 @@ def test_stress_runs_one_pilot_per_rep_and_strategy(monkeypatch):
     assert len(set(pilots)) == len(pilots)
 
 
-def test_stress_searches_one_chunk_length_per_rep(monkeypatch):
-    # Every episode of a rep has the rep's fleet and operand lengths, so
-    # the traditional strategy's chunk-length search runs once per rep,
-    # pilots included.
+def stress_searches(monkeypatch, scenario, reps):
+    """select_s's calls in a stress run, and each traditional episode's
+    (pick, select_s's pick on the episode's profiles)."""
     calls = []
     original = strategies.select_s
 
@@ -310,9 +309,37 @@ def test_stress_searches_one_chunk_length_per_rep(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(strategies, "select_s", counted)
+    picks = []
+    original_run = strategies.run_traditional_coded
+
+    def recording(n1, n2, eng, **kwargs):
+        outcome = original_run(n1, n2, eng, **kwargs)
+        picks.append((outcome.params["s"],
+                      original(max(n1, n2), min(n1, n2), eng.n_workers,
+                               eng.profiles, eng.fleet.compute_coeff)))
+        return outcome
+
+    monkeypatch.setitem(strategies.STRATEGIES, "traditional", recording)
+    stress_test(scenario, [0.0, 0.3, 0.7, 1.0], reps, base_seed=5)
+    assert picks and all(s == want for s, want in picks)
+    return calls
+
+
+def test_stress_searches_one_chunk_length_per_rep(monkeypatch):
+    # Every episode of a rep has the rep's fleet and operand lengths, so
+    # on a fleet whose mu range does not settle the pick (mu = 1e-3) the
+    # traditional strategy's chunk-length search runs once per rep,
+    # pilots included.
     reps = 3
-    stress_test(small_scenario(), [0.0, 0.3, 0.7, 1.0], reps, base_seed=5)
+    calls = stress_searches(monkeypatch,
+                            small_scenario(mu_low=1e-3, mu_high=1e-3), reps)
     assert len(calls) == reps
+
+
+def test_stress_on_a_settled_fleet_searches_no_chunk_length(monkeypatch):
+    # The default mu range settles the pick once for the fleet: no rep
+    # searches, and every pick is still select_s's on the rep's profiles.
+    assert stress_searches(monkeypatch, small_scenario(), reps=3) == []
 
 
 @pytest.mark.parametrize("experiment, straggler_configs", [
@@ -543,6 +570,9 @@ def write_config(path, config: dict):
     ("comm", "rx_offset_dbm", "nan"),
     ("scenario", "init_box_m", "nan"),
     ("scenario", "init_box_m", "inf"),
+    # Finite, but positions are drawn over twice the box, which is not.
+    ("scenario", "init_box_m", "1e308"),
+    ("scenario", "speed_limit_mps", "1e308"),
     ("scenario", "mu_high", "inf"),
     ("scenario", "horizon_factor", "nan"),
     ("scenario", "speed_limit_mps", "nan"),

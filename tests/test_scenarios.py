@@ -70,6 +70,15 @@ def test_validation_mu_range():
                        mu_low=5e6, mu_high=4e6)
 
 
+@pytest.mark.parametrize("field", ["init_box_m", "speed_limit_mps"])
+def test_validation_refuses_a_limit_whose_range_overflows(field):
+    # Draws on [-limit, limit) span twice the limit: 1e308 is finite, but
+    # 2e308 is not, so the config is refused rather than drawing inf or nan.
+    with pytest.raises(ValueError, match="twice each finite"):
+        benchmark_scenario(1, **{field: 1e308})
+    assert getattr(benchmark_scenario(1, **{field: 8e307}), field) == 8e307
+
+
 def test_replace_revalidates():
     scn = benchmark_scenario(1)
     with pytest.raises(ValueError):

@@ -120,6 +120,46 @@ def test_select_s_slow_fleet_picks_min_length_without_warning():
     assert m.params["s"] == 128
 
 
+mu_ranges = st.one_of(st.floats(1e-3, 3.0), st.floats(10.0, 1e3),
+                      st.floats(3e6, 6e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(16, 1500), st.integers(16, 1500), st.integers(1, 8),
+       st.tuples(mu_ranges, mu_ranges).map(sorted),
+       st.sampled_from([1.0, 0.5, 2.5]),
+       st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+@example(512, 256, 8, [3e6, 6e6], 1.0, [0.5] * 8)       # preset 1, scale 8
+@example(512, 256, 4, [100.0, 200.0], 1.0, [0.5] * 8)   # settles though slow
+def test_settled_chunk_length_is_select_s_on_every_draw(n1, n2, p, mu_range,
+                                                        coeff, fractions):
+    # Where the fleet's mu range settles the pick, select_s makes the same
+    # pick on profiles drawn anywhere in that range, its ends included.
+    mu_low, mu_high = mu_range
+    pick = strategies.settle_chunk_length(n1, n2, p, mu_low, mu_high, coeff)
+    if pick is None:
+        return
+    assert pick == min(n1, n2)
+    inside = [min(mu_high, mu_low + (mu_high - mu_low) * f)
+              for f in fractions[:p]]
+    for mus in ([mu_low] * p, [mu_high] * p, [mu_low] + [mu_high] * (p - 1),
+                inside):
+        profiles = [WorkerProfile(mu=mu) for mu in mus]
+        assert select_s(n1, n2, p, profiles, coeff) == pick
+
+
+def test_every_preset_fleet_settles_its_chunk_length():
+    # Presets 1-4 at scales 64, 8 and 1: the configured mu range settles
+    # the pick at min(n1, n2), so no rep of a preset searches.
+    for index in (1, 2, 3, 4):
+        for scale in (64, 8, 1):
+            scn = benchmark_scenario(index, scale)
+            n1, n2 = max(scn.n1, scn.n2), min(scn.n1, scn.n2)
+            assert strategies.settle_chunk_length(
+                n1, n2, scn.n_workers, scn.mu_low, scn.mu_high,
+                scn.compute_coeff) == n2
+
+
 @pytest.mark.parametrize("index", [1, 2, 3, 4])
 @pytest.mark.parametrize("scale", [64, 8, 1])
 def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
@@ -336,9 +376,10 @@ def test_traditional_explicit_s_respected():
 
 
 def test_traditional_searches_each_chunk_length_once_per_draws(monkeypatch):
-    # An explicit s searches and keeps nothing.  Without one, each pair of
-    # operand lengths is searched once per Draws, in either order, and an
-    # answer of None is kept too.
+    # An explicit s searches and keeps nothing.  Without one, on a fleet
+    # whose mu range does not settle the pick (mu = 1e-3: its scores
+    # underflow), each pair of operand lengths is searched once per Draws,
+    # in either order, and an answer of None is kept too.
     calls = []
     original = strategies.select_s
 
@@ -347,8 +388,8 @@ def test_traditional_searches_each_chunk_length_once_per_draws(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(strategies, "select_s", counted)
-    fleet = ScenarioConfig("strategies", n1=1, n2=1, n_workers=4,
-                           mu_low=4e6, mu_high=4e6)
+    fleet = ScenarioConfig("slow", n1=1, n2=1, n_workers=4,
+                           mu_low=1e-3, mu_high=1e-3)
     draws = Draws(1, fleet)
 
     def run(n1, n2, **knobs):
@@ -361,9 +402,32 @@ def test_traditional_searches_each_chunk_length_once_per_draws(monkeypatch):
              [(512, 256), (2000, 2), (256, 512), (2000, 2), (512, 256)]]
     assert calls == [(512, 256), (2000, 2)]
     want = original(512, 256, 4, draws.profiles, fleet.compute_coeff)
-    assert want is not None
+    assert want is not None and want != 256
     assert draws.chunk_lengths == {(512, 256): want, (2000, 2): None}
     assert picks == [want, None, want, None, want]
+
+
+def test_traditional_on_a_settled_fleet_searches_no_chunk_length(monkeypatch):
+    # On a fleet whose mu range settles the pick (mu in [3e6, 6e6]), no
+    # Draws searches and none keeps a pick, and every pick is the one
+    # select_s makes on the Draws' profiles.
+    calls = []
+    original = strategies.select_s
+
+    def counted(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(strategies, "select_s", counted)
+    fleet = ScenarioConfig("fast", n1=1, n2=1, n_workers=4)
+    for seed in range(5):
+        draws = Draws(seed, fleet)
+        for n1, n2 in [(512, 256), (256, 512)]:
+            eng = SimEngine(draws, [Behavior()] * 4)
+            s = run_traditional_coded(n1, n2, eng).params["s"]
+            assert s == original(512, 256, 4, draws.profiles) == 256
+        assert draws.chunk_lengths == {}
+    assert calls == []
 
 
 def test_traditional_past_decode_limit_fails_without_data(rcond_limit):
