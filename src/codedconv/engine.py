@@ -1,10 +1,13 @@
 """Deterministic discrete-event engine for one distribution episode.
 
 Events are ordered by (time, insertion sequence) so identical inputs replay
-identically.  Randomness comes from counter-based Philox streams keyed per
-(seed, node, purpose), which keeps every worker's draws independent of the
-others and of the event interleaving: changing one worker's behaviour never
-perturbs another worker's compute times or trajectory.
+identically.  The queue holds each event as one flat tuple, and `events()`
+names only the entries it pops (`EngineEvent`), so a result that the
+episode never reaches builds no object.  Randomness comes from
+counter-based Philox streams keyed per (seed, node, purpose), which keeps
+every worker's draws independent of the others and of the event
+interleaving: changing one worker's behaviour never perturbs another
+worker's compute times or trajectory.
 
 A stream is its key, made from (seed, node, purpose) alone by `substream`.
 Keys are read ahead: a `Draws` whose seed has no kept row evaluates the
@@ -13,11 +16,12 @@ can open under its seed and the next KEY_ROWS_KEPT - 1 seeds, and those
 rows replace the ones kept.  The experiments give rep r + 1 the seed of
 rep r plus one, so one pass serves KEY_ROWS_KEPT reps; they never see a
 key.  A stream outside the rows kept gets its one key from the same
-derivation, so no value depends on the readahead.  A draw loads the
-key at counter zero into the one Philox generator that all streams
-share, which gives the draws of a generator built from that key.  The
-engine is single-threaded by design: one stream's session ends before
-the next one starts.  The one thing a stream keeps of what it drew is
+derivation, so no value depends on the readahead; a run reads ahead no
+more seeds than it has reps left.  A draw loads the key at counter zero
+into the one Philox generator that all streams share, which gives the
+draws of a generator built from that key.  The engine is
+single-threaded by design: one stream's session ends before the next
+one starts.  The one thing a stream keeps of what it drew is
 its tape, so no generator state is ever saved.
 
 An engine reads its randomness and its fleet through a `Draws`, made for
@@ -74,10 +78,14 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .models import (
+# `send` prices a piece with the formulas of `comm_time` and
+# `sample_compute_time` written inline; both stay engine globals, the names
+# the benchmark's tracer wraps.
+from .models import (  # noqa: F401
     FAILURE_MODES,
     Behavior,
     WorkerProfile,
@@ -170,22 +178,24 @@ def _fleet_streams(n_workers: int):
     return (start, *np.array(streams, dtype=np.uint64).T)
 
 
-# Rows of stream keys by seed, for the KEY_ROWS_KEPT seeds that
+# Rows of stream keys by seed, for the at most KEY_ROWS_KEPT seeds that
 # `_derive_rows` derived last: a row is its fleet's key starts and the key
 # words, 2(3p + 5) ints for a fleet of p workers.
 KEY_ROWS_KEPT = 16
 _KEY_ROWS: dict = {}
 
 
-def _derive_rows(seed: int, n_workers: int) -> None:
-    """Replace the kept rows by those of seeds seed .. seed + KEY_ROWS_KEPT
-    - 1, every stream a fleet of `n_workers` can open, in one evaluation.
+def _derive_rows(seed: int, n_workers: int,
+                 count: int = KEY_ROWS_KEPT) -> None:
+    """Replace the kept rows by those of `count` seeds from `seed` on, at
+    most KEY_ROWS_KEPT, every stream a fleet of `n_workers` can open, in
+    one evaluation.
 
     The old rows are dropped before the new ones are made, so no more than
     KEY_ROWS_KEPT rows are ever held.
     """
     _KEY_ROWS.clear()
-    seeds = range(seed, seed + KEY_ROWS_KEPT)
+    seeds = range(seed, seed + min(count, KEY_ROWS_KEPT))
     start, nodes, purposes = _fleet_streams(n_workers)
     _KEY_ROWS.update(zip(seeds, [(start, keys) for keys
                                  in _derive(seeds, nodes, purposes)]))
@@ -242,7 +252,11 @@ def substream(seed: int, node: int, purpose: int) -> Stream:
     so streams for different (node, purpose) pairs never collide in
     practice and can be made in any order.  The key is read from the
     rows a `Draws` derived ahead; a stream outside them gets its one key
-    from the same derivation.  Opening one builds no generator.
+    from the same derivation.  `episode_profiles`, `episode_behaviors` and
+    `episode_task` derive their seed's block of rows first, so a key is
+    derived alone only for a node outside the fleet, or for a tape whose
+    seed's rows were replaced after its `Draws` was made.  Opening one
+    builds no generator.
     """
     row = _KEY_ROWS.get(seed)
     if row is not None:
@@ -365,8 +379,9 @@ class Draws:
       `straggler_key`.
     `seed` is the plain int episode seed.  A `Draws` made for a seed
     whose key row is not kept reads ahead: it derives the rows of its seed
-    and the next KEY_ROWS_KEPT - 1 seeds in one pass (`_derive_rows`), so
-    the `Draws` of the following reps find theirs.  Every stream is
+    and the next `readahead` - 1 seeds in one pass (`_derive_rows`; at
+    most KEY_ROWS_KEPT in all), so the `Draws` of the following reps find
+    theirs.  A run passes the count of reps it has left.  Every stream is
     opened as `substream(seed, node, purpose)`, and a tape keeps that
     triple to draw its stream again.
     `pilot_times` keeps `run_episode`'s straggler-free pilot completion
@@ -377,12 +392,12 @@ class Draws:
     does not settle the answer.
     """
 
-    def __init__(self, seed: int, scenario):
+    def __init__(self, seed: int, scenario, readahead: int = KEY_ROWS_KEPT):
         # No closure holds `self`, so a dropped Draws is freed at once.
         self.seed = seed
         fleet = self.fleet = scenario.straggler_free
         if seed not in _KEY_ROWS:
-            _derive_rows(seed, fleet.n_workers)
+            _derive_rows(seed, fleet.n_workers, readahead)
         paths = self.paths = Memo(lambda tag: _Path(
             seed, tag, fleet.init_box_m, fleet.speed_limit_mps))
         self.rates = Memo(lambda link: data_rate(_distance(paths, *link),
@@ -422,16 +437,25 @@ def export_event_log(records, fh) -> None:
         fh.write(f"{rec.time:.9f},{rec.kind},{rec.worker},{rec.row},{rec.payload_numbers}\n")
 
 
-@dataclass(slots=True)
-class EngineEvent:
-    """Master-visible event yielded to the strategy loop."""
+class EngineEvent(NamedTuple):
+    """A popped event: the queue entry it was pushed as, with named fields.
 
-    kind: str                   # result_arrives | worker_joins | worker_leaves | wakeup
+    The queue holds flat tuples, and `events()` names only those it pops.
+    `time` is when the event happens, the clock once it is popped: a
+    wakeup's is when it fires, the time asked for or the clock at the
+    request, whichever is later.  `seq` is its push order, which breaks
+    ties in time.  `kind` is result_arrives, worker_joins, worker_leaves
+    or wakeup.  A result carries its `row`, the time `t_sent` it was sent
+    and its round trip `rtt`; the other kinds keep -1, 0.0 and 0.0.
+    """
+
     time: float
+    seq: int
+    kind: str
     worker: int
-    row: int = -1
-    t_sent: float = 0.0
-    rtt: float = 0.0
+    row: int
+    t_sent: float
+    rtt: float
 
 
 class Roster:
@@ -441,12 +465,13 @@ class Roster:
     `behaviors` has one `Behavior` per worker and `stragglers` counts
     those that are not a normal worker's.  `initial` lists the workers the
     master can address at t=0 (late joiners excluded).  `events` lists
-    the roster changes an engine pushes before the first event, in push
-    order: a worker that departs before it joins is never announced as
-    joining, and one that departs at t=0 is never announced at all, since
-    it returns no result and gets no wakeup, so no strategy could act on
-    its departure.  A roster is not written to: the episodes of a `Draws`
-    share one per straggler setting.
+    the roster changes an engine pushes before the first event, as
+    (time, kind, worker) triples in push order: a worker that departs
+    before it joins is never announced as joining, and one that departs
+    at t=0 is never announced at all, since it returns no result and gets
+    no wakeup, so no strategy could act on its departure.  A roster is
+    not written to: the episodes of a `Draws` share one per straggler
+    setting.
     """
 
     __slots__ = ("behaviors", "stragglers", "initial", "events")
@@ -459,9 +484,9 @@ class Roster:
         self.events = events = []
         for w, beh in enumerate(behaviors):
             if 0.0 < beh.joins < beh.departs:
-                events.append(EngineEvent("worker_joins", beh.joins, w))
+                events.append((beh.joins, "worker_joins", w))
             if 0.0 < beh.departs < math.inf:
-                events.append(EngineEvent("worker_leaves", beh.departs, w))
+                events.append((beh.departs, "worker_leaves", w))
 
 
 class SimEngine:
@@ -502,8 +527,8 @@ class SimEngine:
         self._shape = None
         self._load = 0.0
         self._n_out = 0
-        for ev in roster.events:
-            self._push(ev.time, ev)
+        for time, kind, worker in roster.events:
+            self._push(time, kind, worker)
 
     # -- roster --------------------------------------------------------------
 
@@ -514,23 +539,25 @@ class SimEngine:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _push(self, time: float, ev: EngineEvent) -> None:
-        # An event past the clock limit would never be popped, so it is not
+    def _push(self, time: float, kind: str, worker: int, row: int = -1,
+              t_sent: float = 0.0, rtt: float = 0.0) -> None:
+        # The queue entry is the flat tuple an `EngineEvent` names.  An
+        # event past the clock limit would never be popped, so it is not
         # pushed, and takes no sequence number: the (time, seq) order of
         # the events that are pushed is the same either way.
         if time <= CLOCK_LIMIT_S:
-            heapq.heappush(self._heap, (time, self._seq, ev))
+            heapq.heappush(self._heap,
+                           (time, self._seq, kind, worker, row, t_sent, rtt))
             self._seq += 1
 
     def _log_event(self, kind: str, time: float, worker: int, row, payload: int) -> None:
         self.log.append(SimEvent(time, kind, worker, row, payload))
 
     def schedule_wakeup(self, time: float, worker: int) -> None:
-        """Ask for a wakeup event at `time` tagged with `worker`; one past
-        CLOCK_LIMIT_S is not pushed."""
+        """Ask for a wakeup event tagged with `worker` at `time`, or now if
+        `time` has passed; one past CLOCK_LIMIT_S is not pushed."""
         now = self.now
-        self._push(time if time > now else now,
-                   EngineEvent("wakeup", time, worker))
+        self._push(time if time > now else now, "wakeup", worker)
 
     def send(self, worker: int, row: int, n_in: int,
              load_pair: tuple[int, int]) -> None:
@@ -541,11 +568,13 @@ class SimEngine:
         A shape's compute load and result length are computed once per
         shape, again only when `load_pair` differs in value from the
         previous piece's.  Transfer times for both directions are priced
-        at the dispatch-time distance.  The piece is silently lost when the
-        worker has departed or not yet joined, when the link's rate is 0
-        (far enough out, the Shannon rate underflows), or when the worker
-        departs before the result is back; the master has no failure
-        detection beyond roster-change events.  A result due past
+        at the dispatch-time distance, by the formulas of `comm_time` and
+        `sample_compute_time` written inline in the same operation order,
+        so every time is bit for bit theirs.  The piece is silently lost
+        when the worker has departed or not yet joined, when the link's
+        rate is 0 (far enough out, the Shannon rate underflows), or when
+        the worker departs before the result is back; the master has no
+        failure detection beyond roster-change events.  A result due past
         CLOCK_LIMIT_S is not pushed, but the piece still takes its place on
         the worker's compute tape and keeps the worker busy.
         """
@@ -562,7 +591,7 @@ class SimEngine:
         rate = self._rates[worker, int(now)]
         if not rate:
             return
-        t_in = comm_time(n_in, rate, payload_bytes)
+        t_in = n_in * payload_bytes * 8.0 / rate
         arrive = now + t_in
         if arrive > dead_t:
             return
@@ -582,9 +611,10 @@ class SimEngine:
         # Pieces queue at the worker and compute one at a time; slowdown
         # covers the work and the return transfer.
         slowdown = beh.slowdown
-        t_comp = sample_compute_time(compute[k], load,
-                                     self.profiles[worker]) * slowdown
-        t_out = comm_time(n_out, rate, payload_bytes) * slowdown
+        profile = self.profiles[worker]
+        t_comp = (profile.alpha * load
+                  + (load / profile.mu) * compute[k]) * slowdown
+        t_out = n_out * payload_bytes * 8.0 / rate * slowdown
         busy = self._busy[worker]
         done = (arrive if arrive > busy else busy) + t_comp
         self._busy[worker] = done
@@ -597,11 +627,11 @@ class SimEngine:
             return
         if logged:
             self._log_event("result_arrives", t_recv, worker, row, n_out)
-        self._push(t_recv, EngineEvent("result_arrives", t_recv, worker, row,
-                                       now, t_in + t_out))
+        self._push(t_recv, "result_arrives", worker, row, now, t_in + t_out)
 
     def events(self, until: float = math.inf):
-        """Pop events in (time, seq) order, stopping past `until`.
+        """Pop events in (time, seq) order, stopping past `until`, and yield
+        each as an `EngineEvent`, built only once it is popped.
 
         Nothing is pushed earlier than the clock or later than
         CLOCK_LIMIT_S, so the clock is the time of the event popped last,
@@ -610,9 +640,11 @@ class SimEngine:
         """
         heap = self._heap
         pop = heapq.heappop
+        new = tuple.__new__
         while heap and heap[0][0] <= until:
-            self.now, _, ev = pop(heap)
-            yield ev
+            entry = pop(heap)
+            self.now = entry[0]
+            yield new(EngineEvent, entry)
 
 
 @dataclass(kw_only=True)
@@ -628,9 +660,19 @@ class EpisodeMetrics(StrategyOutcome):
     event_log: list | None = None
 
 
+def _scenario_stream(scenario, seed: int, purpose: int) -> Stream:
+    """The scenario-level stream `purpose` of `seed`; a seed with no kept
+    row first derives the block of rows of `scenario`'s fleet from it on,
+    so a caller that draws for successive seeds derives a key once per
+    block, not once per stream."""
+    if seed not in _KEY_ROWS:
+        _derive_rows(seed, scenario.n_workers)
+    return substream(seed, _SCENARIO_TAG, purpose)
+
+
 def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     """Draw per-worker compute profiles for one episode."""
-    with substream(seed, _SCENARIO_TAG, _MU) as rng:
+    with _scenario_stream(scenario, seed, _MU) as rng:
         fractions = rng.random(scenario.n_workers).tolist()
     # rng.uniform(mu_low, mu_high, p), bit for bit (see the module docstring).
     low = scenario.mu_low
@@ -655,7 +697,7 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     if not (count or scenario.failure_count_uniform):
         # Nothing to draw, so the stream is not opened.
         return behaviors
-    with substream(seed, _SCENARIO_TAG, _STRAGGLER) as rng:
+    with _scenario_stream(scenario, seed, _STRAGGLER) as rng:
         if scenario.failure_count_uniform:
             count = int(rng.integers(0, p + 1))
         chosen = rng.choice(p, size=count, replace=False) if count else ()
@@ -669,7 +711,7 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
 
 def episode_task(scenario, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw the operand vectors for one episode."""
-    with substream(seed, _SCENARIO_TAG, _TASK) as rng:
+    with _scenario_stream(scenario, seed, _TASK) as rng:
         a = rng.uniform(-1.0, 1.0, scenario.n1)
         x = rng.uniform(-1.0, 1.0, scenario.n2)
     return a, x

@@ -49,13 +49,14 @@ def run_paired(episodes, reps: int, base_seed: int, value) -> list[list]:
     rep share its seed and one `Draws`, which is dropped before the next
     rep, so memory does not grow with `reps`.  The seeds of successive
     reps are successive ints, so the stream keys a `Draws` reads ahead
-    serve the next reps too; no key is seen here.
+    serve the next reps too, and it reads ahead only the reps left; no key
+    is seen here.
     """
     first = episodes[0][0]
     values: list[list] = [[] for _ in episodes]
     for rep in range(reps):
         seed = episode_seed(base_seed, first.name, rep)
-        draws = Draws(seed, first)
+        draws = Draws(seed, first, readahead=reps - rep)
         for out, (scenario, strategy, kwargs) in zip(values, episodes):
             out.append(value(run_episode(scenario, strategy, seed,
                                          keep_result=False, draws=draws,

@@ -449,16 +449,18 @@ class _WorkerStats:
     `in_flight` pieces are out, and `pending` is the idle increment to
     book at the next result: only a send with nothing in flight makes a
     nonzero one, so every later piece of the same run books 0.
-    `t_send` is the latest send.
+    `t_send` is the latest send, and `interval` the dispatch interval set
+    at the latest result, None before the first.
     """
 
     __slots__ = ("count", "t_recv", "t_finish", "idle", "in_flight",
-                 "pending", "rtt", "service", "t_send")
+                 "pending", "rtt", "service", "t_send", "interval")
 
     def __init__(self):
         self.count = self.in_flight = 0
         self.t_recv = self.t_finish = self.idle = self.pending = 0.0
         self.rtt = self.service = self.t_send = 0.0
+        self.interval = None
 
 
 class DispatchEstimator:
@@ -467,61 +469,60 @@ class DispatchEstimator:
     Every piece carries `n_in` values out and `n_out` back.  For each
     returned piece the worker's compute-finish instant is placed inside
     the observed round trip in proportion to that payload split:
-    t_finish = t_recv - rtt * n_out / (n_in + n_out).  The worker's
-    accumulated idle time grows only for a dispatch made while it has no
-    outstanding piece (with work queued it cannot go idle before the new
-    piece lands); the increment is the gap between finishing the previous
-    piece and the new piece reaching it, which in master-side terms is
-    rtt - (t_recv_prev - t_send_new), never negative because the send
-    follows the previous result.  Each increment is booked when that
-    piece's own result returns, so the accumulator never runs ahead of
-    t_finish.  The expected per-piece time is then
+    t_finish = t_recv - share * rtt, share = n_out / (n_in + n_out).  The
+    worker's accumulated idle time grows only for a dispatch made while
+    it has no outstanding piece (with work queued it cannot go idle
+    before the new piece lands); the increment is the gap between
+    finishing the previous piece and the new piece reaching it, which in
+    master-side terms is rtt - (t_recv_prev - t_send_new), never negative
+    because the send follows the previous result.  Each increment is
+    booked when that piece's own result returns, so the accumulator never
+    runs ahead of t_finish.  The expected per-piece time is then
     (t_finish_last - idle_total) / results, and the dispatch interval is
-    the smaller of that and the last whole-service time, falling back to
-    the service time when the expectation is not yet meaningful.
+    the smaller of that and the last whole-service time t_recv - t_sent,
+    falling back to the service time when the expectation is not
+    positive.
+
+    Only a result changes the interval, so `record_result` sets it once
+    and `interval` reads it.  `stats[worker]` is the worker's
+    `_WorkerStats`, made at its first send; a scheduler may read its
+    `interval` and `t_send` there, and writes nothing.
     """
 
     def __init__(self, n_in: int, n_out: int):
         self._share = n_out / (n_in + n_out)
-        self._stats: dict[int, _WorkerStats] = {}
+        self.stats: dict[int, _WorkerStats] = {}
 
     def record_send(self, worker: int, t_send: float) -> None:
         # A worker's record is made at its first send, which precedes its
         # results.
-        st = self._stats.get(worker)
+        st = self.stats.get(worker)
         if st is None:
-            st = self._stats[worker] = _WorkerStats()
+            st = self.stats[worker] = _WorkerStats()
         if not st.in_flight and st.count:
             st.pending = st.rtt - (st.t_recv - t_send)
         st.in_flight += 1
         st.t_send = t_send
 
-    def last_send(self, worker: int) -> float:
-        """Time of the worker's latest `record_send`."""
-        return self._stats[worker].t_send
-
     def record_result(self, worker: int, t_sent: float, t_recv: float,
                       rtt: float) -> None:
         # Every result follows its own record_send, so a piece is in flight.
-        st = self._stats[worker]
-        st.count += 1
+        st = self.stats[worker]
+        count = st.count = st.count + 1
         st.in_flight -= 1
-        st.idle += st.pending
+        idle = st.idle = st.idle + st.pending
         st.pending = 0.0
-        st.t_finish = t_recv - self._share * rtt
-        st.service = t_recv - t_sent
+        t_finish = st.t_finish = t_recv - self._share * rtt
+        service = st.service = t_recv - t_sent
         st.rtt = rtt
         st.t_recv = t_recv
+        expected = (t_finish - idle) / count
+        st.interval = service if expected <= 0.0 else min(service, expected)
 
     def interval(self, worker: int) -> float | None:
         """Estimated send-to-send spacing; None before the first result."""
-        st = self._stats.get(worker)
-        if st is None or not st.count:
-            return None
-        expected = (st.t_finish - st.idle) / st.count
-        if expected <= 0.0:
-            return st.service
-        return min(st.service, expected)
+        st = self.stats.get(worker)
+        return None if st is None else st.interval
 
 
 def default_piece_length(n2: int, p: int) -> int:
@@ -552,6 +553,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     params = {"b": b, "pieces": m, "budget": budget}
     order = [*range(m, 0, -1), *range(m + 1, budget), 0]
     est = DispatchEstimator(b, n1 + b - 1)
+    stats = est.stats
     live = set(eng.initial_roster())
     load_pair = (n1, b)
 
@@ -578,8 +580,9 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
         # recorded result of the worker, so its interval is known.
         if worker not in live:
             return
-        interval = est.interval(worker)
-        now, due = eng.now, est.last_send(worker) + interval
+        st = stats[worker]
+        interval = st.interval
+        now, due = eng.now, st.t_send + interval
         if now >= due:
             if dispatch(worker, now):
                 eng.schedule_wakeup(now + interval, worker)

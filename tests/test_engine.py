@@ -220,7 +220,8 @@ def test_key_rows_are_bounded_and_eviction_changes_no_key(monkeypatch):
     firsts = []
     original = engine._derive_rows
     monkeypatch.setattr(engine, "_derive_rows",
-                        lambda seed, p: firsts.append(seed) or original(seed, p))
+                        lambda seed, *rest: firsts.append(seed)
+                        or original(seed, *rest))
     make_draws(p=4, seed=7)
     assert list(engine._KEY_ROWS) == [*range(7, 7 + kept)]
     key = substream(7, 3, engine._COMPUTE).key
@@ -239,6 +240,33 @@ def test_key_rows_are_bounded_and_eviction_changes_no_key(monkeypatch):
     assert firsts == [7, 7 + kept, 6, 0, 2**63 - 1, 7 + 3 * kept, 5]
     assert 7 + kept not in engine._KEY_ROWS
     assert substream(7, 3, engine._COMPUTE).key == key
+
+
+def test_episode_draws_derive_a_block_for_a_seed_with_no_kept_row(monkeypatch):
+    # The scenario-level draws know their fleet: the first seed with no
+    # kept row derives the block of rows from it on, in one evaluation, and
+    # the next seeds find theirs.  Every value equals the one drawn from
+    # keys derived one stream at a time.
+    scn = benchmark_scenario(1, 64, straggler_ratio=0.5)
+    seeds = range(40, 44)
+
+    def draw(seed):
+        a, x = episode_task(scn, seed)
+        return (episode_profiles(scn, seed), episode_behaviors(scn, seed),
+                a.tolist(), x.tolist())
+
+    with monkeypatch.context() as alone:
+        alone.setattr(engine, "_derive_rows", lambda *args: None)
+        engine._KEY_ROWS.clear()
+        want = [draw(seed) for seed in seeds]
+    derived = []
+    original = engine._derive
+    monkeypatch.setattr(engine, "_derive",
+                        lambda seeds, *args: derived.append(list(seeds))
+                        or original(seeds, *args))
+    engine._KEY_ROWS.clear()
+    assert [draw(seed) for seed in seeds] == want
+    assert derived == [[*range(40, 40 + engine.KEY_ROWS_KEPT)]]
 
 
 def test_stream_sessions_start_at_the_key_and_do_not_nest():
@@ -395,7 +423,7 @@ def test_nothing_past_the_clock_limit_is_pushed():
         for strategy, (dispatched, redundancy) in DEAD_LINK_OUTCOMES.items():
             eng = SimEngine(draws, episode_behaviors(scn, seed))
             out = STRATEGIES[strategy](scn.n1, scn.n2, eng)
-            assert not [time for time, _, _ in eng._heap
+            assert not [time for time, *_ in eng._heap
                         if time > engine.CLOCK_LIMIT_S]
             assert eng._compute_read == [1] * p
             assert min(eng._busy) > engine.CLOCK_LIMIT_S
@@ -437,15 +465,16 @@ def test_single_piece_timing_matches_models():
 
 
 class PushLog(SimEngine):
-    """SimEngine that keeps every (time, seq, event) it pushes, in order."""
+    """SimEngine that keeps every queue entry (time, seq, kind, worker, row,
+    t_sent, rtt) it is asked to push, in order."""
 
     def __init__(self, *args, **kwargs):
         self.pushed = []
         super().__init__(*args, **kwargs)
 
-    def _push(self, time, ev):
-        self.pushed.append((time, self._seq, ev))
-        super()._push(time, ev)
+    def _push(self, time, kind, worker, row=-1, t_sent=0.0, rtt=0.0):
+        self.pushed.append((time, self._seq, kind, worker, row, t_sent, rtt))
+        super()._push(time, kind, worker, row, t_sent, rtt)
 
 
 @st.composite
@@ -487,20 +516,20 @@ def run_pieces(seed, fleet, roster, sends, collect_log):
 
 
 def priced_pushes(seed, fleet, roster, sends):
-    """Every (time, seq, event) the engine should push, each piece priced
-    on its own by the model formulas."""
+    """Every queue entry the engine should push, each piece priced on its
+    own by the model functions."""
     pushed = []
 
-    def push(time, ev):
-        pushed.append((time, len(pushed), ev))
+    def push(time, kind, worker, row=-1, t_sent=0.0, rtt=0.0):
+        pushed.append((time, len(pushed), kind, worker, row, t_sent, rtt))
 
     for w, beh in enumerate(roster):
         if 0.0 < beh.joins < beh.departs:
-            push(beh.joins, EngineEvent("worker_joins", beh.joins, w))
+            push(beh.joins, "worker_joins", w)
         if 0.0 < beh.departs < math.inf:
-            push(beh.departs, EngineEvent("worker_leaves", beh.departs, w))
+            push(beh.departs, "worker_leaves", w)
     for k, (_, _, time) in enumerate(sends):
-        push(time, EngineEvent("wakeup", time, k))
+        push(time, "wakeup", k)
 
     probe = Draws(seed, fleet)
     mus = built_from_key(seed, engine._SCENARIO_TAG, engine._MU).uniform(
@@ -526,8 +555,7 @@ def priced_pushes(seed, fleet, roster, sends):
         t_out = comm_time(n1 + n2 - 1, rate, payload_bytes) * beh.slowdown
         busy[w] = done = max(now + t_in, busy[w]) + t_comp
         if done + t_out <= beh.departs:
-            push(done + t_out, EngineEvent("result_arrives", done + t_out, w,
-                                           row, now, t_in + t_out))
+            push(done + t_out, "result_arrives", w, row, now, t_in + t_out)
     return pushed
 
 
@@ -545,6 +573,28 @@ def test_every_piece_is_priced_by_the_models(run):
     want = priced_pushes(*run)
     assert run_pieces(*run, collect_log=False) == want
     assert run_pieces(*run, collect_log=True) == want
+
+
+def test_popped_events_name_their_queue_entries():
+    # Each popped event is its queue entry with named fields, and a wakeup
+    # asked for a time already past fires, and is stamped, at the clock.
+    eng = PushLog(make_draws(p=1), [Behavior(departs=5.0)])
+    eng.schedule_wakeup(2.0, 0)
+    eng.send(0, row=3, n_in=10, load_pair=(10, 10))
+    popped = []
+    for ev in eng.events():
+        popped.append(ev)
+        if ev.kind == "wakeup" and ev.worker == 0:
+            eng.schedule_wakeup(1.0, 7)
+    assert all(type(ev) is EngineEvent for ev in popped)
+    assert [tuple(ev) for ev in popped] == sorted(eng.pushed)
+    kinds = [(ev.kind, ev.worker) for ev in popped]
+    assert sorted(kinds) == [("result_arrives", 0), ("wakeup", 0),
+                             ("wakeup", 7), ("worker_leaves", 0)]
+    late = popped[kinds.index(("wakeup", 7))]
+    assert late.time == 2.0 and late.seq == 3
+    result = popped[kinds.index(("result_arrives", 0))]
+    assert (result.row, result.t_sent) == (3, 0.0) and result.rtt > 0.0
 
 
 def test_worker_queues_pieces_fifo():

@@ -18,21 +18,16 @@ from keys import built_from_key
 
 
 class KeyedEngine(SimEngine):
-    """SimEngine that records the (time, seq, event) queue entry of each
-    popped event."""
+    """SimEngine that keeps every event it pops, in pop order; each carries
+    its queue key (time, seq)."""
 
     def __init__(self, *args, **kwargs):
-        self.keys = {}
         self.popped = []
         super().__init__(*args, **kwargs)
 
-    def _push(self, time, ev):
-        self.keys[id(ev)] = (time, self._seq, ev)
-        super()._push(time, ev)
-
     def events(self, until=math.inf):
         for ev in super().events(until):
-            self.popped.append(self.keys[id(ev)])
+            self.popped.append(ev)
             yield ev
 
 
@@ -119,7 +114,7 @@ def test_no_result_after_departure(eng):
 @fleets
 @given(episodes())
 def test_events_pop_in_time_then_seq_order(eng):
-    keys = [(time, seq) for time, seq, _ in eng.popped]
+    keys = [(ev.time, ev.seq) for ev in eng.popped]
     assert keys == sorted(keys)
 
 
@@ -129,7 +124,7 @@ def test_worker_failing_at_start_is_never_heard_from(eng):
     # No event names a worker that departs at t=0, not even its departure,
     # and a piece sent to it goes no further than its dispatch.
     failed = {w for w, beh in enumerate(eng.behaviors) if beh.departs == 0.0}
-    assert not [ev for *_, ev in eng.popped if ev.worker in failed]
+    assert not [ev for ev in eng.popped if ev.worker in failed]
     assert {rec.kind for rec in eng.log if rec.worker in failed} <= {"dispatch"}
 
 
@@ -139,7 +134,7 @@ def test_per_worker_results_count_the_popped_results(run):
     # A plain dict of the results popped per worker: no default factory,
     # and no entry for a worker that returned nothing.
     eng, outcome = run
-    popped = Counter(ev.worker for *_, ev in eng.popped
+    popped = Counter(ev.worker for ev in eng.popped
                      if ev.kind == "result_arrives")
     assert type(outcome.per_worker_results) is dict
     assert outcome.per_worker_results == popped
@@ -152,7 +147,7 @@ def test_per_worker_results_count_the_popped_results(run):
                                 st.floats(1.0, 50.0))))
 def test_nothing_happens_at_t_inf(run):
     eng, outcome = run
-    assert all(time < math.inf for time, _, _ in eng.popped)
+    assert all(ev.time < math.inf for ev in eng.popped)
     if outcome.success:
         assert outcome.completion_time < math.inf
 
@@ -304,7 +299,7 @@ def test_links_near_underflow_stop_at_the_clock_limit(seed, rx_offset_dbm, box,
     for strategy in sorted(STRATEGIES):
         eng = KeyedEngine(draws, [Behavior()] * p)
         outcome = STRATEGIES[strategy](n1, n2, eng, horizon=horizon)
-        assert all(time <= engine.CLOCK_LIMIT_S for time, _, _ in eng.popped)
+        assert all(ev.time <= engine.CLOCK_LIMIT_S for ev in eng.popped)
         if outcome.success:
             assert outcome.completion_time <= min(horizon, engine.CLOCK_LIMIT_S)
         else:

@@ -89,7 +89,8 @@ def test_run_paired_across_the_seed_wrap_matches_private_draws(monkeypatch):
     firsts = []
     original = engine._derive_rows
     monkeypatch.setattr(engine, "_derive_rows",
-                        lambda seed, p: firsts.append(seed) or original(seed, p))
+                        lambda seed, *rest: firsts.append(seed)
+                        or original(seed, *rest))
     engine._KEY_ROWS.clear()
     paired = experiments.run_paired(episodes, 5, base_seed, value)
     assert firsts == [2**63 - 3, 0]
@@ -385,9 +386,9 @@ def test_success_rate_keeps_one_draws_alive(monkeypatch):
 
 def test_success_rate_derives_keys_a_bounded_block_at_a_time(monkeypatch):
     # A rep's Draws reads ahead the keys of KEY_ROWS_KEPT reps in one
-    # evaluation, so 53 runs derive at reps 0, 16, 32 and 48 alone; no
-    # stream derives a key of its own, and the rows kept never outgrow
-    # KEY_ROWS_KEPT.
+    # evaluation, or of the reps left if fewer, so 53 runs derive at reps
+    # 0, 16, 32 and 48 alone, the last for 5 reps; no stream derives a key
+    # of its own, and the rows kept never outgrow KEY_ROWS_KEPT.
     kept = engine.KEY_ROWS_KEPT
     derived = []
     derive, run_episode = engine._derive, experiments.run_episode
@@ -408,8 +409,31 @@ def test_success_rate_derives_keys_a_bounded_block_at_a_time(monkeypatch):
     success_rate(scn, 53, base_seed=3)
     assert [seeds[0] for seeds in derived] == [
         episode_seed(3, scn.name, rep) for rep in (0, 16, 32, 48)]
-    assert all(len(seeds) == kept for seeds in derived)
+    assert [len(seeds) for seeds in derived] == [kept, kept, kept, 53 - 48]
     assert len(engine._KEY_ROWS) <= kept
+
+
+def test_a_run_reads_ahead_only_the_reps_it_has_left(monkeypatch):
+    # A 4-rep run derives its 4 seeds' rows in one evaluation and keeps
+    # those 4 alone; each key in them is the one its stream derives alone.
+    derived = []
+    derive = engine._derive
+    monkeypatch.setattr(engine, "_derive",
+                        lambda seeds, *args: derived.append(list(seeds))
+                        or derive(seeds, *args))
+    engine._KEY_ROWS.clear()
+    scn = small_scenario(n_workers=4, straggler_ratio=0.5)
+    stress_test(scn, [0.5], reps=4, base_seed=3)
+    seeds = [episode_seed(3, scn.name, rep) for rep in range(4)]
+    assert derived == [seeds]
+    rows = dict(engine._KEY_ROWS)
+    assert list(rows) == seeds
+    engine._KEY_ROWS.clear()
+    for seed, (start, keys) in rows.items():
+        assert len(start) == 3 * 4 + 5
+        for (node, purpose), i in start.items():
+            assert keys[i:i + 2] == engine.substream(seed, node, purpose).key
+    assert len(derived) == 1 + len(rows) * len(start)
 
 
 # -- analytics ----------------------------------------------------------------------

@@ -241,7 +241,7 @@ def test_estimator_finish_placed_by_payload_share():
     est = DispatchEstimator(n_in=1, n_out=3)
     est.record_send(0, 0.0)
     est.record_result(0, t_sent=0.0, t_recv=10.0, rtt=1.0)
-    st = est._stats[0]
+    st = est.stats[0]
     assert st.t_finish == pytest.approx(9.25)
     assert est.interval(0) == pytest.approx(9.25)  # min(service=10, expected=9.25)
 
@@ -254,7 +254,7 @@ def test_estimator_idle_gap_accrues_on_first_free_send():
     # idle increment = rtt - (t_recv - t_send) = 1 - (10 - 10.5) = 1.5
     est.record_send(0, 10.5)
     est.record_result(0, 10.5, 20.0, rtt=1.0)
-    st = est._stats[0]
+    st = est.stats[0]
     assert st.idle == pytest.approx(1.5)
     expected = (20.0 - 0.75 - 1.5) / 2
     assert est.interval(0) == pytest.approx(min(20.0 - 10.5, expected))
@@ -268,10 +268,10 @@ def test_estimator_no_idle_while_pieces_outstanding():
     est.record_send(0, 12.0)   # one piece outstanding: never idle
     est.record_result(0, 10.0, 20.0, rtt=1.0)
     est.record_result(0, 12.0, 30.0, rtt=1.0)
-    st = est._stats[0]
+    st = est.stats[0]
     # only the 10.0 send could add idle: 1 - (10 - 10) = 1.0
     assert st.idle == pytest.approx(1.0)
-    assert est.last_send(0) == 12.0
+    assert st.t_send == 12.0
 
 
 def test_estimator_idle_booked_at_own_result_not_at_send():
@@ -279,18 +279,77 @@ def test_estimator_idle_booked_at_own_result_not_at_send():
     est.record_send(0, 0.0)
     est.record_result(0, 0.0, 10.0, rtt=2.0)
     est.record_send(0, 15.0)  # idle increment 2 - (10-15) = 7, still pending
-    assert est._stats[0].idle == 0.0
+    assert est.stats[0].idle == 0.0
     est.record_result(0, 15.0, 25.0, rtt=2.0)
-    assert est._stats[0].idle == pytest.approx(7.0)
+    assert est.stats[0].idle == pytest.approx(7.0)
 
 
 def test_estimator_negative_expectation_falls_back_to_service():
+    # A round trip of 100 puts t_finish at 10 - 0.5 * 100 = -40, so the
+    # expectation is negative and the interval is the service time.
     est = DispatchEstimator(n_in=1, n_out=1)
     est.record_send(0, 0.0)
-    est.record_result(0, 0.0, 10.0, rtt=1.0)
-    st = est._stats[0]
-    st.idle = 100.0  # force a nonsensical expectation
-    assert est.interval(0) == pytest.approx(10.0)
+    est.record_result(0, 0.0, 10.0, rtt=100.0)
+    assert est.stats[0].t_finish == -40.0
+    assert est.interval(0) == 10.0
+
+
+@st.composite
+def estimator_calls(draw):
+    """(n_in, n_out, calls): `record_send` and `record_result` calls on up
+    to three workers, in time order.  A call is ("send", worker, t) or
+    ("result", worker, t_sent, t, rtt); each worker's results come back
+    in send order, with any round trip."""
+    n_in, n_out = draw(st.integers(1, 500)), draw(st.integers(1, 1000))
+    calls, out = [], {w: [] for w in range(3)}
+    t = 0.0
+    for _ in range(draw(st.integers(0, 30))):
+        t += draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+        worker = draw(st.integers(0, 2))
+        if out[worker] and draw(st.booleans()):
+            calls.append(("result", worker, out[worker].pop(0), t,
+                          draw(st.floats(0.0, 20.0))))
+        else:
+            out[worker].append(t)
+            calls.append(("send", worker, t))
+    return n_in, n_out, calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(estimator_calls())
+def test_estimator_interval_is_the_documented_formula(run):
+    # A restatement of the docstring that keeps each piece's own idle
+    # increment and books it at that piece's result: after every call,
+    # interval() is min(service, expected), or service when expected <= 0,
+    # with expected = (t_finish - idle) / results and t_finish = t_recv -
+    # share * rtt; None before a worker's first result.
+    n_in, n_out, calls = run
+    share = n_out / (n_in + n_out)
+    est = DispatchEstimator(n_in, n_out)
+    pieces = {w: [] for w in range(3)}   # increments of the pieces out
+    last = {}                            # worker -> (t_recv, rtt, count)
+    idle = {w: 0.0 for w in range(3)}
+    want = {w: None for w in range(3)}
+    for kind, worker, *times in calls:
+        if kind == "send":
+            (t_send,) = times
+            est.record_send(worker, t_send)
+            increment = 0.0
+            if not pieces[worker] and worker in last:
+                t_recv, rtt, _ = last[worker]
+                increment = rtt - (t_recv - t_send)
+            pieces[worker].append(increment)
+        else:
+            t_sent, t_recv, rtt = times
+            est.record_result(worker, t_sent, t_recv, rtt)
+            idle[worker] += pieces[worker].pop(0)
+            count = last.get(worker, (0, 0, 0))[2] + 1
+            last[worker] = (t_recv, rtt, count)
+            service = t_recv - t_sent
+            expected = (t_recv - share * rtt - idle[worker]) / count
+            want[worker] = (service if expected <= 0.0
+                            else min(service, expected))
+        assert [est.interval(w) for w in range(3)] == list(want.values())
 
 
 # -- uncoded strategy -----------------------------------------------------------
