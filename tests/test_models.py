@@ -1,7 +1,9 @@
 """Tests for the compute-time, link-rate and behaviour models."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -80,6 +82,23 @@ def test_worker_profile_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         profile.mu = 1e6
     assert (profile.mu, profile.alpha) == (4e6, 1.0 / 4e6)
+
+
+def test_worker_profile_copies_compares_and_stays_frozen():
+    profile = WorkerProfile(mu=3.7e6)
+    for copied in (pickle.loads(pickle.dumps(profile)), copy.deepcopy(profile)):
+        assert copied == profile and copied.alpha == profile.alpha
+    twin = WorkerProfile(mu=3.7e6)
+    assert repr(profile) == repr(twin) == (
+        f"WorkerProfile(mu={3.7e6!r}, alpha={1 / 3.7e6!r})")
+    assert profile == twin and hash(profile) == hash(twin)
+    assert profile != WorkerProfile(mu=4e6)
+    assert profile.alpha == 1 / profile.mu
+    for name in ("mu", "alpha"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(profile, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(profile, name)
 
 
 # ---------------------------------------------------------------------------
