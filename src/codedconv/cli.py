@@ -5,12 +5,9 @@ success-rate) plus `run`, which executes a config file.  A config runs the
 subcommand its `kind` names: its options are that subcommand's defaults
 with the config's [experiment] keys, and its [straggler] ratio and mode
 where the subcommand has that flag, on top.  One `run_experiment` runs
-every kind through its row in `_KINDS`: it calls the kind's runner, echoes
-the table to stdout and writes it as CSV plus a manifest sidecar in the
-output directory.
-`main` may be called many times in one process: it builds its parser with
-`build_parser` at its first call and reuses it for every later one.
-Exit codes: 0 success, 2 bad usage or config, 3 runtime failure.
+every kind through its row in `_KINDS`.  `main` may be called many times
+in one process.  Exit codes: 0 success, 2 bad usage or config, 3 runtime
+failure.
 """
 
 import argparse

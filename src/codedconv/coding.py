@@ -6,23 +6,16 @@ overlap-add.  The coded strategies additionally mix pieces through a
 polynomial code so that any `cols` returned combinations suffice to
 recover the originals (an MDS property over the reals).
 
-Row i of a code holds the Chebyshev polynomials T_0 .. T_{cols-1} at the
-i-th encoding point.  The points are Chebyshev nodes taken in a
-low-discrepancy (bit-reversed) order, so any prefix of the row sequence is
-spread across (-1, 1), which keeps the decode solve well conditioned when
-rows are consumed in dispatch order.  The Chebyshev basis keeps it so as
-the piece count grows, where monomials lose a digit of rcond about every
-three pieces (Fahim & Cadambe, *Numerically Stable Polynomially Coded
-Computing*): a square 31-piece system has rcond 2.5e-2 in it and 2.4e-12
-in the monomial basis.  The one decode check is the reciprocal condition
-number: `decode_factors` refuses a system below RCOND_LIMIT, which is set
-so that a decode it accepts is accurate to DECODE_ACCURACY relative.
-
-Codes are shared read-only constants: `make_encoding_matrix` builds each
-(rows, cols) code once and hands every caller the same array, which
-refuses writes.  Since a code is fixed by its shape, so is the decode
-verdict for a (shape, row set), decoded in ascending row order, and
-`check_decodable` keeps the most recent verdicts, failures included.
+Codes are Chebyshev-Vandermonde (`make_encoding_matrix`) over
+bit-reversed Chebyshev nodes (`encoding_points`).  The Chebyshev basis
+keeps the decode well conditioned as the piece count grows, where
+monomials lose a digit of rcond about every three pieces (Fahim &
+Cadambe, *Numerically Stable Polynomially Coded Computing*): a square
+31-piece system has rcond 2.5e-2 in it and 2.4e-12 in the monomial basis.
+The one decode check is the reciprocal condition number
+(`decode_factors`).  A code is fixed by its shape, so it is built once
+(`make_encoding_matrix`), and so is the decode verdict of a (shape, row
+set) (`check_decodable`).
 """
 
 import functools
@@ -125,7 +118,8 @@ def encoding_points(count: int) -> np.ndarray:
 
     The reordering matters: a prefix of the natural Chebyshev order is
     clustered (numerically near-coincident points), while the bit-reversed
-    order keeps every prefix spread over (-1, 1).  Indices follow the
+    order keeps every prefix spread over (-1, 1), so the decode stays well
+    conditioned when rows are consumed in dispatch order.  Indices follow the
     bit-reversal permutation of the next power of two, skipping those past
     the grid.
     """

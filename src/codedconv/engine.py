@@ -1,78 +1,19 @@
 """Deterministic discrete-event engine for one distribution episode.
 
-Events are ordered by (time, insertion sequence) so identical inputs replay
-identically.  The queue holds each event as one flat tuple, and `events()`
-names only the entries it pops (`EngineEvent`), so a result that the
-episode never reaches builds no object.  Randomness comes from
-counter-based Philox streams keyed per (seed, node, purpose), which keeps
-every worker's draws independent of the others and of the event
+Events pop in (time, push order), so identical inputs replay identically
+(`SimEngine`, `EngineEvent`).  Every draw comes from a counter-based
+Philox stream keyed per (seed, node, purpose) (`substream`, `Stream`), so
+a worker's draws do not depend on the other workers' or on the event
 interleaving: changing one worker's behaviour never perturbs another
-worker's compute times or trajectory.
-
-A stream is its key, made from (seed, node, purpose) alone by `substream`.
-Keys are read ahead: a `Draws` whose seed has no kept row evaluates the
-splitmix64 key chain in numpy, in one pass, for every stream its fleet
-can open under its seed and the next KEY_ROWS_KEPT - 1 seeds, and those
-rows replace the ones kept.  The experiments give rep r + 1 the seed of
-rep r plus one, so one pass serves KEY_ROWS_KEPT reps; they never see a
-key.  A stream outside the rows kept gets its one key from the same
-derivation, so no value depends on the readahead; a run reads ahead no
-more seeds than it has reps left.  A draw loads the key at counter zero
-into the one Philox generator that all streams share, which gives the
-draws of a generator built from that key.  The engine is
-single-threaded by design: one stream's session ends before the next
-one starts.  The one thing a stream keeps of what it drew is
-its tape, so no generator state is ever saved.
-
-An engine reads its randomness and its fleet through a `Draws`, made for
-one episode seed and one fleet: a scenario without its straggler fields.
-Per-node draws are kept on tapes: values in draw order, drawn on first
-read and kept, so every episode of a seed (every strategy, sweep point
-and straggler ratio of a rep) reads the same values without drawing
-again.  A tape that runs out draws its stream again from the start to at
-least twice its length.  A node's position tape holds its position at
-each whole second as an (x, y) pair of floats: the start position is
-drawn at the node's first distance read and the velocity stream at its
-first read past second 0.
-A worker's compute tape starts at the first piece it accepts.  Streams
-that no episode reads (failed workers, mobility in episodes shorter than
-a second, the straggler stream of a setting that draws no straggler) are
-never opened, and since each stream is keyed on its own, the draws do
-not depend on when or whether the others are made.  A start position
-and a worker's mu are drawn as `low + (high - low) * u` from
-`rng.random`: bit for bit numpy's `uniform(low, high)`, whose C code is
-`low + range * next_double`, without its per-call cost.  The `Draws` also
-holds the fleet's profiles and operands, each straggler setting's
-`Roster` (its behaviours, straggler count, initial roster and roster
-events), each pilot's completion time and each (worker, second) link
-rate, so a rep prices each link once and no episode rescans the fleet.
-The traditional strategy's chunk length is settled once per fleet where
-the fleet's mu range settles it (`strategies.settle_chunk_length`);
-elsewhere the `Draws` keeps it for each pair of operand lengths, so a
-rep searches each chunk length once.  An episode given no `Draws` makes
-a private one, so sharing one changes no value; one of another seed or
-fleet is refused.
-
-Node positions advance on a one-second mobility clock (velocities are
-redrawn each whole second); a distance read at time t sees the position
-at whole second int(t).  A position tape is integrated as far as reads
-reach, so an episode that finishes within a second never pays for tick
-events.  The clock stops at CLOCK_LIMIT_S, an hour: no event past it is
-pushed, so none is popped and the queue holds nothing the clock can never
-reach.  An episode whose results would come back later fails, and no
-position tape holds more than CLOCK_LIMIT_S + 1 seconds.
-
-Each worker's `Behavior` is read in three places: its slowdown multiplies
-the compute and return-transfer time of every piece, the master can reach
-it from its join time, and no piece is delivered past its departure time.
-Late joins and departures are also announced to the master as roster
-events, except a departure at t=0: a worker that fails at the start never
-returns a result or gets a wakeup, so no strategy could act on it, and it
-is never announced.
-
-The strategies schedule from a plan's code shape alone; the plan builds
-its encoding matrix when `assemble` reads it, so an episode that keeps no
-result builds none.
+worker's compute times or trajectory.  Since each stream is keyed on its
+own, one that no episode reads (a failed worker's, mobility in an episode
+shorter than a second, the straggler stream of a setting that draws no
+straggler) is never opened, and no draw depends on when or whether the
+others are made.  An engine reads its randomness and its fleet through a
+`Draws`, which keeps each stream's values on a `Tape`.  Node positions
+advance on a one-second mobility clock (`_Path`), and the clock stops at
+CLOCK_LIMIT_S.  How a worker's `Behavior` acts is in `SimEngine.send` and
+`Roster`.
 """
 import functools
 import heapq
@@ -82,9 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# `send` prices a piece with the formulas of `comm_time` and
-# `sample_compute_time` written inline; both stay engine globals, the names
-# the benchmark's tracer wraps.
+# `send` inlines `comm_time` and `sample_compute_time`; both stay engine
+# globals, the names the benchmark's tracer wraps.
 from .models import (  # noqa: F401
     FAILURE_MODES,
     Behavior,
@@ -178,9 +118,8 @@ def _fleet_streams(n_workers: int):
     return (start, *np.array(streams, dtype=np.uint64).T)
 
 
-# Rows of stream keys by seed, for the at most KEY_ROWS_KEPT seeds that
-# `_derive_rows` derived last: a row is its fleet's key starts and the key
-# words, 2(3p + 5) ints for a fleet of p workers.
+# Rows of stream keys by seed (`_derive_rows`): a row is its fleet's key
+# starts and the key words, 2(3p + 5) ints for a fleet of p workers.
 KEY_ROWS_KEPT = 16
 _KEY_ROWS: dict = {}
 
@@ -201,8 +140,7 @@ def _derive_rows(seed: int, n_workers: int,
                                  in _derive(seeds, nodes, purposes)]))
 
 
-# The one generator every stream draws through, and the state a session
-# loads into it: a stream's key at counter zero with an empty buffer.
+# The generator all streams share, and the state a session loads into it.
 _GENERATOR = np.random.Generator(np.random.Philox(0))
 _START = {"bit_generator": "Philox",
           "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -217,9 +155,8 @@ class Stream:
     A stream is its 128-bit key, two ints.  A session loads the key at
     counter zero into the one generator all streams share and yields that
     generator, so the draws in every session are those of
-    `Generator(Philox(key=key))` from its first value: Philox output is a
-    pure function of key and counter.  A session starts at the same place
-    whatever ran before it, so streams cannot see each other's state.
+    `Generator(Philox(key=key))` from its first value, whatever ran
+    before it: Philox output is a pure function of key and counter.
     Sessions do not nest, and `rng` is not read after its session ends:
     the engine is single-threaded by design.
     """
@@ -246,17 +183,15 @@ class Stream:
 
 
 def substream(seed: int, node: int, purpose: int) -> Stream:
-    """Independent Philox stream for (seed, node, purpose).
-
-    The key is splitmix64 chained over the seed, the node and the purpose,
-    so streams for different (node, purpose) pairs never collide in
-    practice and can be made in any order.  The key is read from the
-    rows a `Draws` derived ahead; a stream outside them gets its one key
-    from the same derivation.  `episode_profiles`, `episode_behaviors` and
-    `episode_task` derive their seed's block of rows first, so a key is
-    derived alone only for a node outside the fleet, or for a tape whose
-    seed's rows were replaced after its `Draws` was made.  Opening one
+    """Independent Philox stream for (seed, node, purpose); opening one
     builds no generator.
+
+    The key (`_derive`) never collides with another stream's in practice,
+    so streams can be made in any order.  It is read from the rows that a
+    `Draws` or a scenario-level draw derived ahead (`_derive_rows`).  A
+    stream outside them, of a node outside the fleet or of a tape whose
+    seed's rows were replaced after its `Draws` was made, gets its one key
+    from the same derivation, so no value depends on the readahead.
     """
     row = _KEY_ROWS.get(seed)
     if row is not None:
@@ -312,10 +247,12 @@ class _Path(Tape):
     """Node `tag`'s position tape, one (x, y) float pair per whole second.
 
     Index 0 is the start position in the +-box square, drawn when the tape
-    is made; index k adds the velocity of second k (dt = 1 s).  The
-    velocity stream is opened at the first read past the start.  At a
-    speed limit of 0 every velocity drawn is 0, so the node stays at its
-    start position.
+    is made; index k adds the velocity of second k (dt = 1 s).  A distance
+    read at time t sees the position at whole second int(t), and the tape
+    is integrated only as far as reads reach: the velocity stream is
+    opened at the first read past the start, so an episode that ends
+    within a second pays for no mobility.  At a speed limit of 0 every
+    velocity drawn is 0, so the node stays at its start position.
     """
 
     __slots__ = ("_speed_limit",)
@@ -327,7 +264,7 @@ class _Path(Tape):
         self._speed_limit = speed_limit
         with substream(seed, tag, _POSITION) as rng:
             x, y = rng.random(2).tolist()
-        # rng.uniform(-box, box, 2), bit for bit (see the module docstring).
+        # rng.uniform(-box, box, 2), bit for bit (see `episode_profiles`).
         span = box - -box
         self.append((-box + span * x, -box + span * y))
 
@@ -364,32 +301,20 @@ class Draws:
     `fleet` is `scenario.straggler_free`: the episodes that may share the
     `Draws` differ from it at most in their straggler fields.  A value is
     drawn at its first read:
-    - `paths[tag]`: the position tape of node `tag` (a worker index, or
-      _MASTER_TAG), one (x, y) float pair per whole second;
+    - `paths[tag]`: the `_Path` of node `tag`, a worker or _MASTER_TAG;
     - `rates[worker, second]`: the master-worker link rate at whole second
-      `second`, made by `data_rate` from the distance `_distance` reads
-      off the worker's and the master's position tapes;
-    - `compute[worker]`: the worker's compute tape, standard exponentials
-      that `sample_compute_time` scales, in accept order;
+      `second`, by `data_rate` from the distance between the two paths;
+    - `compute[worker]`: the worker's `_Exponentials` compute tape;
     - `profiles` (a list not to write to) and `operands`: the draws of
       `episode_profiles` and `episode_task`;
     - `behaviors[scenario.straggler_key]`: the `Roster` of a scenario of
-      the fleet, made from the behaviours `episode_behaviors` draws; the
-      straggler-free one, which pilots run with, is under the fleet's own
-      `straggler_key`.
-    `seed` is the plain int episode seed.  A `Draws` made for a seed
-    whose key row is not kept reads ahead: it derives the rows of its seed
-    and the next `readahead` - 1 seeds in one pass (`_derive_rows`; at
-    most KEY_ROWS_KEPT in all), so the `Draws` of the following reps find
-    theirs.  A run passes the count of reps it has left.  Every stream is
-    opened as `substream(seed, node, purpose)`, and a tape keeps that
-    triple to draw its stream again.
-    `pilot_times` keeps `run_episode`'s straggler-free pilot completion
-    times by (strategy, b), `inf` for a pilot that cannot finish.
-    `chunk_lengths[n1, n2]` keeps `select_s`'s answer for the fleet and
-    operand lengths n1 >= n2, None included; `run_traditional_coded`
-    fills it at its first search, made only on a fleet whose mu range
-    does not settle the answer.
+      the fleet (`_roster`); pilots run with the fleet's own.
+    `seed` is the plain int episode seed.  A `Draws` whose seed has no
+    kept key row derives the rows of its seed and the next `readahead` - 1
+    (`_derive_rows`) for the `Draws` of the following reps.  `pilot_times`
+    keeps `run_episode`'s straggler-free pilot completion times by
+    (strategy, b), `inf` for a pilot that cannot finish, and
+    `chunk_lengths` the searches of `run_traditional_coded`.
     """
 
     def __init__(self, seed: int, scenario, readahead: int = KEY_ROWS_KEPT):
@@ -440,13 +365,11 @@ def export_event_log(records, fh) -> None:
 class EngineEvent(NamedTuple):
     """A popped event: the queue entry it was pushed as, with named fields.
 
-    The queue holds flat tuples, and `events()` names only those it pops.
-    `time` is when the event happens, the clock once it is popped: a
-    wakeup's is when it fires, the time asked for or the clock at the
-    request, whichever is later.  `seq` is its push order, which breaks
-    ties in time.  `kind` is result_arrives, worker_joins, worker_leaves
-    or wakeup.  A result carries its `row`, the time `t_sent` it was sent
-    and its round trip `rtt`; the other kinds keep -1, 0.0 and 0.0.
+    `time` is when the event happens, the clock once it is popped.  `seq`
+    is its push order, which breaks ties in time.  `kind` is
+    result_arrives, worker_joins, worker_leaves or wakeup.  A result
+    carries its `row`, the time `t_sent` it was sent and its round trip
+    `rtt`; the other kinds keep -1, 0.0 and 0.0.
     """
 
     time: float
@@ -495,7 +418,8 @@ class SimEngine:
     `now` is the clock: the time of the event popped last, 0 before the
     first.  Only `events()` sets it.  `fleet`, `profiles` and
     `chunk_lengths` are the `Draws`' own.  `behaviors` is one `Behavior`
-    per worker, or a `Roster` made of them.
+    per worker, or a `Roster` made of them, whose `initial` roster the
+    engine shares.
     """
 
     def __init__(self, draws: Draws, behaviors, *, collect_log: bool = False):
@@ -508,10 +432,9 @@ class SimEngine:
         self.profiles = draws.profiles
         self.chunk_lengths = draws.chunk_lengths
         self.comm = fleet.comm
-        self.compute_coeff = fleet.compute_coeff
         self.n_workers = fleet.n_workers
         self.now = 0.0
-        self._initial = roster.initial
+        self.initial = roster.initial
         self._heap: list = []
         self._seq = 0
         self._busy = [0.0] * self.n_workers
@@ -523,21 +446,12 @@ class SimEngine:
         self._compute = draws.compute
         self._compute_read = [0] * self.n_workers
         # The piece shape `send` priced last: its load pair, compute load
-        # and result length.
+        # and result length, priced again only when the load pair differs.
         self._shape = None
         self._load = 0.0
         self._n_out = 0
         for time, kind, worker in roster.events:
             self._push(time, kind, worker)
-
-    # -- roster --------------------------------------------------------------
-
-    def initial_roster(self) -> list[int]:
-        """Workers the master can address at t=0 (late joiners excluded),
-        a list not to write to."""
-        return self._initial
-
-    # -- scheduling ----------------------------------------------------------
 
     def _push(self, time: float, kind: str, worker: int, row: int = -1,
               t_sent: float = 0.0, rtt: float = 0.0) -> None:
@@ -549,9 +463,6 @@ class SimEngine:
             heapq.heappush(self._heap,
                            (time, self._seq, kind, worker, row, t_sent, rtt))
             self._seq += 1
-
-    def _log_event(self, kind: str, time: float, worker: int, row, payload: int) -> None:
-        self.log.append(SimEvent(time, kind, worker, row, payload))
 
     def schedule_wakeup(self, time: float, worker: int) -> None:
         """Ask for a wakeup event tagged with `worker` at `time`, or now if
@@ -565,25 +476,23 @@ class SimEngine:
 
         The worker receives `n_in` values and convolves operands of the
         `load_pair` lengths, so its result has sum(load_pair) - 1 values.
-        A shape's compute load and result length are computed once per
-        shape, again only when `load_pair` differs in value from the
-        previous piece's.  Transfer times for both directions are priced
-        at the dispatch-time distance, by the formulas of `comm_time` and
-        `sample_compute_time` written inline in the same operation order,
-        so every time is bit for bit theirs.  The piece is silently lost
-        when the worker has departed or not yet joined, when the link's
-        rate is 0 (far enough out, the Shannon rate underflows), or when
-        the worker departs before the result is back; the master has no
-        failure detection beyond roster-change events.  A result due past
-        CLOCK_LIMIT_S is not pushed, but the piece still takes its place on
-        the worker's compute tape and keeps the worker busy.
+        Transfer times for both directions are priced at the dispatch-time
+        distance, by the formulas of `comm_time` and `sample_compute_time`
+        written inline in the same operation order, so every time is bit
+        for bit theirs.  The piece is silently lost when the worker has
+        departed or not yet joined, when the link's rate is 0 (far enough
+        out, the Shannon rate underflows), or when the worker departs
+        before the result is back; the master has no failure detection
+        beyond roster-change events.  A result due past CLOCK_LIMIT_S is
+        not pushed, but the piece still takes its place on the worker's
+        compute tape and keeps the worker busy.
         """
         now = self.now
         beh = self.behaviors[worker]
         self.dispatched += 1
-        logged = self._collect_log
-        if logged:
-            self._log_event("dispatch", now, worker, row, n_in)
+        log = self.log.append if self._collect_log else None
+        if log:
+            log(SimEvent(now, "dispatch", worker, row, n_in))
         dead_t = beh.departs
         if now < beh.joins or now >= dead_t:
             return
@@ -595,12 +504,12 @@ class SimEngine:
         arrive = now + t_in
         if arrive > dead_t:
             return
-        if logged:
-            self._log_event("piece_arrives", arrive, worker, row, n_in)
+        if log:
+            log(SimEvent(arrive, "piece_arrives", worker, row, n_in))
         if load_pair != self._shape:
             n1, n2 = load_pair
             self._shape = load_pair
-            self._load = compute_load(n1, n2, self.compute_coeff)
+            self._load = compute_load(n1, n2, self.fleet.compute_coeff)
             self._n_out = n1 + n2 - 1
         load, n_out = self._load, self._n_out
         k = self._compute_read[worker]
@@ -620,23 +529,20 @@ class SimEngine:
         self._busy[worker] = done
         if done > dead_t:
             return
-        if logged:
-            self._log_event("compute_done", done, worker, row, 0)
+        if log:
+            log(SimEvent(done, "compute_done", worker, row, 0))
         t_recv = done + t_out
         if t_recv > dead_t:
             return
-        if logged:
-            self._log_event("result_arrives", t_recv, worker, row, n_out)
+        if log:
+            log(SimEvent(t_recv, "result_arrives", worker, row, n_out))
         self._push(t_recv, "result_arrives", worker, row, now, t_in + t_out)
 
     def events(self, until: float = math.inf):
         """Pop events in (time, seq) order, stopping past `until`, and yield
-        each as an `EngineEvent`, built only once it is popped.
-
-        Nothing is pushed earlier than the clock or later than
-        CLOCK_LIMIT_S, so the clock is the time of the event popped last,
-        and it never passes CLOCK_LIMIT_S: an event due later, at t = inf
-        included, never happens.
+        each as an `EngineEvent`, built only once it is popped.  Nothing is
+        pushed before the clock or past CLOCK_LIMIT_S, so the clock never
+        passes it: an event due later, at t = inf included, never happens.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -647,24 +553,9 @@ class SimEngine:
             yield new(EngineEvent, entry)
 
 
-@dataclass(kw_only=True)
-class EpisodeMetrics(StrategyOutcome):
-    """The strategy's outcome for one episode, plus the episode's own fields."""
-
-    scenario_name: str
-    strategy: str
-    seed: int
-    horizon: float
-    n_stragglers: int
-    result: np.ndarray | None = None
-    event_log: list | None = None
-
-
 def _scenario_stream(scenario, seed: int, purpose: int) -> Stream:
-    """The scenario-level stream `purpose` of `seed`; a seed with no kept
-    row first derives the block of rows of `scenario`'s fleet from it on,
-    so a caller that draws for successive seeds derives a key once per
-    block, not once per stream."""
+    """The scenario-level stream `purpose` of `seed`, whose block of key
+    rows (`_derive_rows`) is derived first if it is not kept."""
     if seed not in _KEY_ROWS:
         _derive_rows(seed, scenario.n_workers)
     return substream(seed, _SCENARIO_TAG, purpose)
@@ -674,7 +565,8 @@ def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     """Draw per-worker compute profiles for one episode."""
     with _scenario_stream(scenario, seed, _MU) as rng:
         fractions = rng.random(scenario.n_workers).tolist()
-    # rng.uniform(mu_low, mu_high, p), bit for bit (see the module docstring).
+    # rng.uniform(mu_low, mu_high, p), bit for bit: numpy's C code is
+    # `low + range * next_double`, here without its per-call cost.
     low = scenario.mu_low
     span = scenario.mu_high - low
     return [WorkerProfile(low + span * u) for u in fractions]
@@ -729,7 +621,7 @@ def _roster(draws: Draws, scenario) -> Roster:
 def run_episode(scenario, strategy: str, seed: int, *, b=None,
                 horizon: float | None = None, collect_log: bool = False,
                 keep_result: bool = True, draws: Draws | None = None,
-                _behaviors=None) -> EpisodeMetrics:
+                _behaviors=None) -> StrategyOutcome:
     """Run one episode of `strategy` against `scenario` with `seed`.
 
     When the episode contains stragglers and no horizon is given, a
@@ -739,12 +631,9 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     runs with `_behaviors`, the straggler-free fleet's `Roster`, in which
     every worker is normal.
 
-    `draws` is a `Draws` of `seed` and of `scenario.straggler_free` (one
-    of another seed or fleet is a ValueError); episodes that share one
-    read each stream once and run each pilot once per (strategy, b).  By
-    default the episode makes its own.
-
-    The strategy schedules from the operand lengths.  Only with
+    `draws` is a `Draws` of `seed` and of `scenario.straggler_free`; one
+    of another seed or fleet is a ValueError.  By default the episode
+    makes its own, so sharing one changes no value.  Only with
     `keep_result` does a successful episode read the operands from `draws`
     and assemble the convolution into `result`.
     """
@@ -761,11 +650,10 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
           and draws.fleet != scenario.straggler_free):
         raise ValueError("the Draws are of another fleet than the scenario")
     roster = _roster(draws, scenario) if _behaviors is None else _behaviors
-    n_stragglers = roster.stragglers
 
     if horizon is None:
         horizon = math.inf
-        if n_stragglers:
+        if roster.stragglers:
             key = (strategy, b)
             pilot_time = draws.pilot_times.get(key)
             if pilot_time is None:
@@ -784,23 +672,9 @@ def run_episode(scenario, strategy: str, seed: int, *, b=None,
     elif strategy == "traditional":
         knobs["s"] = scenario.traditional_s
     outcome = runner(scenario.n1, scenario.n2, eng, horizon=horizon, **knobs)
-    result = None
+    outcome.strategy, outcome.horizon = strategy, horizon
+    outcome.n_stragglers = roster.stragglers
     if keep_result and outcome.plan is not None:
-        result = outcome.plan.assemble(*draws.operands)
-
-    return EpisodeMetrics(
-        success=outcome.success,
-        completion_time=outcome.completion_time,
-        pieces_dispatched=outcome.pieces_dispatched,
-        redundancy_used=outcome.redundancy_used,
-        per_worker_results=outcome.per_worker_results,
-        params=outcome.params,
-        plan=outcome.plan,
-        scenario_name=scenario.name,
-        strategy=strategy,
-        seed=seed,
-        horizon=horizon,
-        n_stragglers=n_stragglers,
-        result=result,
-        event_log=eng.log if collect_log else None,
-    )
+        outcome.result = outcome.plan.assemble(*draws.operands)
+    outcome.event_log = eng.log if collect_log else None
+    return outcome

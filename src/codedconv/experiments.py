@@ -3,9 +3,8 @@
 Every experiment derives one seed per (scenario, repetition) and reuses
 it for all strategies and sweep points, so rows within a table share
 worker parameter draws and straggler selections.  Repetitions are the
-outer loop: every episode of a rep reads one `engine.Draws`, so the seed's
-streams are drawn and its pilots run once, and the `Draws` is dropped
-before the next rep.  Output is CSV with a key=value manifest sidecar;
+outer loop (`run_paired`), so a seed's streams are drawn and its pilots
+run once.  Output is CSV with a key=value manifest sidecar;
 nothing in either file depends on the clock, so identical configurations
 reproduce byte-identical files.
 """
@@ -94,8 +93,8 @@ def sweep_b(scenario: ScenarioConfig, b_values, reps: int, base_seed: int):
     """Dynamic-strategy mean/std completion time for each piece length.
 
     Returns (rows, argmin_b); rows keep the given b order, argmin ties go
-    to the earliest row.  A b below `shortest_piece(n2)` is refused: its
-    column would have more than MAX_SQUARE_PIECES pieces, the cap.
+    to the earliest row.  A b that cuts n2 into more pieces than the cap,
+    MAX_SQUARE_PIECES, is refused.
     """
     b_values = list(b_values)
     if not b_values:

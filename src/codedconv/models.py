@@ -1,56 +1,32 @@
 """Compute-time, radio-link and straggler-behaviour models for the fleet.
 
-Compute time for a convolution job follows a shifted exponential whose
-shift and rate both scale with the job size; link rate follows a
-log-distance path-loss model fed into the Shannon capacity formula.
-A worker's straggler behaviour is a slowdown, a join time and a departure
-time; mobility and the effect of each behaviour live in the event engine.
+Mobility and the effect of each behaviour live in the event engine.
 """
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 
 # Distances below one metre are clamped; the far-field path-loss model has
 # no meaning there and would produce unbounded rates.
 MIN_DISTANCE_M = 1.0
 
 
+@dataclass(frozen=True, slots=True)
 class WorkerProfile:
     """Per-worker compute parameters for the shifted-exponential model.
 
     `mu` is the exponential rate scale (straggling) and `alpha`, the
-    seconds per unit load, is 1 / mu.  A profile is immutable, as a frozen
-    dataclass is, and equal to another of the same fields; it is a plain
-    slotted class because every rep draws a fleet of them.
+    seconds per unit load, is 1 / mu.  The class is slotted because every
+    rep draws a fleet of them.
     """
 
-    __slots__ = ("mu", "alpha")
+    mu: float
+    alpha: float = field(init=False)
 
-    def __init__(self, mu: float):
-        if not mu > 0:
-            raise ValueError(f"invalid profile mu={mu}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "alpha", 1.0 / mu)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mu, self.alpha) == (other.mu, other.alpha)
-
-    def __hash__(self):
-        return hash((self.mu, self.alpha))
-
-    def __repr__(self):
-        return f"WorkerProfile(mu={self.mu!r}, alpha={self.alpha!r})"
-
-    def __reduce__(self):
-        return WorkerProfile, (self.mu,)
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise ValueError(f"invalid profile mu={self.mu}")
+        object.__setattr__(self, "alpha", 1.0 / self.mu)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ Four standard scenarios pair two problem sizes with worker counts 8/4 and
 8/6.  The full sizes make single episodes expensive, so the factories
 default to scale=8 (both operand lengths divided by 8), which keeps a
 complete comparison study in the minutes range; scale=1 gives the full
-size.  Per-scenario dynamic piece lengths at scale=8 were picked by
-running the b sweep (see README); other scales fall back to the built-in
-piece-count rule.
+size.  Scales without a tuned dynamic piece length fall back to the
+built-in piece-count rule.
 """
 
 import dataclasses

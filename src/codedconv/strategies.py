@@ -14,15 +14,9 @@ Three strategies share the same engine interface:
   fresh row whenever it is about to empty.
 
 All three run one episode loop, `_run`, and differ only in how they
-dispatch.  The fixed codes send every pair at t=0, round-robin over the
-initial roster, and react to nothing; dynamic sends one piece per live
-worker, then reacts to results, wakeups, joins and departures.
-
-Strategies schedule from the operand lengths alone and never see the
-operands.  Each returns a StrategyOutcome; completion_time is the arrival
-time of the last needed result, or the horizon when the episode gave up.
-A successful outcome carries a Plan, and `plan.assemble(a, x)` turns the
-operands into the convolution those results would decode to.
+dispatch.  They schedule from the operand lengths alone and never see the
+operands: a successful outcome's `plan.assemble(a, x)` turns them into the
+convolution.
 """
 
 import functools
@@ -73,11 +67,9 @@ class Plan:
     lists the rows i of column j in arrival order, and `assemble` decodes
     them in ascending row order, as `_run` judged their (shape, row set).
     `lengths` is (len(a), len(x)); `code` is the Vandermonde code's (rows,
-    cols) shape, or None for the identity.  `shape` is the matrix's shape,
-    known without the matrix, and the only part `_run` reads; `matrix` is
-    built from the code when `assemble` reads it, so an episode that keeps
-    no result builds none.  A worker that departs at t=0 adds no row: the
-    engine never announces it, and every piece sent to it is lost.
+    cols) shape, or None for the identity.  `shape` is the only part `_run`
+    reads; `matrix` is built when `assemble` reads it, so an episode that
+    keeps no result builds none.
     """
 
     lengths: tuple[int, int]
@@ -125,6 +117,15 @@ class Plan:
 
 @dataclass
 class StrategyOutcome:
+    """One episode's record.
+
+    The strategy runner fills the fields up to `plan`.  `completion_time`
+    is the arrival time of the last needed result, or the horizon when the
+    episode gave up.  `run_episode` sets the rest on the runner's outcome:
+    the `strategy` name, the give-up `horizon`, the straggler count, the
+    decoded `result` when kept and the `event_log` when collected.
+    """
+
     success: bool
     completion_time: float
     pieces_dispatched: int
@@ -132,6 +133,11 @@ class StrategyOutcome:
     per_worker_results: dict
     params: dict = field(default_factory=dict)
     plan: Plan | None = None
+    strategy: str | None = None
+    horizon: float = math.inf
+    n_stragglers: int = 0
+    result: np.ndarray | None = None
+    event_log: list | None = None
 
 
 def _pieces(n: int, length: int) -> int:
@@ -154,9 +160,7 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     with each worker's chance of finishing a chunk of work
     2*coeff*s*log2(2s) in unit time under its shifted-exponential profile.
     `s` may be an array of lengths; the score is then one per length.
-    This is the score `select_s` maximizes in magnitude, and its tie
-    breaker: `select_s` calls it only on the lengths its bound cannot
-    tell apart, as one array.
+    `select_s` maximizes it in magnitude.
     """
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 1):
@@ -191,8 +195,19 @@ def _feasible(n1: int, n2: int, p: int) -> tuple[int, int]:
 
 def _settles_at_hi(n1: int, n2: int, p: int, lo: int, hi: int,
                    mu_low: float, mu_high: float, coeff: float) -> bool:
-    """Whether `select_s`'s closed-form bound picks hi for profiles whose
-    mus lie in [mu_low, mu_high]; see `select_s` (lo < hi)."""
+    """Whether the closed-form bound picks hi for every fleet of profiles
+    whose mus lie in [mu_low, mu_high] (lo < hi).
+
+    Every length s in lo..hi-1 has G(s) <= G(hi) * exp(alpha_max * (log
+    W(hi) - log W(lo))), with G and W as in `select_s` and alpha_max =
+    1 / mu_low the largest alpha, and |slack(s)| <= max(|slack(lo)|,
+    |slack(hi-1)|).  So when that slack times the factor is below
+    |slack(hi)| by more than the relative _PRUNE_MARGIN, the answer is hi.
+    The comparison is made in logs, so no slow fleet overflows it, and
+    only within _LOG_RANGE, where the full scan's float argmax is exact.
+    On the preset fleets, alpha is about 2.5e-7, so the factor is 1 +
+    3.3e-6 at most: G does no work there.
+    """
     log_lo, log_hi = _log_work(lo, coeff), _log_work(hi, coeff)
     alpha = 1.0 / mu_low        # the largest alpha, as alpha = 1 / mu
     log_range = alpha * (max(-math.log(mu_low), math.log(mu_high))
@@ -214,8 +229,8 @@ def settle_chunk_length(n1: int, n2: int, p: int, mu_low: float,
     largest mu, mu_high.  Both its condition and its _LOG_RANGE guard only
     get harder as alpha_max and the largest mu grow, so a fleet that
     settles at its bounds settles for every draw, endpoints included, and
-    needs no search per rep.  Every preset fleet settles (mu in [3e6,
-    6e6]).  A slow one, such as mu = 1e-3, whose scores underflow, does
+    needs no search per rep.  Every preset fleet (mu in [3e6, 6e6])
+    settles.  A slow one, such as mu = 1e-3, whose scores underflow, does
     not, and neither does a pair of lengths with at most one feasible.
     """
     lo, hi = _feasible(n1, n2, p)
@@ -236,24 +251,9 @@ def select_s(n1: int, n2: int, p: int, profiles,
     |chunk_score(s)| is |slack(s)| * G(s): slack = p*s/n2 - n1/s + 1
     strictly increases in s, so |slack| peaks at an end of any range of
     lengths, and G = sum(mu**alpha / (p * work**alpha)) is positive and
-    falls as the work W(s) = 2*coeff*s*log2(2s) grows.
-
-    The pick is settled before any term of G is summed.  Every length s
-    in lo..hi-1 has G(s) <= G(hi) * exp(alpha_max * (log W(hi) - log
-    W(lo))), with alpha_max the largest alpha, and |slack(s)| <=
-    max(|slack(lo)|, |slack(hi-1)|).  So when that slack times the factor
-    is below |slack(hi)| by more than the relative _PRUNE_MARGIN, the
-    answer is hi = min(n1, n2).  The comparison is made in logs, so no
-    slow fleet overflows it, and only where every factor mu**alpha,
-    work**alpha and their ratio lies within e**+-_LOG_RANGE: there no
-    score of the full scan over- or underflows, so its float argmax is
-    the exact one.  G does no work on any fleet the scenarios draw: with
-    mu in [3e6, 6e6], alpha = 1 / mu is about 2.5e-7, so the factor is
-    1 + 3.3e-6 at most, and every preset pick is hi, settled this way.
-    The bound holds for a whole fleet when it holds at the fleet's mu
-    range, so `run_traditional_coded` asks `settle_chunk_length` once per
-    fleet and pair of lengths, and calls `select_s` only where that does
-    not settle the pick, once per `Draws`.
+    falls as the work W(s) = 2*coeff*s*log2(2s) grows.  Before any term of
+    G is summed, a closed-form bound (`_settles_at_hi`) may settle the
+    pick at hi = min(n1, n2).
 
     Elsewhere (slow fleets, whose scores underflow to 0, or a length
     inside the range that wins) the search is exact without scoring every
@@ -263,9 +263,8 @@ def select_s(n1: int, n2: int, p: int, profiles,
     dropped.  Each factor of G is exp(alpha * (log mu - log work)), at
     most exp(1 / (e * work)) as alpha is 1 / mu, where work**alpha alone
     overflows on slow profiles.  A lone survivor is the answer; several
-    are scored by `chunk_score` as one array, whose argmax takes the
-    smallest of tied lengths.  When every score is 0 that argmax is the
-    smallest length.
+    are scored by `chunk_score` as one array, whose first argmax wins,
+    also when every score is 0.
     """
     lo, hi = _feasible(n1, n2, p)
     if lo >= hi:
@@ -315,10 +314,9 @@ def _run(plan: Plan, eng, horizon: float, params: dict,
 
     Result row k is pair divmod(k, ncols) = (row i, column j), and row i
     is recorded in `plan.columns[j]` unless that column is full already.
-    A column is full at as many rows as the matrix has columns.  For a
-    Vandermonde code the row that fills it checks (`check_decodable`) that
-    the (shape, row set) decodes in ascending row order, as `assemble` does.
-    The identity needs no check: its m-row subsets are permutations, rcond 1.
+    A column is full at as many rows as the matrix has columns; for a
+    Vandermonde code the row that fills it runs `check_decodable`.  The
+    identity needs no check: its m-row subsets are permutations, rcond 1.
 
     The episode fails at the horizon, when the queue drains, or when a
     full column does not decode.  `react(ev)`, if given, sees every event
@@ -365,7 +363,7 @@ def _run_fixed_code(plan: Plan, eng, horizon: float,
     Everything goes out at t=0 and nothing reacts to what comes back; with
     no worker on the roster nothing goes out and the episode fails.
     """
-    roster = eng.initial_roster()
+    roster = eng.initial
     s = plan.coded_length
     load_pair = (s, s)
     if roster:
@@ -397,9 +395,8 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     Convolution commutes, so the longer operand is the one that gets
     encoded; with the score-optimal chunk length that leaves a single
     chunk of the short operand and the whole worker budget goes into
-    redundant rows of the long one.  Each column of chunk pairs decodes
-    independently as soon as enough of its rows are back.  When no chunk
-    length can decode (see select_s) the episode fails without a send.
+    redundant rows of the long one.  When no chunk length can decode (see
+    select_s) the episode fails without a send.
     Without an explicit `s`, the chunk length is `select_s`'s answer, which
     depends on the lengths and the fleet alone.  Where the fleet's mu range
     settles it (`settle_chunk_length`, kept per fleet), no rep searches;
@@ -444,22 +441,20 @@ class _WorkerStats:
     """One worker's `DispatchEstimator` state.
 
     `count` results are back; the latest arrived at `t_recv` after a round
-    trip `rtt`, `service` after it was sent, and its compute finished at
-    the estimated `t_finish`.  `idle` is the idle time booked so far.
-    `in_flight` pieces are out, and `pending` is the idle increment to
-    book at the next result: only a send with nothing in flight makes a
-    nonzero one, so every later piece of the same run books 0.
-    `t_send` is the latest send, and `interval` the dispatch interval set
-    at the latest result, None before the first.
+    trip `rtt`, and its compute finished at the estimated `t_finish`.
+    `idle` is the idle time booked so far, `in_flight` the pieces out, and
+    `pending` the idle increment to book at the next result.  `t_send` is
+    the latest send, and `interval` the dispatch interval set at the
+    latest result, None before the first.
     """
 
     __slots__ = ("count", "t_recv", "t_finish", "idle", "in_flight",
-                 "pending", "rtt", "service", "t_send", "interval")
+                 "pending", "rtt", "t_send", "interval")
 
     def __init__(self):
         self.count = self.in_flight = 0
         self.t_recv = self.t_finish = self.idle = self.pending = 0.0
-        self.rtt = self.service = self.t_send = 0.0
+        self.rtt = self.t_send = 0.0
         self.interval = None
 
 
@@ -485,8 +480,8 @@ class DispatchEstimator:
 
     Only a result changes the interval, so `record_result` sets it once
     and `interval` reads it.  `stats[worker]` is the worker's
-    `_WorkerStats`, made at its first send; a scheduler may read its
-    `interval` and `t_send` there, and writes nothing.
+    `_WorkerStats`; a scheduler may read its `interval` and `t_send`
+    there, and writes nothing.
     """
 
     def __init__(self, n_in: int, n_out: int):
@@ -513,7 +508,7 @@ class DispatchEstimator:
         idle = st.idle = st.idle + st.pending
         st.pending = 0.0
         t_finish = st.t_finish = t_recv - self._share * rtt
-        service = st.service = t_recv - t_sent
+        service = t_recv - t_sent
         st.rtt = rtt
         st.t_recv = t_recv
         expected = (t_finish - idle) / count
@@ -538,7 +533,8 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     Rows go out in the stack order of the module docstring, so redundancy
     grows only as fast as results fail to arrive.  Every worker gets one
     piece up front, then another one per estimated turnaround interval,
-    re-checked via wakeups.
+    re-checked via wakeups; a worker that joins late gets one at once, and
+    one that departs gets no more.
     """
     _check_lengths(n1, n2)
     p = eng.n_workers
@@ -554,7 +550,7 @@ def run_dynamic(n1: int, n2: int, eng, horizon: float = math.inf,
     order = [*range(m, 0, -1), *range(m + 1, budget), 0]
     est = DispatchEstimator(b, n1 + b - 1)
     stats = est.stats
-    live = set(eng.initial_roster())
+    live = set(eng.initial)
     load_pair = (n1, b)
 
     def dispatch(worker: int, now: float) -> bool:

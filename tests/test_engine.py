@@ -672,7 +672,7 @@ def test_mid_flight_death_drops_result():
 
 def test_joining_worker_rejects_early_pieces():
     eng = make_engine(p=1, behaviors=[Behavior(joins=0.5)])
-    assert eng.initial_roster() == []
+    assert eng.initial == []
     eng.send(0, row=0, n_in=10, load_pair=(10, 10))
     events = list(eng.events())
     assert [ev.kind for ev in events] == ["worker_joins"]
@@ -716,7 +716,7 @@ def test_leaving_worker_loses_piece_it_cannot_finish():
 
 def test_worker_departing_before_it_joins_is_never_announced():
     eng = make_engine(p=1, behaviors=[Behavior(joins=0.5, departs=0.25)])
-    assert eng.initial_roster() == []
+    assert eng.initial == []
     eng.schedule_wakeup(0.75, 0)
     kinds = []
     for ev in eng.events():
@@ -988,9 +988,17 @@ def test_episode_metrics_carry_the_strategy_outcome():
     for strategy in ("uncoded", "traditional", "dynamic"):
         m = run_episode(scn, strategy, seed)
         assert isinstance(m, StrategyOutcome)
+        assert (m.strategy, m.horizon, m.n_stragglers) == (strategy, math.inf, 0)
+        assert m.event_log is None
         np.testing.assert_array_equal(
             m.plan.assemble(*episode_task(scn, seed)), m.result)
+        logged = run_episode(scn, strategy, seed, collect_log=True)
+        assert logged.event_log and logged.completion_time == m.completion_time
     failed = run_episode(scn.replace(straggler_mode="fail",
                                      straggler_ratio=1.0), "dynamic", seed)
     assert not failed.success
     assert failed.plan is None and failed.result is None
+    assert (failed.strategy, failed.n_stragglers) == ("dynamic", scn.n_workers)
+    pilot = run_episode(scn, "dynamic", seed)
+    assert failed.horizon == scn.horizon_factor * pilot.completion_time
+    assert math.isfinite(failed.horizon) and failed.event_log is None
