@@ -108,6 +108,72 @@ def test_select_s_matches_full_scan(n1, n2, mus):
         assert select_s(n1, n2, len(mus), profiles) == want
 
 
+def random_fleets(seed, count):
+    """`count` fleets (n1, n2, p, mus, coeff) over four families of mu.
+
+    n1 >= n2 lie in [2, 4000), p in 1..8 and coeff = 10**U(-13, 1).  By
+    i % 4 the mus are U(0.3, 3), 10**U(-4, 1), 10**U(-9, 7) and U(1, 2):
+    fast, slow and extreme fleets, where the profile factor does work.
+    """
+    rng = np.random.default_rng(seed)
+    families = [lambda p: rng.uniform(0.3, 3.0, p),
+                lambda p: 10.0 ** rng.uniform(-4.0, 1.0, p),
+                lambda p: 10.0 ** rng.uniform(-9.0, 7.0, p),
+                lambda p: rng.uniform(1.0, 2.0, p)]
+    fleets = []
+    for i in range(count):
+        a, b = (int(n) for n in rng.integers(2, 4000, 2))
+        p = int(rng.integers(1, 9))
+        coeff = float(10.0 ** rng.uniform(-13.0, 1.0))
+        mus = [float(mu) for mu in families[i % 4](p)]
+        fleets.append((max(a, b), min(a, b), p, mus, coeff))
+    return fleets
+
+
+# The picks of the bisection search that `select_s` ran before it scored
+# every feasible length at once, on `random_fleets(33, 120)`.  On the
+# fleets marked OVERFLOWED that search raised OverflowError; they are
+# checked against the log-domain argmax instead.
+OVERFLOWED = "overflowed"
+PINNED_PICKS = [
+    1775, OVERFLOWED, 63, 2649, 2660, 1066, 351, 306,
+    1858, OVERFLOWED, OVERFLOWED, 658, 66, 3150, 509, 408,
+    742, OVERFLOWED, 562, 1753, 635, 1319, 162, 483,
+    2551, 1127, 2465, 882, 1329, 1305, OVERFLOWED, None,
+    1415, 160, 1497, 488, 906, OVERFLOWED, 347, 2732,
+    326, OVERFLOWED, 747, 396, 1753, OVERFLOWED, 1475, 156,
+    1726, OVERFLOWED, 396, 357, 3480, 355, 409, 1283,
+    316, 238, 983, 1404, 424, 513, OVERFLOWED, 266,
+    1655, 489, 563, 541, 664, 3059, 1264, 1937,
+    265, 1381, 671, 1922, 1584, 83, 1772, 1200,
+    2263, 860, 1945, 296, 2972, 789, 229, 2821,
+    2904, 1705, 1295, 1910, 1188, OVERFLOWED, 1935, 335,
+    793, OVERFLOWED, None, 2943, 1276, 2248, 2792, 278,
+    55, OVERFLOWED, 1254, None, 574, OVERFLOWED, 2152, None,
+    382, 1891, 696, 1365, 1420, 36, 1480, 181,
+]
+
+
+def test_select_s_keeps_the_pinned_picks_of_random_fleets():
+    # An independent pin: `full_scan` above computes the same scan as
+    # select_s, so only a literal list catches a changed pick.  The draws
+    # pick the shortest length, the longest and one strictly between.
+    fleets = random_fleets(33, len(PINNED_PICKS))
+    picks = {"lo": 0, "hi": 0, "inside": 0}
+    for (n1, n2, p, mus, coeff), want in zip(fleets, PINNED_PICKS):
+        if want is OVERFLOWED:
+            continue
+        profiles = [WorkerProfile(mu=mu) for mu in mus]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_s(n1, n2, p, profiles, coeff) == want
+        if want is not None:
+            lo, hi = strategies._feasible(n1, n2, p)
+            picks["lo" if want == lo else "hi" if want == hi
+                  else "inside"] += 1
+    assert picks == {"lo": 38, "hi": 49, "inside": 15}
+
+
 def test_select_s_slow_fleet_picks_min_length_without_warning():
     # alpha = 1 / mu = 1000: work**alpha overflows a float, and every
     # score is 0, so the smallest feasible length wins.
