@@ -314,7 +314,7 @@ class Draws:
     (`_derive_rows`) for the `Draws` of the following reps.  `pilot_times`
     keeps `run_episode`'s straggler-free pilot completion times by
     (strategy, b), `inf` for a pilot that cannot finish, and
-    `chunk_lengths` the searches of `run_traditional_coded`.
+    `chunk_lengths` the chunk-length picks of `run_traditional_coded`.
     """
 
     def __init__(self, seed: int, scenario, readahead: int = KEY_ROWS_KEPT):

@@ -45,10 +45,10 @@ _EXTRA_ROWS_PER_WORKER = 8
 # Default piece-count target when no piece length is configured; 16 pieces
 # keeps the real-valued decode well inside its float64 conditioning range.
 _DEFAULT_PIECE_TARGET = 16
-# Relative margin below the best score at which `select_s` drops a range
-# of chunk lengths: far wider than the rounding gap between its float
-# scores and `chunk_score`'s, so it never drops the full scan's argmax.
-_PRUNE_MARGIN = 1e-9
+# Relative margin by which `_settles_at_hi`'s bound must beat the slack
+# at the longest length: far wider than the rounding of the full scan's
+# float scores, so a settled pick is always the full scan's argmax.
+_SETTLE_MARGIN = 1e-9
 # Largest |log| of a factor mu**alpha, work**alpha or their ratio at which
 # `select_s` settles a pick by its closed-form bound: e**600 lies well
 # inside float64's normal range (about e**+-708), so there no score of the
@@ -169,7 +169,7 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     work = 2.0 * coeff * s * np.log2(2.0 * s)
     total = 0.0
     for prof in profiles:
-        total += slack * (prof.mu ** prof.alpha) / (p * work ** prof.alpha)
+        total += slack * (prof.mu / work) ** prof.alpha / p
     return -total
 
 
@@ -202,7 +202,7 @@ def _settles_at_hi(n1: int, n2: int, p: int, lo: int, hi: int,
     W(hi) - log W(lo))), with G and W as in `select_s` and alpha_max =
     1 / mu_low the largest alpha, and |slack(s)| <= max(|slack(lo)|,
     |slack(hi-1)|).  So when that slack times the factor is below
-    |slack(hi)| by more than the relative _PRUNE_MARGIN, the answer is hi.
+    |slack(hi)| by more than the relative _SETTLE_MARGIN, the answer is hi.
     The comparison is made in logs, so no slow fleet overflows it, and
     only within _LOG_RANGE, where the full scan's float argmax is exact.
     On the preset fleets, alpha is about 2.5e-7, so the factor is 1 +
@@ -216,7 +216,7 @@ def _settles_at_hi(n1: int, n2: int, p: int, lo: int, hi: int,
     return log_range <= _LOG_RANGE and (
         math.log(_slack(n1, n2, p, hi))
         - math.log(max(_slack(n1, n2, p, lo), _slack(n1, n2, p, hi - 1)))
-        > alpha * (log_hi - log_lo) + _PRUNE_MARGIN)
+        > alpha * (log_hi - log_lo) + _SETTLE_MARGIN)
 
 
 @functools.lru_cache(maxsize=256)
@@ -229,7 +229,7 @@ def settle_chunk_length(n1: int, n2: int, p: int, mu_low: float,
     largest mu, mu_high.  Both its condition and its _LOG_RANGE guard only
     get harder as alpha_max and the largest mu grow, so a fleet that
     settles at its bounds settles for every draw, endpoints included, and
-    needs no search per rep.  Every preset fleet (mu in [3e6, 6e6])
+    needs no scan per rep.  Every preset fleet (mu in [3e6, 6e6])
     settles.  A slow one, such as mu = 1e-3, whose scores underflow, does
     not, and neither does a pair of lengths with at most one feasible.
     """
@@ -249,22 +249,12 @@ def select_s(n1: int, n2: int, p: int, profiles,
     Ties pick the smallest length; None when no length is feasible.
 
     |chunk_score(s)| is |slack(s)| * G(s): slack = p*s/n2 - n1/s + 1
-    strictly increases in s, so |slack| peaks at an end of any range of
-    lengths, and G = sum(mu**alpha / (p * work**alpha)) is positive and
-    falls as the work W(s) = 2*coeff*s*log2(2s) grows.  Before any term of
-    G is summed, a closed-form bound (`_settles_at_hi`) may settle the
-    pick at hi = min(n1, n2).
-
-    Elsewhere (slow fleets, whose scores underflow to 0, or a length
-    inside the range that wins) the search is exact without scoring every
-    length.  On lengths a..b, |score| <= max(|slack(a)|, |slack(b)|) *
-    G(a).  The ends are scored, the lengths between are bisected, and a
-    range whose bound is below the best score seen by _PRUNE_MARGIN is
-    dropped.  Each factor of G is exp(alpha * (log mu - log work)), at
-    most exp(1 / (e * work)) as alpha is 1 / mu, where work**alpha alone
-    overflows on slow profiles.  A lone survivor is the answer; several
-    are scored by `chunk_score` as one array, whose first argmax wins,
-    also when every score is 0.
+    strictly increases in s, and G = sum((mu / work)**alpha) / p is
+    positive and falls as the work W(s) = 2*coeff*s*log2(2s) grows.
+    Before any term of G is summed, a closed-form bound (`_settles_at_hi`)
+    may settle the pick at hi = min(n1, n2).  Elsewhere every feasible
+    length is scored as one array.  On a slow fleet a factor of G may
+    round to 0 or inf, and lengths that round alike tie.
     """
     lo, hi = _feasible(n1, n2, p)
     if lo >= hi:
@@ -272,37 +262,10 @@ def select_s(n1: int, n2: int, p: int, profiles,
     mus = [prof.mu for prof in profiles]
     if _settles_at_hi(n1, n2, p, lo, hi, min(mus), max(mus), coeff):
         return hi
-
-    slack = functools.partial(_slack, n1, n2, p)
-    rates = [(prof.alpha, math.log(prof.mu)) for prof in profiles]
-
-    def gain(s: int) -> float:
-        log_w = _log_work(s, coeff)
-        return sum(math.exp(a * (log_mu - log_w)) for a, log_mu in rates) / p
-
-    g_lo = gain(lo)
-    if max(slack(lo), slack(hi)) * g_lo == 0.0:
-        return lo
-    scores = {lo: slack(lo) * g_lo, hi: slack(hi) * gain(hi)}
-    floor = max(scores.values()) * (1.0 - _PRUNE_MARGIN)
-    ranges = [(lo + 1, hi - 1)]
-    while ranges:
-        a, b = ranges.pop()
-        if a > b or max(slack(a), slack(b)) * gain(a) < floor:
-            continue
-        mid = (a + b) // 2
-        scores[mid] = score = slack(mid) * gain(mid)
-        floor = max(floor, score * (1.0 - _PRUNE_MARGIN))
-        ranges += [(a, mid - 1), (mid + 1, b)]
-    survivors = sorted(s for s, score in scores.items() if score >= floor)
-    if len(survivors) == 1:
-        return survivors[0]
-    # A slow profile can overflow work**alpha to inf here; its term is then
-    # the exact 0 that the full scan gives it too.
-    with np.errstate(over="ignore"):
-        tied = np.abs(chunk_score(np.array(survivors), n1, n2, p, profiles,
-                                  coeff))
-    return survivors[int(np.argmax(tied))]
+    with np.errstate(over="ignore", under="ignore"):
+        scores = np.abs(chunk_score(np.arange(lo, hi + 1), n1, n2, p,
+                                    profiles, coeff))
+    return lo + int(np.argmax(scores))
 
 
 # -- the episode loop ----------------------------------------------------------
@@ -399,9 +362,9 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     select_s) the episode fails without a send.
     Without an explicit `s`, the chunk length is `select_s`'s answer, which
     depends on the lengths and the fleet alone.  Where the fleet's mu range
-    settles it (`settle_chunk_length`, kept per fleet), no rep searches;
+    settles it (`settle_chunk_length`, kept per fleet), no rep scans;
     elsewhere the answer, None included, is kept in `eng.chunk_lengths`, so
-    the episodes of one `Draws` share one search.
+    the episodes of one `Draws` share one scan.
     """
     _check_lengths(n1, n2)
     lengths = (n1, n2)

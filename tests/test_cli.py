@@ -271,6 +271,24 @@ def test_compare_without_decodable_chunk_length(tmp_path, capsys):
     assert "traditional,inf,nan" in table
 
 
+def test_compare_on_a_fleet_whose_chunk_scores_overflow(tmp_path, capsys):
+    # mu = 1e-8 with compute_coeff = 1e-12 overflows the traditional chunk
+    # score of every feasible length to inf; the pick is still made, with
+    # no warning, and the table is written.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nn1 = 512\nn2 = 256\nworkers = 8\n"
+                   "mu_low = 1e-8\nmu_high = 1e-8\ncompute_coeff = 1e-12\n\n"
+                   "[experiment]\nkind = compare\nreps = 2\nseed = 7\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 0, err
+    table = (tmp_path / "res" / "compare.csv").read_text().splitlines()
+    assert table[2].startswith("traditional,")
+    assert not table[2].startswith("traditional,inf")
+
+
 def test_compare_with_stragglers_and_no_finishing_pilot(tmp_path, capsys):
     # The straggler-free pilot of traditional cannot finish either, so its
     # episodes run without a horizon and are counted as failed.

@@ -74,7 +74,7 @@ def test_select_s_matches_bruteforce():
 def full_scan(n1, n2, p, profiles, coeff=1.0):
     """The argmax of |chunk_score| over every feasible length, as one array.
 
-    A slow profile overflows work**alpha to inf, whose term is then 0.
+    A slow profile's factor (mu / work)**alpha may round to 0 or inf.
     """
     hi = min(n1, n2)
     lo = max(min(hi, math.ceil(math.sqrt(n1 * n2 / p))),
@@ -95,9 +95,10 @@ fleet_mus = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(16, 1500), st.integers(16, 1500), fleet_mus)
 @example(563, 585, [0.586, 0.572])      # a length inside the range wins
-# Every score underflows to 0, so the bound leaves the pick to the search,
-# which keeps the smallest length.
+# Every score underflows to 0, so the bound leaves the pick to the scan,
+# whose first argmax is the smallest length.
 @example(512, 256, [1e-3] * 8)
+@example(2, 2, [1.0] * 4)               # lengths 1 and 2 tie exactly
 @example(26, 16, [4e6, 5e6])            # lengths 15 and 16: hi = lo + 1
 @example(32, 16, [4e6])                 # lo = hi = 16, where slack is 0
 def test_select_s_matches_full_scan(n1, n2, mus):
@@ -130,10 +131,10 @@ def random_fleets(seed, count):
     return fleets
 
 
-# The picks of the bisection search that `select_s` ran before it scored
-# every feasible length at once, on `random_fleets(33, 120)`.  On the
-# fleets marked OVERFLOWED that search raised OverflowError; they are
-# checked against the log-domain argmax instead.
+# The picks on `random_fleets(33, 120)` of a bisection search that pruned
+# lengths by a bound on |chunk_score|, an implementation independent of
+# the full scan.  On the fleets marked OVERFLOWED it raised OverflowError;
+# they are checked against the log-domain argmax instead.
 OVERFLOWED = "overflowed"
 PINNED_PICKS = [
     1775, OVERFLOWED, 63, 2649, 2660, 1066, 351, 306,
@@ -174,9 +175,42 @@ def test_select_s_keeps_the_pinned_picks_of_random_fleets():
     assert picks == {"lo": 38, "hi": 49, "inside": 15}
 
 
+def log_domain_pick(n1, n2, p, mus, coeff):
+    """The argmax of log |chunk_score|, summing G's factors by logaddexp.
+
+    No factor (mu / work)**alpha is formed, so none over- or underflows.
+    """
+    lo, hi = strategies._feasible(n1, n2, p)
+    s = np.arange(lo, hi + 1, dtype=np.float64)
+    log_work = np.log(2.0 * coeff * s * np.log2(2.0 * s))
+    log_g = np.logaddexp.reduce(
+        [(np.log(mu) - log_work) / mu for mu in mus], axis=0)
+    scores = np.log(p * s / n2 - n1 / s + 1.0) + log_g
+    return lo + int(np.argmax(scores)), scores
+
+
+def test_select_s_overflow_fleets_pick_the_log_domain_argmax():
+    # mu = 1e-8 and coeff = 1e-12: every factor of G overflows a float on
+    # every length in 128..256, and the log-domain score of 128 leads the
+    # next best by more than 9e5 nats.
+    fleets = [(512, 256, 8, [1e-8] * 8, 1e-12)] + [
+        fleet for fleet, pick in zip(random_fleets(33, len(PINNED_PICKS)),
+                                     PINNED_PICKS) if pick is OVERFLOWED]
+    assert len(fleets) == 15
+    want, scores = log_domain_pick(*fleets[0])
+    lead, runner_up = np.sort(scores)[::-1][:2]
+    assert want == 128 and lead - runner_up > 9e5
+    for n1, n2, p, mus, coeff in fleets:
+        profiles = [WorkerProfile(mu=mu) for mu in mus]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (select_s(n1, n2, p, profiles, coeff)
+                    == log_domain_pick(n1, n2, p, mus, coeff)[0])
+
+
 def test_select_s_slow_fleet_picks_min_length_without_warning():
-    # alpha = 1 / mu = 1000: work**alpha overflows a float, and every
-    # score is 0, so the smallest feasible length wins.
+    # alpha = 1 / mu = 1000: (mu / work)**alpha underflows a float, and
+    # every score is 0, so the smallest feasible length wins.
     scenario = ScenarioConfig("slow", n1=512, n2=256, n_workers=8,
                               mu_low=1e-3, mu_high=2e-3)
     with warnings.catch_warnings():
@@ -231,7 +265,7 @@ def test_every_preset_fleet_settles_its_chunk_length():
 def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
     # The closed-form bound settles every preset fleet on min(n1, n2)
     # before any term of the profile factor G is summed: no `math.exp`
-    # call, and no array scoring by `chunk_score`, kept for near ties.
+    # call, and no array scoring by `chunk_score`.
     scenario = benchmark_scenario(index, scale)
     n1, n2 = max(scenario.n1, scenario.n2), min(scenario.n1, scenario.n2)
     p = scenario.n_workers
@@ -256,8 +290,9 @@ def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
 
 
 def test_select_s_breaks_an_exact_tie_with_one_array_score(monkeypatch):
-    # Lengths 1 and 2 both score exactly 0.5, so both survive the bound and
-    # one array call to `chunk_score` picks the smaller, as the full scan does.
+    # Lengths 1 and 2 both score exactly 0.5, so the bound settles neither,
+    # and one array call to `chunk_score` picks the smaller, as the full
+    # scan does.
     profiles = [WorkerProfile(mu=1.0)] * 4
     assert full_scan(2, 2, 4, profiles) == 1
     calls = []
