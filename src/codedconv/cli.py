@@ -3,11 +3,11 @@
 Subcommands mirror the four experiments (sweep-b, compare, stress,
 success-rate) plus `run`, which executes a config file.  A config runs the
 subcommand its `kind` names: its options are that subcommand's defaults
-with the config's [experiment] keys, and its [straggler] ratio and mode
-where the subcommand has that flag, on top.  One `run_experiment` runs
-every kind through its row in `_KINDS`.  `main` may be called many times
-in one process.  Exit codes: 0 success, 2 bad usage or config, 3 runtime
-failure.
+with the config's [experiment] keys, each one of that subcommand's flags,
+and its [straggler] ratio and mode where it has that flag, on top.  One
+`run_experiment` runs every kind through its row in `_KINDS`.  `main` may
+be called many times in one process.  Exit codes: 0 success, 2 bad usage
+or config, 3 runtime failure.
 """
 
 import argparse
@@ -16,6 +16,7 @@ import sys
 
 from . import __version__
 from .experiments import (
+    _EXPERIMENT_KEYS,
     ConfigError,
     auto,
     default_sweep_grid,
@@ -210,7 +211,14 @@ def main(argv=None) -> int:
             if kind not in _KINDS:
                 raise ConfigError(f"unknown experiment kind {kind!r}; "
                                   "valid kinds: " + ", ".join(_KINDS))
-            options = vars(_parser().parse_args([kind])) | experiment
+            options = vars(_parser().parse_args([kind]))
+            stray = sorted(experiment.keys() - options.keys() - {"kind"})
+            if stray:
+                raise ConfigError(
+                    f"[experiment] key {stray[0]!r} does not apply to kind "
+                    f"{kind}; its keys: " + ", ".join(sorted(
+                        {"kind"} | (options.keys() & _EXPERIMENT_KEYS))))
+            options |= experiment
             straggler = config.get("straggler", {})
             options.update((key, straggler[key]) for key in ("ratio", "mode")
                            if key in straggler and key in options)

@@ -313,8 +313,7 @@ class Draws:
     kept key row derives the rows of its seed and the next `readahead` - 1
     (`_derive_rows`) for the `Draws` of the following reps.  `pilot_times`
     keeps `run_episode`'s straggler-free pilot completion times by
-    (strategy, b), `inf` for a pilot that cannot finish, and
-    `chunk_lengths` the chunk-length picks of `run_traditional_coded`.
+    (strategy, b), `inf` for a pilot that cannot finish.
     """
 
     def __init__(self, seed: int, scenario, readahead: int = KEY_ROWS_KEPT):
@@ -330,7 +329,6 @@ class Draws:
         self.compute = Memo(lambda worker: _Exponentials(seed, worker, _COMPUTE))
         self.behaviors: dict = {}
         self.pilot_times: dict = {}
-        self.chunk_lengths: dict = {}
 
     @functools.cached_property
     def profiles(self) -> list[WorkerProfile]:
@@ -416,10 +414,9 @@ class SimEngine:
     """Event queue plus fleet state for a single episode.
 
     `now` is the clock: the time of the event popped last, 0 before the
-    first.  Only `events()` sets it.  `fleet`, `profiles` and
-    `chunk_lengths` are the `Draws`' own.  `behaviors` is one `Behavior`
-    per worker, or a `Roster` made of them, whose `initial` roster the
-    engine shares.
+    first.  Only `events()` sets it.  `fleet` and `profiles` are the
+    `Draws`' own.  `behaviors` is one `Behavior` per worker, or a `Roster`
+    made of them, whose `initial` roster the engine shares.
     """
 
     def __init__(self, draws: Draws, behaviors, *, collect_log: bool = False):
@@ -430,7 +427,6 @@ class SimEngine:
             raise ValueError(f"need one behavior per worker: the fleet has "
                              f"{fleet.n_workers}, got {len(behaviors)}")
         self.profiles = draws.profiles
-        self.chunk_lengths = draws.chunk_lengths
         self.comm = fleet.comm
         self.n_workers = fleet.n_workers
         self.now = 0.0

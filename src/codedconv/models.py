@@ -46,6 +46,11 @@ class CommParams:
                 and self.payload_bytes >= 1):
             raise ValueError("need finite rx_offset_dbm, finite positive "
                              "bandwidth_hz and noise_w, payload_bytes >= 1")
+        try:
+            data_rate(MIN_DISTANCE_M, self)
+        except OverflowError:
+            raise ValueError(f"rx_offset_dbm = {self.rx_offset_dbm} overflows "
+                             f"the signal at {MIN_DISTANCE_M} m") from None
 
 
 # Straggler modes a scenario can ask for, in the order the CLI lists them.

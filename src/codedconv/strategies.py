@@ -45,14 +45,14 @@ _EXTRA_ROWS_PER_WORKER = 8
 # Default piece-count target when no piece length is configured; 16 pieces
 # keeps the real-valued decode well inside its float64 conditioning range.
 _DEFAULT_PIECE_TARGET = 16
-# Relative margin by which `_settles_at_hi`'s bound must beat the slack
-# at the longest length: far wider than the rounding of the full scan's
-# float scores, so a settled pick is always the full scan's argmax.
+# Relative margin by which `settle_chunk_length`'s bound must beat the
+# slack at the longest length: far wider than the rounding of `select_s`'s
+# float scores, so a settled pick is always the scan's argmax.
 _SETTLE_MARGIN = 1e-9
 # Largest |log| of a factor mu**alpha, work**alpha or their ratio at which
-# `select_s` settles a pick by its closed-form bound: e**600 lies well
-# inside float64's normal range (about e**+-708), so there no score of the
-# full scan over- or underflows and its rounding is far below the margin.
+# `settle_chunk_length` settles a pick: e**600 lies well inside float64's
+# normal range (about e**+-708), so there no score of `select_s`'s scan
+# over- or underflows and its rounding is far below the margin.
 _LOG_RANGE = 600.0
 
 
@@ -173,16 +173,6 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     return -total
 
 
-def _slack(n1: int, n2: int, p: int, s: int) -> float:
-    """|slack(s)| = |p*s/n2 - n1/s + 1|, the first factor of |chunk_score|."""
-    return abs(p * s / n2 - n1 / s + 1.0)
-
-
-def _log_work(s: int, coeff: float) -> float:
-    """log W(s) = log(2*coeff*s*log2(2s)), the log of a chunk's work."""
-    return math.log(2.0 * coeff * s * math.log2(2.0 * s))
-
-
 def _feasible(n1: int, n2: int, p: int) -> tuple[int, int]:
     """(lo, hi): the shortest and longest chunk lengths `select_s` may pick."""
     if p < 1:
@@ -193,48 +183,42 @@ def _feasible(n1: int, n2: int, p: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _settles_at_hi(n1: int, n2: int, p: int, lo: int, hi: int,
-                   mu_low: float, mu_high: float, coeff: float) -> bool:
-    """Whether the closed-form bound picks hi for every fleet of profiles
-    whose mus lie in [mu_low, mu_high] (lo < hi).
-
-    Every length s in lo..hi-1 has G(s) <= G(hi) * exp(alpha_max * (log
-    W(hi) - log W(lo))), with G and W as in `select_s` and alpha_max =
-    1 / mu_low the largest alpha, and |slack(s)| <= max(|slack(lo)|,
-    |slack(hi-1)|).  So when that slack times the factor is below
-    |slack(hi)| by more than the relative _SETTLE_MARGIN, the answer is hi.
-    The comparison is made in logs, so no slow fleet overflows it, and
-    only within _LOG_RANGE, where the full scan's float argmax is exact.
-    On the preset fleets, alpha is about 2.5e-7, so the factor is 1 +
-    3.3e-6 at most: G does no work there.
-    """
-    log_lo, log_hi = _log_work(lo, coeff), _log_work(hi, coeff)
-    alpha = 1.0 / mu_low        # the largest alpha, as alpha = 1 / mu
-    log_range = alpha * (max(-math.log(mu_low), math.log(mu_high))
-                         + max(abs(log_lo), abs(log_hi)))
-    # lo >= sqrt(n1*n2/p) here, so every slack on lo..hi is at least 1.
-    return log_range <= _LOG_RANGE and (
-        math.log(_slack(n1, n2, p, hi))
-        - math.log(max(_slack(n1, n2, p, lo), _slack(n1, n2, p, hi - 1)))
-        > alpha * (log_hi - log_lo) + _SETTLE_MARGIN)
-
-
 @functools.lru_cache(maxsize=256)
 def settle_chunk_length(n1: int, n2: int, p: int, mu_low: float,
                         mu_high: float, coeff: float = 1.0) -> int | None:
-    """min(n1, n2) when `select_s`'s closed-form bound picks it for every
-    fleet of p profiles with mus in [mu_low, mu_high]; else None.
+    """min(n1, n2) when a closed-form bound shows that `select_s` picks it
+    for every fleet of p profiles with mus in [mu_low, mu_high]; else None.
 
-    The bound is evaluated once, at the fleet's alpha_max = 1 / mu_low and
-    largest mu, mu_high.  Both its condition and its _LOG_RANGE guard only
-    get harder as alpha_max and the largest mu grow, so a fleet that
-    settles at its bounds settles for every draw, endpoints included, and
-    needs no scan per rep.  Every preset fleet (mu in [3e6, 6e6])
-    settles.  A slow one, such as mu = 1e-3, whose scores underflow, does
-    not, and neither does a pair of lengths with at most one feasible.
+    With (lo, hi) the feasible range and lo < hi, every length s in
+    lo..hi-1 has G(s) <= G(hi) * exp(alpha_max * (log W(hi) - log W(lo))),
+    with G and W as in `select_s` and alpha_max = 1 / mu_low the largest
+    alpha, and |slack(s)| <= max(|slack(lo)|, |slack(hi-1)|).  So when
+    that slack times the factor is below |slack(hi)| by more than the
+    relative _SETTLE_MARGIN, the answer is hi.  The comparison is made in
+    logs, so no slow fleet overflows it, and only within _LOG_RANGE, where
+    the scan's float argmax is exact.  Both the condition and the guard
+    only get harder as alpha_max and the largest mu grow, so a fleet that
+    settles at its bounds settles for every draw, endpoints included.
+
+    On the preset fleets (mu in [3e6, 6e6]), alpha is about 2.5e-7, so the
+    factor is 1 + 3.3e-6 at most: G does no work there, and every preset
+    fleet settles.  A slow one, such as mu = 1e-3, whose scores underflow,
+    does not, and neither does a pair of lengths with at most one feasible.
     """
     lo, hi = _feasible(n1, n2, p)
-    if lo < hi and _settles_at_hi(n1, n2, p, lo, hi, mu_low, mu_high, coeff):
+    if lo >= hi:
+        return None
+    log_lo, log_hi = (math.log(2.0 * coeff * s * math.log2(2.0 * s))
+                      for s in (lo, hi))
+    # lo >= sqrt(n1*n2/p) here, so every |slack| on lo..hi is at least 1.
+    slack_lo, slack_below, slack_hi = (abs(p * s / n2 - n1 / s + 1.0)
+                                       for s in (lo, hi - 1, hi))
+    alpha = 1.0 / mu_low        # the largest alpha, as alpha = 1 / mu
+    log_range = alpha * (max(-math.log(mu_low), math.log(mu_high))
+                         + max(abs(log_lo), abs(log_hi)))
+    if log_range <= _LOG_RANGE and (
+            math.log(slack_hi) - math.log(max(slack_lo, slack_below))
+            > alpha * (log_hi - log_lo) + _SETTLE_MARGIN):
         return hi
     return None
 
@@ -251,17 +235,12 @@ def select_s(n1: int, n2: int, p: int, profiles,
     |chunk_score(s)| is |slack(s)| * G(s): slack = p*s/n2 - n1/s + 1
     strictly increases in s, and G = sum((mu / work)**alpha) / p is
     positive and falls as the work W(s) = 2*coeff*s*log2(2s) grows.
-    Before any term of G is summed, a closed-form bound (`_settles_at_hi`)
-    may settle the pick at hi = min(n1, n2).  Elsewhere every feasible
-    length is scored as one array.  On a slow fleet a factor of G may
-    round to 0 or inf, and lengths that round alike tie.
+    Every feasible length is scored as one array.  On a slow fleet a
+    factor of G may round to 0 or inf, and lengths that round alike tie.
     """
     lo, hi = _feasible(n1, n2, p)
     if lo >= hi:
         return hi if lo == hi else None
-    mus = [prof.mu for prof in profiles]
-    if _settles_at_hi(n1, n2, p, lo, hi, min(mus), max(mus), coeff):
-        return hi
     with np.errstate(over="ignore", under="ignore"):
         scores = np.abs(chunk_score(np.arange(lo, hi + 1), n1, n2, p,
                                     profiles, coeff))
@@ -360,11 +339,9 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     chunk of the short operand and the whole worker budget goes into
     redundant rows of the long one.  When no chunk length can decode (see
     select_s) the episode fails without a send.
-    Without an explicit `s`, the chunk length is `select_s`'s answer, which
-    depends on the lengths and the fleet alone.  Where the fleet's mu range
-    settles it (`settle_chunk_length`, kept per fleet), no rep scans;
-    elsewhere the answer, None included, is kept in `eng.chunk_lengths`, so
-    the episodes of one `Draws` share one scan.
+    Without an explicit `s`, the chunk length is `select_s`'s answer on the
+    episode's profiles.  Where the fleet's mu range settles it
+    (`settle_chunk_length`, kept per fleet), no episode scans.
     """
     _check_lengths(n1, n2)
     lengths = (n1, n2)
@@ -374,14 +351,9 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     p = eng.n_workers
     if s is None:
         fleet = eng.fleet
-        s = settle_chunk_length(n1, n2, p, fleet.mu_low, fleet.mu_high,
-                                fleet.compute_coeff)
-        if s is None:
-            try:
-                s = eng.chunk_lengths[n1, n2]
-            except KeyError:
-                s = eng.chunk_lengths[n1, n2] = select_s(
-                    n1, n2, p, eng.profiles, fleet.compute_coeff)
+        s = (settle_chunk_length(n1, n2, p, fleet.mu_low, fleet.mu_high,
+                                 fleet.compute_coeff)
+             or select_s(n1, n2, p, eng.profiles, fleet.compute_coeff))
         if s is None:
             return StrategyOutcome(False, horizon, 0, 0, {},
                                    {"s": None, "swapped": swapped})

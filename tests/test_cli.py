@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codedconv import __version__, cli
 from codedconv.cli import main
@@ -240,6 +245,89 @@ def test_experiment_ratio_key_exits_2(tmp_path, capsys):
     assert ("unknown key 'ratio' in [experiment]; valid keys: b_values, "
             "kind, out_dir, ratios, reps, runs, seed") in err
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("kind, line, keys", [
+    ("sweep-b", "ratios = 0.5", "b_values, kind, out_dir, reps, seed"),
+    ("compare", "runs = 5", "kind, out_dir, reps, seed"),
+    ("stress", "b_values = 1,2", "kind, out_dir, ratios, reps, seed"),
+    ("success-rate", "reps = 7", "kind, out_dir, runs, seed"),
+], ids=["sweep-b", "compare", "stress", "success-rate"])
+def test_experiment_key_the_kind_does_not_read_exits_2(kind, line, keys,
+                                                       tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nindex = 1\nscale = 64\n\n"
+                   f"[experiment]\nkind = {kind}\n{line}\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, _, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    key = line.split(" =")[0]
+    assert (f"[experiment] key {key!r} does not apply to kind {kind}; "
+            f"its keys: {keys}") in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_rx_offset_whose_received_power_overflows_exits_2(tmp_path, capsys):
+    # The received power at 1 m is 10**((rx_offset_dbm - 30) / 10) W: a
+    # float at 3112 dBm, where the link rate is inf, and past it from 3113.
+    for rx, want in [("3112", 0), ("3113", 2), ("1e300", 2), ("1.7e308", 2)]:
+        cfg = tmp_path / f"{rx}.cfg"
+        cfg.write_text("[scenario]\nindex = 1\nscale = 64\n\n"
+                       f"[comm]\nrx_offset_dbm = {rx}\n\n"
+                       "[experiment]\nkind = compare\nreps = 1\n"
+                       f"out_dir = {tmp_path / rx}\n")
+        code, _, err = run_cli(["run", str(cfg)], capsys)
+        assert code == want, err
+        assert (tmp_path / rx).exists() == (want == 0)
+        assert want == 0 or "rx_offset_dbm" in err
+
+
+FLOAT_KEYS = [
+    *(("scenario", key) for key in ("mu_low", "mu_high", "compute_coeff",
+                                    "init_box_m", "speed_limit_mps",
+                                    "horizon_factor")),
+    ("straggler", "ratio"), ("straggler", "delay_factor"),
+    *(("comm", key) for key in ("bandwidth_hz", "noise_w", "rx_offset_dbm")),
+]
+EXTREMES = ["0", "-1", "5e-324", "1e-300", "1e4", "1e300", "1.7e308", "nan",
+            "inf", "-inf"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(FLOAT_KEYS), st.sampled_from(EXTREMES),
+                       min_size=1, max_size=2),
+       st.integers(1, 8), st.sampled_from(["compare", "success-rate"]))
+@example({("comm", "rx_offset_dbm"): "1e300"}, 8, "compare")
+@example({("comm", "rx_offset_dbm"): "1.7e308"}, 3, "success-rate")
+@example({("comm", "rx_offset_dbm"): "1e4"}, 1, "compare")
+@example({("scenario", "init_box_m"): "1e308"}, 8, "compare")
+@example({("scenario", "mu_low"): "1e-8", ("scenario", "mu_high"): "1e-8",
+          ("scenario", "compute_coeff"): "1e-12"}, 8, "compare")
+def test_every_config_that_validates_writes_its_table(values, workers, kind):
+    # n1 = 64 and n2 = 32 on 1-8 workers keep every run small.  A config
+    # either writes its table or exits 2 naming one of its keys; no float
+    # overflows and no RuntimeWarning escapes.
+    sections = {"scenario": {"n1": "64", "n2": "32", "workers": str(workers)},
+                "straggler": {}, "comm": {}}
+    for (section, key), value in values.items():
+        sections[section][key] = value
+    count = "reps = 1" if kind == "compare" else "runs = 2"
+    with tempfile.TemporaryDirectory() as tmp:
+        text = "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                               for key, value in keys.items())
+                       for name, keys in sections.items() if keys)
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text + f"[experiment]\nkind = {kind}\n{count}\n"
+                        f"out_dir = {Path(tmp) / 'res'}\n")
+        err = io.StringIO()
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", str(path)])
+    message = err.getvalue()
+    assert code in (0, 2), message
+    assert code == 0 or any(key in message for _, key in values), message
 
 
 def test_success_rate_config_with_delayed_mode_exits_2(tmp_path, capsys):

@@ -326,15 +326,14 @@ def stress_searches(monkeypatch, scenario, reps):
     return calls
 
 
-def test_stress_searches_one_chunk_length_per_rep(monkeypatch):
-    # Every episode of a rep has the rep's fleet and operand lengths, so
-    # on a fleet whose mu range does not settle the pick (mu = 1e-3) the
-    # traditional strategy's chunk-length search runs once per rep,
-    # pilots included.
+def test_stress_scans_an_unsettled_fleet_once_per_traditional_episode(
+        monkeypatch):
+    # On a fleet whose mu range does not settle the pick (mu = 1e-3), every
+    # traditional episode scans: 4 ratios plus 1 pilot per rep.
     reps = 3
     calls = stress_searches(monkeypatch,
                             small_scenario(mu_low=1e-3, mu_high=1e-3), reps)
-    assert len(calls) == reps
+    assert len(calls) == 5 * reps
 
 
 def test_stress_on_a_settled_fleet_searches_no_chunk_length(monkeypatch):

@@ -40,53 +40,6 @@ def random_task(rng, n1, n2):
 # -- select_s -------------------------------------------------------------------
 
 
-def test_select_s_matches_bruteforce():
-    # Every other geometry draws mu down to 0.5, where the profile factor
-    # of the score is no longer ~1.  The last geometry is one where a
-    # length strictly inside the feasible range (406..563) wins, so
-    # scoring only the two ends would be wrong.  The feasible lengths are
-    # scored as one array, as select_s scores them: a scalar call can
-    # round one ulp away from the same length inside an array.
-    rng = np.random.default_rng(7)
-    geometries = []
-    for i in range(40):
-        n1 = int(rng.integers(16, 200))
-        n2 = int(rng.integers(16, 200))
-        p = int(rng.integers(1, 9))
-        mus = rng.uniform(*((0.5, 3.0) if i % 2 else (3e6, 6e6)), p)
-        geometries.append((n1, n2, p, mus))
-    geometries.append((563, 585, 2, [0.586, 0.572]))
-    for n1, n2, p, mus in geometries:
-        profiles = [WorkerProfile(mu=mu) for mu in mus]
-        hi = min(n1, n2)
-        lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
-        feasible = [s for s in range(lo, hi + 1)
-                    if math.ceil(max(n1, n2) / s) <= MAX_SQUARE_PIECES]
-        scores = chunk_score(np.array(feasible), n1, n2, p, profiles)
-        want, best = None, -1.0
-        for s, score in zip(feasible, np.abs(scores)):
-            if score > best:
-                want, best = s, score
-        assert select_s(n1, n2, p, profiles) == want
-    assert 406 < want < 563
-
-
-def full_scan(n1, n2, p, profiles, coeff=1.0):
-    """The argmax of |chunk_score| over every feasible length, as one array.
-
-    A slow profile's factor (mu / work)**alpha may round to 0 or inf.
-    """
-    hi = min(n1, n2)
-    lo = max(min(hi, math.ceil(math.sqrt(n1 * n2 / p))),
-             math.ceil(max(n1, n2) / MAX_SQUARE_PIECES))
-    if lo > hi:
-        return None
-    with np.errstate(over="ignore", under="ignore"):
-        scores = np.abs(chunk_score(np.arange(lo, hi + 1), n1, n2, p,
-                                    profiles, coeff))
-    return lo + int(np.argmax(scores))
-
-
 fleet_mus = st.one_of(
     st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
     st.lists(st.floats(3e6, 6e6), min_size=1, max_size=8))
@@ -95,18 +48,32 @@ fleet_mus = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(16, 1500), st.integers(16, 1500), fleet_mus)
 @example(563, 585, [0.586, 0.572])      # a length inside the range wins
-# Every score underflows to 0, so the bound leaves the pick to the scan,
-# whose first argmax is the smallest length.
-@example(512, 256, [1e-3] * 8)
+@example(512, 256, [1e-3] * 8)          # every score underflows to 0
 @example(2, 2, [1.0] * 4)               # lengths 1 and 2 tie exactly
 @example(26, 16, [4e6, 5e6])            # lengths 15 and 16: hi = lo + 1
 @example(32, 16, [4e6])                 # lo = hi = 16, where slack is 0
-def test_select_s_matches_full_scan(n1, n2, mus):
+def test_select_s_matches_bruteforce(n1, n2, mus):
+    # The feasible lengths are listed and their first strict maximum taken
+    # one by one.  They are scored as one array, as select_s scores them:
+    # a scalar call can round one ulp away from the same length inside an
+    # array.  Tied or underflowed scores leave the smallest length.
+    p = len(mus)
     profiles = [WorkerProfile(mu=mu) for mu in mus]
-    want = full_scan(n1, n2, len(mus), profiles)
+    hi = min(n1, n2)
+    lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
+    feasible = [s for s in range(lo, hi + 1)
+                if math.ceil(max(n1, n2) / s) <= MAX_SQUARE_PIECES]
+    want, best = None, -1.0
+    if feasible:
+        with np.errstate(over="ignore", under="ignore"):
+            scores = np.abs(chunk_score(np.array(feasible), n1, n2, p,
+                                        profiles))
+        for s, score in zip(feasible, scores):
+            if score > best:
+                want, best = s, score
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert select_s(n1, n2, len(mus), profiles) == want
+        assert select_s(n1, n2, p, profiles) == want
 
 
 def random_fleets(seed, count):
@@ -156,7 +123,7 @@ PINNED_PICKS = [
 
 
 def test_select_s_keeps_the_pinned_picks_of_random_fleets():
-    # An independent pin: `full_scan` above computes the same scan as
+    # An independent pin: the brute force above scores the same array as
     # select_s, so only a literal list catches a changed pick.  The draws
     # pick the shortest length, the longest and one strictly between.
     fleets = random_fleets(33, len(PINNED_PICKS))
@@ -260,41 +227,12 @@ def test_every_preset_fleet_settles_its_chunk_length():
                 scn.compute_coeff) == n2
 
 
-@pytest.mark.parametrize("index", [1, 2, 3, 4])
-@pytest.mark.parametrize("scale", [64, 8, 1])
-def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
-    # The closed-form bound settles every preset fleet on min(n1, n2)
-    # before any term of the profile factor G is summed: no `math.exp`
-    # call, and no array scoring by `chunk_score`.
-    scenario = benchmark_scenario(index, scale)
-    n1, n2 = max(scenario.n1, scenario.n2), min(scenario.n1, scenario.n2)
-    p = scenario.n_workers
-    calls = []
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for seed in [*range(20), 1234]:
-        profiles = Draws(seed, scenario).profiles
-        assert full_scan(n1, n2, p, profiles, scenario.compute_coeff) == n2
-        with monkeypatch.context() as patch:
-            patch.setattr(math, "exp", counted("exp", math.exp))
-            patch.setattr(strategies, "chunk_score",
-                          counted("chunk_score", chunk_score))
-            assert strategies.select_s(n1, n2, p, profiles,
-                                       scenario.compute_coeff) == n2
-    assert calls == []
-
-
 def test_select_s_breaks_an_exact_tie_with_one_array_score(monkeypatch):
-    # Lengths 1 and 2 both score exactly 0.5, so the bound settles neither,
-    # and one array call to `chunk_score` picks the smaller, as the full
-    # scan does.
+    # Lengths 1 and 2 both score exactly 0.5, and one array call to
+    # `chunk_score` picks the smaller.
     profiles = [WorkerProfile(mu=1.0)] * 4
-    assert full_scan(2, 2, 4, profiles) == 1
+    np.testing.assert_array_equal(
+        np.abs(chunk_score([1, 2], 2, 2, 4, profiles)), [0.5, 0.5])
     calls = []
 
     def counted(*args, **kwargs):
@@ -535,11 +473,11 @@ def test_traditional_explicit_s_respected():
                                rtol=1e-7, atol=1e-10)
 
 
-def test_traditional_searches_each_chunk_length_once_per_draws(monkeypatch):
-    # An explicit s searches and keeps nothing.  Without one, on a fleet
-    # whose mu range does not settle the pick (mu = 1e-3: its scores
-    # underflow), each pair of operand lengths is searched once per Draws,
-    # in either order, and an answer of None is kept too.
+def test_traditional_scans_an_unsettled_fleet_in_every_episode(monkeypatch):
+    # An explicit s scans nothing.  Without one, on a fleet whose mu range
+    # does not settle the pick (mu = 1e-3: its scores underflow), every
+    # episode scans its operand lengths, the longer first, and a pair with
+    # no feasible length fails with s None.
     calls = []
     original = strategies.select_s
 
@@ -557,36 +495,47 @@ def test_traditional_searches_each_chunk_length_once_per_draws(monkeypatch):
         return run_traditional_coded(n1, n2, eng, **knobs).params["s"]
 
     assert run(60, 60, s=30) == 30
-    assert calls == [] and draws.chunk_lengths == {}
-    picks = [run(n1, n2) for n1, n2 in
-             [(512, 256), (2000, 2), (256, 512), (2000, 2), (512, 256)]]
-    assert calls == [(512, 256), (2000, 2)]
+    assert calls == []
+    picks = [run(n1, n2) for n1, n2 in [(512, 256), (2000, 2), (256, 512)]]
+    assert calls == [(512, 256), (2000, 2), (512, 256)]
     want = original(512, 256, 4, draws.profiles, fleet.compute_coeff)
     assert want is not None and want != 256
-    assert draws.chunk_lengths == {(512, 256): want, (2000, 2): None}
-    assert picks == [want, None, want, None, want]
+    assert picks == [want, None, want]
 
 
 def test_traditional_on_a_settled_fleet_searches_no_chunk_length(monkeypatch):
-    # On a fleet whose mu range settles the pick (mu in [3e6, 6e6]), no
-    # Draws searches and none keeps a pick, and every pick is the one
+    # Presets 1-4 at scales 64, 8 and 1: the fleet's mu range settles the
+    # pick at min(n1, n2), so no episode calls select_s, scores an array
+    # with `chunk_score` or calls `math.exp`, and every pick is the one
     # select_s makes on the Draws' profiles.
     calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
     original = strategies.select_s
-
-    def counted(*args):
-        calls.append(args[:2])
-        return original(*args)
-
-    monkeypatch.setattr(strategies, "select_s", counted)
-    fleet = ScenarioConfig("fast", n1=1, n2=1, n_workers=4)
-    for seed in range(5):
-        draws = Draws(seed, fleet)
-        for n1, n2 in [(512, 256), (256, 512)]:
-            eng = SimEngine(draws, [Behavior()] * 4)
-            s = run_traditional_coded(n1, n2, eng).params["s"]
-            assert s == original(512, 256, 4, draws.profiles) == 256
-        assert draws.chunk_lengths == {}
+    strategies.settle_chunk_length.cache_clear()
+    for index in (1, 2, 3, 4):
+        for scale in (64, 8, 1):
+            fleet = benchmark_scenario(index, scale)
+            n1, n2 = max(fleet.n1, fleet.n2), min(fleet.n1, fleet.n2)
+            p = fleet.n_workers
+            for seed in [*range(5), 1234]:
+                draws = Draws(seed, fleet)
+                for lengths in [(n1, n2), (n2, n1)]:
+                    eng = SimEngine(draws, [Behavior()] * p)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(math, "exp", counted("exp", math.exp))
+                        patch.setattr(strategies, "chunk_score",
+                                      counted("chunk_score", chunk_score))
+                        patch.setattr(strategies, "select_s",
+                                      counted("select_s", original))
+                        s = run_traditional_coded(*lengths, eng).params["s"]
+                    assert s == original(n1, n2, p, draws.profiles,
+                                         fleet.compute_coeff) == n2
     assert calls == []
 
 
