@@ -40,25 +40,14 @@ def random_task(rng, n1, n2):
 # -- select_s -------------------------------------------------------------------
 
 
-fleet_mus = st.one_of(
-    st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
-    st.lists(st.floats(3e6, 6e6), min_size=1, max_size=8))
+def bruteforce_pick(n1, n2, p, profiles):
+    """The first strict maximum of |chunk_score| over the feasible lengths.
 
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(16, 1500), st.integers(16, 1500), fleet_mus)
-@example(563, 585, [0.586, 0.572])      # a length inside the range wins
-@example(512, 256, [1e-3] * 8)          # every score underflows to 0
-@example(2, 2, [1.0] * 4)               # lengths 1 and 2 tie exactly
-@example(26, 16, [4e6, 5e6])            # lengths 15 and 16: hi = lo + 1
-@example(32, 16, [4e6])                 # lo = hi = 16, where slack is 0
-def test_select_s_matches_bruteforce(n1, n2, mus):
-    # The feasible lengths are listed and their first strict maximum taken
-    # one by one.  They are scored as one array, as select_s scores them:
-    # a scalar call can round one ulp away from the same length inside an
-    # array.  Tied or underflowed scores leave the smallest length.
-    p = len(mus)
-    profiles = [WorkerProfile(mu=mu) for mu in mus]
+    The feasible lengths are listed and compared one by one, without
+    `select_s`.  They are scored as one array, as select_s scores them: a
+    scalar call can round one ulp away from the same length inside an
+    array.  Tied or underflowed scores leave the smallest length.
+    """
     hi = min(n1, n2)
     lo = min(hi, math.ceil(math.sqrt(n1 * n2 / p)))
     feasible = [s for s in range(lo, hi + 1)
@@ -71,6 +60,48 @@ def test_select_s_matches_bruteforce(n1, n2, mus):
         for s, score in zip(feasible, scores):
             if score > best:
                 want, best = s, score
+    return want
+
+
+def test_select_s_matches_bruteforce():
+    # Every other geometry draws mu down to 0.5, where the profile factor
+    # of the score is no longer ~1.  The last geometry is one where a
+    # length strictly inside the feasible range (406..563) wins, so
+    # scoring only the two ends would be wrong.
+    rng = np.random.default_rng(7)
+    geometries = []
+    for i in range(40):
+        n1 = int(rng.integers(16, 200))
+        n2 = int(rng.integers(16, 200))
+        p = int(rng.integers(1, 9))
+        mus = rng.uniform(*((0.5, 3.0) if i % 2 else (3e6, 6e6)), p)
+        geometries.append((n1, n2, p, mus))
+    geometries.append((563, 585, 2, [0.586, 0.572]))
+    for n1, n2, p, mus in geometries:
+        profiles = [WorkerProfile(mu=mu) for mu in mus]
+        want = bruteforce_pick(n1, n2, p, profiles)
+        assert select_s(n1, n2, p, profiles) == want
+    assert 406 < want < 563
+
+
+fleet_mus = st.one_of(
+    st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
+    st.lists(st.floats(3e6, 6e6), min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(16, 1500), st.integers(16, 1500), fleet_mus)
+@example(563, 585, [0.586, 0.572])      # a length inside the range wins
+@example(512, 256, [1e-3] * 8)          # every score underflows to 0
+@example(2, 2, [1.0] * 4)               # lengths 1 and 2 tie exactly
+@example(26, 16, [4e6, 5e6])            # lengths 15 and 16: hi = lo + 1
+@example(32, 16, [4e6])                 # lo = hi = 16, where slack is 0
+def test_select_s_matches_full_scan(n1, n2, mus):
+    # Every feasible length is scored, over fast and slow fleets alike,
+    # and select_s warns of no over- or underflow.
+    p = len(mus)
+    profiles = [WorkerProfile(mu=mu) for mu in mus]
+    want = bruteforce_pick(n1, n2, p, profiles)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert select_s(n1, n2, p, profiles) == want
@@ -225,6 +256,42 @@ def test_every_preset_fleet_settles_its_chunk_length():
             assert strategies.settle_chunk_length(
                 n1, n2, scn.n_workers, scn.mu_low, scn.mu_high,
                 scn.compute_coeff) == n2
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [64, 8, 1])
+def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
+    # The fleet's settle bound picks min(n1, n2) on every preset before
+    # select_s is reached: no episode calls select_s, scores an array with
+    # `chunk_score` or calls `math.exp`, and every pick is the one select_s
+    # makes on the Draws' profiles.
+    fleet = benchmark_scenario(index, scale)
+    n1, n2 = max(fleet.n1, fleet.n2), min(fleet.n1, fleet.n2)
+    p = fleet.n_workers
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    original = strategies.select_s
+    strategies.settle_chunk_length.cache_clear()
+    for seed in [*range(5), 1234]:
+        draws = Draws(seed, fleet)
+        for lengths in [(n1, n2), (n2, n1)]:
+            eng = SimEngine(draws, [Behavior()] * p)
+            with monkeypatch.context() as patch:
+                patch.setattr(math, "exp", counted("exp", math.exp))
+                patch.setattr(strategies, "chunk_score",
+                              counted("chunk_score", chunk_score))
+                patch.setattr(strategies, "select_s",
+                              counted("select_s", original))
+                s = run_traditional_coded(*lengths, eng).params["s"]
+            assert s == original(n1, n2, p, draws.profiles,
+                                 fleet.compute_coeff) == n2
+    assert calls == []
 
 
 def test_select_s_breaks_an_exact_tie_with_one_array_score(monkeypatch):
@@ -504,38 +571,24 @@ def test_traditional_scans_an_unsettled_fleet_in_every_episode(monkeypatch):
 
 
 def test_traditional_on_a_settled_fleet_searches_no_chunk_length(monkeypatch):
-    # Presets 1-4 at scales 64, 8 and 1: the fleet's mu range settles the
-    # pick at min(n1, n2), so no episode calls select_s, scores an array
-    # with `chunk_score` or calls `math.exp`, and every pick is the one
-    # select_s makes on the Draws' profiles.
+    # On a fleet whose mu range settles the pick (mu in [3e6, 6e6]), no
+    # episode calls select_s, and every pick is the one select_s makes on
+    # the Draws' profiles.
     calls = []
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapped
-
     original = strategies.select_s
-    strategies.settle_chunk_length.cache_clear()
-    for index in (1, 2, 3, 4):
-        for scale in (64, 8, 1):
-            fleet = benchmark_scenario(index, scale)
-            n1, n2 = max(fleet.n1, fleet.n2), min(fleet.n1, fleet.n2)
-            p = fleet.n_workers
-            for seed in [*range(5), 1234]:
-                draws = Draws(seed, fleet)
-                for lengths in [(n1, n2), (n2, n1)]:
-                    eng = SimEngine(draws, [Behavior()] * p)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(math, "exp", counted("exp", math.exp))
-                        patch.setattr(strategies, "chunk_score",
-                                      counted("chunk_score", chunk_score))
-                        patch.setattr(strategies, "select_s",
-                                      counted("select_s", original))
-                        s = run_traditional_coded(*lengths, eng).params["s"]
-                    assert s == original(n1, n2, p, draws.profiles,
-                                         fleet.compute_coeff) == n2
+
+    def counted(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(strategies, "select_s", counted)
+    fleet = ScenarioConfig("fast", n1=1, n2=1, n_workers=4)
+    for seed in range(5):
+        draws = Draws(seed, fleet)
+        for n1, n2 in [(512, 256), (256, 512)]:
+            eng = SimEngine(draws, [Behavior()] * 4)
+            s = run_traditional_coded(n1, n2, eng).params["s"]
+            assert s == original(512, 256, 4, draws.profiles) == 256
     assert calls == []
 
 
