@@ -4,7 +4,8 @@ Subcommands mirror the four experiments (sweep-b, compare, stress,
 success-rate) plus `run`, which executes a config file.  A config runs the
 subcommand its `kind` names: its options are that subcommand's defaults
 with the config's [experiment] keys, each one of that subcommand's flags,
-and its [straggler] ratio and mode where it has that flag, on top.  One
+and its [straggler] ratio and mode where it has that flag, on top; a
+[straggler] ratio for a kind without a --ratio flag is an error.  One
 `run_experiment` runs every kind through its row in `_KINDS`.  `main` may
 be called many times in one process.  Exit codes: 0 success, 2 bad usage
 or config, 3 runtime failure.
@@ -220,6 +221,12 @@ def main(argv=None) -> int:
                         {"kind"} | (options.keys() & _EXPERIMENT_KEYS))))
             options |= experiment
             straggler = config.get("straggler", {})
+            if "ratio" in straggler and "ratio" not in options:
+                raise ConfigError(
+                    f"[straggler] key 'ratio' does not apply to kind {kind}; "
+                    "the kinds that read it: " + ", ".join(
+                        k for k in _KINDS
+                        if "ratio" in vars(_parser().parse_args([k]))))
             options.update((key, straggler[key]) for key in ("ratio", "mode")
                            if key in straggler and key in options)
             options["scale"], name = preset_scale(config), str

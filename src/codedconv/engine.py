@@ -10,7 +10,10 @@ own, one that no episode reads (a failed worker's, mobility in an episode
 shorter than a second, the straggler stream of a setting that draws no
 straggler) is never opened, and no draw depends on when or whether the
 others are made.  An engine reads its randomness and its fleet through a
-`Draws`, which keeps each stream's values on a `Tape`.  Node positions
+`Draws`, which keeps each stream's values on a `Tape`.  A draw of one
+numpy call (a start position, a tape's chunk, the profile mus) reads its
+stream through `Stream.load`; the straggler and operand draws, of several
+calls, hold a `with` session.  Node positions
 advance on a one-second mobility clock (`_Path`), and the clock stops at
 CLOCK_LIMIT_S.  How a worker's `Behavior` acts is in `SimEngine.send` and
 `Roster`.
@@ -150,15 +153,20 @@ _in_session = False
 
 
 class Stream:
-    """One keyed Philox stream; draw from it in `with stream as rng: ...`.
+    """One keyed Philox stream; draw from it in `with stream as rng: ...`,
+    or in one call as `stream.load().random(n)`.
 
-    A stream is its 128-bit key, two ints.  A session loads the key at
-    counter zero into the one generator all streams share and yields that
-    generator, so the draws in every session are those of
-    `Generator(Philox(key=key))` from its first value, whatever ran
-    before it: Philox output is a pure function of key and counter.
-    Sessions do not nest, and `rng` is not read after its session ends:
-    the engine is single-threaded by design.
+    A stream is its 128-bit key, two ints.  `load` puts the key at counter
+    zero into the one generator all streams share and returns that
+    generator, so its draws are those of `Generator(Philox(key=key))` from
+    its first value, whatever ran before: Philox output is a pure function
+    of key and counter.  A draw of one call (a start position, a tape's
+    chunk, the profile mus) reads the generator `load` returns at once; a
+    draw of several calls (the straggler choice, the operands) holds a
+    session, which is `load` plus a mark that no other stream loads until
+    it ends.  Sessions do not nest, no stream loads inside one, and the
+    generator is not read after its session or its one call: the engine
+    is single-threaded by design.
     """
 
     __slots__ = ("key",)
@@ -166,16 +174,21 @@ class Stream:
     def __init__(self, key: list):
         self.key = key
 
-    def __enter__(self) -> np.random.Generator:
-        global _in_session
+    def load(self) -> np.random.Generator:
+        """The shared generator at this stream's first value, for one call."""
         if _in_session:
             raise RuntimeError("all streams draw through one generator; "
                                "end one stream's session before starting "
                                "another")
-        _in_session = True
         _START["state"]["key"] = self.key
         _GENERATOR.bit_generator.state = _START
         return _GENERATOR
+
+    def __enter__(self) -> np.random.Generator:
+        global _in_session
+        rng = self.load()
+        _in_session = True
+        return rng
 
     def __exit__(self, *exc) -> None:
         global _in_session
@@ -212,35 +225,38 @@ class Tape(list):
 
     Read value k as `tape[k]` after `tape.fill(k)` when `k >= len(tape)`,
     so reading a value already drawn runs no Python code.  `fill` opens
-    the stream at its first call and draws it again from its start to at
-    least twice the tape's length: a tape of n values has drawn fewer than
-    2n, and no generator state is kept between fills.  A subclass's
-    `_draw(rng, n)` appends values len(tape) to n - 1 from `rng` at the
-    start of the stream.
+    the stream `_key` names if the tape has none yet, and draws it again
+    from its start, in one call on `load`'s generator, to at least twice
+    the tape's length: a tape of n values has drawn fewer than 2n, and no
+    generator state is kept between fills.  A subclass's `_draw(rng, n)`
+    appends values len(tape) to n - 1 from `rng` at the start of the
+    stream, in one call.
     """
 
     __slots__ = ("_key", "_stream")
-
-    def __init__(self, seed: int, node: int, purpose: int):
-        super().__init__()
-        self._key, self._stream = (seed, node, purpose), None
 
     def fill(self, k: int) -> None:
         """Draw until the tape holds value k."""
         if self._stream is None:
             self._stream = substream(*self._key)
-        with self._stream as rng:
-            self._draw(rng, max(k + 1, 2 * len(self), _CHUNK))
+        self._draw(self._stream.load(), max(k + 1, 2 * len(self), _CHUNK))
 
 
 class _Exponentials(Tape):
-    """A worker's compute tape: standard exponentials in accept order."""
+    """A worker's compute tape: standard exponentials in accept order.
+
+    It opens its stream and draws the first _CHUNK values when it is
+    made, which a `Draws` does at the worker's first priced send.
+    """
 
     __slots__ = ()
 
+    def __init__(self, seed: int, worker: int):
+        stream = self._stream = substream(seed, worker, _COMPUTE)
+        self.extend(stream.load().standard_exponential(_CHUNK).tolist())
+
     def _draw(self, rng, n: int) -> None:
-        values = rng.standard_exponential(n)
-        self.extend((values[len(self):] if self else values).tolist())
+        self.extend(rng.standard_exponential(n)[len(self):].tolist())
 
 
 class _Path(Tape):
@@ -258,12 +274,9 @@ class _Path(Tape):
     __slots__ = ("_speed_limit",)
 
     def __init__(self, seed: int, tag: int, box: float, speed_limit: float):
-        # Tape's fields, set here: a new list is already empty, so
-        # Tape.__init__ would do nothing more.
         self._key, self._stream = (seed, tag, _VELOCITY), None
         self._speed_limit = speed_limit
-        with substream(seed, tag, _POSITION) as rng:
-            x, y = rng.random(2).tolist()
+        x, y = substream(seed, tag, _POSITION).load().random(2).tolist()
         # rng.uniform(-box, box, 2), bit for bit (see `episode_profiles`).
         span = box - -box
         self.append((-box + span * x, -box + span * y))
@@ -304,7 +317,9 @@ class Draws:
     - `paths[tag]`: the `_Path` of node `tag`, a worker or _MASTER_TAG;
     - `rates[worker, second]`: the master-worker link rate at whole second
       `second`, by `data_rate` from the distance between the two paths;
-    - `compute[worker]`: the worker's `_Exponentials` compute tape;
+    - `compute[worker]`: the worker's `_Exponentials` compute tape, made,
+      with its stream opened and its first _CHUNK values drawn, at the
+      worker's first priced send;
     - `profiles` (a list not to write to) and `operands`: the draws of
       `episode_profiles` and `episode_task`;
     - `behaviors[scenario.straggler_key]`: the `Roster` of a scenario of
@@ -326,7 +341,7 @@ class Draws:
             seed, tag, fleet.init_box_m, fleet.speed_limit_mps))
         self.rates = Memo(lambda link: data_rate(_distance(paths, *link),
                                                  fleet.comm))
-        self.compute = Memo(lambda worker: _Exponentials(seed, worker, _COMPUTE))
+        self.compute = Memo(lambda worker: _Exponentials(seed, worker))
         self.behaviors: dict = {}
         self.pilot_times: dict = {}
 
@@ -399,15 +414,21 @@ class Roster:
 
     def __init__(self, behaviors):
         self.behaviors = behaviors = list(behaviors)
-        self.stragglers = sum(beh is not _NORMAL and beh != _NORMAL
-                              for beh in behaviors)
-        self.initial = [w for w, beh in enumerate(behaviors) if not beh.joins]
+        self.initial = initial = []
         self.events = events = []
+        stragglers = 0
         for w, beh in enumerate(behaviors):
+            if beh is _NORMAL:
+                initial.append(w)
+                continue
+            stragglers += beh != _NORMAL
+            if not beh.joins:
+                initial.append(w)
             if 0.0 < beh.joins < beh.departs:
                 events.append((beh.joins, "worker_joins", w))
             if 0.0 < beh.departs < math.inf:
                 events.append((beh.departs, "worker_leaves", w))
+        self.stragglers = stragglers
 
 
 class SimEngine:
@@ -559,8 +580,8 @@ def _scenario_stream(scenario, seed: int, purpose: int) -> Stream:
 
 def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     """Draw per-worker compute profiles for one episode."""
-    with _scenario_stream(scenario, seed, _MU) as rng:
-        fractions = rng.random(scenario.n_workers).tolist()
+    fractions = _scenario_stream(scenario, seed, _MU).load().random(
+        scenario.n_workers).tolist()
     # rng.uniform(mu_low, mu_high, p), bit for bit: numpy's C code is
     # `low + range * next_double`, here without its per-call cost.
     low = scenario.mu_low

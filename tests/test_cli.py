@@ -267,6 +267,25 @@ def test_experiment_key_the_kind_does_not_read_exits_2(kind, line, keys,
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("kind, count", [("stress", "reps = 1"),
+                                         ("success-rate", "runs = 2")],
+                         ids=["stress", "success-rate"])
+def test_straggler_ratio_the_kind_does_not_read_exits_2(kind, count, tmp_path,
+                                                        capsys):
+    # stress takes its ratios from its grid and success-rate draws a
+    # uniform failure count, so neither reads [straggler] ratio.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nindex = 1\nscale = 64\n\n"
+                   "[straggler]\nratio = 0.5\n\n"
+                   f"[experiment]\nkind = {kind}\n{count}\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, _, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert (f"[straggler] key 'ratio' does not apply to kind {kind}; "
+            "the kinds that read it: sweep-b, compare") in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_rx_offset_whose_received_power_overflows_exits_2(tmp_path, capsys):
     # The received power at 1 m is 10**((rx_offset_dbm - 30) / 10) W: a
     # float at 3112 dBm, where the link rate is inf, and past it from 3113.

@@ -112,6 +112,9 @@ def test_substream_draws_equal_philox_built_from_its_key():
                                               slow.integers(0, 9, 4))
                 np.testing.assert_array_equal(gen.choice(8, size=3, replace=False),
                                               slow.choice(8, size=3, replace=False))
+            np.testing.assert_array_equal(fast.load().uniform(-3.0, 2.0, 5),
+                                          built_from_key(seed, *tags).uniform(
+                                              -3.0, 2.0, 5))
 
 
 def uniform_bits(values) -> bytes:
@@ -280,8 +283,11 @@ def test_stream_sessions_start_at_the_key_and_do_not_nest():
         with pytest.raises(RuntimeError, match="one generator"):
             with a:
                 pass
+        with pytest.raises(RuntimeError, match="one generator"):
+            a.load()
     with a as rng:
         np.testing.assert_array_equal(rng.uniform(size=3), first)
+    np.testing.assert_array_equal(a.load().uniform(size=3), first)
 
 
 @pytest.mark.parametrize("seed,tags", [(0, (engine._SCENARIO_TAG, engine._TASK)),
@@ -387,6 +393,20 @@ def test_position_tape_stops_at_the_clock_limit():
     tape.fill(last // 2 + 1)
     tape.fill(last)
     assert len(tape) == last + 1
+
+
+def test_compute_tape_draws_a_chunk_when_made_and_opens_its_stream_once(
+        streams_opened):
+    draws = make_draws(p=2)
+    streams_opened.clear()
+    tape = draws.compute[1]
+    assert len(tape) == engine._CHUNK
+    assert streams_opened == [(11, 1, engine._COMPUTE)]
+    tape.fill(3 * engine._CHUNK)
+    assert len(tape) == 3 * engine._CHUNK + 1
+    want = built_from_key(11, 1, engine._COMPUTE).standard_exponential(len(tape))
+    assert tape == want.tolist()
+    assert streams_opened == [(11, 1, engine._COMPUTE)]
 
 
 @pytest.mark.parametrize("speed", [0.0, 10.0])
