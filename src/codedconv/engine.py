@@ -163,10 +163,9 @@ class Stream:
     of key and counter.  A draw of one call (a start position, a tape's
     chunk, the profile mus) reads the generator `load` returns at once; a
     draw of several calls (the straggler choice, the operands) holds a
-    session, which is `load` plus a mark that no other stream loads until
-    it ends.  Sessions do not nest, no stream loads inside one, and the
-    generator is not read after its session or its one call: the engine
-    is single-threaded by design.
+    session, `load` plus a mark: sessions do not nest, no stream loads
+    inside one, and the generator is not read after its session or its
+    one call, since the engine is single-threaded by design.
     """
 
     __slots__ = ("key",)
