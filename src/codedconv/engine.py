@@ -93,36 +93,44 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _derive(seeds, nodes, purposes) -> list:
+def _derive(seeds, nodes, purposes) -> np.ndarray:
     """The keys of `seeds` x the streams (nodes[i], purposes[i]).
 
-    One row per seed, the key words of stream i at 2i and 2i + 1:
-    splitmix64 chained over the seed, the node and the purpose, then once
-    more for each key word, the second xor-ed with 0xA5A5A5A5A5A5A5A5.
-    Seeds are taken mod 2**64; nodes and purposes are uint64 already.
+    A uint64 array of shape (seeds, streams, 2), the key words of stream i
+    under seed j at [j, i]: splitmix64 chained over the seed, the node and
+    the purpose, then once more for each key word, the second xor-ed with
+    0xA5A5A5A5A5A5A5A5.  Seeds are taken mod 2**64; nodes and purposes are
+    uint64 already.
     """
     seed = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
     state = _splitmix64(_splitmix64(_splitmix64(seed[:, None])
                                     ^ np.asarray(nodes, dtype=np.uint64))
                         ^ np.asarray(purposes, dtype=np.uint64))
-    return _splitmix64(state[..., None] ^ _WORDS).reshape(len(seed), -1).tolist()
+    return _splitmix64(state[..., None] ^ _WORDS)
 
 
-@functools.lru_cache(maxsize=8)
-def _fleet_streams(n_workers: int):
-    """Every (node, purpose) a fleet of `n_workers` can open: where its key
-    starts in a row, and the node and purpose columns as uint64 arrays."""
-    streams = ([(w, purpose) for w in range(n_workers)
-                for purpose in (_POSITION, _VELOCITY, _COMPUTE)]
-               + [(_MASTER_TAG, _POSITION), (_MASTER_TAG, _VELOCITY),
-                  (_SCENARIO_TAG, _MU), (_SCENARIO_TAG, _STRAGGLER),
-                  (_SCENARIO_TAG, _TASK)])
-    start = {stream: 2 * i for i, stream in enumerate(streams)}
-    return (start, *np.array(streams, dtype=np.uint64).T)
+def _key_index(node: int, purpose: int) -> int:
+    """Where stream (node, purpose) sits in a row of keys, -1 if in none.
+
+    The master's position and velocity streams sit at 0 and 1, the
+    scenario's profile, straggler and operand streams at 2, 3 and 4, then
+    worker w's purpose q at 5 + 3w + q - 1: a row of 3p + 5 keys holds
+    every stream a fleet of p workers, or of fewer, can open.
+    """
+    # Worker nodes, the most opened, come first; both tags exceed them all.
+    if 0 <= node < _MASTER_TAG and _POSITION <= purpose <= _COMPUTE:
+        # Python ints: a numpy scalar's arithmetic could overflow.
+        return 5 + 3 * int(node) + int(purpose) - _POSITION
+    if node == _MASTER_TAG:
+        return purpose - _POSITION if purpose in (_POSITION, _VELOCITY) else -1
+    if node == _SCENARIO_TAG:
+        return purpose - _MU + 2 if purpose in (_MU, _STRAGGLER, _TASK) else -1
+    return -1
 
 
-# Rows of stream keys by seed (`_derive_rows`): a row is its fleet's key
-# starts and the key words, 2(3p + 5) ints for a fleet of p workers.
+# Rows of stream keys by seed (`_derive_rows`): flat memoryviews of one
+# uint64 block, which read as Python ints; stream i's key words are at 2i
+# and 2i + 1, with i its `_key_index`.
 KEY_ROWS_KEPT = 16
 _KEY_ROWS: dict = {}
 
@@ -130,17 +138,21 @@ _KEY_ROWS: dict = {}
 def _derive_rows(seed: int, n_workers: int,
                  count: int = KEY_ROWS_KEPT) -> None:
     """Replace the kept rows by those of `count` seeds from `seed` on, at
-    most KEY_ROWS_KEPT, every stream a fleet of `n_workers` can open, in
-    one evaluation.
+    most KEY_ROWS_KEPT, each of the 3 * n_workers + 5 keys of a fleet of
+    `n_workers` (`_key_index`), derived in one evaluation as one block.
 
     The old rows are dropped before the new ones are made, so no more than
     KEY_ROWS_KEPT rows are ever held.
     """
     _KEY_ROWS.clear()
     seeds = range(seed, seed + min(count, KEY_ROWS_KEPT))
-    start, nodes, purposes = _fleet_streams(n_workers)
-    _KEY_ROWS.update(zip(seeds, [(start, keys) for keys
-                                 in _derive(seeds, nodes, purposes)]))
+    nodes = np.concatenate([[_MASTER_TAG] * 2 + [_SCENARIO_TAG] * 3,
+                            np.arange(n_workers).repeat(3)])
+    purposes = np.concatenate([[_POSITION, _VELOCITY, _MU, _STRAGGLER, _TASK],
+                               np.tile([_POSITION, _VELOCITY, _COMPUTE],
+                                       n_workers)])
+    block = _derive(seeds, nodes, purposes).reshape(len(seeds), -1)
+    _KEY_ROWS.update(zip(seeds, map(memoryview, block)))
 
 
 # The generator all streams share, and the state a session loads into it.
@@ -196,23 +208,23 @@ class Stream:
 
 def substream(seed: int, node: int, purpose: int) -> Stream:
     """Independent Philox stream for (seed, node, purpose); opening one
-    builds no generator.
+    builds no generator, and every stream is opened here.
 
     The key (`_derive`) never collides with another stream's in practice,
-    so streams can be made in any order.  It is read from the rows that a
-    `Draws` or a scenario-level draw derived ahead (`_derive_rows`).  A
-    stream outside them, of a node outside the fleet or of a tape whose
-    seed's rows were replaced after its `Draws` was made, gets its one key
-    from the same derivation, so no value depends on the readahead.
+    so streams can be made in any order.  It is read from the row of
+    `seed` that a `Draws` derived ahead (`_derive_rows`), at the stream's
+    `_key_index`.  A stream outside the kept rows, of a node outside the
+    fleet, of a seed whose row was replaced, or drawn with no `Draws`
+    made, gets its one key from the same derivation, so no value depends
+    on the readahead.
     """
     row = _KEY_ROWS.get(seed)
     if row is not None:
-        start, keys = row
-        i = start.get((node, purpose))
-        if i is not None:
-            return Stream(keys[i:i + 2])
+        i = 2 * _key_index(node, purpose)
+        if 0 <= i < len(row):
+            return Stream([row[i], row[i + 1]])
     return Stream(_derive((seed,), (int(node) & _MASK64,),
-                          (int(purpose) & _MASK64,))[0])
+                          (int(purpose) & _MASK64,))[0, 0].tolist())
 
 
 # Values a tape draws at its first fill.
@@ -324,8 +336,10 @@ class Draws:
     - `behaviors[scenario.straggler_key]`: the `Roster` of a scenario of
       the fleet (`_roster`); pilots run with the fleet's own.
     `seed` is the plain int episode seed.  A `Draws` whose seed has no
-    kept key row derives the rows of its seed and the next `readahead` - 1
-    (`_derive_rows`) for the `Draws` of the following reps.  `pilot_times`
+    kept key row, or one too short for its fleet, derives the rows of its
+    seed and the next `readahead` - 1 (`_derive_rows`) for the `Draws` of
+    the following reps; it is the one place that derives a block, and a
+    row derived for a larger fleet serves it too.  `pilot_times`
     keeps `run_episode`'s straggler-free pilot completion times by
     (strategy, b), `inf` for a pilot that cannot finish.
     """
@@ -334,7 +348,8 @@ class Draws:
         # No closure holds `self`, so a dropped Draws is freed at once.
         self.seed = seed
         fleet = self.fleet = scenario.straggler_free
-        if seed not in _KEY_ROWS:
+        row = _KEY_ROWS.get(seed)
+        if row is None or len(row) < 2 * (3 * fleet.n_workers + 5):
             _derive_rows(seed, fleet.n_workers, readahead)
         paths = self.paths = Memo(lambda tag: _Path(
             seed, tag, fleet.init_box_m, fleet.speed_limit_mps))
@@ -569,17 +584,9 @@ class SimEngine:
             yield new(EngineEvent, entry)
 
 
-def _scenario_stream(scenario, seed: int, purpose: int) -> Stream:
-    """The scenario-level stream `purpose` of `seed`, whose block of key
-    rows (`_derive_rows`) is derived first if it is not kept."""
-    if seed not in _KEY_ROWS:
-        _derive_rows(seed, scenario.n_workers)
-    return substream(seed, _SCENARIO_TAG, purpose)
-
-
 def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
     """Draw per-worker compute profiles for one episode."""
-    fractions = _scenario_stream(scenario, seed, _MU).load().random(
+    fractions = substream(seed, _SCENARIO_TAG, _MU).load().random(
         scenario.n_workers).tolist()
     # rng.uniform(mu_low, mu_high, p), bit for bit: numpy's C code is
     # `low + range * next_double`, here without its per-call cost.
@@ -605,7 +612,7 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     if not (count or scenario.failure_count_uniform):
         # Nothing to draw, so the stream is not opened.
         return behaviors
-    with _scenario_stream(scenario, seed, _STRAGGLER) as rng:
+    with substream(seed, _SCENARIO_TAG, _STRAGGLER) as rng:
         if scenario.failure_count_uniform:
             count = int(rng.integers(0, p + 1))
         chosen = rng.choice(p, size=count, replace=False) if count else ()
@@ -619,7 +626,7 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
 
 def episode_task(scenario, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw the operand vectors for one episode."""
-    with _scenario_stream(scenario, seed, _TASK) as rng:
+    with substream(seed, _SCENARIO_TAG, _TASK) as rng:
         a = rng.uniform(-1.0, 1.0, scenario.n1)
         x = rng.uniform(-1.0, 1.0, scenario.n2)
     return a, x

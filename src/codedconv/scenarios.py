@@ -25,6 +25,10 @@ SCENARIO_SIZES = {
 
 DEFAULT_SCALE = 8
 
+# The most workers a fleet may have: memory grows with the fleet, and
+# README's Config files section measures it up to this size.
+MAX_WORKERS = 20_000
+
 # Best dynamic piece length per scenario at the default scale, from the
 # b sweep at 25 reps.  Keyed by (scenario index, scale).
 TUNED_DYNAMIC_B = {
@@ -64,8 +68,8 @@ class ScenarioConfig:
         problems = []
         if self.n1 < 1 or self.n2 < 1:
             problems.append("n1 and n2 must be >= 1")
-        if self.n_workers < 1:
-            problems.append("n_workers must be >= 1")
+        if not 1 <= self.n_workers <= MAX_WORKERS:
+            problems.append(f"n_workers must be in [1, {MAX_WORKERS}]")
         # Written so that NaN fails every test; inf is a legal delay or
         # horizon factor (the latter never gives up) and nothing else.
         if not 0 < self.mu_low <= self.mu_high < math.inf:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from codedconv import __version__, cli
 from codedconv.cli import main
 from codedconv.experiments import STRATEGY_ORDER, default_sweep_grid
-from codedconv.scenarios import benchmark_scenario
+from codedconv.scenarios import MAX_WORKERS, benchmark_scenario
 from test_golden import run_golden_case
 
 
@@ -315,8 +315,10 @@ EXTREMES = ["0", "-1", "5e-324", "1e-300", "1e4", "1e300", "1.7e308", "nan",
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(st.sampled_from(FLOAT_KEYS), st.sampled_from(EXTREMES),
                        min_size=1, max_size=2),
-       st.integers(1, 8), st.sampled_from(["compare", "success-rate"]))
+       st.integers(1, 8) | st.just(MAX_WORKERS + 1),
+       st.sampled_from(["compare", "success-rate"]))
 @example({("comm", "rx_offset_dbm"): "1e300"}, 8, "compare")
+@example({("scenario", "mu_low"): "1e4"}, MAX_WORKERS + 1, "success-rate")
 @example({("comm", "rx_offset_dbm"): "1.7e308"}, 3, "success-rate")
 @example({("comm", "rx_offset_dbm"): "1e4"}, 1, "compare")
 @example({("scenario", "init_box_m"): "1e308"}, 8, "compare")
@@ -325,7 +327,9 @@ EXTREMES = ["0", "-1", "5e-324", "1e-300", "1e4", "1e300", "1.7e308", "nan",
 def test_every_config_that_validates_writes_its_table(values, workers, kind):
     # n1 = 64 and n2 = 32 on 1-8 workers keep every run small.  A config
     # either writes its table or exits 2 naming one of its keys; no float
-    # overflows and no RuntimeWarning escapes.
+    # overflows and no RuntimeWarning escapes.  A fleet over the cap exits
+    # 2 before any episode runs, naming `workers` unless a bad [comm] key
+    # stopped the config first.
     sections = {"scenario": {"n1": "64", "n2": "32", "workers": str(workers)},
                 "straggler": {}, "comm": {}}
     for (section, key), value in values.items():
@@ -346,7 +350,12 @@ def test_every_config_that_validates_writes_its_table(values, workers, kind):
             code = main(["run", str(path)])
     message = err.getvalue()
     assert code in (0, 2), message
-    assert code == 0 or any(key in message for _, key in values), message
+    if workers > MAX_WORKERS:
+        assert code == 2 and ("workers" in message or any(
+            key in message for section, key in values if section == "comm")), \
+            message
+    else:
+        assert code == 0 or any(key in message for _, key in values), message
 
 
 def test_success_rate_config_with_delayed_mode_exits_2(tmp_path, capsys):

@@ -187,11 +187,12 @@ def test_substream_key_is_the_documented_chain(seed, node):
         assert all(type(word) is int for word in key)
 
 
-def test_block_keys_are_the_documented_chain(monkeypatch):
+@pytest.mark.parametrize("p", [1, 6, 300])
+def test_block_keys_are_the_documented_chain(p, monkeypatch):
     # One derivation reads ahead a block of seeds; every stream of the fleet
     # under each of them is then served from it, and any other stream is
     # derived on its own.
-    p, kept = 6, engine.KEY_ROWS_KEPT
+    kept = engine.KEY_ROWS_KEPT
     derived = []
     original = engine._derive
     monkeypatch.setattr(engine, "_derive",
@@ -207,7 +208,7 @@ def test_block_keys_are_the_documented_chain(monkeypatch):
         engine._derive_rows(first, p)
         assert list(engine._KEY_ROWS) == [*range(first, first + kept)]
         for seed in (first, first + 1, first + kept - 1):
-            for node in KEY_NODES:
+            for node in (*KEY_NODES, p - 1, p):
                 for purpose in PURPOSES:
                     before = len(derived)
                     key = substream(seed, node, purpose).key
@@ -245,31 +246,22 @@ def test_key_rows_are_bounded_and_eviction_changes_no_key(monkeypatch):
     assert substream(7, 3, engine._COMPUTE).key == key
 
 
-def test_episode_draws_derive_a_block_for_a_seed_with_no_kept_row(monkeypatch):
-    # The scenario-level draws know their fleet: the first seed with no
-    # kept row derives the block of rows from it on, in one evaluation, and
-    # the next seeds find theirs.  Every value equals the one drawn from
-    # keys derived one stream at a time.
+def test_episode_draws_made_alone_equal_those_of_a_draws():
+    # With no kept row, each scenario-level draw derives its stream's one
+    # key and reads no block ahead; every value equals the one a `Draws`
+    # reads through the block it derived.
     scn = benchmark_scenario(1, 64, straggler_ratio=0.5)
-    seeds = range(40, 44)
-
-    def draw(seed):
-        a, x = episode_task(scn, seed)
-        return (episode_profiles(scn, seed), episode_behaviors(scn, seed),
-                a.tolist(), x.tolist())
-
-    with monkeypatch.context() as alone:
-        alone.setattr(engine, "_derive_rows", lambda *args: None)
+    for seed in range(40, 44):
         engine._KEY_ROWS.clear()
-        want = [draw(seed) for seed in seeds]
-    derived = []
-    original = engine._derive
-    monkeypatch.setattr(engine, "_derive",
-                        lambda seeds, *args: derived.append(list(seeds))
-                        or original(seeds, *args))
-    engine._KEY_ROWS.clear()
-    assert [draw(seed) for seed in seeds] == want
-    assert derived == [[*range(40, 40 + engine.KEY_ROWS_KEPT)]]
+        a, x = episode_task(scn, seed)
+        alone = (episode_profiles(scn, seed), episode_behaviors(scn, seed),
+                 a.tolist(), x.tolist())
+        assert not engine._KEY_ROWS
+        draws = Draws(seed, scn)
+        assert seed in engine._KEY_ROWS
+        a, x = draws.operands
+        assert (draws.profiles, engine._roster(draws, scn).behaviors,
+                a.tolist(), x.tolist()) == alone
 
 
 def test_stream_sessions_start_at_the_key_and_do_not_nest():

@@ -414,7 +414,9 @@ def test_success_rate_derives_keys_a_bounded_block_at_a_time(monkeypatch):
 
 def test_a_run_reads_ahead_only_the_reps_it_has_left(monkeypatch):
     # A 4-rep run derives its 4 seeds' rows in one evaluation and keeps
-    # those 4 alone; each key in them is the one its stream derives alone.
+    # those 4 alone.  A row's 3p + 5 keys are the master's two streams,
+    # the scenario's three, then worker w's purpose q at 5 + 3w + q - 1,
+    # each the key that its stream's own derivation gives.
     derived = []
     derive = engine._derive
     monkeypatch.setattr(engine, "_derive",
@@ -425,14 +427,39 @@ def test_a_run_reads_ahead_only_the_reps_it_has_left(monkeypatch):
     stress_test(scn, [0.5], reps=4, base_seed=3)
     seeds = [episode_seed(3, scn.name, rep) for rep in range(4)]
     assert derived == [seeds]
-    rows = dict(engine._KEY_ROWS)
-    assert list(rows) == seeds
+    assert list(engine._KEY_ROWS) == seeds
+    streams = [(engine._MASTER_TAG, engine._POSITION),
+               (engine._MASTER_TAG, engine._VELOCITY),
+               *((engine._SCENARIO_TAG, purpose) for purpose in
+                 (engine._MU, engine._STRAGGLER, engine._TASK)),
+               *((w, purpose) for w in range(4) for purpose in
+                 (engine._POSITION, engine._VELOCITY, engine._COMPUTE))]
+    indices = [engine._key_index(node, purpose) for node, purpose in streams]
+    assert indices == [*range(3 * 4 + 5)]
+    for seed, row in engine._KEY_ROWS.items():
+        assert len(row) == 2 * (3 * 4 + 5)
+        for (node, purpose), i in zip(streams, indices):
+            alone = derive((seed,), (node,), (purpose,))
+            assert row[2 * i:2 * i + 2].tolist() == alone[0, 0].tolist()
+
+
+def test_a_fleet_larger_than_the_kept_rows_derives_one_block(monkeypatch):
+    # Runs of one name share their seeds.  The 8-worker run finds rows
+    # derived for 4 workers, too short for its fleet, and derives one block
+    # of its own rather than each missing key alone; the 4-worker run after
+    # it is served by the 8-worker rows and derives nothing.
+    derived = []
+    derive = engine._derive
+    monkeypatch.setattr(engine, "_derive",
+                        lambda seeds, *args: derived.append(len(seeds))
+                        or derive(seeds, *args))
     engine._KEY_ROWS.clear()
-    for seed, (start, keys) in rows.items():
-        assert len(start) == 3 * 4 + 5
-        for (node, purpose), i in start.items():
-            assert keys[i:i + 2] == engine.substream(seed, node, purpose).key
-    assert len(derived) == 1 + len(rows) * len(start)
+    counts = []
+    for workers in (4, 8, 4):
+        success_rate(ScenarioConfig("custom", 64, 64, workers), 16, 1)
+        counts.append(derived[:])
+        derived.clear()
+    assert counts == [[16], [16], []]
 
 
 # -- analytics ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from codedconv.scenarios import (
     DEFAULT_SCALE,
+    MAX_WORKERS,
     SCENARIO_SIZES,
     TUNED_DYNAMIC_B,
     ScenarioConfig,
@@ -62,6 +63,13 @@ def test_validation_collects_all_problems():
     msg = str(err.value)
     for token in ("n1", "n2", "n_workers", "straggler_ratio", "straggler_mode"):
         assert token in msg
+
+
+def test_validation_caps_the_fleet():
+    assert ScenarioConfig("x", 8, 8, MAX_WORKERS).n_workers == MAX_WORKERS
+    with pytest.raises(ValueError,
+                       match=rf"n_workers must be in \[1, {MAX_WORKERS}\]"):
+        ScenarioConfig("x", 8, 8, MAX_WORKERS + 1)
 
 
 def test_validation_mu_range():
