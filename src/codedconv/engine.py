@@ -7,13 +7,14 @@ a worker's draws do not depend on the other workers' or on the event
 interleaving: changing one worker's behaviour never perturbs another
 worker's compute times or trajectory.  Since each stream is keyed on its
 own, one that no episode reads (a failed worker's, mobility in an episode
-shorter than a second, the straggler stream of a setting that draws no
-straggler) is never opened, and no draw depends on when or whether the
+shorter than a second, the straggler stream of a setting that chooses no
+worker by draw) is never opened, and no draw depends on when or whether the
 others are made.  An engine reads its randomness and its fleet through a
 `Draws`, which keeps each stream's values on a `Tape`.  A draw of one
 numpy call (a start position, a tape's chunk, the profile mus) reads its
 stream through `Stream.load`; the straggler and operand draws, of several
-calls, hold a `with` session.  Node positions
+calls, hold a `with` session.  A worker's compute profile is its mu, a
+float; its alpha = 1 / mu is computed where it is read.  Node positions
 advance on a one-second mobility clock (`_Path`), and the clock stops at
 CLOCK_LIMIT_S.  How a worker's `Behavior` acts is in `SimEngine.send` and
 `Roster`.
@@ -31,7 +32,6 @@ import numpy as np
 from .models import (  # noqa: F401
     FAILURE_MODES,
     Behavior,
-    WorkerProfile,
     comm_time,
     compute_load,
     data_rate,
@@ -331,8 +331,8 @@ class Draws:
     - `compute[worker]`: the worker's `_Exponentials` compute tape, made,
       with its stream opened and its first _CHUNK values drawn, at the
       worker's first priced send;
-    - `profiles` (a list not to write to) and `operands`: the draws of
-      `episode_profiles` and `episode_task`;
+    - `profiles` (the workers' mus, a list not to write to) and
+      `operands`: the draws of `episode_profiles` and `episode_task`;
     - `behaviors[scenario.straggler_key]`: the `Roster` of a scenario of
       the fleet (`_roster`); pilots run with the fleet's own.
     `seed` is the plain int episode seed.  A `Draws` whose seed has no
@@ -360,7 +360,7 @@ class Draws:
         self.pilot_times: dict = {}
 
     @functools.cached_property
-    def profiles(self) -> list[WorkerProfile]:
+    def profiles(self) -> list[float]:
         return episode_profiles(self.fleet, self.seed)
 
     @functools.cached_property
@@ -435,7 +435,7 @@ class Roster:
             if beh is _NORMAL:
                 initial.append(w)
                 continue
-            stragglers += beh != _NORMAL
+            stragglers += beh is _FAILED or beh != _NORMAL
             if not beh.joins:
                 initial.append(w)
             if 0.0 < beh.joins < beh.departs:
@@ -551,9 +551,8 @@ class SimEngine:
         # Pieces queue at the worker and compute one at a time; slowdown
         # covers the work and the return transfer.
         slowdown = beh.slowdown
-        profile = self.profiles[worker]
-        t_comp = (profile.alpha * load
-                  + (load / profile.mu) * compute[k]) * slowdown
+        mu = self.profiles[worker]
+        t_comp = ((1.0 / mu) * load + (load / mu) * compute[k]) * slowdown
         t_out = n_out * payload_bytes * 8.0 / rate * slowdown
         busy = self._busy[worker]
         done = (arrive if arrive > busy else busy) + t_comp
@@ -584,15 +583,15 @@ class SimEngine:
             yield new(EngineEvent, entry)
 
 
-def episode_profiles(scenario, seed: int) -> list[WorkerProfile]:
-    """Draw per-worker compute profiles for one episode."""
+def episode_profiles(scenario, seed: int) -> list[float]:
+    """Draw per-worker compute profiles for one episode: each worker's mu."""
     fractions = substream(seed, _SCENARIO_TAG, _MU).load().random(
         scenario.n_workers).tolist()
     # rng.uniform(mu_low, mu_high, p), bit for bit: numpy's C code is
     # `low + range * next_double`, here without its per-call cost.
     low = scenario.mu_low
     span = scenario.mu_high - low
-    return [WorkerProfile(low + span * u) for u in fractions]
+    return [low + span * u for u in fractions]
 
 
 def episode_behaviors(scenario, seed: int) -> list[Behavior]:
@@ -604,18 +603,20 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     Stragglers of the failure modes depart at t=0; "delayed" stragglers
     are slowed by the scenario's delay factor for the whole episode.  The
     straggler draw has its own stream, so changing the ratio or mode never
-    changes the workers' compute or mobility draws.
+    changes the workers' compute or mobility draws.  A count of 0 or p
+    chooses no worker by draw, and a fixed one opens no stream.
     """
     p = scenario.n_workers
     behaviors = [_NORMAL] * p
+    uniform = scenario.failure_count_uniform
     count = int(round(scenario.straggler_ratio * p))
-    if not (count or scenario.failure_count_uniform):
-        # Nothing to draw, so the stream is not opened.
-        return behaviors
-    with substream(seed, _SCENARIO_TAG, _STRAGGLER) as rng:
-        if scenario.failure_count_uniform:
-            count = int(rng.integers(0, p + 1))
-        chosen = rng.choice(p, size=count, replace=False) if count else ()
+    chosen = range(p)
+    if uniform or 0 < count < p:
+        with substream(seed, _SCENARIO_TAG, _STRAGGLER) as rng:
+            if uniform:
+                count = int(rng.integers(0, p + 1))
+            if 0 < count < p:
+                chosen = rng.choice(p, size=count, replace=False).tolist()
     if count:
         straggler = (_FAILED if scenario.straggler_mode in FAILURE_MODES
                      else Behavior(slowdown=scenario.delay_factor))

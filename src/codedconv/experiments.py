@@ -320,15 +320,14 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
     [scenario] and [straggler] keys set the fields they name, through
     _FIELD_NAMES where the names differ, and [comm] sets `comm`.
     [straggler] ratio and mode are also the options of the subcommands
-    with a --ratio or --mode flag, which `cli.main` applies.
+    with a --ratio or --mode flag, which `cli.main` applies.  A bad [comm]
+    key and the scenario's own problems are reported in one message.
     """
     scn = config.get("scenario", {})
     sections = (scn, config.get("straggler", {}))
     fields = {_FIELD_NAMES.get(key, key): value
               for section in sections for key, value in section.items()
               if key not in ("index", "scale")}
-    if "comm" in config:
-        fields["comm"] = CommParams(**config["comm"])
     sizes = _SIZES & scn.keys()
     if "index" in scn and sizes:
         raise ConfigError(
@@ -339,10 +338,20 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
     if "index" not in scn and "scale" in scn:
         raise ConfigError("scale applies to a preset index, not to "
                           "explicit n1/n2/workers")
+    problems = []
+    try:
+        fields["comm"] = CommParams(**config.get("comm", {}))
+    except ValueError as exc:
+        # The scenario is checked too, on the default link.
+        problems.append(str(exc))
     try:
         if "index" in scn:
-            return benchmark_scenario(scn["index"], preset_scale(config),
-                                      **fields)
-        return ScenarioConfig(name="custom", **fields)
+            scenario = benchmark_scenario(scn["index"], preset_scale(config),
+                                          **fields)
+        else:
+            scenario = ScenarioConfig(name="custom", **fields)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        problems.append(str(exc))
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return scenario

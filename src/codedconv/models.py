@@ -4,29 +4,11 @@ Mobility and the effect of each behaviour live in the event engine.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Distances below one metre are clamped; the far-field path-loss model has
 # no meaning there and would produce unbounded rates.
 MIN_DISTANCE_M = 1.0
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerProfile:
-    """Per-worker compute parameters for the shifted-exponential model.
-
-    `mu` is the exponential rate scale (straggling) and `alpha`, the
-    seconds per unit load, is 1 / mu.  The class is slotted because every
-    rep draws a fleet of them.
-    """
-
-    mu: float
-    alpha: float = field(init=False)
-
-    def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"invalid profile mu={self.mu}")
-        object.__setattr__(self, "alpha", 1.0 / self.mu)
 
 
 @dataclass(frozen=True)
@@ -91,19 +73,20 @@ def compute_load(n1: int, n2: int, coeff: float = 1.0) -> float:
     return coeff * n * math.log2(n)
 
 
-def sample_compute_time(std_exp: float, load: float,
-                        profile: WorkerProfile) -> float:
-    """Shifted-exponential compute time for a job of size `load`.
+def sample_compute_time(std_exp: float, load: float, mu: float) -> float:
+    """Shifted-exponential compute time for a job of size `load` on a
+    worker of rate scale `mu` (a worker's whole compute profile).
 
-    T = alpha * load + Exp(rate = mu / load), with the exponential part
-    given as `load / mu` times the standard-exponential draw `std_exp`
-    (on Philox that is bit for bit `rng.exponential(load / mu)`).  The
-    mean is alpha * load + load / mu and no sample falls below the shift.
-    Arrays of draws give arrays of times.
+    T = alpha * load + Exp(rate = mu / load), with alpha = 1 / mu the
+    seconds per unit load and the exponential part given as `load / mu`
+    times the standard-exponential draw `std_exp` (on Philox that is bit
+    for bit `rng.exponential(load / mu)`).  The mean is alpha * load +
+    load / mu and no sample falls below the shift.  Arrays of draws give
+    arrays of times.
     """
     if load <= 0:
         raise ValueError("load must be positive")
-    return profile.alpha * load + (load / profile.mu) * std_exp
+    return (1.0 / mu) * load + (load / mu) * std_exp
 
 
 def signal_power_dbm(distance_m: float, comm: CommParams) -> float:

@@ -153,12 +153,13 @@ def _check_lengths(n1: int, n2: int) -> None:
 # -- chunk-length selection for the traditional strategy ----------------------
 
 
-def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
+def chunk_score(s, n1: int, n2: int, p: int, mus, coeff: float = 1.0):
     """Expected wasted-work fraction for chunk length s (more negative is worse).
 
     Combines the worker-count slack of the (p*s/n2 - n1/s + 1) grid term
     with each worker's chance of finishing a chunk of work
-    2*coeff*s*log2(2s) in unit time under its shifted-exponential profile.
+    2*coeff*s*log2(2s) in unit time under its shifted-exponential profile,
+    given by its mu (`mus`, one per worker) with alpha = 1 / mu.
     `s` may be an array of lengths; the score is then one per length.
     `select_s` maximizes it in magnitude.
     """
@@ -168,8 +169,8 @@ def chunk_score(s, n1: int, n2: int, p: int, profiles, coeff: float = 1.0):
     slack = p * s / n2 - n1 / s + 1.0
     work = 2.0 * coeff * s * np.log2(2.0 * s)
     total = 0.0
-    for prof in profiles:
-        total += slack * (prof.mu / work) ** prof.alpha / p
+    for mu in mus:
+        total += slack * (mu / work) ** (1.0 / mu) / p
     return -total
 
 
@@ -187,7 +188,7 @@ def _feasible(n1: int, n2: int, p: int) -> tuple[int, int]:
 def settle_chunk_length(n1: int, n2: int, p: int, mu_low: float,
                         mu_high: float, coeff: float = 1.0) -> int | None:
     """min(n1, n2) when a closed-form bound shows that `select_s` picks it
-    for every fleet of p profiles with mus in [mu_low, mu_high]; else None.
+    for every fleet of p workers with mus in [mu_low, mu_high]; else None.
 
     With (lo, hi) the feasible range and lo < hi, every length s in
     lo..hi-1 has G(s) <= G(hi) * exp(alpha_max * (log W(hi) - log W(lo))),
@@ -223,7 +224,7 @@ def settle_chunk_length(n1: int, n2: int, p: int, mu_low: float,
     return None
 
 
-def select_s(n1: int, n2: int, p: int, profiles,
+def select_s(n1: int, n2: int, p: int, mus,
              coeff: float = 1.0) -> int | None:
     """Chunk length maximizing |chunk_score| over the feasible range.
 
@@ -233,8 +234,9 @@ def select_s(n1: int, n2: int, p: int, profiles,
     Ties pick the smallest length; None when no length is feasible.
 
     |chunk_score(s)| is |slack(s)| * G(s): slack = p*s/n2 - n1/s + 1
-    strictly increases in s, and G = sum((mu / work)**alpha) / p is
-    positive and falls as the work W(s) = 2*coeff*s*log2(2s) grows.
+    strictly increases in s, and G = sum((mu / work)**(1 / mu)) / p, over
+    the workers' `mus`, is positive and falls as the work
+    W(s) = 2*coeff*s*log2(2s) grows.
     Every feasible length is scored as one array.  On a slow fleet a
     factor of G may round to 0 or inf, and lengths that round alike tie.
     """
@@ -243,7 +245,7 @@ def select_s(n1: int, n2: int, p: int, profiles,
         return hi if lo == hi else None
     with np.errstate(over="ignore", under="ignore"):
         scores = np.abs(chunk_score(np.arange(lo, hi + 1), n1, n2, p,
-                                    profiles, coeff))
+                                    mus, coeff))
     return lo + int(np.argmax(scores))
 
 
@@ -340,7 +342,7 @@ def run_traditional_coded(n1: int, n2: int, eng, horizon: float = math.inf,
     redundant rows of the long one.  When no chunk length can decode (see
     select_s) the episode fails without a send.
     Without an explicit `s`, the chunk length is `select_s`'s answer on the
-    episode's profiles.  Where the fleet's mu range settles it
+    episode's mus (`eng.profiles`).  Where the fleet's mu range settles it
     (`settle_chunk_length`, kept per fleet), no episode scans.
     """
     _check_lengths(n1, n2)

@@ -22,7 +22,7 @@ from codedconv.coding import (
 )
 from codedconv.engine import episode_task, run_episode
 from codedconv.experiments import stress_test, success_rate, sweep_b
-from codedconv.models import WorkerProfile, compute_load, sample_compute_time
+from codedconv.models import compute_load, sample_compute_time
 from codedconv.scenarios import ScenarioConfig, benchmark_scenario
 from analytics import traditional_success_probability, uncoded_success_probability
 
@@ -212,13 +212,12 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path, capsys):
 def test_criterion_9_compute_time_sampler_statistics():
     rng = np.random.default_rng(31337)
     mu = 4.5e6
-    profile = WorkerProfile(mu=mu)
     load = compute_load(512, 256)
-    samples = sample_compute_time(rng.standard_exponential(100_000), load,
-                                  profile)
-    want_mean = profile.alpha * load + load / mu
+    samples = sample_compute_time(rng.standard_exponential(100_000), load, mu)
+    alpha = 1.0 / mu
+    want_mean = alpha * load + load / mu
     mean_err = abs(samples.mean() - want_mean) / want_mean
-    floor_ok = bool(samples.min() >= profile.alpha * load)
+    floor_ok = bool(samples.min() >= alpha * load)
     ok = mean_err <= 0.02 and floor_ok
     report(9, ok, f"mean off by {mean_err:.2%}, floor "
                   f"{'respected' if floor_ok else 'violated'} "

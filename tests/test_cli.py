@@ -301,6 +301,22 @@ def test_rx_offset_whose_received_power_overflows_exits_2(tmp_path, capsys):
         assert want == 0 or "rx_offset_dbm" in err
 
 
+def test_a_bad_comm_key_and_a_bad_scenario_key_exit_2_in_one_message(
+        tmp_path, capsys):
+    # The [comm] problem does not hide the scenario's: both are named.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[scenario]\nn1 = 64\nn2 = 64\nworkers = 20001\n"
+                   "mu_low = 0\n\n[comm]\nrx_offset_dbm = 1e300\n\n"
+                   "[experiment]\nkind = success-rate\nruns = 1\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, _, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    for name in ("rx_offset_dbm", "n_workers", "mu_low"):
+        assert name in err, err
+    assert not (tmp_path / "res").exists()
+
+
 FLOAT_KEYS = [
     *(("scenario", key) for key in ("mu_low", "mu_high", "compute_coeff",
                                     "init_box_m", "speed_limit_mps",
@@ -319,6 +335,7 @@ EXTREMES = ["0", "-1", "5e-324", "1e-300", "1e4", "1e300", "1.7e308", "nan",
        st.sampled_from(["compare", "success-rate"]))
 @example({("comm", "rx_offset_dbm"): "1e300"}, 8, "compare")
 @example({("scenario", "mu_low"): "1e4"}, MAX_WORKERS + 1, "success-rate")
+@example({("comm", "rx_offset_dbm"): "1e300"}, MAX_WORKERS + 1, "success-rate")
 @example({("comm", "rx_offset_dbm"): "1.7e308"}, 3, "success-rate")
 @example({("comm", "rx_offset_dbm"): "1e4"}, 1, "compare")
 @example({("scenario", "init_box_m"): "1e308"}, 8, "compare")
@@ -328,8 +345,8 @@ def test_every_config_that_validates_writes_its_table(values, workers, kind):
     # n1 = 64 and n2 = 32 on 1-8 workers keep every run small.  A config
     # either writes its table or exits 2 naming one of its keys; no float
     # overflows and no RuntimeWarning escapes.  A fleet over the cap exits
-    # 2 before any episode runs, naming `workers` unless a bad [comm] key
-    # stopped the config first.
+    # 2 before any episode runs, naming `n_workers`, the field its
+    # `workers` key sets, even when a [comm] key is bad too.
     sections = {"scenario": {"n1": "64", "n2": "32", "workers": str(workers)},
                 "straggler": {}, "comm": {}}
     for (section, key), value in values.items():
@@ -351,9 +368,7 @@ def test_every_config_that_validates_writes_its_table(values, workers, kind):
     message = err.getvalue()
     assert code in (0, 2), message
     if workers > MAX_WORKERS:
-        assert code == 2 and ("workers" in message or any(
-            key in message for section, key in values if section == "comm")), \
-            message
+        assert code == 2 and "n_workers" in message, message
     else:
         assert code == 0 or any(key in message for _, key in values), message
 

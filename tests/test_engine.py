@@ -146,7 +146,7 @@ def test_profile_mus_are_numpy_uniform_bit_for_bit(mu_low, mu_high):
                            mu_high=mu_high)
     seeds = [*range(100), *(int(s) for s in rng.integers(0, 2**63, 100))]
     for seed in seeds:
-        mus = [prof.mu for prof in episode_profiles(fleet, seed)]
+        mus = episode_profiles(fleet, seed)
         want = built_from_key(seed, engine._SCENARIO_TAG, engine._MU).uniform(
             mu_low, mu_high, 8)
         assert uniform_bits(mus) == uniform_bits(want)
@@ -500,8 +500,10 @@ def piece_runs(draw):
         joins=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
         departs=st.one_of(st.just(math.inf), st.floats(0.0, 3.5))),
         min_size=p, max_size=p))
+    mu_low = draw(st.floats(1e6, 1e7))
     fleet = ScenarioConfig(
-        "pieces", n1=1, n2=1, n_workers=p,
+        "pieces", n1=1, n2=1, n_workers=p, mu_low=mu_low,
+        mu_high=mu_low * draw(st.floats(1.0, 4.0)),
         compute_coeff=draw(st.sampled_from([1.0, 0.5, 2.5])),
         comm=CommParams(payload_bytes=draw(st.sampled_from([8, 4]))))
     length = st.integers(1, 4000)
@@ -545,8 +547,7 @@ def priced_pushes(seed, fleet, roster, sends):
 
     probe = Draws(seed, fleet)
     mus = built_from_key(seed, engine._SCENARIO_TAG, engine._MU).uniform(
-        fleet.mu_low, fleet.mu_high, fleet.n_workers)
-    profiles = [models.WorkerProfile(mu=float(mu)) for mu in mus]
+        fleet.mu_low, fleet.mu_high, fleet.n_workers).tolist()
     exponentials = [built_from_key(seed, w, engine._COMPUTE).standard_exponential(16)
                     for w in range(fleet.n_workers)]
     accepted = [0] * fleet.n_workers
@@ -563,7 +564,7 @@ def priced_pushes(seed, fleet, roster, sends):
         std_exp = float(exponentials[w][accepted[w]])
         accepted[w] += 1
         load = compute_load(n1, n2, fleet.compute_coeff)
-        t_comp = sample_compute_time(std_exp, load, profiles[w]) * beh.slowdown
+        t_comp = sample_compute_time(std_exp, load, mus[w]) * beh.slowdown
         t_out = comm_time(n1 + n2 - 1, rate, payload_bytes) * beh.slowdown
         busy[w] = done = max(now + t_in, busy[w]) + t_comp
         if done + t_out <= beh.departs:
@@ -834,11 +835,9 @@ def test_event_log_causality_per_piece():
 def test_episode_profiles_in_range_and_paired():
     scn = benchmark_scenario(1)
     p1 = episode_profiles(scn, 123)
-    p2 = episode_profiles(scn, 123)
-    assert [w.mu for w in p1] == [w.mu for w in p2]
-    for w in p1:
-        assert scn.mu_low <= w.mu <= scn.mu_high
-        assert w.alpha == pytest.approx(1.0 / w.mu)
+    assert p1 == episode_profiles(scn, 123)
+    for mu in p1:
+        assert type(mu) is float and scn.mu_low <= mu <= scn.mu_high
 
 
 def test_episode_behaviors_modes_and_count():
@@ -875,6 +874,77 @@ def test_fail_and_leave_draw_the_same_behaviors(uniform):
         fail = episode_behaviors(scn.replace(straggler_mode="fail"), seed)
         leave = episode_behaviors(scn.replace(straggler_mode="leave"), seed)
         assert fail == leave
+
+
+class CountingStream:
+    """A stream whose `with` session yields its generator behind a proxy
+    that counts the `choice` calls made on it."""
+
+    def __init__(self, stream, calls):
+        self._stream, self._calls = stream, calls
+
+    def __enter__(self):
+        rng, calls = self._stream.__enter__(), self._calls
+
+        class Proxy:
+            def __getattr__(self, name):
+                return getattr(rng, name)
+
+            def choice(self, *args, **kwargs):
+                calls.append(args)
+                return rng.choice(*args, **kwargs)
+
+        return Proxy()
+
+    def __exit__(self, *exc):
+        self._stream.__exit__(*exc)
+
+
+def reference_behaviors(scn, seed):
+    """Straggler behaviours drawn with `choice` whatever the count: the
+    count (fixed, or uniform on 0..p), then that many distinct workers."""
+    p = scn.n_workers
+    rng = built_from_key(seed, engine._SCENARIO_TAG, engine._STRAGGLER)
+    count = round(scn.straggler_ratio * p)
+    if scn.failure_count_uniform:
+        count = int(rng.integers(0, p + 1))
+    straggler = (Behavior(departs=0.0) if scn.straggler_mode != "delayed"
+                 else Behavior(slowdown=scn.delay_factor))
+    behaviors = [Behavior()] * p
+    for w in rng.choice(p, size=count, replace=False) if count else ():
+        behaviors[w] = straggler
+    return behaviors
+
+
+@pytest.mark.parametrize("mode", ["delayed", "fail"])
+def test_a_straggler_count_of_p_draws_no_choice(monkeypatch, mode):
+    # Every worker straggles at a count of p, whatever order `choice`
+    # would give: a fixed count of p opens no stream, and a uniform count
+    # that comes out at p makes no `choice` call.  The behaviours are the
+    # ones a draw with `choice` gives.
+    opened, choices = [], []
+    original = engine.substream
+
+    def counting(seed, node, purpose):
+        opened.append(purpose)
+        return CountingStream(original(seed, node, purpose), choices)
+
+    monkeypatch.setattr(engine, "substream", counting)
+    scn = benchmark_scenario(1, 64, straggler_mode=mode)
+    for seed in range(40):
+        full = scn.replace(straggler_ratio=1.0)
+        assert episode_behaviors(full, seed) == reference_behaviors(full, seed)
+    assert opened == choices == []
+    uniform = scn.replace(failure_count_uniform=True)
+    counts = []
+    for seed in range(200):
+        before = len(choices)
+        behaviors = episode_behaviors(uniform, seed)
+        assert behaviors == reference_behaviors(uniform, seed)
+        counts.append(sum(beh != Behavior() for beh in behaviors))
+        assert len(choices) - before == (0 < counts[-1] < 8)
+    assert opened == [engine._STRAGGLER] * 200
+    assert 0 in counts and 8 in counts
 
 
 def test_episode_task_lengths_and_range():

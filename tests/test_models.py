@@ -1,9 +1,6 @@
 """Tests for the compute-time, link-rate and behaviour models."""
 
-import copy
-import dataclasses
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +9,6 @@ from scipy import stats
 from codedconv.models import (
     Behavior,
     CommParams,
-    WorkerProfile,
     comm_time,
     compute_load,
     data_rate,
@@ -44,61 +40,30 @@ def test_compute_load_rejects_bad_sizes():
 def test_sample_compute_time_mean_and_shift():
     # mean = alpha*c + c/mu; no sample below the deterministic shift.
     rng = np.random.default_rng(42)
-    profile = WorkerProfile(mu=4e6)
+    mu = 4e6
+    alpha = 1.0 / mu
     load = 1e6
-    samples = sample_compute_time(rng.standard_exponential(100_000), load, profile)
-    expected_mean = profile.alpha * load + load / profile.mu
+    samples = sample_compute_time(rng.standard_exponential(100_000), load, mu)
+    expected_mean = alpha * load + load / mu
     assert expected_mean == pytest.approx(0.5)
     assert abs(samples.mean() - expected_mean) / expected_mean < 0.02
-    assert samples.min() >= profile.alpha * load
+    assert samples.min() >= alpha * load
 
 
 def test_sample_compute_time_distribution_shape():
     # Shifted samples follow Exp(rate = mu/load): KS test at 1% significance.
     rng = np.random.default_rng(7)
-    profile = WorkerProfile(mu=3e6)
+    mu = 3e6
     load = 5e5
-    samples = sample_compute_time(rng.standard_exponential(20_000), load, profile)
-    shifted = samples - profile.alpha * load
-    result = stats.kstest(shifted, "expon", args=(0.0, load / profile.mu))
+    samples = sample_compute_time(rng.standard_exponential(20_000), load, mu)
+    shifted = samples - (1.0 / mu) * load
+    result = stats.kstest(shifted, "expon", args=(0.0, load / mu))
     assert result.pvalue > 0.01
 
 
 def test_sample_compute_time_rejects_bad_load():
     with pytest.raises(ValueError):
-        sample_compute_time(1.0, 0.0, WorkerProfile(mu=1e6))
-
-
-def test_worker_profile_validation():
-    with pytest.raises(ValueError):
-        WorkerProfile(mu=0.0)
-    with pytest.raises(ValueError):
-        WorkerProfile(mu=math.nan)
-
-
-def test_worker_profile_is_frozen():
-    # Every episode of a rep reads the same profiles.
-    profile = WorkerProfile(mu=4e6)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        profile.mu = 1e6
-    assert (profile.mu, profile.alpha) == (4e6, 1.0 / 4e6)
-
-
-def test_worker_profile_copies_compares_and_stays_frozen():
-    profile = WorkerProfile(mu=3.7e6)
-    for copied in (pickle.loads(pickle.dumps(profile)), copy.deepcopy(profile)):
-        assert copied == profile and copied.alpha == profile.alpha
-    twin = WorkerProfile(mu=3.7e6)
-    assert repr(profile) == repr(twin) == (
-        f"WorkerProfile(mu={3.7e6!r}, alpha={1 / 3.7e6!r})")
-    assert profile == twin and hash(profile) == hash(twin)
-    assert profile != WorkerProfile(mu=4e6)
-    assert profile.alpha == 1 / profile.mu
-    for name in ("mu", "alpha"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(profile, name, 1.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(profile, name)
+        sample_compute_time(1.0, 0.0, 1e6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario construction and validation."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -73,9 +74,13 @@ def test_validation_caps_the_fleet():
 
 
 def test_validation_mu_range():
-    with pytest.raises(ValueError):
-        ScenarioConfig(name="x", n1=8, n2=8, n_workers=1,
-                       mu_low=5e6, mu_high=4e6)
+    # Every mu a fleet draws lies in [mu_low, mu_high], so a range that is
+    # empty or reaches 0, NaN or inf is refused.
+    for mu_low, mu_high in [(5e6, 4e6), (0.0, 4e6), (-1.0, 4e6),
+                            (math.nan, 4e6), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="mu_low <= mu_high"):
+            ScenarioConfig(name="x", n1=8, n2=8, n_workers=1,
+                           mu_low=mu_low, mu_high=mu_high)
 
 
 @pytest.mark.parametrize("field", ["init_box_m", "speed_limit_mps"])

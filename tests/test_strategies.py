@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from codedconv import coding, strategies
 from codedconv.coding import MAX_SQUARE_PIECES, convolve_direct, make_encoding_matrix
 from codedconv.engine import Draws, SimEngine, run_episode, episode_task
-from codedconv.models import Behavior, WorkerProfile
+from codedconv.models import Behavior
 from codedconv.scenarios import ScenarioConfig, benchmark_scenario
 from codedconv.strategies import (
     DispatchEstimator,
@@ -40,7 +40,7 @@ def random_task(rng, n1, n2):
 # -- select_s -------------------------------------------------------------------
 
 
-def bruteforce_pick(n1, n2, p, profiles):
+def bruteforce_pick(n1, n2, p, mus):
     """The first strict maximum of |chunk_score| over the feasible lengths.
 
     The feasible lengths are listed and compared one by one, without
@@ -55,8 +55,7 @@ def bruteforce_pick(n1, n2, p, profiles):
     want, best = None, -1.0
     if feasible:
         with np.errstate(over="ignore", under="ignore"):
-            scores = np.abs(chunk_score(np.array(feasible), n1, n2, p,
-                                        profiles))
+            scores = np.abs(chunk_score(np.array(feasible), n1, n2, p, mus))
         for s, score in zip(feasible, scores):
             if score > best:
                 want, best = s, score
@@ -78,9 +77,8 @@ def test_select_s_matches_bruteforce():
         geometries.append((n1, n2, p, mus))
     geometries.append((563, 585, 2, [0.586, 0.572]))
     for n1, n2, p, mus in geometries:
-        profiles = [WorkerProfile(mu=mu) for mu in mus]
-        want = bruteforce_pick(n1, n2, p, profiles)
-        assert select_s(n1, n2, p, profiles) == want
+        want = bruteforce_pick(n1, n2, p, mus)
+        assert select_s(n1, n2, p, mus) == want
     assert 406 < want < 563
 
 
@@ -100,11 +98,10 @@ def test_select_s_matches_full_scan(n1, n2, mus):
     # Every feasible length is scored, over fast and slow fleets alike,
     # and select_s warns of no over- or underflow.
     p = len(mus)
-    profiles = [WorkerProfile(mu=mu) for mu in mus]
-    want = bruteforce_pick(n1, n2, p, profiles)
+    want = bruteforce_pick(n1, n2, p, mus)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert select_s(n1, n2, p, profiles) == want
+        assert select_s(n1, n2, p, mus) == want
 
 
 def random_fleets(seed, count):
@@ -162,10 +159,9 @@ def test_select_s_keeps_the_pinned_picks_of_random_fleets():
     for (n1, n2, p, mus, coeff), want in zip(fleets, PINNED_PICKS):
         if want is OVERFLOWED:
             continue
-        profiles = [WorkerProfile(mu=mu) for mu in mus]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert select_s(n1, n2, p, profiles, coeff) == want
+            assert select_s(n1, n2, p, mus, coeff) == want
         if want is not None:
             lo, hi = strategies._feasible(n1, n2, p)
             picks["lo" if want == lo else "hi" if want == hi
@@ -199,10 +195,9 @@ def test_select_s_overflow_fleets_pick_the_log_domain_argmax():
     lead, runner_up = np.sort(scores)[::-1][:2]
     assert want == 128 and lead - runner_up > 9e5
     for n1, n2, p, mus, coeff in fleets:
-        profiles = [WorkerProfile(mu=mu) for mu in mus]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert (select_s(n1, n2, p, profiles, coeff)
+            assert (select_s(n1, n2, p, mus, coeff)
                     == log_domain_pick(n1, n2, p, mus, coeff)[0])
 
 
@@ -213,7 +208,7 @@ def test_select_s_slow_fleet_picks_min_length_without_warning():
                               mu_low=1e-3, mu_high=2e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert select_s(512, 256, 8, [WorkerProfile(mu=1e-3)] * 8) == 128
+        assert select_s(512, 256, 8, [1e-3] * 8) == 128
         m = run_episode(scenario, "traditional", 3, keep_result=False)
     assert m.params["s"] == 128
 
@@ -242,8 +237,7 @@ def test_settled_chunk_length_is_select_s_on_every_draw(n1, n2, p, mu_range,
               for f in fractions[:p]]
     for mus in ([mu_low] * p, [mu_high] * p, [mu_low] + [mu_high] * (p - 1),
                 inside):
-        profiles = [WorkerProfile(mu=mu) for mu in mus]
-        assert select_s(n1, n2, p, profiles, coeff) == pick
+        assert select_s(n1, n2, p, mus, coeff) == pick
 
 
 def test_every_preset_fleet_settles_its_chunk_length():
@@ -297,9 +291,9 @@ def test_select_s_scores_no_array_on_presets(monkeypatch, index, scale):
 def test_select_s_breaks_an_exact_tie_with_one_array_score(monkeypatch):
     # Lengths 1 and 2 both score exactly 0.5, and one array call to
     # `chunk_score` picks the smaller.
-    profiles = [WorkerProfile(mu=1.0)] * 4
+    mus = [1.0] * 4
     np.testing.assert_array_equal(
-        np.abs(chunk_score([1, 2], 2, 2, 4, profiles)), [0.5, 0.5])
+        np.abs(chunk_score([1, 2], 2, 2, 4, mus)), [0.5, 0.5])
     calls = []
 
     def counted(*args, **kwargs):
@@ -307,7 +301,7 @@ def test_select_s_breaks_an_exact_tie_with_one_array_score(monkeypatch):
         return chunk_score(*args, **kwargs)
 
     monkeypatch.setattr(strategies, "chunk_score", counted)
-    assert strategies.select_s(2, 2, 4, profiles) == 1
+    assert strategies.select_s(2, 2, 4, mus) == 1
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0][0], [1, 2])
 
@@ -315,16 +309,16 @@ def test_select_s_breaks_an_exact_tie_with_one_array_score(monkeypatch):
 def test_select_s_degenerate_argmax_is_min_length():
     # with mu in the standard range the power factors are ~1 and the score
     # grows with s, so the chosen chunk length is min(n1, n2)
-    profiles = [WorkerProfile(mu=4.5e6)] * 8
-    assert select_s(512, 256, 8, profiles) == 256
-    assert select_s(3750, 2500, 6, profiles) == 2500
+    mus = [4.5e6] * 8
+    assert select_s(512, 256, 8, mus) == 256
+    assert select_s(3750, 2500, 6, mus) == 2500
 
 
 def test_select_s_only_cuts_into_decodable_piece_counts():
-    profiles = [WorkerProfile(mu=4.5e6)]
-    assert select_s(31 * 32, 32, 1, profiles) == 32        # 31 pieces
-    assert select_s(31 * 32 + 1, 32, 1, profiles) is None  # 32: past the cap
-    assert select_s(2000, 2, 4, profiles * 4) is None
+    mus = [4.5e6]
+    assert select_s(31 * 32, 32, 1, mus) == 32        # 31 pieces
+    assert select_s(31 * 32 + 1, 32, 1, mus) is None  # 32: past the cap
+    assert select_s(2000, 2, 4, mus * 4) is None
 
 
 def test_select_s_needs_worker():
