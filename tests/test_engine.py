@@ -876,25 +876,29 @@ def test_fail_and_leave_draw_the_same_behaviors(uniform):
         assert fail == leave
 
 
+class ChoiceCounter:
+    """A generator's stand-in: it records each `choice` call in `calls`
+    and passes every call on to `rng`."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def choice(self, *args, **kwargs):
+        self._calls.append(args)
+        return self._rng.choice(*args, **kwargs)
+
+
 class CountingStream:
-    """A stream whose `with` session yields its generator behind a proxy
-    that counts the `choice` calls made on it."""
+    """A stream whose `with` session yields a `ChoiceCounter`."""
 
     def __init__(self, stream, calls):
         self._stream, self._calls = stream, calls
 
     def __enter__(self):
-        rng, calls = self._stream.__enter__(), self._calls
-
-        class Proxy:
-            def __getattr__(self, name):
-                return getattr(rng, name)
-
-            def choice(self, *args, **kwargs):
-                calls.append(args)
-                return rng.choice(*args, **kwargs)
-
-        return Proxy()
+        return ChoiceCounter(self._stream.__enter__(), self._calls)
 
     def __exit__(self, *exc):
         self._stream.__exit__(*exc)

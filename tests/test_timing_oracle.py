@@ -1,18 +1,18 @@
 """The engine's fixed-code completion times against the model's own law.
 
 A fixed code sends every piece at t=0, so each transfer is priced at the
-second-0 link rate, and worker w, with q pieces of load L, returns its
-last result at
+second-0 link rate.  On the fleet here each worker gets one piece of load
+L and returns its result at
 
-    T_w = t_in + q * L / mu + t_out + (L / mu) * Gamma(q),
+    T_w = t_in + L / mu + t_out + (L / mu) * E,
 
 the shifted-exponential model of Lee et al. (2018) with alpha = 1 / mu,
-where Gamma(q) is a standard Erlang draw.
+where E is a standard exponential draw (an Erlang draw of shape 1).
 Given a rep's mus (`Draws.profiles`) and second-0 rates, the completion
 time T then has a known CDF F: for the uncoded strategy, which waits for
-every result, the product of the workers' Erlang CDFs; for the
-traditional code, with one row per worker and k rows needed, the
-Poisson-binomial probability that at least k workers are back.  So F(T)
+every result, the product of the workers' CDFs; for the traditional
+code, with one row per worker and k rows needed, the Poisson-binomial
+probability that at least k workers are back.  So F(T)
 over many seeds must be uniform (a probability integral transform), and
 a Kolmogorov-Smirnov statistic tests it.  F is built from the model's
 formulas (`compute_load`, `comm_time`), never from `SimEngine.send`.
@@ -33,23 +33,12 @@ from codedconv.scenarios import ScenarioConfig
 KS_BOUND = 1.63
 SEEDS = range(1000)
 FLEET = ScenarioConfig("oracle", n1=512, n2=256, n_workers=8)
-# Per strategy: the chunk length s, pieces per worker q, and the results
-# k a success needs.  Uncoded cuts 512 x 256 into 4 x 2 chunk pairs of
-# 128, one per worker.  The traditional code keeps s = 256 (the settled
-# pick of a fleet of mus in the millions): 8 coded rows, one per worker,
-# of which any 2 decode the one column.
-PLANS = {"uncoded": (128, 1, 8), "traditional": (256, 1, 2)}
-
-
-def erlang_cdf(q: int, x: float) -> float:
-    """P(Gamma(q, 1) <= x)."""
-    if x <= 0.0:
-        return 0.0
-    term = total = 1.0
-    for i in range(1, q):
-        term *= x / i
-        total += term
-    return 1.0 - math.exp(-x) * total
+# Per strategy: the chunk length s and the results k a success needs.
+# Uncoded cuts 512 x 256 into 4 x 2 chunk pairs of 128, one per worker.
+# The traditional code keeps s = 256 (the settled pick of a fleet of mus
+# in the millions): 8 coded rows, one per worker, of which any 2 decode
+# the one column.
+PLANS = {"uncoded": (128, 8), "traditional": (256, 2)}
 
 
 def at_least(k: int, probs) -> float:
@@ -63,7 +52,7 @@ def at_least(k: int, probs) -> float:
 
 def completion_cdf(strategy: str, draws: Draws, t: float) -> float:
     """F(t) for one rep: the model's chance that the episode ends by t."""
-    s, q, k = PLANS[strategy]
+    s, k = PLANS[strategy]
     fleet = draws.fleet
     load = compute_load(s, s, fleet.compute_coeff)
     probs = []
@@ -71,10 +60,9 @@ def completion_cdf(strategy: str, draws: Draws, t: float) -> float:
         rate = draws.rates[w, 0]
         t_in = comm_time(2 * s, rate, fleet.comm.payload_bytes)
         t_out = comm_time(2 * s - 1, rate, fleet.comm.payload_bytes)
-        shift = t_in + q * load / mu + t_out
-        probs.append(erlang_cdf(q, (t - shift) / (load / mu)))
-    if k == len(probs):
-        return math.prod(probs)
+        x = (t - (t_in + load / mu + t_out)) / (load / mu)
+        probs.append(1.0 - math.exp(-x) if x > 0.0 else 0.0)
+    # At k = p, uncoded's, that is the product of the workers' CDFs.
     return at_least(k, probs)
 
 
@@ -93,7 +81,7 @@ def transforms() -> dict:
     u = {strategy: [] for strategy in PLANS}
     for seed in SEEDS:
         draws = Draws(seed, FLEET)
-        for strategy, (s, _, _) in PLANS.items():
+        for strategy, (s, _) in PLANS.items():
             out = run_episode(FLEET, strategy, seed, keep_result=False,
                               draws=draws)
             assert out.success and out.params["s"] == s
