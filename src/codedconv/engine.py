@@ -13,10 +13,14 @@ others are made.  An engine reads its randomness and its fleet through a
 `Draws`, which keeps each stream's values on a `Tape`.  A draw of one
 numpy call (a start position, a tape's chunk, the profile mus) reads its
 stream through `Stream.load`; the straggler and operand draws, of several
-calls, hold a `with` session.  A worker's compute profile is its mu, a
-float; its alpha = 1 / mu is computed where it is read.  Node positions
-advance on a one-second mobility clock (`_Path`), and the clock stops at
-CLOCK_LIMIT_S.  How a worker's `Behavior` acts is in `SimEngine.send` and
+calls, hold a `with` session.  The straggler draw computes numpy's
+`integers` and `choice` from the stream's raw words (`_below`,
+`_choice`), and a link distance is C's `hypot`, as `np.hypot` computes
+it, so the values depend on no `Generator` method but `random`,
+`uniform` and `standard_exponential`.  A worker's compute profile is its
+mu, a float; its alpha = 1 / mu is computed where it is read.  Node
+positions advance on a one-second mobility clock (`_Path`), and the
+clock stops at CLOCK_LIMIT_S.  How a worker's `Behavior` acts is in `SimEngine.send` and
 `Roster`.
 """
 import functools
@@ -174,7 +178,7 @@ class Stream:
     its first value, whatever ran before: Philox output is a pure function
     of key and counter.  A draw of one call (a start position, a tape's
     chunk, the profile mus) reads the generator `load` returns at once; a
-    draw of several calls (the straggler choice, the operands) holds a
+    draw of several calls (the straggler draw, the operands) holds a
     session, `load` plus a mark: sessions do not nest, no stream loads
     inside one, and the generator is not read after its session or its
     one call, since the engine is single-threaded by design.
@@ -315,8 +319,14 @@ def _distance(paths: Memo, worker: int, second: int) -> float:
     if second >= len(master):
         master.fill(second)
     (x, y), (mx, my) = here[second], master[second]
-    # np.hypot, not math.hypot: the two differ in the last bit.
-    return float(np.hypot(x - mx, y - my))
+    # C's hypot, as np.hypot computes it, without its per-call cost: the
+    # absolute value of a complex is hypot(real, imag).  Not math.hypot,
+    # which differs in the last bit.  Where np.hypot overflows to inf,
+    # abs raises instead.
+    try:
+        return abs(complex(x - mx, y - my))
+    except OverflowError:
+        return math.inf
 
 
 class Draws:
@@ -583,6 +593,66 @@ class SimEngine:
             yield new(EngineEvent, entry)
 
 
+# The straggler draw, written out from numpy 2.4.6's C code for
+# `Generator.integers` and `Generator.choice` over a stream's raw words,
+# so that it pays no numpy call per value.  Every range is below 2**32.
+
+
+def _uint32s(rng: np.random.Generator):
+    """`rng`'s 32-bit values, as numpy's `next_uint32` reads them at the
+    start of a session: the low, then the high half of each raw 64-bit
+    word.  It reads 8 words at first, enough for every straggler draw of a
+    fleet of up to 8 workers, and twice as many each time after."""
+    bits = rng.bit_generator
+    words = 8
+    while True:
+        for word in bits.random_raw(words).tolist():
+            yield word & 0xFFFFFFFF
+            yield word >> 32
+        words *= 2
+
+
+def _below(next32, bound: int) -> int:
+    """A value uniform on range(bound), 2 <= bound < 2**32, by Lemire's
+    multiply-and-reject method: numpy's `bounded_lemire_uint32` at range
+    bound - 1, as in `rng.integers(0, bound)` and each step of
+    `rng.choice`."""
+    m = next32() * bound
+    if m & 0xFFFFFFFF < bound:
+        threshold = (0x100000000 - bound) % bound
+        while m & 0xFFFFFFFF < threshold:
+            m = next32() * bound
+    return m >> 32
+
+
+def _choice(next32, p: int, count: int) -> list[int]:
+    """`rng.choice(p, count, replace=False).tolist()`, 0 <= count <= p.
+
+    Past 10,000 workers, for more than p // 50 of them, numpy returns the
+    last `count` entries of a Fisher-Yates pass over range(p) stopped at
+    index p - count (at 1 when count is p).  Otherwise it draws Floyd's
+    sample, value j or a draw below j + 1 for j from p - count to p - 1,
+    then shuffles it by Fisher-Yates.  A draw below 1 reads no value.
+    """
+    if p > 10_000 and count > p // 50:
+        order = list(range(p))
+        for i in range(p - 1, max(p - count, 1) - 1, -1):
+            j = _below(next32, i + 1)
+            order[i], order[j] = order[j], order[i]
+        return order[p - count:]
+    chosen, seen = [], set()
+    for j in range(p - count, p):
+        v = _below(next32, j + 1) if j else 0
+        if v in seen:
+            v = j
+        seen.add(v)
+        chosen.append(v)
+    for i in range(count - 1, 0, -1):
+        j = _below(next32, i + 1)
+        chosen[i], chosen[j] = chosen[j], chosen[i]
+    return chosen
+
+
 def episode_profiles(scenario, seed: int) -> list[float]:
     """Draw per-worker compute profiles for one episode: each worker's mu."""
     fractions = substream(seed, _SCENARIO_TAG, _MU).load().random(
@@ -604,7 +674,10 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     are slowed by the scenario's delay factor for the whole episode.  The
     straggler draw has its own stream, so changing the ratio or mode never
     changes the workers' compute or mobility draws.  A count of 0 or p
-    chooses no worker by draw, and a fixed one opens no stream.
+    chooses no worker by draw, and a fixed one opens no stream.  The
+    uniform count and the chosen workers are those of
+    `rng.integers(0, p + 1)` and `rng.choice(p, count, replace=False)`,
+    computed from the stream's raw words (`_below`, `_choice`).
     """
     p = scenario.n_workers
     behaviors = [_NORMAL] * p
@@ -613,10 +686,11 @@ def episode_behaviors(scenario, seed: int) -> list[Behavior]:
     chosen = range(p)
     if uniform or 0 < count < p:
         with substream(seed, _SCENARIO_TAG, _STRAGGLER) as rng:
+            next32 = _uint32s(rng).__next__
             if uniform:
-                count = int(rng.integers(0, p + 1))
+                count = _below(next32, p + 1)
             if 0 < count < p:
-                chosen = rng.choice(p, size=count, replace=False).tolist()
+                chosen = _choice(next32, p, count)
     if count:
         straggler = (_FAILED if scenario.straggler_mode in FAILURE_MODES
                      else Behavior(slowdown=scenario.delay_factor))

@@ -320,8 +320,11 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
     [scenario] and [straggler] keys set the fields they name, through
     _FIELD_NAMES where the names differ, and [comm] sets `comm`.
     [straggler] ratio and mode are also the options of the subcommands
-    with a --ratio or --mode flag, which `cli.main` applies.  A bad [comm]
-    key and the scenario's own problems are reported in one message.
+    with a --ratio or --mode flag, which `cli.main` applies.  The sizes'
+    problems (a preset index with explicit sizes, neither of them, or a
+    scale without an index), a bad [comm] key and the scenario's own
+    problems are reported in one message; the scenario is built and
+    checked only when its sizes are sound.
     """
     scn = config.get("scenario", {})
     sections = (scn, config.get("straggler", {}))
@@ -329,29 +332,31 @@ def scenario_from_config(config: dict) -> ScenarioConfig:
               for section in sections for key, value in section.items()
               if key not in ("index", "scale")}
     sizes = _SIZES & scn.keys()
-    if "index" in scn and sizes:
-        raise ConfigError(
-            "give either index or explicit n1/n2/workers, not both")
-    if "index" not in scn and sizes != _SIZES:
-        raise ConfigError(
-            "scenario needs either index=1..4 or all of n1, n2, workers")
-    if "index" not in scn and "scale" in scn:
-        raise ConfigError("scale applies to a preset index, not to "
-                          "explicit n1/n2/workers")
     problems = []
+    if "index" in scn and sizes:
+        problems.append("give either index or explicit n1/n2/workers, "
+                        "not both")
+    if "index" not in scn and sizes != _SIZES:
+        problems.append("scenario needs either index=1..4 or all of n1, n2, "
+                        "workers")
+    if "index" not in scn and "scale" in scn:
+        problems.append("scale applies to a preset index, not to explicit "
+                        "n1/n2/workers")
+    sound = not problems
     try:
         fields["comm"] = CommParams(**config.get("comm", {}))
     except ValueError as exc:
         # The scenario is checked too, on the default link.
         problems.append(str(exc))
-    try:
-        if "index" in scn:
-            scenario = benchmark_scenario(scn["index"], preset_scale(config),
-                                          **fields)
-        else:
-            scenario = ScenarioConfig(name="custom", **fields)
-    except ValueError as exc:
-        problems.append(str(exc))
+    if sound:
+        try:
+            if "index" in scn:
+                scenario = benchmark_scenario(scn["index"],
+                                              preset_scale(config), **fields)
+            else:
+                scenario = ScenarioConfig(name="custom", **fields)
+        except ValueError as exc:
+            problems.append(str(exc))
     if problems:
         raise ConfigError("; ".join(problems))
     return scenario

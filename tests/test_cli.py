@@ -317,6 +317,27 @@ def test_a_bad_comm_key_and_a_bad_scenario_key_exit_2_in_one_message(
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("sizes, problems", [
+    ("index = 1\nn1 = 64\n", ["give either index or explicit n1/n2/workers"]),
+    ("n1 = 64\nscale = 2\n", ["scenario needs either index=1..4",
+                              "scale applies to a preset index"]),
+])
+def test_a_sizes_problem_and_a_bad_comm_key_exit_2_in_one_message(
+        sizes, problems, tmp_path, capsys):
+    # A sizes problem does not hide the [comm] problem: all are named, and
+    # no scenario is built from the sizes.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[scenario]\n{sizes}\n[comm]\nrx_offset_dbm = 1e300\n\n"
+                   "[experiment]\nkind = success-rate\nruns = 1\n"
+                   f"out_dir = {tmp_path / 'res'}\n")
+    code, _, err = run_cli(["run", str(cfg)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    for name in ("rx_offset_dbm", *problems):
+        assert name in err, err
+    assert not (tmp_path / "res").exists()
+
+
 FLOAT_KEYS = [
     *(("scenario", key) for key in ("mu_low", "mu_high", "compute_coeff",
                                     "init_box_m", "speed_limit_mps",

@@ -783,6 +783,32 @@ def test_positions_start_inside_box():
             assert distance(draws, w, 0.0) <= math.hypot(3000.0, 3000.0)
 
 
+def distance_of(worker_xy, master_xy):
+    """`_distance` of a worker at `worker_xy` from a master at `master_xy`."""
+    paths = {0: [worker_xy], engine._MASTER_TAG: [master_xy]}
+    return engine._distance(paths, 0, 0)
+
+
+def test_a_distance_is_np_hypot_bit_for_bit():
+    # Random positions at scales from 1e-3 to 1e6 m, the extremes, equal
+    # positions, and differences whose hypot overflows, as in a box near
+    # the largest valid init_box_m; math.hypot differs from np.hypot in
+    # the last bit on some of the random pairs.
+    rng = np.random.default_rng(2024)
+    scales = 10.0 ** rng.uniform(-3.0, 6.0, (20_000, 1))
+    coords = (rng.uniform(-1.0, 1.0, (20_000, 4)) * scales).tolist()
+    extremes = [0.0, 1e-300, -1e-300, 1e300, -1e300]
+    coords += [[x, y, mx, 0.0] for x in extremes for y in extremes
+               for mx in extremes]
+    coords += [[x, y, x, y] for x, y, _, _ in coords[:100]]
+    coords.append([8e307, 8e307, -8e307, -8e307])
+    with np.errstate(over="ignore"):
+        for x, y, mx, my in coords:
+            want = float(np.hypot(x - mx, y - my))
+            got = distance_of((x, y), (mx, my))
+            assert got.hex() == want.hex(), (x, y, mx, my)
+
+
 # -- event log export --------------------------------------------------------------
 
 
@@ -876,37 +902,36 @@ def test_fail_and_leave_draw_the_same_behaviors(uniform):
         assert fail == leave
 
 
-class ChoiceCounter:
-    """A generator's stand-in: it records each `choice` call in `calls`
-    and passes every call on to `rng`."""
+class DrawCounter:
+    """A generator's stand-in: it records the name of each `integers` or
+    `choice` call in `calls` and passes every call on to `rng`."""
 
     def __init__(self, rng, calls):
         self._rng, self._calls = rng, calls
 
     def __getattr__(self, name):
+        if name in ("integers", "choice"):
+            self._calls.append(name)
         return getattr(self._rng, name)
-
-    def choice(self, *args, **kwargs):
-        self._calls.append(args)
-        return self._rng.choice(*args, **kwargs)
 
 
 class CountingStream:
-    """A stream whose `with` session yields a `ChoiceCounter`."""
+    """A stream whose `with` session yields a `DrawCounter`."""
 
     def __init__(self, stream, calls):
         self._stream, self._calls = stream, calls
 
     def __enter__(self):
-        return ChoiceCounter(self._stream.__enter__(), self._calls)
+        return DrawCounter(self._stream.__enter__(), self._calls)
 
     def __exit__(self, *exc):
         self._stream.__exit__(*exc)
 
 
 def reference_behaviors(scn, seed):
-    """Straggler behaviours drawn with `choice` whatever the count: the
-    count (fixed, or uniform on 0..p), then that many distinct workers."""
+    """Straggler behaviours drawn with numpy's `integers` and `choice`
+    whatever the count: the count (fixed, or uniform on 0..p), then that
+    many distinct workers."""
     p = scn.n_workers
     rng = built_from_key(seed, engine._SCENARIO_TAG, engine._STRAGGLER)
     count = round(scn.straggler_ratio * p)
@@ -922,33 +947,95 @@ def reference_behaviors(scn, seed):
 
 @pytest.mark.parametrize("mode", ["delayed", "fail"])
 def test_a_straggler_count_of_p_draws_no_choice(monkeypatch, mode):
-    # Every worker straggles at a count of p, whatever order `choice`
-    # would give: a fixed count of p opens no stream, and a uniform count
-    # that comes out at p makes no `choice` call.  The behaviours are the
-    # ones a draw with `choice` gives.
-    opened, choices = [], []
+    # A fixed count of p opens no stream, and no count calls numpy's
+    # `integers` or `choice`: the count and the workers are computed from
+    # the stream's raw words.  The behaviours are the ones numpy's draw
+    # gives.
+    opened, calls = [], []
     original = engine.substream
 
     def counting(seed, node, purpose):
         opened.append(purpose)
-        return CountingStream(original(seed, node, purpose), choices)
+        return CountingStream(original(seed, node, purpose), calls)
 
     monkeypatch.setattr(engine, "substream", counting)
     scn = benchmark_scenario(1, 64, straggler_mode=mode)
     for seed in range(40):
         full = scn.replace(straggler_ratio=1.0)
         assert episode_behaviors(full, seed) == reference_behaviors(full, seed)
-    assert opened == choices == []
+    assert opened == []
     uniform = scn.replace(failure_count_uniform=True)
     counts = []
     for seed in range(200):
-        before = len(choices)
         behaviors = episode_behaviors(uniform, seed)
         assert behaviors == reference_behaviors(uniform, seed)
         counts.append(sum(beh != Behavior() for beh in behaviors))
-        assert len(choices) - before == (0 < counts[-1] < 8)
+    assert calls == []
     assert opened == [engine._STRAGGLER] * 200
-    assert 0 in counts and 8 in counts
+    assert 0 in counts and 8 in counts and {1, 7} <= set(counts)
+
+
+def straggler_draw(seed, p, count=None):
+    """The engine's draw on the straggler stream of `seed`: the count
+    (`count`, or uniform on 0..p), then that many distinct workers."""
+    with substream(seed, engine._SCENARIO_TAG, engine._STRAGGLER) as rng:
+        next32 = engine._uint32s(rng).__next__
+        if count is None:
+            count = engine._below(next32, p + 1)
+        return count, engine._choice(next32, p, count)
+
+
+def numpy_straggler_draw(seed, p, count=None):
+    """The same draw by numpy's `integers` and `choice`, on a generator
+    built from the stream's key."""
+    rng = built_from_key(seed, engine._SCENARIO_TAG, engine._STRAGGLER)
+    if count is None:
+        count = int(rng.integers(0, p + 1))
+    return count, rng.choice(p, size=count, replace=False).tolist()
+
+
+def test_the_straggler_draw_is_numpys_on_small_fleets():
+    # Every count of every fleet of 1 to 64 workers, then the uniform
+    # count at 8 seeds: Floyd's sample and its shuffle, in numpy's order.
+    for p in range(1, 65):
+        for count in range(p + 1):
+            assert (straggler_draw(p, p, count)
+                    == numpy_straggler_draw(p, p, count)), (p, count)
+        for seed in range(8):
+            assert (straggler_draw(seed, p)
+                    == numpy_straggler_draw(seed, p)), (p, seed)
+
+
+@pytest.mark.parametrize("p", [10_000, 10_001, 12_000, 20_000])
+def test_the_straggler_draw_is_numpys_at_the_tail_shuffle_edge(p):
+    # Past 10,000 workers numpy shuffles the tail of range(p) once more
+    # than p // 50 are chosen; at 10,000 it keeps Floyd's sample.
+    for count in (p // 50, p // 50 + 1, p - 1):
+        assert (straggler_draw(3, p, count)
+                == numpy_straggler_draw(3, p, count)), count
+
+
+@pytest.mark.parametrize("bound", [2, 3, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1])
+def test_a_bounded_draw_rejects_as_numpy_does(bound):
+    # Near 2**32 about half of Lemire's products are rejected; at a
+    # fleet's bounds, at most 20,001, fewer than one in 200,000 are.
+    rng = built_from_key(5, engine._SCENARIO_TAG, engine._STRAGGLER)
+    with substream(5, engine._SCENARIO_TAG, engine._STRAGGLER) as ours:
+        next32 = engine._uint32s(ours).__next__
+        drawn = [engine._below(next32, bound) for _ in range(300)]
+    assert drawn == [int(rng.integers(0, bound)) for _ in range(300)]
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_a_12000_worker_fleet_draws_numpys_stragglers(uniform):
+    # 3,000 of 12,000 (or a uniform count, all but certainly past 240):
+    # numpy's tail shuffle, which a Floyd sample would not match.
+    scn = ScenarioConfig("large", n1=8, n2=8, n_workers=12_000,
+                         straggler_ratio=0.25, failure_count_uniform=uniform)
+    for seed in (0, 1):
+        behaviors = episode_behaviors(scn, seed)
+        assert behaviors == reference_behaviors(scn, seed)
+        assert sum(beh != Behavior() for beh in behaviors) > 12_000 // 50
 
 
 def test_episode_task_lengths_and_range():

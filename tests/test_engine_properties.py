@@ -334,7 +334,8 @@ def stream_reads(draw, kinds=(*TAPES, "straggler")):
 
 def expected(seed, node, kind, k):
     """Read (node, kind, k) from generators built from the keys, in the
-    chunks the engine drew before it shared one generator."""
+    chunks the engine drew before it shared one generator, and stragglers
+    by numpy's `integers` and `choice`."""
     chunk = engine._CHUNK
     if kind == "position":
         pos = built_from_key(seed, node, engine._POSITION).uniform(-BOX, BOX, 2)
@@ -356,12 +357,13 @@ def expected(seed, node, kind, k):
 
 
 def read(draws, seed, node, kind, k):
-    """Read (node, kind, k) through the engine: tapes of `draws`, or a
-    session of a stream opened with `seed`."""
+    """Read (node, kind, k) through the engine: tapes of `draws`, or the
+    engine's straggler draw in a session of a stream opened with `seed`."""
     if kind == "straggler":
         with substream(seed, node, engine._STRAGGLER) as rng:
-            count = int(rng.integers(0, k + 2))
-            return count, rng.choice(k + 1, size=count, replace=False).tolist()
+            next32 = engine._uint32s(rng).__next__
+            count = engine._below(next32, k + 2)
+            return count, engine._choice(next32, k + 1, count)
     tape = (draws.paths[node] if kind == "position"
             else draws.compute[node])
     if k >= len(tape):
@@ -380,8 +382,8 @@ def tapes(draws):
 @given(st.integers(0, 2**64 - 1), stream_reads())
 def test_interleaved_streams_equal_philox_built_from_their_keys(seed, reads):
     # Position pairs, velocity chunks, exponentials past the first chunk and
-    # integers-then-choice, read in any interleaving through the shared
-    # generator, with the keys served from the seed's derived row or, once
+    # the straggler draw (numpy's integers-then-choice), read in any
+    # interleaving through the shared generator, with the keys served from the seed's derived row or, once
     # the rows are dropped, derived one at a time.
     draws = Draws(seed, TAPE_FLEET)
     for i, (node, kind, k) in enumerate(reads):
